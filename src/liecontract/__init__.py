@@ -15,9 +15,10 @@ from .exterior import (Form, MultiVector, TMultiVector, bivector_matrix,
                        wedge_power)
 from .invariants import (GeneratorSet, centrality_check, char_invariants,
                          membership_linear, semi_invariant_weight, t_degree_reduction)
-from .lie import (LieAlgebra, RootData, algebra_from_text, algebra_index,
-                  algebra_to_text, from_matrices, jacobi_check, killing_form,
-                  lie_poisson_bivector, subalgebra_from_vectors, subalgebra_on_indices)
+from .lie import (JacobiError, LieAlgebra, RootData, algebra_from_text,
+                  algebra_index, algebra_to_text, from_matrices, jacobi_check,
+                  killing_form, lie_poisson_bivector, subalgebra_from_vectors,
+                  subalgebra_on_indices)
 from .polyring import (Polynomial, TPolynomial, multivariate_gcd, parse_polynomial,
                        poly_compose, poly_div_exact, poly_monic, poly_to_str, t_expand)
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .builders import SymmetricPair, borel_decomposition, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
-from .exterior import MultiVector, differential, volume_dual, wedge, wedge_power
+from .exterior import MultiVector, differential, volume_dual, wedge
 from .invariants import GeneratorSet, char_invariants, t_degree_reduction
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
 from .linalg import poly_matrix_rank
@@ -79,21 +79,6 @@ def algebraic_independence(polys) -> bool:
     return poly_matrix_rank(jac) == len(polys)
 
 
-def _wedge_chain(pi: MultiVector):
-    """All nonzero wedge powers of a bivector: {k: wedge^k}, k >= 1."""
-    powers = {}
-    cur = None
-    k = 0
-    while 2 * (k + 1) <= pi.n:
-        nxt = wedge(cur, pi) if cur is not None else pi
-        if nxt.is_zero:
-            break
-        k += 1
-        powers[k] = nxt
-        cur = nxt
-    return powers
-
-
 def _form_of_differentials(polys, n):
     form = None
     for g in polys:
@@ -115,16 +100,14 @@ def kostant_check(gens, pi: MultiVector, ell: int) -> KostantReport:
         gens = gens.gens
     gens = list(gens)
     n = pi.n
-    powers = _wedge_chain(pi)
-    rank = 2 * max(powers) if powers else 0
-    index = n - rank
+    index = pi.chain.index
     if len(gens) != ell or ell != index:
         raise ValueError(f"need exactly index-many generators: count={len(gens)}, "
                          f"ell={ell}, index={index}")
     if not algebraic_independence(gens):
         raise ValueError("generators are algebraically dependent")
     a = volume_dual(_form_of_differentials(gens, n))
-    b = powers[(n - ell) // 2]
+    b = pi.chain.power((n - ell) // 2)
     if a.is_zero:
         raise ValueError("wedge of generator differentials vanishes")
     cert = proportionality(a, b)
@@ -138,13 +121,12 @@ class FundamentalSemiInvariant:
     cofactor: MultiVector
 
 
-def fundamental_semiinvariant(pi: MultiVector, ell: int,
-                              power: MultiVector | None = None) -> FundamentalSemiInvariant:
+def fundamental_semiinvariant(pi: MultiVector, ell: int) -> FundamentalSemiInvariant:
     """Extract the divisor p with  wedge^{(n-l)/2} pi = p * R,  content(R) = 1."""
     n = pi.n
     if (n - ell) % 2:
         raise ValueError("n - ell must be even")
-    b = power if power is not None else wedge_power(pi, (n - ell) // 2)
+    b = pi.chain.power((n - ell) // 2)
     if b.is_zero:
         raise ValueError("wedge power vanishes; ell is not the index")
     coeffs = sorted(b.terms.values(), key=lambda p_: len(p_.terms))
@@ -188,7 +170,6 @@ class ContrDegReport:
 def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegReport:
     """Classify a contraction against the degree law for the invariant set."""
     L = gens.algebra
-    pi = lie_poisson_bivector(L)
     ell = len(gens)
     res = contract_algebra(L, w)
     if not res.valid:
@@ -221,7 +202,7 @@ def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegRepor
     if report.sum_t_degrees == report.weight_total:
         report.classification = "equality"
         a = volume_dual(_form_of_differentials(tops, L.n))
-        b = wedge_power(res.pi_tilde, (L.n - ell) // 2)
+        b = res.pi_tilde.chain.power((L.n - ell) // 2)
         report.kostant_with_limit = (a == b)
         report.good_generating_system = report.independent
         report.ok = report.independent and report.kostant_with_limit
@@ -283,9 +264,7 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
     clauses = []
 
     tilde = res.contracted
-    powers = _wedge_chain(lie_poisson_bivector(tilde))
-    ind_tilde = L.n - (2 * max(powers) if powers else 0)
-    tilde._index = ind_tilde
+    ind_tilde = algebra_index(tilde)
     clauses.append(Clause("index_of_contraction", ind_tilde == ell,
                           {"computed": ind_tilde, "expected": ell}))
 
@@ -297,14 +276,14 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
 
     tops = [top for _, top in pairs]
     a = volume_dual(_form_of_differentials(tops, L.n))
-    b = powers.get((L.n - ell) // 2)
-    clauses.append(Clause("kostant_equality_for_tops", b is not None and a == b, {}))
-    if b is None:
+    b = res.pi_tilde.chain.power((L.n - ell) // 2)
+    clauses.append(Clause("kostant_equality_for_tops", not b.is_zero and a == b, {}))
+    if b.is_zero:
         clauses.append(Clause("fundamental_semiinvariant", False,
                               {"reason": "wedge power vanished"}))
         return SuiteReport(suite="feigin", target=L.name or "anon", clauses=clauses)
 
-    fsi = fundamental_semiinvariant(res.pi_tilde, ell, power=b)
+    fsi = fundamental_semiinvariant(res.pi_tilde, ell)
     expected = Polynomial.const(L.n, 1)
     for fi, r in zip(rd.simple_f, rd.marks):
         expected = expected * Polynomial.variable(L.n, fi) ** (r - 1)
@@ -337,7 +316,7 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
         p_prime = poly_rename(fsi.p, idx_map, len(keep))
         h_form = _form_of_differentials(semis_prime, len(keep))
         lhs = volume_dual(h_form).scale(p_prime)
-        rhs = wedge_power(pi_prime, (L.n - 3 * ell) // 2)
+        rhs = pi_prime.chain.power((L.n - 3 * ell) // 2)
         if lhs.is_zero:
             clauses.append(Clause("semicentre_proportionality", False,
                                   {"reason": "left side vanished"}))
@@ -385,9 +364,7 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     if not res.valid:
         clauses.append(Clause("contraction_valid", False, {}))
         return SuiteReport(suite="z2", target=pair.pair_id, clauses=clauses)
-    powers = _wedge_chain(lie_poisson_bivector(res.contracted))
-    ind_tilde = L.n - (2 * max(powers) if powers else 0)
-    res.contracted._index = ind_tilde
+    ind_tilde = algebra_index(res.contracted)
     clauses.append(Clause("index_of_contraction", ind_tilde == ell,
                           {"computed": ind_tilde, "expected": ell}))
 
@@ -402,8 +379,8 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     indep = algebraic_independence(tops)
     clauses.append(Clause("tops_independent", indep, {}))
     a = volume_dual(_form_of_differentials(tops, L.n))
-    b = powers.get((L.n - ell) // 2)
-    kost = b is not None and a == b
+    b = res.pi_tilde.chain.power((L.n - ell) // 2)
+    kost = not b.is_zero and a == b
     clauses.append(Clause("kostant_equality_for_tops", kost, {}))
     clauses.append(Clause("codim2_note", True,
                           {"note": "centre generation certified through the recorded "

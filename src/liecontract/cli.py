@@ -20,7 +20,7 @@ from .builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS, borel_decomp
                        builtin_algebra)
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .invariants import char_invariants
-from .lie import (algebra_from_text, algebra_index, algebra_to_text,
+from .lie import (JacobiError, algebra_from_text, algebra_index, algebra_to_text,
                   jacobi_check, lie_poisson_bivector)
 from .polyring import parse_polynomial, poly_to_str
 
@@ -329,12 +329,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args, args.format)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        # a bracket table failing the Jacobi identity is a failed check
+        return CHECK_ERROR if isinstance(exc, JacobiError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -84,6 +84,8 @@ def contract(pi: MultiVector, w: ContractionWeights, labels=None) -> Contraction
                 row[mono[0][0]] = c
             brackets[(i, j)] = row
         contracted = LieAlgebra(use_labels, brackets)
+        # the limit algebra's own bivector, so the limit has one wedge chain
+        tilde = contracted.bivector
     return ContractionResult(pi_t=pi_t, valid=True, weights=w, original=pi,
                              pi_tilde=tilde, contracted=contracted)
 

@@ -8,8 +8,10 @@ coordinate differentials; the two kinds never mix in a wedge.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+from .linalg import rational_rank
 from .polyring import Polynomial, mono_mul
 
 _ZERO = Fraction(0)
@@ -46,13 +48,14 @@ class MultiVector:
 
     kind = "multivector"
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ("n", "degree", "terms", "_chain")
 
     def __init__(self, n: int, degree: int, terms=None):
         if not 0 <= degree <= n:
             raise ValueError(f"degree {degree} out of range for n={n}")
         self.n = n
         self.degree = degree
+        self._chain = None
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -74,6 +77,7 @@ class MultiVector:
         mv.n = n
         mv.degree = degree
         mv.terms = terms
+        mv._chain = None
         return mv
 
     @classmethod
@@ -84,6 +88,13 @@ class MultiVector:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def chain(self) -> "WedgeChain":
+        """This bivector's wedge-power chain, made on first use and kept."""
+        if self._chain is None:
+            self._chain = WedgeChain(self)
+        return self._chain
 
     def coefficient(self, idx) -> Polynomial:
         return self.terms.get(tuple(idx), Polynomial.zero(self.n))
@@ -224,20 +235,78 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     return type(a)._raw(a.n, k, out)
 
 
+class WedgeChain:
+    """The wedge powers of one bivector, extended only as far as a caller asks.
+
+    Only pi and the highest nonzero power computed so far are kept: callers
+    want that top power, and keeping every power would hold more terms than
+    computing them ever does.  The state changes by one assignment of a
+    tuple, so callers sharing a chain can at worst repeat work.
+    """
+
+    __slots__ = ("pi", "_top", "_rank")
+
+    def __init__(self, pi: MultiVector):
+        if pi.degree != 2:
+            raise ValueError("wedge chain expects a bivector")
+        self.pi = pi
+        # (k, wedge^k pi, whether wedge^(k+1) pi is known to vanish)
+        self._top = (0, MultiVector.unit(pi.n), False)
+        self._rank = None
+
+    def _extend(self, k: int):
+        """Grow the chain to wedge^k pi or to its last nonzero power; returns
+        the top (k', wedge^k' pi), from one reading of the state."""
+        top_k, top, last = self._top
+        pi = self.pi
+        while top_k < k and not last:
+            nxt = pi if top_k == 0 else wedge(top, pi)
+            if nxt.is_zero:
+                last = True
+            else:
+                top_k, top = top_k + 1, nxt
+                last = 2 * (top_k + 1) > pi.n
+            self._top = (top_k, top, last)
+        return top_k, top
+
+    def power(self, k: int) -> MultiVector:
+        """wedge^k pi; zero in degree 2k once the chain has ended."""
+        n = self.pi.n
+        if k < 0:
+            raise ValueError("negative wedge power")
+        if 2 * k > n:
+            raise ValueError(f"wedge power 2k={2 * k} exceeds dimension {n}")
+        top_k, top = self._extend(k)
+        if top_k > k:    # lower powers are not kept
+            return WedgeChain(self.pi).power(k)
+        return top if top_k == k else type(self.pi)._raw(n, 2 * k, {})
+
+    @property
+    def rank(self) -> int:
+        """Rank of pi's coefficient matrix: 2k for the last nonzero wedge^k pi.
+
+        Evaluations at random rational points give a certified lower bound
+        on the rank, checked once per chain.
+        """
+        if self._rank is None:
+            pi = self.pi
+            rank = 2 * self._extend(pi.n // 2)[0]
+            rng = random.Random(20240917)
+            for _ in range(3 if pi.terms else 0):
+                point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(pi.n)]
+                if rational_rank(bivector_matrix_at(pi, point)) > rank:
+                    raise AssertionError("wedge-power rank disagrees with point evaluation")
+            self._rank = rank
+        return self._rank
+
+    @property
+    def index(self) -> int:
+        return self.pi.n - self.rank
+
+
 def wedge_power(pi: MultiVector, k: int) -> MultiVector:
-    """k-fold wedge of a bivector with itself."""
-    if pi.degree != 2:
-        raise ValueError("wedge_power expects a bivector")
-    if k < 0:
-        raise ValueError("negative wedge power")
-    if 2 * k > pi.n:
-        raise ValueError(f"wedge power 2k={2 * k} exceeds dimension {pi.n}")
-    if k == 0:
-        return MultiVector.unit(pi.n)
-    out = pi
-    for _ in range(k - 1):
-        out = wedge(out, pi)
-    return out
+    """k-fold wedge of a bivector with itself, computed afresh each call."""
+    return WedgeChain(pi).power(k)
 
 
 def differential(p: Polynomial) -> Form:

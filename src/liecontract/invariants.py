@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .contract import ContractionWeights, t_degree
 from .exterior import (bracket_with_coordinate, differential, pfaffian,
-                       volume_dual, wedge, wedge_power)
+                       volume_dual, wedge)
 from .lie import LieAlgebra, lie_poisson_bivector
 from .linalg import poly_det_cofactor, rational_inverse, solve_exact
 from .polyring import Polynomial, poly_compose
@@ -119,10 +119,6 @@ def _antidiag_flip(X):
 
 def char_invariants(L: LieAlgebra) -> GeneratorSet:
     """Generators of the Poisson centre for a built-in sl/so/sp algebra."""
-    if L._invariants is not None:
-        cached = L._invariants
-        return GeneratorSet(algebra=L, gens=list(cached.gens),
-                            normalization=cached.normalization)
     if L.family is None:
         raise ValueError("char_invariants needs a classical family tag")
     kind, size = L.family
@@ -147,7 +143,6 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
         raise ValueError(f"unsupported family {kind!r}")
     gens.sort(key=lambda g: g.degree())
     scale = _normalize_to_regularity(L, gens)
-    L._invariants = GeneratorSet(algebra=L, gens=list(gens), normalization=scale)
     return GeneratorSet(algebra=L, gens=gens, normalization=scale)
 
 
@@ -162,7 +157,7 @@ def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     for g in gens[1:]:
         forms = wedge(forms, differential(g))
     A = volume_dual(forms)
-    B = wedge_power(pi, (n - ell) // 2)
+    B = pi.chain.power((n - ell) // 2)
     if A.is_zero or B.is_zero:
         raise ValueError("degenerate generator set")
     idx = next(iter(sorted(B.terms)))

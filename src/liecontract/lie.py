@@ -2,22 +2,27 @@
 
 A LieAlgebra stores the bracket sparsely as [x_i, x_j] = sum_k c[i,j][k] x_k
 for i < j; antisymmetry is built into the storage.  Instances are immutable
-after construction, so every operation here is a pure function.
+after construction, so every operation here is a pure function.  Derived
+data (the bivector, the Jacobi verdict, and through the bivector its wedge
+chain) is computed on first use and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-import random
-
-from .exterior import MultiVector, bivector_matrix_at, wedge
+from .exterior import MultiVector
 from .linalg import commutator, flatten, rational_rank, solve_exact
 from .polyring import Polynomial
 
 _ZERO = Fraction(0)
+
+
+class JacobiError(ValueError):
+    """The bracket table fails the Jacobi identity: a failed check, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,10 @@ class LieAlgebra:
         for (i, j), targets in brackets.items():
             if not 0 <= i < j < self.n:
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < n")
+            for k in targets:
+                if not 0 <= k < self.n:
+                    raise ValueError(f"bracket pair ({i},{j}) has target {k}; "
+                                     f"targets must satisfy 0 <= k < {self.n}")
             row = {k: Fraction(c) for k, c in targets.items() if Fraction(c)}
             if row:
                 clean[(i, j)] = row
@@ -53,9 +62,20 @@ class LieAlgebra:
         self.root_data = root_data
         self.name = name
         self.family = family
-        self._pi = None
-        self._index = None
-        self._invariants = None
+
+    @cached_property
+    def bivector(self) -> MultiVector:
+        """The linear bivector with coefficient sum_k c_ij^k x_k at each pair i < j."""
+        if self.n < 2:
+            raise ValueError(f"a bivector needs dimension >= 2, got {self.n}")
+        # the bracket table is canonical: pairs i < j, nonzero rows and coefficients
+        return MultiVector._raw(self.n, 2, {
+            (i, j): Polynomial._raw(self.n, {((k, 1),): c for k, c in targets.items()})
+            for (i, j), targets in self.brackets.items()})
+
+    @cached_property
+    def _jacobi(self):
+        return jacobi_check(self)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
@@ -105,16 +125,6 @@ class LieAlgebra:
         for j in range(self.n):
             for k, c in self.bracket_pair(i, j).items():
                 mat[k][j] = c
-        return mat
-
-    def structure_matrix(self):
-        """Antisymmetric matrix of linear polynomials [x_i, x_j] = sum c x_k."""
-        zero = Polynomial.zero(self.n)
-        mat = [[zero] * self.n for _ in range(self.n)]
-        for (i, j), targets in self.brackets.items():
-            p = Polynomial(self.n, {((k, 1),): c for k, c in targets.items()})
-            mat[i][j] = p
-            mat[j][i] = -p
         return mat
 
 
@@ -167,56 +177,23 @@ def jacobi_check(L: LieAlgebra):
 
 
 def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
-    """The linear bivector with coefficient sum_k c_ij^k x_k at each pair i < j."""
-    if L._pi is None:
-        ok, triple = jacobi_check(L)
-        if not ok:
-            raise ValueError(f"Jacobi identity fails at triple {triple}")
-        terms = {}
-        for (i, j), targets in L.brackets.items():
-            terms[(i, j)] = Polynomial(L.n, {((k, 1),): c for k, c in targets.items()})
-        L._pi = MultiVector(L.n, 2, terms)
-    return L._pi
+    """L's bivector, behind the Jacobi gate."""
+    ok, triple = L._jacobi
+    if not ok:
+        raise JacobiError(f"Jacobi identity fails at triple {triple}")
+    return L.bivector
 
 
 def structure_bivector(L: LieAlgebra) -> MultiVector:
-    """Same coefficients as the Lie-Poisson bivector, but without the Jacobi gate."""
-    terms = {}
-    for (i, j), targets in L.brackets.items():
-        terms[(i, j)] = Polynomial(L.n, {((k, 1),): c for k, c in targets.items()})
-    return MultiVector(L.n, 2, terms)
+    """L's bivector without the Jacobi gate: the same object lie_poisson_bivector returns."""
+    return L.bivector
 
 
 def algebra_index(L: LieAlgebra) -> int:
-    """Dimension minus the symbolic rank of the structure matrix.
-
-    The rank of an antisymmetric polynomial matrix is 2k for the largest k
-    with a nonzero k-fold wedge of the associated bivector, so the rank is
-    read off the wedge-power chain.  Evaluations at random rational points
-    give a certified lower bound on the rank as a cross-check.
-    """
-    if L._index is None:
-        if not L.brackets:
-            L._index = L.n
-        else:
-            pi = structure_bivector(L)
-            k = 0
-            cur = None
-            while 2 * (k + 1) <= L.n:
-                nxt = wedge(cur, pi) if cur is not None else pi
-                if nxt.is_zero:
-                    break
-                cur = nxt
-                k += 1
-            rank = 2 * k
-            rng = random.Random(20240917)
-            for _ in range(3):
-                point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(L.n)]
-                low = rational_rank(bivector_matrix_at(pi, point))
-                if low > rank:
-                    raise AssertionError("wedge-power rank disagrees with point evaluation")
-            L._index = L.n - rank
-    return L._index
+    """Dimension minus the symbolic rank of the structure matrix, read off the
+    wedge-power chain of L's bivector (see WedgeChain.rank)."""
+    # an abelian algebra may be too small to carry a bivector
+    return L.bivector.chain.index if L.brackets else L.n
 
 
 def killing_form(L: LieAlgebra):

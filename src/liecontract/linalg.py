@@ -23,20 +23,8 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    return a == b
-
-
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_trace(a):
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def identity_matrix(m):

@@ -513,15 +513,6 @@ def _as_univariate(p: Polynomial, v: int) -> dict:
     return {e: Polynomial._raw(p.n, b) for e, b in coeffs.items()}
 
 
-def _from_univariate(n: int, v: int, coeffs: dict) -> Polynomial:
-    out: dict = {}
-    for e, p in coeffs.items():
-        for m, c in p.terms.items():
-            key = mono_mul(m, ((v, e),)) if e else m
-            out[key] = c
-    return Polynomial._raw(n, out)
-
-
 def _uni_degree(p: Polynomial, v: int) -> int:
     d = 0
     for m in p.terms:

@@ -1,0 +1,149 @@
+"""The wedge-power chain of a bivector: one memoised engine per bivector.
+
+Equivalence against the loop it replaced (repeated wedge(., pi) keeping every
+power) and against the unmemoised wedge_power, and a count of the wedge
+products a second query on the same algebra or limit makes.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from liecontract import exterior
+from liecontract.analysis import fundamental_semiinvariant, kostant_check
+from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
+                                  builtin_algebra, symmetric_pair)
+from liecontract.contract import contract_algebra, t_degree
+from liecontract.exterior import MultiVector, WedgeChain, wedge, wedge_power
+from liecontract.invariants import char_invariants
+from liecontract.lie import algebra_index, lie_poisson_bivector, structure_bivector
+
+# index of every algebra below, as computed before the engine existed
+INDEX = {"sl2": 1, "sl3": 2, "sp4": 2, "so4": 2, "so5": 2,
+         "sl2_so2": 1, "sp4_sp2sp2": 2, "so4_gl2": 2}
+
+
+def reference_powers(pi):
+    """The replaced chain loop: every nonzero power, {k: wedge^k pi}."""
+    powers, cur, k = {}, None, 0
+    while 2 * (k + 1) <= pi.n:
+        nxt = pi if cur is None else wedge(cur, pi)
+        if nxt.is_zero:
+            break
+        k += 1
+        powers[k] = nxt
+        cur = nxt
+    return powers
+
+
+def algebra(name):
+    """A fresh builtin, or a fresh symmetric pair's parent."""
+    return builtin_algebra(name) if name in BUILTIN_ALGEBRAS else symmetric_pair(name).parent
+
+
+def test_every_small_algebra_is_covered():
+    small = [name for name in BUILTIN_ALGEBRAS + Z2_PAIRS if algebra(name).n <= 10]
+    assert sorted(small) == sorted(INDEX)
+
+
+@pytest.mark.parametrize("name", sorted(INDEX))
+def test_chain_matches_replaced_loop_and_wedge_power(name):
+    L = algebra(name)
+    pi = lie_poisson_bivector(L)
+    ref = reference_powers(pi)
+    for k in range(L.n // 2 + 1):
+        want = ref.get(k, MultiVector(L.n, 2 * k)) if k else MultiVector.unit(L.n)
+        assert pi.chain.power(k) == want == wedge_power(pi, k)
+    # a lower power than the kept one is recomputed, not lost
+    assert pi.chain.power(1) == pi
+    assert algebra_index(L) == L.n - 2 * max(ref) == INDEX[name]
+    assert pi.chain.index == INDEX[name] and pi.chain.rank == 2 * max(ref)
+
+
+def test_one_bivector_and_one_chain_per_algebra():
+    L = builtin_algebra("sl3")
+    pi = lie_poisson_bivector(L)
+    assert structure_bivector(L) is pi and pi.chain is pi.chain
+    res = contract_algebra(L, borel_decomposition(L))
+    assert res.pi_tilde is lie_poisson_bivector(res.contracted)
+
+
+def test_chain_rejects_bad_requests():
+    pi = lie_poisson_bivector(builtin_algebra("sl2"))
+    with pytest.raises(ValueError):
+        pi.chain.power(2)
+    with pytest.raises(ValueError):
+        pi.chain.power(-1)
+    with pytest.raises(ValueError):
+        WedgeChain(MultiVector.unit(3))
+
+
+def test_zero_bivector_has_full_index():
+    chain = MultiVector(4, 2).chain
+    assert chain.rank == 0 and chain.index == 4
+    assert chain.power(2) == MultiVector(4, 4)
+
+
+def test_second_queries_make_no_wedge_products(monkeypatch):
+    calls = []
+    real = exterior.wedge
+
+    def counting(a, b):
+        calls.append((a.degree, b.degree))
+        return real(a, b)
+
+    # the chain engine is the only caller of exterior.wedge on bivectors
+    monkeypatch.setattr(exterior, "wedge", counting)
+    L = builtin_algebra("sp4")
+    w = borel_decomposition(L)
+    res = contract_algebra(L, w)
+    gens = char_invariants(L)
+    tops = [t_degree(g, w)[1] for g in gens.gens]
+    pi = lie_poisson_bivector(L)
+
+    def queries():
+        return (algebra_index(L), kostant_check(gens, pi, 2).is_kostant_type,
+                fundamental_semiinvariant(pi, 2).p,
+                algebra_index(res.contracted),
+                kostant_check(tops, res.pi_tilde, 2).is_kostant_type,
+                fundamental_semiinvariant(res.pi_tilde, 2).p)
+
+    before = len(calls)
+    first = queries()
+    made = len(calls)
+    assert made > before
+    assert queries() == first
+    assert len(calls) == made
+
+
+def test_threads_sharing_one_chain_get_the_right_powers():
+    L = builtin_algebra("sl3")
+    ref = reference_powers(lie_poisson_bivector(L))
+    want = [ref.get(k, MultiVector(L.n, 2 * k)) for k in range(L.n // 2 + 1)]
+    orders = [[1, 2, 3, 4], [4, 3, 2, 1], [2, 4, 1, 3], [3, 1, 4, 2]]
+    errors = []
+
+    def worker(pi, order):
+        try:
+            for k in order:
+                if pi.chain.power(k) != want[k]:
+                    errors.append(k)
+        except Exception as exc:    # a thread's exception would be lost otherwise
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)   # a fresh chain
+            threads = [threading.Thread(target=worker, args=(pi, o)) for o in orders * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert pi.chain.rank == 2 * max(ref)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors

@@ -64,6 +64,24 @@ class TestQueryVerbs:
         assert code == 1
         assert "FAIL" in out and "jacobi" in out
 
+    def test_non_jacobi_file_is_a_failed_check(self, capsys, tmp_path):
+        path = tmp_path / "bad.alg"
+        path.write_text("name: bad\nlabels: x y z\n"
+                        "bracket: 0 1 0 1\nbracket: 1 2 1 1\nbracket: 0 2 2 1\n")
+        code, _, err = run(capsys, "contract", str(path), "--weights", "0,0,1")
+        assert code == 1 and "Jacobi identity fails" in err
+        for verb in ("bivector", "fsi"):
+            code, _, err = run(capsys, verb, str(path))
+            assert code == 1 and "Jacobi identity fails" in err
+
+    def test_out_of_range_bracket_target_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "oob.alg"
+        path.write_text("name: oob\nlabels: a b c\nbracket: 0 1 7 1\n")
+        for verb in ("bivector", "index"):
+            code, _, err = run(capsys, verb, str(path))
+            assert code == 2
+            assert "(0,1)" in err and "target 7" in err
+
     def test_fsi_invalid_weights_exit_one(self, capsys):
         code, out, _ = run(capsys, "fsi", "sl2", "--weights", "0,1,0")
         assert code == 1 and "negative t-power" in out

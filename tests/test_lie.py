@@ -6,10 +6,10 @@ import pytest
 from conftest import cached_builtin as builtin_algebra
 from conftest import cached_pair as symmetric_pair
 from liecontract.builders import BUILTIN_ALGEBRAS, borel_decomposition, build_classical
-from liecontract.lie import (LieAlgebra, algebra_from_text, algebra_index,
+from liecontract.lie import (JacobiError, LieAlgebra, algebra_from_text, algebra_index,
                              algebra_to_text, from_matrices, jacobi_check, killing_form,
-                             lie_poisson_bivector, subalgebra_from_vectors,
-                             subalgebra_on_indices)
+                             lie_poisson_bivector, structure_bivector,
+                             subalgebra_from_vectors, subalgebra_on_indices)
 from liecontract.linalg import rational_det
 from liecontract.polyring import parse_polynomial
 
@@ -98,6 +98,21 @@ class TestLiePoissonBivector:
                        {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {0: 1}})
         with pytest.raises(ValueError):
             lie_poisson_bivector(L)
+
+    def test_jacobi_gate_raises_typed_error(self):
+        L = LieAlgebra(["x1", "x2", "x3"],
+                       {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {0: 1}})
+        with pytest.raises(JacobiError, match=r"triple \(0, 1, 2\)"):
+            lie_poisson_bivector(L)
+        # the ungated bivector is still available
+        assert structure_bivector(L).degree == 2
+
+    def test_bracket_target_out_of_range_rejected(self):
+        for k in (3, 7, -1):
+            with pytest.raises(ValueError, match=rf"\(0,1\) has target {k}"):
+                LieAlgebra(["a", "b", "c"], {(0, 1): {k: 1}})
+        with pytest.raises(ValueError, match="target 7"):
+            algebra_from_text("name: oob\nlabels: a b c\nbracket: 0 1 7 1\n")
 
 
 class TestBuilders:

@@ -1,0 +1,80 @@
+"""Source-level guards on the package's design.
+
+No module may write a private attribute onto an object it does not own:
+`obj._name = ...` (or setattr with a constant "_name") where obj is not
+`self` is allowed only when a class of the same module declares `_name`
+(in __slots__, in its body, or as `self._name` in a method).  Caches written
+into another module's objects are how derived data got out of step before.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "liecontract"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def declared_names(tree):
+    """Private attribute names the classes of one module declare."""
+    names = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                names.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                names.update(c.value for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return {n for n in names if _is_private(n)}
+
+
+def foreign_writes(tree):
+    """(line, text) of private attribute writes onto objects other than self."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and _is_private(node.attr)
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            out.append((node.lineno, node.attr, ast.unparse(node)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str) and _is_private(node.args[1].value)
+              and not (isinstance(node.args[0], ast.Name) and node.args[0].id == "self")):
+            out.append((node.lineno, node.args[1].value, ast.unparse(node)))
+    return out
+
+
+def violations(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    own = declared_names(tree)
+    return [f"{path.name}:{line}: {text}"
+            for line, attr, text in foreign_writes(tree) if attr not in own]
+
+
+def test_no_private_attributes_written_from_outside():
+    found = [v for path in sorted(SRC.glob("*.py")) for v in violations(path)]
+    assert not found, "private attributes written onto foreign objects:\n" + "\n".join(found)
+
+
+def test_guard_sees_foreign_and_allows_own_writes(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "class A:\n"
+        "    __slots__ = ('_s',)\n"
+        "    def __init__(self):\n"
+        "        self._own = 1\n"
+        "def f(a, b):\n"
+        "    a._s = 1\n"
+        "    a._own = 2\n"
+        "    b._cache = 3\n"
+        "    setattr(b, '_other', 4)\n")
+    assert violations(path) == ["mod.py:8: b._cache", "mod.py:9: setattr(b, '_other', 4)"]
