@@ -306,9 +306,7 @@ def _is_semisimple_matrix(M) -> bool:
     dp = p.diff(0)
     g = multivariate_gcd(p, dp)
     q = p if g.is_constant else poly_div_exact(p, g)
-    coeffs = {}
-    for mono, c in q.terms.items():
-        coeffs[mono[0][1] if mono else 0] = c
+    coeffs = {(mono[0][1] if mono else 0): c for mono, c in q.as_dict().items()}
     deg = max(coeffs)
     acc = zero_matrix(m)
     power = identity_matrix(m)

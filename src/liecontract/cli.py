@@ -21,7 +21,7 @@ from .builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS, borel_decomp
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .invariants import char_invariants
 from .lie import (JacobiError, algebra_from_text, algebra_index, algebra_to_text,
-                  jacobi_check, lie_poisson_bivector)
+                  jacobi_check, lie_poisson_bivector, require_jacobi)
 from .polyring import parse_polynomial, poly_to_str
 
 USAGE_ERROR = 2
@@ -44,6 +44,21 @@ def _load_target(target: str):
             raise InputError(f"cannot load {target}: {exc}") from exc
     raise InputError(f"{target!r} is neither a builtin algebra nor a readable file; "
                      f"builtins: {', '.join(BUILTIN_ALGEBRAS)}")
+
+
+def _load_classical(target: str):
+    """_load_target for the verbs that need the classical family tag.
+
+    The file format has no family line, so a file that holds exactly a
+    builtin algebra under its builtin name gets that builtin back, tag and
+    all.  The builtin is built only for such a file.
+    """
+    L, path = _load_target(target)
+    if L.family is None and L.name in BUILTIN_ALGEBRAS:
+        builtin = builtin_algebra(L.name)
+        if builtin == L:
+            return builtin, path
+    return L, path
 
 
 def _parse_weights(text: str, n: int) -> ContractionWeights:
@@ -117,6 +132,7 @@ def cmd_bivector(args, fmt):
 
 def cmd_index(args, fmt):
     L, _ = _load_target(args.target)
+    require_jacobi(L)
     idx = algebra_index(L)
     _emit({"target": args.target, "index": idx}, fmt, [f"index {args.target} = {idx}"])
     return 0
@@ -144,7 +160,8 @@ def cmd_contract(args, fmt):
 
 
 def cmd_tdeg(args, fmt):
-    L, _ = _load_target(args.target)
+    # without --poly the verb reads the invariant generators
+    L, _ = (_load_target if args.poly else _load_classical)(args.target)
     w = _parse_weights(args.weights, L.n)
     if args.poly:
         try:
@@ -170,7 +187,7 @@ def cmd_tdeg(args, fmt):
 
 
 def cmd_invariants(args, fmt):
-    L, _ = _load_target(args.target)
+    L, _ = _load_classical(args.target)
     gs = char_invariants(L)
     payload = {"target": args.target, "degrees": gs.degrees,
                "normalization": str(gs.normalization),
@@ -183,7 +200,7 @@ def cmd_invariants(args, fmt):
 
 
 def cmd_kostant(args, fmt):
-    L, _ = _load_target(args.target)
+    L, _ = _load_classical(args.target)
     gs = char_invariants(L)
     rep = kostant_check(gs, lie_poisson_bivector(L), len(gs))
     cert = rep.certificate
@@ -200,7 +217,7 @@ def cmd_kostant(args, fmt):
 
 def cmd_ggs(args, fmt):
     from .invariants import t_degree_reduction
-    L, _ = _load_target(args.target)
+    L, _ = _load_classical(args.target)
     w = _parse_weights(args.weights, L.n)
     gs = char_invariants(L)
     reduced = t_degree_reduction(gs, w)

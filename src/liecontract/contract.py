@@ -77,11 +77,9 @@ def contract(pi: MultiVector, w: ContractionWeights, labels=None) -> Contraction
         use_labels = list(labels) if labels is not None else [f"x{i}" for i in range(pi.n)]
         brackets = {}
         for (i, j), p in tilde.terms.items():
-            row = {}
-            for mono, c in p.terms.items():
-                if len(mono) != 1 or mono[0][1] != 1:
-                    raise ValueError("limit of a linear bivector must stay linear")
-                row[mono[0][0]] = c
+            row = p.linear_coefficients()
+            if row is None:
+                raise ValueError("limit of a linear bivector must stay linear")
             brackets[(i, j)] = row
         contracted = LieAlgebra(use_labels, brackets)
         # the limit algebra's own bivector, so the limit has one wedge chain

@@ -9,32 +9,23 @@ coordinate differentials; the two kinds never mix in a wedge.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from .linalg import rational_rank
-from .polyring import Polynomial, mono_mul
+from .polyring import Polynomial, _accumulate
 
 _ZERO = Fraction(0)
 
 
 def _merge_signed(a: tuple, b: tuple):
     """Merge two disjoint sorted index tuples; returns (merged, sign)."""
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
+    # each entry of b jumps over the entries of a above it
+    la = len(a)
     inv = 0
-    while i < la and j < lb:
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining entries of a
-            inv += la - i
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1) ** (inv & 1)
+    for x in b:
+        inv += la - bisect_right(a, x)
+    return tuple(sorted(a + b)), -1 if inv & 1 else 1
 
 
 def shuffle_sign(front: tuple, back: tuple) -> int:
@@ -206,6 +197,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     k = a.degree + b.degree
     if k > a.n:
         raise ValueError(f"wedge degree {k} exceeds dimension {a.n}")
+    n = a.n
     acc: dict = {}
     b_items = [(idx, frozenset(idx), p.terms) for idx, p in b.terms.items()]
     for ia, pa in a.terms.items():
@@ -218,21 +210,13 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
             bucket = acc.get(merged)
             if bucket is None:
                 bucket = acc[merged] = {}
-            for ma, ca in ta.items():
-                for mb, cb in tb.items():
-                    m = mono_mul(ma, mb)
-                    c = ca * cb if sign > 0 else -(ca * cb)
-                    v = bucket.get(m)
-                    v = c if v is None else v + c
-                    if v:
-                        bucket[m] = v
-                    else:
-                        del bucket[m]
+            _accumulate(bucket, ta, tb, sign < 0, n)
     out = {}
     for idx, bucket in acc.items():
-        if bucket:
-            out[idx] = Polynomial._raw(a.n, bucket)
-    return type(a)._raw(a.n, k, out)
+        p = Polynomial._collect(n, bucket)
+        if p:
+            out[idx] = p
+    return type(a)._raw(n, k, out)
 
 
 class WedgeChain:

@@ -63,8 +63,8 @@ def semi_invariant_weight(h: Polynomial, L: LieAlgebra):
         if br.is_zero:
             out.append(_ZERO)
             continue
-        lam = br.terms.get(hm)
-        if lam is None:
+        lam = br.coefficient(hm)
+        if not lam:
             return None
         lam = lam / hc
         if br != h * lam:
@@ -166,8 +166,8 @@ def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     if pa is None:
         raise ValueError("generator differentials are not proportional to the wedge power")
     bm, bc = pb.leading()
-    ac = pa.terms.get(bm)
-    if ac is None:
+    ac = pa.coefficient(bm)
+    if not ac:
         raise ValueError("generator differentials are not proportional to the wedge power")
     scale = bc / ac
     if A.scale(scale) != B:
@@ -187,12 +187,7 @@ def membership_linear(h: Polynomial, gens: Sequence[Polynomial],
     """
     if h.is_zero:
         raise ValueError("membership of the zero polynomial is trivial")
-
-    def homogeneous(p):
-        degset = {sum(e for _, e in m) for m in p.terms}
-        return len(degset) == 1
-
-    if not homogeneous(h) or any(not homogeneous(g) for g in gens):
+    if not h.is_homogeneous() or any(not g.is_homogeneous() for g in gens):
         raise ValueError("membership needs homogeneous input and generators")
     degs = [g.degree() for g in gens]
     if any(d <= 0 for d in degs):

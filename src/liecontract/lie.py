@@ -70,7 +70,7 @@ class LieAlgebra:
             raise ValueError(f"a bivector needs dimension >= 2, got {self.n}")
         # the bracket table is canonical: pairs i < j, nonzero rows and coefficients
         return MultiVector._raw(self.n, 2, {
-            (i, j): Polynomial._raw(self.n, {((k, 1),): c for k, c in targets.items()})
+            (i, j): Polynomial.linear(self.n, targets)
             for (i, j), targets in self.brackets.items()})
 
     @cached_property
@@ -176,11 +176,17 @@ def jacobi_check(L: LieAlgebra):
     return True, None
 
 
-def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
-    """L's bivector, behind the Jacobi gate."""
+def require_jacobi(L: LieAlgebra):
+    """The Jacobi gate: raise JacobiError unless L's bracket satisfies the
+    Jacobi identity.  The verdict is computed once per algebra."""
     ok, triple = L._jacobi
     if not ok:
         raise JacobiError(f"Jacobi identity fails at triple {triple}")
+
+
+def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
+    """L's bivector, behind the Jacobi gate."""
+    require_jacobi(L)
     return L.bivector
 
 

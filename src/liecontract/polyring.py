@@ -1,10 +1,20 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A monomial is a tuple of (variable index, exponent) pairs sorted by index,
-with no zero exponents stored.  A polynomial maps monomials to nonzero
-Fraction coefficients; the zero polynomial has an empty term map.  Where a
-term order is needed it is graded lexicographic, lower variable indices
-ranking higher.
+A polynomial maps monomials to nonzero coefficients; the zero polynomial has
+an empty term map.  A coefficient is an int when it is integral and a
+Fraction otherwise, never a float, so integral work (every builtin bivector
+and its wedge powers) runs in int arithmetic.
+
+Monomials enter and leave this module in their public form: a tuple of
+(variable index, exponent) pairs sorted by index, with no zero exponents.
+Inside it, and as the keys of ``Polynomial.terms``, a monomial of
+Q[x_0, ..., x_{n-1}] is packed into one int (Monagan and Pearce, ISSAC 2009):
+the exponent of x_i fills the 16-bit field at bit 16*(n-1-i), so x_0 holds
+the most significant field, and the total degree sits above all the fields.
+Integer order is then the graded lexicographic order, lower variable indices
+ranking higher, and a monomial product is one integer addition.  No exponent
+may exceed 65535: a product, power or parse that would need more raises
+ValueError instead of carrying into the next field.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -15,75 +25,102 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Mono = tuple
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_EMAX = 0xFFFF      # largest exponent a 16-bit field holds
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    """Product of two monomials (merge of sorted exponent lists)."""
-    if not a:
-        return b
-    if not b:
-        return a
+def _pack(n: int, mono) -> int:
+    """Packed key of a monomial given as (variable, exponent) pairs, in any
+    order and with repeats summed; rejects what does not fit the ring."""
+    exps: dict = {}
+    for v, e in mono:
+        if not (isinstance(v, int) and 0 <= v < n):
+            raise ValueError(f"variable index {v!r} out of range for n={n}")
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent {e!r} of x{v} must be a nonnegative integer")
+        exps[v] = exps.get(v, 0) + e
+    key = deg = 0
+    for v, e in exps.items():
+        if e > _EMAX:
+            raise ValueError(f"exponent {e} of x{v} exceeds {_EMAX}")
+        key |= e << ((n - 1 - v) << 4)
+        deg += e
+    return key | deg << (n << 4)
+
+
+def _unpack(m: int, n: int) -> tuple:
+    """Public form of a packed monomial; loops only over the fields that are set."""
     out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+    r = m & ((1 << (n << 4)) - 1)
+    while r:
+        low = ((r & -r).bit_length() - 1) & ~15
+        e = (r >> low) & _EMAX
+        out.append((n - 1 - (low >> 4), e))
+        r ^= e << low
+    out.reverse()
     return tuple(out)
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
+def _field_lows(n: int) -> int:
+    """The lowest bit of every field above x_{n-1}'s and of the degree: a carry
+    or borrow across a field boundary shows there in  a +/- b  ^ a ^ b."""
+    return sum(1 << (f << 4) for f in range(1, n + 1))
 
 
-def mono_dense(m: Mono, n: int) -> tuple:
-    out = [0] * n
-    for v, e in m:
-        out[v] = e
-    return tuple(out)
+def _norm(c):
+    # integral Fractions become ints, so integral polynomials compute in ints
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True when monomial a divides monomial b."""
-    db = dict(b)
-    return all(db.get(v, 0) >= e for v, e in a)
+def _coeff(c):
+    return c if type(c) is int else _norm(Fraction(c))
 
 
-def mono_quot(b: Mono, a: Mono) -> Mono:
-    """b / a, assuming a divides b."""
-    da = dict(a)
-    out = []
-    for v, e in b:
-        q = e - da.get(v, 0)
-        if q < 0:
-            raise ValueError("monomial does not divide")
-        if q:
-            out.append((v, q))
-    return tuple(out)
+def _div(a, b):
+    """Exact quotient of two coefficients, as an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _norm(Fraction(a) / b)
 
 
-def _grlex_key(m: Mono, n: int):
-    return (mono_degree(m), mono_dense(m, n))
+def _check_exponents(ta: dict, tb: dict, n: int):
+    low = _field_lows(n)
+    for ma in ta:
+        for mb in tb:
+            if ((ma + mb) ^ ma ^ mb) & low:
+                raise ValueError(f"an exponent of the product exceeds {_EMAX}")
+
+
+def _accumulate(acc: dict, ta: dict, tb: dict, negate: bool, n: int):
+    """acc += ta * tb (or -ta * tb) for term maps of one ring.
+
+    Sums that cancel stay in acc as zeros; Polynomial._collect drops them.
+    """
+    if not ta or not tb:
+        return
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    ds = n << 4
+    # the total degree bounds every exponent, so most products need no field check
+    if (max(ta) >> ds) + (max(tb) >> ds) > _EMAX:
+        _check_exponents(ta, tb, n)
+    get = acc.get
+    for mb, cb in tb.items():
+        if negate:
+            cb = -cb
+        for ma, ca in ta.items():
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
 
 
 class Polynomial:
-    """Element of Q[x_0, ..., x_{n-1}] in canonical sparse form."""
+    """Element of Q[x_0, ..., x_{n-1}] in canonical sparse form.
+
+    ``Polynomial(n, {((var, exp), ...): c})`` builds one from public
+    monomials; the keys of ``terms`` are private to this module.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -92,16 +129,12 @@ class Polynomial:
         clean: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for m, c in items:
-                c = Fraction(c)
+            for mono, c in items:
+                c = _coeff(c)
                 if c:
-                    c0 = clean.get(m)
-                    c = c if c0 is None else c0 + c
-                    if c:
-                        clean[m] = c
-                    else:
-                        del clean[m]
-        self.terms = clean
+                    m = _pack(n, mono)
+                    clean[m] = clean.get(m, 0) + c
+        self.terms = {m: _norm(c) for m, c in clean.items() if c}
 
     @classmethod
     def _raw(cls, n: int, terms: dict) -> "Polynomial":
@@ -112,19 +145,36 @@ class Polynomial:
         return p
 
     @classmethod
+    def _collect(cls, n: int, acc: dict) -> "Polynomial":
+        """The polynomial an _accumulate map holds."""
+        return cls._raw(n, {m: c if type(c) is int else _norm(c)
+                            for m, c in acc.items() if c})
+
+    @classmethod
     def zero(cls, n: int) -> "Polynomial":
         return cls._raw(n, {})
 
     @classmethod
     def const(cls, n: int, c) -> "Polynomial":
-        c = Fraction(c)
-        return cls._raw(n, {(): c} if c else {})
+        c = _coeff(c)
+        return cls._raw(n, {0: c} if c else {})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
-        if not 0 <= i < n:
-            raise ValueError(f"variable index {i} out of range for n={n}")
-        return cls._raw(n, {((i, 1),): _ONE})
+        return cls.linear(n, {i: 1})
+
+    @classmethod
+    def linear(cls, n: int, coeffs: dict) -> "Polynomial":
+        """The linear form  sum_k coeffs[k] * x_k."""
+        one = 1 << (n << 4)
+        terms = {}
+        for k, c in coeffs.items():
+            if not 0 <= k < n:
+                raise ValueError(f"variable index {k} out of range for n={n}")
+            c = _coeff(c)
+            if c:
+                terms[one | 1 << ((n - 1 - k) << 4)] = c
+        return cls._raw(n, terms)
 
     @property
     def is_zero(self) -> bool:
@@ -132,32 +182,55 @@ class Polynomial:
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), _ZERO)
+        return Fraction(self.terms.get(0, 0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(self.terms) >> (self.n << 4)
+
+    def is_homogeneous(self) -> bool:
+        ds = self.n << 4
+        return len({m >> ds for m in self.terms}) <= 1
 
     def variables(self) -> set:
-        vs = set()
+        fields = 0
         for m in self.terms:
-            for v, _ in m:
-                vs.add(v)
-        return vs
+            fields |= m
+        return {v for v, _ in _unpack(fields, self.n)}
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=lambda mm: _grlex_key(mm, self.n))
-        return m, self.terms[m]
+        m = max(self.terms)
+        return _unpack(m, self.n), Fraction(self.terms[m])
+
+    def coefficient(self, mono) -> "int | Fraction":
+        """Coefficient of a public monomial; 0 when the term is absent."""
+        return self.terms.get(_pack(self.n, mono), 0)
+
+    def as_dict(self) -> dict:
+        """{public monomial: coefficient}, the form the constructor takes."""
+        return {_unpack(m, self.n): c for m, c in self.terms.items()}
+
+    def linear_coefficients(self):
+        """{variable: coefficient} of a linear form; None when a term has
+        another degree."""
+        n = self.n
+        one = 1 << (n << 4)
+        out = {}
+        for m, c in self.terms.items():
+            if m >> (n << 4) != 1:
+                return None
+            out[n - 1 - ((m - one).bit_length() - 1 >> 4)] = c
+        return out
 
     def __bool__(self):
         return bool(self.terms)
@@ -173,67 +246,57 @@ class Polynomial:
         if self.n != other.n:
             raise ValueError(f"ring dimension mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
         self._check_dim(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             v = out.get(m)
-            v = c if v is None else v + c
+            if v is None:
+                out[m] = c if sign > 0 else -c
+                continue
+            v = v + c if sign > 0 else v - c
             if v:
-                out[m] = v
+                out[m] = v if type(v) is int else _norm(v)
             else:
                 del out[m]
         return Polynomial._raw(self.n, out)
 
+    def __add__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._plus(other, 1)
+
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_dim(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m)
-            v = -c if v is None else v - c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-        return Polynomial._raw(self.n, out)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return Polynomial._raw(self.n, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coeff(other)
             if not c:
                 return Polynomial.zero(self.n)
-            return Polynomial._raw(self.n, {m: cc * c for m, cc in self.terms.items()})
+            return Polynomial._raw(self.n, {m: _norm(cc * c) for m, cc in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
-        out: dict = {}
-        if len(self.terms) > len(other.terms):
-            a, b = other.terms, self.terms
-        else:
-            a, b = self.terms, other.terms
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = mono_mul(ma, mb)
-                v = out.get(m)
-                v = ca * cb if v is None else v + ca * cb
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return Polynomial._raw(self.n, out)
+        acc: dict = {}
+        _accumulate(acc, self.terms, other.terms, False, self.n)
+        return Polynomial._collect(self.n, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
+        # refuse before the work: p^k raises each largest exponent k-fold
+        if k > 1 and self.terms and k * self.degree() > _EMAX:
+            top = max(e for m in self.terms for _, e in _unpack(m, self.n))
+            if k * top > _EMAX:
+                raise ValueError(f"an exponent of the power exceeds {_EMAX}")
         result = Polynomial.const(self.n, 1)
         base = self
         while k:
@@ -245,32 +308,28 @@ class Polynomial:
 
     def diff(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to x_i."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"variable index {i} out of range for n={self.n}")
+        n = self.n
+        if not 0 <= i < n:
+            raise ValueError(f"variable index {i} out of range for n={n}")
+        s = (n - 1 - i) << 4
+        step = 1 << s | 1 << (n << 4)
         out: dict = {}
         for m, c in self.terms.items():
-            for pos, (v, e) in enumerate(m):
-                if v == i:
-                    nm = m[:pos] + ((v, e - 1),) + m[pos + 1:] if e > 1 else m[:pos] + m[pos + 1:]
-                    nc = c * e
-                    v0 = out.get(nm)
-                    v0 = nc if v0 is None else v0 + nc
-                    if v0:
-                        out[nm] = v0
-                    else:
-                        del out[nm]
-                    break
-        return Polynomial._raw(self.n, out)
+            e = (m >> s) & _EMAX
+            if e:
+                # distinct monomials keep distinct images, so nothing merges
+                out[m - step] = _norm(c * e)
+        return Polynomial._raw(n, out)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
         if len(point) != self.n:
             raise ValueError(f"point length {len(point)} != ring dimension {self.n}")
         vals = [Fraction(v) for v in point]
-        total = _ZERO
+        total = Fraction(0)
         for m, c in self.terms.items():
             term = c
-            for v, e in m:
+            for v, e in _unpack(m, self.n):
                 term *= vals[v] ** e
             total += term
         return total
@@ -290,6 +349,12 @@ def poly_monic(p: Polynomial) -> Polynomial:
     return p * (1 / c)
 
 
+def _divides(a: int, b: int, low: int) -> bool:
+    """True when packed monomial a divides packed monomial b."""
+    d = b - a
+    return d >= 0 and not (d ^ b ^ a) & low
+
+
 def poly_div_exact(a: Polynomial, b: Polynomial) -> Polynomial:
     """Exact quotient a / b; raises ValueError when b does not divide a."""
     if b.is_zero:
@@ -297,38 +362,34 @@ def poly_div_exact(a: Polynomial, b: Polynomial) -> Polynomial:
     a._check_dim(b)
     if a.is_zero:
         return a
-    if len(b.terms) == 1:
-        (bm, bc), = b.terms.items()
-        quot = {}
-        for m, c in a.terms.items():
-            if bm and not mono_divides(bm, m):
-                raise ValueError("not an exact polynomial division")
-            quot[mono_quot(m, bm) if bm else m] = c / bc
-        return Polynomial._raw(a.n, quot)
-    bm, bc = b.leading()
-    rem = dict(a.terms)
-    quot = {}
     n = a.n
-    keys: dict = {}
-
-    def key_of(m):
-        k = keys.get(m)
-        if k is None:
-            k = keys[m] = _grlex_key(m, n)
-        return k
-
+    low = _field_lows(n)
+    bm = max(b.terms)
+    bc = b.terms[bm]
+    quot = {}
+    if len(b.terms) == 1:
+        for m, c in a.terms.items():
+            if not _divides(bm, m, low):
+                raise ValueError("not an exact polynomial division")
+            quot[m - bm] = _div(c, bc)
+        return Polynomial._raw(n, quot)
+    rem = dict(a.terms)
+    # every remainder term has degree <= deg a, so only a degree above the
+    # field width can make a product carry across a field
+    check = max(rem) >> (n << 4) > _EMAX
     while rem:
-        m = max(rem, key=key_of)
+        m = max(rem)
         c = rem[m]
-        if not mono_divides(bm, m):
+        if not _divides(bm, m, low):
             raise ValueError("not an exact polynomial division")
-        qm = mono_quot(m, bm)
-        qc = c / bc
+        qm = m - bm
+        qc = _div(c, bc)
         quot[qm] = qc
         for m2, c2 in b.terms.items():
-            key = mono_mul(qm, m2)
-            v = rem.get(key)
-            v = -qc * c2 if v is None else v - qc * c2
+            key = qm + m2
+            if check and (key ^ qm ^ m2) & low:
+                raise ValueError(f"an exponent of the product exceeds {_EMAX}")
+            v = rem.get(key, 0) - qc * c2
             if v:
                 rem[key] = v
             else:
@@ -359,7 +420,7 @@ def poly_compose(p: Polynomial, args: Sequence[Polynomial]) -> Polynomial:
     total = Polynomial.zero(n_out)
     for m, c in p.terms.items():
         term = Polynomial.const(n_out, c)
-        for v, e in m:
+        for v, e in _unpack(m, p.n):
             term = term * arg_pow(v, e)
         total = total + term
     return total
@@ -370,7 +431,7 @@ def poly_rename(p: Polynomial, index_map: dict, new_n: int) -> Polynomial:
     out: dict = {}
     for m, c in p.terms.items():
         try:
-            nm = tuple(sorted((index_map[v], e) for v, e in m))
+            nm = _pack(new_n, [(index_map[v], e) for v, e in _unpack(m, p.n)])
         except KeyError as exc:
             raise ValueError(f"variable {exc.args[0]} has no image under the rename") from None
         out[nm] = c
@@ -449,17 +510,25 @@ def t_substitute(p: Polynomial, exps: Sequence[int]) -> TPolynomial:
 
     Internal form of the weight substitution; exponents may be negative.
     """
-    if len(exps) != p.n:
-        raise ValueError(f"weight vector length {len(exps)} != ring dimension {p.n}")
+    n = p.n
+    if len(exps) != n:
+        raise ValueError(f"weight vector length {len(exps)} != ring dimension {n}")
+    by_field = exps[::-1]      # field f holds x_{n-1-f}
+    mask = (1 << (n << 4)) - 1
     buckets: dict = {}
     for m, c in p.terms.items():
-        d = sum(exps[v] * e for v, e in m)
+        d = 0
+        r = m & mask
+        while r:
+            low = ((r & -r).bit_length() - 1) & ~15
+            e = (r >> low) & _EMAX
+            d += by_field[low >> 4] * e
+            r ^= e << low
         b = buckets.get(d)
         if b is None:
             b = buckets[d] = {}
-        b[m] = b.get(m, _ZERO) + c
-    return TPolynomial(p.n, {d: Polynomial._raw(p.n, {m: c for m, c in b.items() if c})
-                             for d, b in buckets.items()})
+        b[m] = c
+    return TPolynomial(n, {d: Polynomial._raw(n, b) for d, b in buckets.items()})
 
 
 def t_expand(p: Polynomial, weights) -> TPolynomial:
@@ -474,22 +543,6 @@ def t_expand(p: Polynomial, weights) -> TPolynomial:
 # multivariate gcd: primitive-part Euclidean algorithm
 # ---------------------------------------------------------------------------
 
-def _mono_gcd_with(poly_terms, seed: dict) -> dict:
-    # greatest monomial dividing all terms, starting from the seed exponents
-    common = dict(seed)
-    for m in poly_terms:
-        dm = dict(m)
-        for v in list(common):
-            e = dm.get(v, 0)
-            if e <= 0:
-                del common[v]
-            elif e < common[v]:
-                common[v] = e
-        if not common:
-            break
-    return common
-
-
 def _main_variable(a: Polynomial, b: Polynomial):
     vs = a.variables() | b.variables()
     return max(vs) if vs else None
@@ -497,44 +550,28 @@ def _main_variable(a: Polynomial, b: Polynomial):
 
 def _as_univariate(p: Polynomial, v: int) -> dict:
     """View p as a polynomial in x_v with Polynomial coefficients."""
+    s = (p.n - 1 - v) << 4
+    ds = p.n << 4
     coeffs: dict = {}
     for m, c in p.terms.items():
-        e = 0
-        rest = []
-        for var, exp in m:
-            if var == v:
-                e = exp
-            else:
-                rest.append((var, exp))
+        e = (m >> s) & _EMAX
         b = coeffs.get(e)
         if b is None:
             b = coeffs[e] = {}
-        b[tuple(rest)] = c
+        b[m - (e << s) - (e << ds)] = c
     return {e: Polynomial._raw(p.n, b) for e, b in coeffs.items()}
 
 
 def _uni_degree(p: Polynomial, v: int) -> int:
-    d = 0
-    for m in p.terms:
-        for var, exp in m:
-            if var == v and exp > d:
-                d = exp
-    return d
+    s = (p.n - 1 - v) << 4
+    return max(((m >> s) & _EMAX for m in p.terms), default=0)
 
 
 def _uni_leading(p: Polynomial, v: int, d: int) -> Polynomial:
-    out: dict = {}
-    for m, c in p.terms.items():
-        rest = []
-        hit = 0
-        for var, exp in m:
-            if var == v:
-                hit = exp
-            else:
-                rest.append((var, exp))
-        if hit == d:
-            out[tuple(rest)] = c
-    return Polynomial._raw(p.n, out)
+    s = (p.n - 1 - v) << 4
+    strip = d << s | d << (p.n << 4)
+    return Polynomial._raw(p.n, {m - strip: c for m, c in p.terms.items()
+                                 if (m >> s) & _EMAX == d})
 
 
 def _pseudo_rem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
@@ -546,7 +583,7 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
         if dr < dg:
             break
         lr = _uni_leading(r, v, dr)
-        shift = Polynomial._raw(r.n, {((v, dr - dg),): _ONE}) if dr > dg else Polynomial.const(r.n, 1)
+        shift = Polynomial._raw(r.n, {_pack(r.n, ((v, dr - dg),)): 1})
         r = r * lg - g * lr * shift
     return r
 
@@ -566,16 +603,23 @@ def _content_primitive(p: Polynomial, v: int):
     return content, poly_div_exact(p, content)
 
 
+def _monomial_gcd(keys, n: int) -> int:
+    """Greatest packed monomial dividing every key."""
+    shifts = [(n - 1 - v) << 4 for v in range(n)]
+    common = None
+    for m in keys:
+        exps = [(m >> s) & _EMAX for s in shifts]
+        common = exps if common is None else list(map(min, common, exps))
+    return _pack(n, enumerate(common))
+
+
 def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero:
         return b
     if b.is_zero:
         return a
     if len(a.terms) == 1 or len(b.terms) == 1:
-        seed = dict(a.leading()[0]) if len(a.terms) == 1 else dict(b.leading()[0])
-        other = b if len(a.terms) == 1 else a
-        common = _mono_gcd_with(other.terms.keys(), seed)
-        return Polynomial._raw(a.n, {tuple(sorted(common.items())): _ONE})
+        return Polynomial._raw(a.n, {_monomial_gcd([*a.terms, *b.terms], a.n): 1})
     v = _main_variable(a, b)
     if v is None:
         return Polynomial.const(a.n, 1)
@@ -663,6 +707,8 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
                     e = int(tokens[i])
                     i += 1
                 mono[v] = mono.get(v, 0) + e
+                if mono[v] > _EMAX:
+                    raise ValueError(f"exponent {mono[v]} of {tok} exceeds {_EMAX}")
             expect_factor = False
         if expect_factor:
             raise ValueError("term ends with an operator")
@@ -680,11 +726,10 @@ def poly_to_str(p: Polynomial, names: Sequence[str]) -> str:
         raise ValueError("need one name per variable")
     if p.is_zero:
         return "0"
-    monos = sorted(p.terms, key=lambda m: _grlex_key(m, p.n), reverse=True)
     pieces = []
-    for m in monos:
+    for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
-        factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in m]
+        factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in _unpack(m, p.n)]
         mag = abs(c)
         if factors and mag == 1:
             body = "*".join(factors)

@@ -230,8 +230,8 @@ class TestHighestComponentAlgebra:
             if g.is_zero:
                 continue
             d, top = t_degree(g, w)
-            best = max(t_budget(m) for m in Q.terms)
-            lead = Polynomial(2, {m: c for m, c in Q.terms.items()
+            best = max(t_budget(m) for m in Q.as_dict())
+            lead = Polynomial(2, {m: c for m, c in Q.as_dict().items()
                                   if t_budget(m) == best})
             assert d == best
             assert top == poly_compose(lead, tops)
@@ -278,3 +278,31 @@ class TestSuites:
         import json
         rep = z2_suite(symmetric_pair("sl2_so2"))
         json.dumps(rep.as_dict())
+
+
+class TestCoefficientTypes:
+    def test_suite_polynomials_have_int_or_fraction_coefficients(self, monkeypatch):
+        # every polynomial the sl3 and sp4 suites make, through either constructor
+        bad = []
+
+        def check(terms):
+            bad.extend(c for c in terms.values() if not (
+                type(c) is int or (type(c) is Fraction and c.denominator != 1)))
+
+        raw, init = Polynomial._raw.__func__, Polynomial.__init__
+
+        def checked_raw(cls, n, terms):
+            check(terms)
+            return raw(cls, n, terms)
+
+        def checked_init(self, n, terms=None):
+            init(self, n, terms)
+            check(self.terms)
+
+        monkeypatch.setattr(Polynomial, "_raw", classmethod(checked_raw))
+        monkeypatch.setattr(Polynomial, "__init__", checked_init)
+        from liecontract.builders import builtin_algebra as fresh_algebra
+        reports = [feigin_suite(fresh_algebra("sl3")), feigin_suite(fresh_algebra("sp4")),
+                   z2_suite("sp4_sp2sp2")]
+        assert all(rep.ok for rep in reports)
+        assert not bad, f"coefficients of other types: {bad[:5]}"

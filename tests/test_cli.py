@@ -74,6 +74,14 @@ class TestQueryVerbs:
             code, _, err = run(capsys, verb, str(path))
             assert code == 1 and "Jacobi identity fails" in err
 
+    def test_index_checks_the_jacobi_identity(self, capsys, tmp_path):
+        path = tmp_path / "bad.alg"
+        path.write_text("name: bad\nlabels: x y z\n"
+                        "bracket: 0 1 0 1\nbracket: 1 2 1 1\nbracket: 0 2 2 1\n")
+        code, out, err = run(capsys, "index", str(path))
+        assert code == 1 and out == ""
+        assert "Jacobi identity fails at triple (0, 1, 2)" in err
+
     def test_out_of_range_bracket_target_exit_two(self, capsys, tmp_path):
         path = tmp_path / "oob.alg"
         path.write_text("name: oob\nlabels: a b c\nbracket: 0 1 7 1\n")
@@ -114,6 +122,11 @@ class TestQueryVerbs:
                            "--poly", "-1/2*h^2 - 2*e*f")
         assert code == 0 and "t-deg=2" in out
 
+    def test_tdeg_exponent_beyond_field_width_exit_two(self, capsys):
+        code, out, err = run(capsys, "tdeg", "sl2", "--weights", "0,0,1", "--poly=h^70000")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "exceeds 65535" in err
+
     def test_tdeg_bad_polynomial(self, capsys):
         code, _, err = run(capsys, "tdeg", "sl2", "--weights", "0,0,1",
                            "--poly", "q + 1")
@@ -150,6 +163,31 @@ class TestEmitAndLoad:
         run(capsys, "emit-builtin", "sl2", "--output", str(path))
         code, out, _ = run(capsys, "index", str(path))
         assert code == 0 and "= 1" in out
+
+    def test_family_verbs_on_an_emitted_file(self, capsys, tmp_path):
+        # the file format has no family line: a file holding exactly a
+        # builtin under its name answers like the builtin itself
+        path = tmp_path / "sp4.alg"
+        run(capsys, "emit-builtin", "sp4", "--output", str(path))
+        borel = ["--weights", "0,0,0,0,0,0,1,1,1,1"]
+        for argv in (["invariants"], ["kostant"], ["ggs", *borel], ["tdeg", *borel]):
+            for fmt in ("text", "json"):
+                want = run(capsys, "--format", fmt, argv[0], "sp4", *argv[1:])
+                got = run(capsys, "--format", fmt, argv[0], str(path), *argv[1:])
+                assert got[0] == want[0] == 0
+                assert got[1].replace(str(path), "sp4") == want[1]
+
+    def test_changed_bracket_under_a_builtin_name_keeps_no_family(self, capsys, tmp_path):
+        path = tmp_path / "sp4.alg"
+        run(capsys, "emit-builtin", "sp4", "--output", str(path))
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("bracket:"))
+        *head, c = lines[i].split()
+        lines[i] = " ".join(head + [str(int(c) + 1)])
+        path.write_text("\n".join(lines) + "\n")
+        for argv in (["invariants"], ["kostant"], ["ggs", "--weights", "0,0,0,0,0,0,1,1,1,1"]):
+            code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert code == 2 and "family tag" in err
 
     def test_unknown_builtin(self, capsys):
         code, _, _ = run(capsys, "emit-builtin", "e7")

@@ -1,0 +1,138 @@
+"""Differential tests against sympy as an oracle, and a parse/render round trip.
+
+Random small inputs only: each case is checked by an independent computer
+algebra system, so an error shared by the kernel and its own tests shows.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+
+from conftest import random_polynomial  # noqa: E402
+from liecontract.exterior import pfaffian  # noqa: E402
+from liecontract.linalg import poly_det_cofactor, rational_rank  # noqa: E402
+from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,  # noqa: E402
+                                  poly_div_exact, poly_to_str)
+
+N = 3
+XS = sympy.symbols("x0:3")
+
+
+def to_sympy(p):
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[XS[v] ** e for v, e in m])
+                       for m, c in p.as_dict().items()])
+
+
+def same(p, expr):
+    return sympy.expand(to_sympy(p) - expr) == 0
+
+
+def polys(seed, count, **kw):
+    rng = random.Random(seed)
+    return [random_polynomial(rng, N, **kw) for _ in range(count)], rng
+
+
+def test_product_power_diff():
+    ps, rng = polys(21, 30, max_degree=3, max_terms=4)
+    for a, b in zip(ps, ps[1:]):
+        A, B = to_sympy(a), to_sympy(b)
+        assert same(a * b, A * B)
+        k = rng.randint(0, 3)
+        assert same(a ** k, A ** k)
+        for i in range(N):
+            assert same(a.diff(i), sympy.diff(A, XS[i]))
+
+
+def test_gcd_equals_sympy_up_to_a_unit():
+    ps, _ = polys(22, 45, max_degree=2, max_terms=3)
+    for a, b, g in zip(ps[0::3], ps[1::3], ps[2::3]):
+        if a.is_zero and b.is_zero or g.is_zero:
+            continue
+        ours = to_sympy(multivariate_gcd(a * g, b * g))
+        theirs = sympy.gcd(to_sympy(a * g), to_sympy(b * g))
+        q, r = sympy.div(ours, theirs, *XS)
+        assert r == 0 and q.is_number and q != 0
+
+
+def test_exact_division():
+    ps, _ = polys(23, 30, max_degree=2, max_terms=3)
+    for a, b in zip(ps, ps[1:]):
+        if b.is_zero:
+            continue
+        q = poly_div_exact(a * b, b)
+        assert same(q, sympy.div(to_sympy(a * b), to_sympy(b), *XS)[0])
+        _, r = sympy.div(to_sympy(a), to_sympy(b), *XS)
+        if r != 0:
+            with pytest.raises(ValueError):
+                poly_div_exact(a, b)
+
+
+def test_det_cofactor():
+    rng = random.Random(24)
+    for m in (1, 2, 3):
+        for _ in range(4):
+            mat = [[random_polynomial(rng, N, max_degree=1, max_terms=2) for _ in range(m)]
+                   for _ in range(m)]
+            expected = sympy.Matrix([[to_sympy(e) for e in row] for row in mat]).det()
+            assert same(poly_det_cofactor(mat), expected)
+
+
+def random_skew(rng, m, entry):
+    mat = [[None] * m for _ in range(m)]
+    for i in range(m):
+        mat[i][i] = entry(zero=True)
+        for j in range(i + 1, m):
+            mat[i][j] = entry(zero=False)
+            mat[j][i] = -mat[i][j]
+    return mat
+
+
+def test_pfaffian_squares_to_det():
+    rng = random.Random(25)
+
+    def rational(zero):
+        return Fraction(0) if zero else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    def poly(zero):
+        return Polynomial.zero(N) if zero else random_polynomial(rng, N, max_degree=1,
+                                                                  max_terms=2)
+    for m in (2, 4, 6):
+        mat = random_skew(rng, m, rational)
+        det = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                            for row in mat]).det()
+        assert pfaffian(mat) ** 2 == det
+    for m in (2, 4):
+        mat = random_skew(rng, m, poly)
+        det = sympy.Matrix([[to_sympy(e) for e in row] for row in mat]).det()
+        assert same(pfaffian(mat) ** 2, det)
+
+
+def test_rational_rank():
+    rng = random.Random(26)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        base = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)]
+                for _ in range(rng.randint(1, rows))]
+        # rows that are combinations of the base rows lower the rank
+        mat = [[sum((rng.randint(-2, 2) * r[j] for r in base), Fraction(0))
+                for j in range(cols)] for _ in range(rows)]
+        assert rational_rank(mat) == sympy.Matrix(mat).rank()
+
+
+st = hypothesis.strategies
+NAMES = ["x", "y", "z"]
+
+monomials = st.dictionaries(st.integers(0, N - 1), st.integers(1, 6), max_size=N)
+coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.lists(st.tuples(monomials, coefficients), max_size=6))
+def test_parse_render_round_trip(terms):
+    p = Polynomial(N, [(tuple(sorted(m.items())), c) for m, c in terms])
+    assert parse_polynomial(poly_to_str(p, NAMES), NAMES) == p

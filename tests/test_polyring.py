@@ -105,8 +105,8 @@ class TestGcd:
         # degree-1 monomial dividing both, and no variable divides both
         e, f = var(3, 0), var(3, 2)
         for v in range(3):
-            divides_e = all(dict(m).get(v, 0) >= 1 for m in (-2 * e).terms)
-            divides_f = all(dict(m).get(v, 0) >= 1 for m in (-2 * f).terms)
+            divides_e = all(dict(m).get(v, 0) >= 1 for m in (-2 * e).as_dict())
+            divides_f = all(dict(m).get(v, 0) >= 1 for m in (-2 * f).as_dict())
             assert not (divides_e and divides_f)
         assert multivariate_gcd(-2 * e, -2 * f) == Polynomial.const(3, 1)
 
@@ -234,3 +234,56 @@ class TestComposeRename:
     def test_monic(self):
         p = parse_polynomial("-2*e*f + h", EHF)
         assert poly_monic(p) == parse_polynomial("e*f - 1/2*h", EHF)
+
+
+class TestEncodingLimits:
+    def test_largest_exponent_accepted(self):
+        x = var(2, 0)
+        p = x ** 65535
+        assert p.degree() == 65535 and p.as_dict() == {((0, 65535),): 1}
+        assert poly_div_exact(p, x) == x ** 65534
+
+    def test_exponent_overflow_raises(self):
+        x, y = var(2, 0), var(2, 1)
+        with pytest.raises(ValueError):
+            x ** 65535 * x
+        with pytest.raises(ValueError):
+            (x * y) ** 65536
+        with pytest.raises(ValueError):     # refused before 10^9 term products
+            (x + y) ** 65536
+        with pytest.raises(ValueError):
+            Polynomial(2, {((0, 65536),): 1})
+        with pytest.raises(ValueError, match="exceeds 65535"):
+            parse_polynomial("h^70000", EHF)
+
+    def test_total_degree_beyond_field_width(self):
+        # only single exponents are bounded; the degree field is not
+        x, y = var(2, 0), var(2, 1)
+        big = x ** 40000 * y ** 40000
+        assert big.degree() == 80000
+        assert poly_div_exact(big * (x + y), x + y) == big
+
+    def test_constructor_rejects_monomials_outside_the_ring(self):
+        for mono in (((3, 1),), ((-1, 1),), ((0, -1),), ((0, 1.5),)):
+            with pytest.raises(ValueError):
+                Polynomial(3, {mono: 1})
+
+    def test_constructor_canonicalises_public_monomials(self):
+        p = Polynomial(3, {((2, 1), (0, 2), (1, 0)): 1, ((0, 1), (2, 1), (0, 1)): 2})
+        assert p.as_dict() == {((0, 2), (2, 1)): 3}
+
+
+class TestCoefficientTypes:
+    def test_values_returned_as_fractions(self):
+        p = parse_polynomial("2*e*f + 3", EHF)
+        assert type(Polynomial.const(3, 4).constant_value()) is Fraction
+        assert type(p.leading()[1]) is Fraction
+        assert type(p.evaluate([1, 1, 1])) is Fraction
+
+    def test_int_when_integral_fraction_otherwise(self):
+        p = parse_polynomial("2*e*f + 3", EHF)
+        for q in (p, poly_monic(p), p * Fraction(1, 2) * 2, p - p * Fraction(1, 3),
+                  poly_div_exact(p * p, p), poly_div_exact(p, 2 * p),
+                  poly_div_exact(p, Polynomial.const(3, 4)), Polynomial(3, {((0, 1),): 2.5})):
+            for c in q.terms.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1)

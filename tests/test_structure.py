@@ -5,6 +5,10 @@ No module may write a private attribute onto an object it does not own:
 `self` is allowed only when a class of the same module declares `_name`
 (in __slots__, in its body, or as `self._name` in a method).  Caches written
 into another module's objects are how derived data got out of step before.
+
+The monomial encoding is private to polyring: no other module may import its
+monomial helpers (`mono_*`, `_grlex_key`), so a change of encoding stays
+inside one module.
 """
 
 import ast
@@ -78,3 +82,35 @@ def test_guard_sees_foreign_and_allows_own_writes(tmp_path):
         "    b._cache = 3\n"
         "    setattr(b, '_other', 4)\n")
     assert violations(path) == ["mod.py:8: b._cache", "mod.py:9: setattr(b, '_other', 4)"]
+
+
+def _is_encoding_helper(name):
+    return name.startswith("mono_") or name == "_grlex_key"
+
+
+def encoding_imports(path):
+    """(line, name) of polyring's monomial helpers a module imports or reads."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "polyring":
+            out.extend((node.lineno, a.name) for a in node.names if _is_encoding_helper(a.name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "polyring" and _is_encoding_helper(node.attr)):
+            out.append((node.lineno, node.attr))
+    return out
+
+
+def test_monomial_encoding_is_private_to_polyring():
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "polyring.py" for line, name in encoding_imports(path)]
+    assert not found, "monomial helpers used outside polyring:\n" + "\n".join(found)
+
+
+def test_encoding_guard_sees_imports_and_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from .polyring import Polynomial, mono_mul\n"
+        "from liecontract import polyring\n"
+        "key = polyring._grlex_key\n"
+        "from .exterior import mono_mul as other\n")
+    assert encoding_imports(path) == [(1, "mono_mul"), (3, "_grlex_key")]
