@@ -1,7 +1,7 @@
 """Command line surface.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical check
-fails, 2 for malformed input.  Reports are printed as text by default or as
+fails or an internal check breaks, 2 for malformed input.  Reports are printed as text by default or as
 JSON with --format json; JSON payloads carry no timings or timestamps, so
 identical inputs give identical bytes.
 """
@@ -350,6 +350,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # a bracket table failing the Jacobi identity is a failed check
         return CHECK_ERROR if isinstance(exc, JacobiError) else USAGE_ERROR
+    except AssertionError as exc:
+        # a broken internal invariant is reported, never shown as a traceback
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return CHECK_ERROR
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ coordinate differentials; the two kinds never mix in a wedge.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -275,9 +276,7 @@ class WedgeChain:
         if self._rank is None:
             pi = self.pi
             rank = 2 * self._extend(pi.n // 2)[0]
-            rng = random.Random(20240917)
-            for _ in range(3 if pi.terms else 0):
-                point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(pi.n)]
+            for point in seeded_points(pi.n, 3 if pi.terms else 0):
                 if rational_rank(bivector_matrix_at(pi, point)) > rank:
                     raise AssertionError("wedge-power rank disagrees with point evaluation")
             self._rank = rank
@@ -332,6 +331,24 @@ def bivector_matrix(pi: MultiVector):
         mat[i][j] = p
         mat[j][i] = -p
     return mat
+
+
+def seeded_points(n: int, count: int):
+    """The same `count` rational points of Q^n on every call."""
+    rng = random.Random(20240917)
+    for _ in range(count):
+        yield [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+
+
+def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:
+    """The coefficient of wedge^k pi at the index set idx (|idx| = 2k), read
+    off one principal minor as k! Pf(pi_idx) without building the power."""
+    idx = tuple(idx)
+    if len(idx) % 2:
+        raise ValueError("a wedge power of a bivector has even degree")
+    mat = bivector_matrix(pi)
+    pf = pfaffian([[mat[i][j] for j in idx] for i in idx])
+    return Polynomial.const(pi.n, math.factorial(len(idx) // 2)) * pf
 
 
 def bivector_matrix_at(pi: MultiVector, point):

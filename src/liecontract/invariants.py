@@ -3,9 +3,11 @@
 Generators for the classical algebras come from the characteristic
 polynomial of the generic matrix written against the trace-dual basis, so
 that each coefficient is an honest central element of the Lie-Poisson
-structure.  The set is rescaled once so the generators satisfy the
+structure.  The first generator is rescaled once so the set satisfies the
 regularity equality  dF_1 ^ ... ^ dF_l / omega = wedge^{(n-l)/2} pi  on the
-nose; later triangular modifications leave that equality untouched.
+nose.  One principal Pfaffian minor of pi fixes that scale, so no wedge power
+is built here; kostant_check verifies the full equality.  Later triangular
+modifications leave it untouched.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .contract import ContractionWeights, t_degree
-from .exterior import (bracket_with_coordinate, differential, pfaffian,
-                       volume_dual, wedge)
+from .exterior import (bivector_matrix_at, bracket_with_coordinate, pfaffian,
+                       seeded_points, shuffle_sign, wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
-from .linalg import poly_det_cofactor, rational_inverse, solve_exact
+from .linalg import poly_det_cofactor, rational_inverse, row_reduce, solve_exact
 from .polyring import Polynomial, poly_compose
 
 _ZERO = Fraction(0)
@@ -147,31 +149,37 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
 
 
 def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
-    """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power."""
+    """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power.
+
+    Both sides are compared at one index set I, |I| = n - l: the pivot
+    columns of pi's matrix at a seeded rational point, so that the principal
+    minor on I is nonzero.  The wedge power's coefficient there is
+    k! Pf(pi_I), and the left side's is sgn(J, I) times the l x l minor of
+    the generators' Jacobian on the complement J.  That the two sides agree
+    everywhere is Kostant's theorem, which kostant_check verifies.
+    """
     pi = lie_poisson_bivector(L)
     n = L.n
     ell = len(gens)
     if (n - ell) % 2:
         raise ValueError("generator count does not match a skew rank")
-    forms = differential(gens[0])
-    for g in gens[1:]:
-        forms = wedge(forms, differential(g))
-    A = volume_dual(forms)
-    B = pi.chain.power((n - ell) // 2)
-    if A.is_zero or B.is_zero:
+    for point in seeded_points(n, 3):
+        _, pivots = row_reduce(bivector_matrix_at(pi, point))
+        if len(pivots) == n - ell:
+            break
+    else:
         raise ValueError("degenerate generator set")
-    idx = next(iter(sorted(B.terms)))
-    pb = B.terms[idx]
-    pa = A.terms.get(idx)
-    if pa is None:
-        raise ValueError("generator differentials are not proportional to the wedge power")
-    bm, bc = pb.leading()
-    ac = pa.coefficient(bm)
-    if not ac:
+    index_set = tuple(pivots)
+    complement = tuple(j for j in range(n) if j not in index_set)
+    B = wedge_power_coefficient(pi, index_set)
+    A = poly_det_cofactor([[g.diff(j) for j in complement] for g in gens])
+    if shuffle_sign(complement, index_set) < 0:
+        A = -A
+    bm, bc = B.leading()
+    ac = A.coefficient(bm)
+    if not ac or A * (bc / ac) != B:
         raise ValueError("generator differentials are not proportional to the wedge power")
     scale = bc / ac
-    if A.scale(scale) != B:
-        raise ValueError("generator normalization failed: sides are not proportional")
     gens[0] = gens[0] * scale
     return scale
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .exterior import MultiVector
-from .linalg import commutator, flatten, rational_rank, solve_exact
+from .linalg import column_solver, commutator, flatten, row_reduce
 from .polyring import Polynomial
 
 _ZERO = Fraction(0)
@@ -137,16 +137,15 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
         if len(M) != m or any(len(row) != m for row in M):
             raise ValueError("all matrices must be square of equal size")
     n = len(mats)
-    columns = [flatten(M) for M in mats]
-    if rational_rank([[columns[j][i] for j in range(n)] for i in range(m * m)]) != n:
+    solve = column_solver([flatten(M) for M in mats])
+    if solve is None:
         raise ValueError("matrices are linearly dependent")
     if labels is None:
         labels = [f"x{i}" for i in range(n)]
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            target = flatten(commutator(mats[i], mats[j]))
-            sol = solve_exact(columns, target)
+            sol = solve(flatten(commutator(mats[i], mats[j])))
             if sol is None:
                 raise ValueError(
                     f"span is not closed under commutator at pair ({labels[i]},{labels[j]})")
@@ -261,15 +260,14 @@ def subalgebra_from_vectors(L: LieAlgebra, vectors, labels=None) -> LieAlgebra:
     m = len(vecs)
     if labels is None:
         labels = [f"y{i}" for i in range(m)]
-    columns = [[v.get(i, _ZERO) for i in range(L.n)] for v in vecs]
-    if m and rational_rank([[columns[j][i] for j in range(m)] for i in range(L.n)]) != m:
+    solve = column_solver([[v.get(i, _ZERO) for i in range(L.n)] for v in vecs]) if m else None
+    if m and solve is None:
         raise ValueError("spanning vectors are linearly dependent")
     brackets = {}
     for a in range(m):
         for b in range(a + 1, m):
             w = L.bracket_vectors(vecs[a], vecs[b])
-            target = [w.get(i, _ZERO) for i in range(L.n)]
-            sol = solve_exact(columns, target) if m else None
+            sol = solve([w.get(i, _ZERO) for i in range(L.n)])
             if sol is None:
                 raise ValueError("span is not closed under the bracket")
             row = {k: c for k, c in enumerate(sol) if c}
@@ -310,36 +308,15 @@ def centralizer_in_span(L: LieAlgebra, fixed, span_indices) -> list:
     if not rows:
         return [{s: Fraction(1)} for s in span]
     # exact kernel of the constraint matrix
-    ncols = len(span)
-    mat = [row[:] for row in rows]
-    piv_of_col = [None] * ncols
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for rr in range(r, len(mat)):
-            if mat[rr][c]:
-                sel = rr
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for rr in range(len(mat)):
-            if rr != r and mat[rr][c]:
-                fq = mat[rr][c]
-                mat[rr] = [x - fq * y for x, y in zip(mat[rr], mat[r])]
-        piv_of_col[c] = r
-        r += 1
+    mat, pivots = row_reduce(rows)
     basis = []
-    for c in range(ncols):
-        if piv_of_col[c] is not None:
+    for c in range(len(span)):
+        if c in pivots:
             continue
         vec = {span[c]: Fraction(1)}
-        for c2 in range(ncols):
-            rr = piv_of_col[c2]
-            if rr is not None and mat[rr][c]:
-                vec[span[c2]] = -mat[rr][c]
+        for r, c2 in enumerate(pivots):
+            if mat[r][c]:
+                vec[span[c2]] = -mat[r][c]
         basis.append(vec)
     return basis
 

@@ -14,9 +14,17 @@ from .polyring import Polynomial, poly_div_exact
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
-             for j in range(cols)] for i in range(rows)]
+    cols = len(b[0])
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * cols
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_sub(a, b):
@@ -40,66 +48,78 @@ def flatten(a):
     return [x for row in a for x in row]
 
 
-def solve_exact(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
-    """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent."""
-    m = len(target)
-    n = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(target[i])]
-           for i in range(m)]
-    piv_rows = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if aug[r][col]:
-                sel = r
-                break
-        if sel is None:
-            piv_rows.append(None)
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        piv_rows.append(row)
-        row += 1
-    for r in range(row, m):
-        if aug[r][n]:
-            return None
-    sol = [Fraction(0)] * n
-    for col, r in enumerate(piv_rows):
-        if r is not None:
-            sol[col] = aug[r][n]
-    return sol
+def row_reduce(matrix):
+    """Reduced row echelon form over Q: (rows, pivot columns).
 
-
-def rational_rank(matrix) -> int:
-    rows = [list(map(Fraction, r)) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                sel = r
-                break
+    Pivots are chosen column by column, so a block of columns appended on
+    the right (a right-hand side, an identity) is carried along and only
+    takes a pivot where the columns before it leave a row free.
+    """
+    rows = [[Fraction(x) for x in r] for r in matrix]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
         pv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        prow = rows[rank] = [x / pv if x else x for x in rows[rank]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                rows[r] = [x - f * y if y else x for x, y in zip(row, prow)]
+        pivots.append(col)
+    return rows, pivots
+
+
+def solve_exact(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
+    """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent."""
+    n = len(columns)
+    rows, pivots = row_reduce([[c[i] for c in columns] + [t] for i, t in enumerate(target)])
+    if pivots and pivots[-1] == n:
+        return None
+    sol = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        sol[col] = rows[r][n]
+    return sol
+
+
+def column_solver(columns: Sequence[Sequence[Fraction]]):
+    """Reduce linearly independent columns once, for many right-hand sides.
+
+    Returns solve(target), which gives the x with sum_k x_k columns[k] equal
+    to target in every entry, or None when there is no such x.  Returns None
+    itself when the columns are linearly dependent.
+    """
+    n = len(columns)
+    size = len(columns[0])
+    # [C^T | I] reduces to [R | E], where R has unit columns at n pivot
+    # entries P; then E = (C_P^T)^-1 and x = E^T b_P is the only candidate.
+    rows, pivots = row_reduce([list(col) + [int(j == k) for j in range(n)]
+                               for k, col in enumerate(columns)])
+    if pivots[-1] >= size:
+        return None
+    inverse = [row[size:] for row in rows]
+
+    def solve(target):
+        picked = [(target[p], inverse[r]) for r, p in enumerate(pivots) if target[p]]
+        sol = [sum((b * e[k] for b, e in picked), Fraction(0)) for k in range(n)]
+        combo = [Fraction(0)] * size
+        for c, col in zip(sol, columns):
+            if c:
+                for i, v in enumerate(col):
+                    if v:
+                        combo[i] += c * v
+        return sol if combo == list(target) else None
+
+    return solve
+
+
+def rational_rank(matrix) -> int:
+    return len(row_reduce(matrix)[1])
 
 
 def rational_det(matrix) -> Fraction:
@@ -128,24 +148,11 @@ def rational_det(matrix) -> Fraction:
 
 def rational_inverse(matrix):
     m = len(matrix)
-    aug = [list(map(Fraction, matrix[i])) + [Fraction(1) if j == i else Fraction(0)
-                                             for j in range(m)] for i in range(m)]
-    for col in range(m):
-        sel = None
-        for r in range(col, m):
-            if aug[r][col]:
-                sel = r
-                break
-        if sel is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
+    rows, pivots = row_reduce([list(matrix[i]) + [int(j == i) for j in range(m)]
+                               for i in range(m)])
+    if pivots != list(range(m)):
+        raise ValueError("matrix is singular")
+    return [row[m:] for row in rows]
 
 
 def poly_det_cofactor(matrix) -> Polynomial:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from liecontract.builders import BUILTIN_ALGEBRAS
 from liecontract.cli import main
 from liecontract.lie import algebra_from_text
@@ -146,6 +148,21 @@ class TestQueryVerbs:
     def test_unknown_target(self, capsys):
         code, _, err = run(capsys, "index", "g2")
         assert code == 2 and "neither a builtin" in err
+
+    @pytest.mark.parametrize("callee, argv", [
+        ("liecontract.cli.fundamental_semiinvariant", ("fsi", "sl2")),
+        ("liecontract.cli.algebra_index", ("index", "sl2")),
+        ("liecontract.invariants.t_degree_reduction", ("ggs", "sl2", "--weights", "1,0,1")),
+    ])
+    def test_internal_check_failure_exit_one_without_traceback(self, capsys, monkeypatch,
+                                                                callee, argv):
+        def broken(*args, **kwargs):
+            raise AssertionError("invariant broken")
+
+        monkeypatch.setattr(callee, broken)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: internal check failed: invariant broken\n"
 
 
 class TestEmitAndLoad:

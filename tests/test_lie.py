@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from liecontract.lie import (JacobiError, LieAlgebra, algebra_from_text, algebra
                              algebra_to_text, from_matrices, jacobi_check, killing_form,
                              lie_poisson_bivector, structure_bivector,
                              subalgebra_from_vectors, subalgebra_on_indices)
-from liecontract.linalg import rational_det
+from liecontract.linalg import commutator, flatten, rational_det, solve_exact
 from liecontract.polyring import parse_polynomial
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -58,6 +59,59 @@ class TestFromMatrices:
             L = builtin_algebra(name)
             rebuilt = from_matrices(L.matrices, labels=L.labels)
             assert rebuilt.brackets == L.brackets
+
+    def test_messages_name_the_failure(self):
+        e, h, f = sl2_matrices()
+        with pytest.raises(ValueError, match="matrices are linearly dependent"):
+            from_matrices([e, h, [[F0, Fraction(2)], [F0, F0]]])
+        # the solution read off the pivot entries is zero here; only the
+        # check of every entry rejects it
+        with pytest.raises(ValueError, match=r"not closed under commutator at pair \(e,f\)"):
+            from_matrices([e, f], labels=["e", "f"])
+
+    def test_one_reduction_matches_a_solve_per_pair(self):
+        for name in ("sl3", "sp4", "so5"):
+            mats = builtin_algebra(name).matrices
+            columns = [flatten(M) for M in mats]
+            expected = {}
+            for i in range(len(mats)):
+                for j in range(i + 1, len(mats)):
+                    sol = solve_exact(columns, flatten(commutator(mats[i], mats[j])))
+                    row = {k: c for k, c in enumerate(sol) if c}
+                    if row:
+                        expected[(i, j)] = row
+            assert from_matrices(mats).brackets == expected
+
+    # sha256 of algebra_to_text, recorded before from_matrices reduced the
+    # basis once: (parent, centralizer algebra) for the symmetric pairs
+    TEXT_SHA256 = {
+        "sl2": "232be919677520abd8cff35289dbe61398d11652f40e7ec6b64e59ad1679ff9e",
+        "sl3": "b6d9bd0db89ba4420ae9f33ab2dadbe666259bb9d9f2b80f2b7fd90edd053304",
+        "sl4": "49abbbaf5f9fe18925efc86f628e0addd590aaf82af837564c50b536a1a1c019",
+        "sp4": "dfdb9e4546088a795be292f6cf86e2397a47f27d210995b4d09f6323f98fd52a",
+        "so4": "c34d631251363d2d17520f6b640e643842734bd9102bc7310f19afac7a1b7d2d",
+        "so5": "c108e235acd1edadb00214ed266391eaaa89cf082af84e91296af381d4f9d320",
+        "so6": "bf5142ec5fb296901206546a42cb123c41f76061116ec8dd9a85f1d5fb526b4e",
+        "sl2_so2": ("232be919677520abd8cff35289dbe61398d11652f40e7ec6b64e59ad1679ff9e",
+                    "b75b5ab06a3674e5ca6d2aad63402354a2025f638a2f0379811eff0aec46ea69"),
+        "sp4_sp2sp2": ("dfdb9e4546088a795be292f6cf86e2397a47f27d210995b4d09f6323f98fd52a",
+                       "0e87aa16adfdd99fc7bd948e180c506df38bb26194a60b8f6fc9ac0b11cbafd6"),
+        "so4_gl2": ("c34d631251363d2d17520f6b640e643842734bd9102bc7310f19afac7a1b7d2d",
+                    "59e3cf6a1e1c550836f5e07e784207d02202ad2825a4e27ced6f1be298a821a7"),
+        "sl4_sp4": ("fc7ae8b614d52f7fe289da45fd1de64d0c3098d3e7ac557ee2ff81e3d7aa8def",
+                    "f3f2c87cdfcedcb0138e2a380049cb677d825434cd61302a5f6ced7add510933"),
+    }
+
+    def test_algebra_files_unchanged(self):
+        def sha(L):
+            return hashlib.sha256(algebra_to_text(L).encode()).hexdigest()
+
+        for key, digest in self.TEXT_SHA256.items():
+            if key in BUILTIN_ALGEBRAS:
+                assert sha(builtin_algebra(key)) == digest, key
+            else:
+                pair = symmetric_pair(key)
+                assert (sha(pair.parent), sha(pair.centralizer_alg)) == digest, key
 
 
 class TestJacobi:

@@ -1,4 +1,4 @@
-"""Differential tests against sympy as an oracle, and a parse/render round trip.
+"""Differential tests against sympy as an oracle, and parse/render round trips.
 
 Random small inputs only: each case is checked by an independent computer
 algebra system, so an error shared by the kernel and its own tests shows.
@@ -14,7 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from conftest import random_polynomial  # noqa: E402
 from liecontract.exterior import pfaffian  # noqa: E402
-from liecontract.linalg import poly_det_cofactor, rational_rank  # noqa: E402
+from liecontract.lie import LieAlgebra, RootData, algebra_from_text, algebra_to_text  # noqa: E402
+from liecontract.linalg import poly_det_cofactor, rational_rank, row_reduce  # noqa: E402
 from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,  # noqa: E402
                                   poly_div_exact, poly_to_str)
 
@@ -122,6 +123,10 @@ def test_rational_rank():
         mat = [[sum((rng.randint(-2, 2) * r[j] for r in base), Fraction(0))
                 for j in range(cols)] for _ in range(rows)]
         assert rational_rank(mat) == sympy.Matrix(mat).rank()
+        reduced, pivots = row_reduce(mat)
+        expected, expected_pivots = sympy.Matrix(mat).rref()
+        assert pivots == list(expected_pivots)
+        assert sympy.Matrix(reduced) == expected
 
 
 st = hypothesis.strategies
@@ -136,3 +141,52 @@ coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 def test_parse_render_round_trip(terms):
     p = Polynomial(N, [(tuple(sorted(m.items())), c) for m, c in terms])
     assert parse_polynomial(poly_to_str(p, NAMES), NAMES) == p
+
+
+words = st.text(alphabet="abefhxyz019_", min_size=1, max_size=4)
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def algebra_files(draw):
+    """A bracket table with in-range targets (not necessarily Jacobi), with
+    the optional name, matrices, root data and weights of the file format.
+    The format has no family line; the CLI restores the tag for builtins."""
+    n = draw(st.integers(1, 5))
+    labels = draw(st.lists(words, min_size=n, max_size=n, unique=True))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {}
+    for pair in draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])):
+        row = draw(st.dictionaries(st.integers(0, n - 1),
+                                   small_fractions.filter(bool), min_size=1, max_size=3))
+        brackets[pair] = row
+    matrices = None
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        entry_rows = st.lists(small_fractions, min_size=m, max_size=m)
+        matrices = [draw(st.lists(entry_rows, min_size=m, max_size=m)) for _ in range(n)]
+    root_data = None
+    if draw(st.booleans()):
+        index_tuples = st.lists(st.integers(0, n - 1), max_size=3).map(tuple)
+        root_data = RootData(rank=draw(st.integers(0, 3)), simple_e=draw(index_tuples),
+                             simple_f=draw(index_tuples), cartan=draw(index_tuples),
+                             positive=draw(index_tuples), negative=draw(index_tuples),
+                             highest=draw(st.none() | st.integers(0, n - 1)),
+                             marks=draw(st.none() | st.lists(st.integers(1, 4), min_size=1,
+                                                             max_size=3).map(tuple)))
+    name = draw(st.none() | words)
+    weights = draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return LieAlgebra(labels, brackets, matrices=matrices, root_data=root_data,
+                      name=name), weights
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(algebra_files())
+def test_algebra_text_round_trip(case):
+    L, weights = case
+    text = algebra_to_text(L, weights=weights)
+    loaded, loaded_weights = algebra_from_text(text)
+    assert loaded == L
+    assert loaded.name == (L.name or "anon")
+    assert loaded_weights == weights
+    assert algebra_to_text(loaded, weights=loaded_weights) == text
