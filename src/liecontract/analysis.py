@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .builders import SymmetricPair, borel_decomposition, symmetric_pair
+from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .exterior import MultiVector, differential, volume_dual, wedge
 from .invariants import GeneratorSet, char_invariants, t_degree_reduction
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
-from .linalg import poly_matrix_rank
 from .polyring import (Polynomial, multivariate_gcd, poly_div_exact, poly_monic,
                        poly_rename, poly_to_str)
 
@@ -50,19 +49,17 @@ def proportionality(a: MultiVector, b: MultiVector) -> ProportionalityCertificat
         raise ValueError("proportionality needs two nonzero multivectors")
     if a.n != b.n or a.degree != b.degree:
         raise ValueError("multivectors live in different spaces")
-    common = sorted(set(a.terms) & set(b.terms))
-    if not common:
-        return ProportionalityCertificate(proportional=False)
     if set(a.terms) != set(b.terms):
         return ProportionalityCertificate(proportional=False)
-    base = common[0]
+    base = min(a.terms)
     ai, bi = a.terms[base], b.terms[base]
-    for idx in sorted(a.terms):
-        if a.terms[idx] * bi != ai * b.terms[idx]:
-            return ProportionalityCertificate(proportional=False)
     g = multivariate_gcd(ai, bi)
     q2 = poly_div_exact(ai, g)
     q1 = poly_div_exact(bi, g)
+    # a_I * b_base == a_base * b_I is a_I * q1 == q2 * b_I after dividing by g
+    for idx in sorted(a.terms):
+        if a.terms[idx] * q1 != q2 * b.terms[idx]:
+            return ProportionalityCertificate(proportional=False)
     _, lead = q1.leading()
     q1 = q1 * (1 / lead)
     q2 = q2 * (1 / lead)
@@ -70,16 +67,21 @@ def proportionality(a: MultiVector, b: MultiVector) -> ProportionalityCertificat
 
 
 def algebraic_independence(polys) -> bool:
-    """Jacobian criterion: symbolic rank of (d g_j / d x_i) equals the count."""
+    """Jacobian criterion: dg_1 ^ ... ^ dg_k is nonzero.
+
+    The coefficients of that form are the k x k minors of the Jacobian
+    (d g_j / d x_i), so it vanishes exactly when the Jacobian has rank < k.
+    """
     polys = list(polys)
     if not polys:
         return True
-    n = polys[0].n
-    jac = [[g.diff(i) for i in range(n)] for g in polys]
-    return poly_matrix_rank(jac) == len(polys)
+    if len(polys) > polys[0].n:
+        return False
+    return not _form_of_differentials(polys).is_zero
 
 
-def _form_of_differentials(polys, n):
+def _form_of_differentials(polys):
+    """dg_1 ^ ... ^ dg_k for at most n polynomials, k >= 1."""
     form = None
     for g in polys:
         dg = differential(g)
@@ -104,12 +106,11 @@ def kostant_check(gens, pi: MultiVector, ell: int) -> KostantReport:
     if len(gens) != ell or ell != index:
         raise ValueError(f"need exactly index-many generators: count={len(gens)}, "
                          f"ell={ell}, index={index}")
-    if not algebraic_independence(gens):
+    form = _form_of_differentials(gens)
+    if form.is_zero:
         raise ValueError("generators are algebraically dependent")
-    a = volume_dual(_form_of_differentials(gens, n))
+    a = volume_dual(form)
     b = pi.chain.power((n - ell) // 2)
-    if a.is_zero:
-        raise ValueError("wedge of generator differentials vanishes")
     cert = proportionality(a, b)
     return KostantReport(is_kostant_type=cert.constant_ratio, certificate=cert,
                          index=index)
@@ -194,14 +195,15 @@ def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegRepor
     report.sum_t_degrees = sum(report.t_degrees)
     report.weight_total = w.total
     tops = [top for _, top in pairs]
-    report.independent = algebraic_independence(tops)
+    form = _form_of_differentials(tops)
+    report.independent = not form.is_zero
     if report.sum_t_degrees < report.weight_total:
         report.ok = False
         report.error = "degree-law violation: sum of t-degrees below the weight total"
         return report
     if report.sum_t_degrees == report.weight_total:
         report.classification = "equality"
-        a = volume_dual(_form_of_differentials(tops, L.n))
+        a = volume_dual(form)
         b = res.pi_tilde.chain.power((L.n - ell) // 2)
         report.kostant_with_limit = (a == b)
         report.good_generating_system = report.independent
@@ -275,7 +277,7 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
                           {"degrees": gens.degrees, "t_degrees": [d for d, _ in pairs]}))
 
     tops = [top for _, top in pairs]
-    a = volume_dual(_form_of_differentials(tops, L.n))
+    a = volume_dual(_form_of_differentials(tops))
     b = res.pi_tilde.chain.power((L.n - ell) // 2)
     clauses.append(Clause("kostant_equality_for_tops", not b.is_zero and a == b, {}))
     if b.is_zero:
@@ -300,11 +302,11 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
         semis_prime = [poly_rename(hh, idx_map, len(keep)) for hh in semis]
         hfree = True
     except ValueError:
-        semis_prime = None
         hfree = False
+    h_form = _form_of_differentials(semis_prime) if hfree else None
     gprime = subalgebra_on_indices(tilde, keep)
     ind_prime = algebra_index(gprime)
-    indep = hfree and algebraic_independence(semis_prime)
+    indep = hfree and not h_form.is_zero
     clauses.append(Clause("semicentre_generators",
                           hfree and indep and ind_prime == 2 * ell,
                           {"count": len(semis), "cartan_free": hfree,
@@ -314,7 +316,6 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
     if hfree:
         pi_prime = lie_poisson_bivector(gprime)
         p_prime = poly_rename(fsi.p, idx_map, len(keep))
-        h_form = _form_of_differentials(semis_prime, len(keep))
         lhs = volume_dual(h_form).scale(p_prime)
         rhs = pi_prime.chain.power((L.n - 3 * ell) // 2)
         if lhs.is_zero:
@@ -341,14 +342,7 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     L = pair.parent
     clauses = []
 
-    in0, in1 = set(pair.g0), set(pair.g1)
-    grading_ok = True
-    for (i, j), targets in L.brackets.items():
-        expect0 = (i in in0) == (j in in0)
-        for k in targets:
-            if expect0 != (k in in0):
-                grading_ok = False
-    clauses.append(Clause("z2_grading", grading_ok,
+    clauses.append(Clause("z2_grading", is_z2_grading(L, pair.g0),
                           {"dim_g0": len(pair.g0), "dim_g1": len(pair.g1)}))
 
     ell = algebra_index(L)
@@ -376,9 +370,9 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     clauses.append(Clause("reduced_degree_sum",
                           sum(tds) == len(pair.g1) == pair.weights.total,
                           {"t_degrees": tds, "dim_g1": len(pair.g1)}))
-    indep = algebraic_independence(tops)
-    clauses.append(Clause("tops_independent", indep, {}))
-    a = volume_dual(_form_of_differentials(tops, L.n))
+    form = _form_of_differentials(tops)
+    clauses.append(Clause("tops_independent", not form.is_zero, {}))
+    a = volume_dual(form)
     b = res.pi_tilde.chain.power((L.n - ell) // 2)
     kost = not b.is_zero and a == b
     clauses.append(Clause("kostant_equality_for_tops", kost, {}))

@@ -319,19 +319,6 @@ def _is_semisimple_matrix(M) -> bool:
     return all(all(x == 0 for x in row) for row in acc)
 
 
-def _vector_matrix(L: LieAlgebra, vec: dict):
-    size = len(L.matrices[0])
-    M = zero_matrix(size)
-    for i, c in vec.items():
-        if c:
-            Mi = L.matrices[i]
-            for r in range(size):
-                for s in range(size):
-                    if Mi[r][s]:
-                        M[r][s] += c * Mi[r][s]
-    return M
-
-
 def _split_by_matrix_involution(L: LieAlgebra, sigma):
     g0, g1 = [], []
     for i, M in enumerate(L.matrices):
@@ -346,20 +333,12 @@ def _split_by_matrix_involution(L: LieAlgebra, sigma):
     return tuple(g0), tuple(g1)
 
 
-def _check_grading(L: LieAlgebra, g0, g1):
-    in0, in1 = set(g0), set(g1)
-    for (i, j), targets in L.brackets.items():
-        both0 = i in in0 and j in in0
-        both1 = i in in1 and j in in1
-        mixed = not both0 and not both1
-        for k in targets:
-            if both0 and k not in in0:
-                return False
-            if both1 and k not in in0:
-                return False
-            if mixed and k not in in1:
-                return False
-    return True
+def is_z2_grading(L: LieAlgebra, g0) -> bool:
+    """Whether the basis indices g0 and their complement g1 split L as a
+    Z2-grading: [g_a, g_b] lies in g_{a+b} for every bracket of basis vectors."""
+    in0 = set(g0)
+    return all(((i in in0) == (j in in0)) == (k in in0)
+               for (i, j), targets in L.brackets.items() for k in targets)
 
 
 def _adapted_sl4_basis():
@@ -439,14 +418,14 @@ def symmetric_pair(pair_id: str) -> SymmetricPair:
     else:
         raise ValueError(f"unknown symmetric pair {pair_id!r}; choose from {Z2_PAIRS}")
 
-    if not _check_grading(L, g0, g1):
+    if not is_z2_grading(L, g0):
         raise ValueError(f"catalog error: {pair_id} split is not a Z2-grading")
     for a in range(len(c)):
         for b in range(a + 1, len(c)):
             if L.bracket_vectors(c[a], c[b]):
                 raise ValueError(f"catalog error: Cartan subspace of {pair_id} not abelian")
     for vec in c:
-        if not _is_semisimple_matrix(_vector_matrix(L, vec)):
+        if not _is_semisimple_matrix(L.matrix_of(vec)):
             raise ValueError(f"catalog error: Cartan subspace of {pair_id} not semisimple")
     cent1 = centralizer_in_span(L, c, g1)
     if len(cent1) != len(c):

@@ -138,13 +138,17 @@ def cmd_index(args, fmt):
     return 0
 
 
+def _offending_message(L, res):
+    (i, j), power = res.offending
+    return f"negative t-power at pair ({L.labels[i]},{L.labels[j]}): t^{power}"
+
+
 def cmd_contract(args, fmt):
     L, _ = _load_target(args.target)
     w = _parse_weights(args.weights, L.n)
     res = contract_algebra(L, w)
     if not res.valid:
-        (i, j), power = res.offending
-        msg = f"negative t-power at pair ({L.labels[i]},{L.labels[j]}): t^{power}"
+        msg = _offending_message(L, res)
         _emit({"target": args.target, "valid": False, "error": msg}, fmt, [msg])
         return CHECK_ERROR
     brackets = []
@@ -241,8 +245,7 @@ def cmd_fsi(args, fmt):
         w = _parse_weights(args.weights, L.n)
         res = contract_algebra(L, w)
         if not res.valid:
-            (i, j), power = res.offending
-            msg = f"negative t-power at pair ({L.labels[i]},{L.labels[j]}): t^{power}"
+            msg = _offending_message(L, res)
             _emit({"target": args.target, "error": msg}, fmt, [msg])
             return CHECK_ERROR
         pi = res.pi_tilde

@@ -6,8 +6,9 @@ gives, for a monomial M in the coefficient at the pair (i, j), the t-power
 
     w_i + w_j - (weighted degree of M).
 
-The contraction is valid when no negative power survives, and the limit is
-the t^0 part.
+This is an integer grading of the bivector: the deformed bivector pi_t is
+kept as {t-power: part}.  The contraction is valid when no power is
+negative, and the limit is the grade-0 part.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exterior import MultiVector, TMultiVector, bracket_with_coordinate
+from .exterior import MultiVector, bracket_with_coordinate
 from .lie import LieAlgebra, lie_poisson_bivector
-from .polyring import Polynomial, t_expand, t_substitute
+from .polyring import Polynomial, t_expand
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class ContractionWeights:
 
 @dataclass
 class ContractionResult:
-    pi_t: TMultiVector
+    pi_t: dict                               # t-power -> MultiVector part
     valid: bool
     weights: ContractionWeights
     original: MultiVector
@@ -63,15 +64,18 @@ def contract(pi: MultiVector, w: ContractionWeights, labels=None) -> Contraction
         raise ValueError("contract expects a bivector")
     if len(w) != pi.n:
         raise ValueError(f"weight length {len(w)} != ring dimension {pi.n}")
-    neg = [-wi for wi in w]
-    tterms = {}
-    for (i, j), p in pi.terms.items():
-        tterms[(i, j)] = t_substitute(p, neg).shift(w[i] + w[j])
-    pi_t = TMultiVector(pi.n, 2, tterms)
-    if not pi_t.regular:
+    grades: dict = {}
+    for idx, p in pi.terms.items():
+        shift = w[idx[0]] + w[idx[1]]
+        for d, part in t_expand(p, w).items():
+            grades.setdefault(shift - d, {})[idx] = part
+    pi_t = {k: MultiVector._raw(pi.n, 2, terms) for k, terms in grades.items()}
+    # the first pair in index order with a negative power, and its lowest power
+    negative = [(idx, k) for k, part in pi_t.items() if k < 0 for idx in part.terms]
+    if negative:
         return ContractionResult(pi_t=pi_t, valid=False, weights=w, original=pi,
-                                 offending=pi_t.offending())
-    tilde = pi_t.coefficient_of_power(0)
+                                 offending=min(negative))
+    tilde = pi_t.get(0, MultiVector._raw(pi.n, 2, {}))
     contracted = None
     if all(p.degree() <= 1 for p in pi.terms.values()):
         use_labels = list(labels) if labels is not None else [f"x{i}" for i in range(pi.n)]
@@ -99,7 +103,9 @@ def t_degree(h: Polynomial, w: ContractionWeights):
         raise ValueError("t-degree of the zero polynomial is undefined")
     if len(w) != h.n:
         raise ValueError("weight length must match ring dimension")
-    return t_expand(h, list(w)).top()
+    parts = t_expand(h, w)
+    d = max(parts)
+    return d, parts[d]
 
 
 def highest_component_central(h: Polynomial, result: ContractionResult) -> bool:

@@ -149,46 +149,6 @@ class Form(MultiVector):
     kind = "form"
 
 
-class TMultiVector:
-    """MultiVector whose coefficients are polynomials in an extra parameter t."""
-
-    __slots__ = ("n", "degree", "terms")
-
-    def __init__(self, n: int, degree: int, terms: dict):
-        self.n = n
-        self.degree = degree
-        self.terms = {idx: tp for idx, tp in terms.items() if not tp.is_zero}
-
-    @property
-    def regular(self) -> bool:
-        return all(tp.regular for tp in self.terms.values())
-
-    def offending(self):
-        """First (index set, most negative t-power) violating regularity."""
-        for idx in sorted(self.terms):
-            tp = self.terms[idx]
-            low = min(tp.coeffs) if tp.coeffs else 0
-            if low < 0:
-                return idx, low
-        return None
-
-    def coefficient_of_power(self, d: int) -> MultiVector:
-        out = {}
-        for idx, tp in self.terms.items():
-            p = tp.coefficient(d)
-            if not p.is_zero:
-                out[idx] = p
-        return MultiVector._raw(self.n, self.degree, out)
-
-    def at_one(self) -> MultiVector:
-        out = {}
-        for idx, tp in self.terms.items():
-            p = tp.at_one()
-            if not p.is_zero:
-                out[idx] = p
-        return MultiVector._raw(self.n, self.degree, out)
-
-
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     """Exterior product of two elements of the same kind."""
     if type(a) is not type(b):

@@ -119,13 +119,19 @@ class LieAlgebra:
                         out.pop(k, None)
         return out
 
-    def ad_matrix(self, i: int):
-        """Matrix of ad(x_i) in the chosen basis."""
-        mat = [[_ZERO] * self.n for _ in range(self.n)]
-        for j in range(self.n):
-            for k, c in self.bracket_pair(i, j).items():
-                mat[k][j] = c
-        return mat
+    def matrix_of(self, vec: dict):
+        """Matrix of the coordinate vector vec (index -> coefficient) in the
+        algebra's matrix realisation."""
+        size = len(self.matrices[0])
+        M = [[_ZERO] * size for _ in range(size)]
+        for i, c in vec.items():
+            if c:
+                Mi = self.matrices[i]
+                for r in range(size):
+                    for s in range(size):
+                        if Mi[r][s]:
+                            M[r][s] += c * Mi[r][s]
+        return M
 
 
 def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> LieAlgebra:
@@ -273,20 +279,7 @@ def subalgebra_from_vectors(L: LieAlgebra, vectors, labels=None) -> LieAlgebra:
             row = {k: c for k, c in enumerate(sol) if c}
             if row:
                 brackets[(a, b)] = row
-    mats = None
-    if L.matrices is not None and m:
-        size = len(L.matrices[0])
-        mats = []
-        for v in vecs:
-            M = [[_ZERO] * size for _ in range(size)]
-            for i, c in v.items():
-                if c:
-                    Mi = L.matrices[i]
-                    for r in range(size):
-                        for s in range(size):
-                            if Mi[r][s]:
-                                M[r][s] += c * Mi[r][s]
-            mats.append(M)
+    mats = [L.matrix_of(v) for v in vecs] if L.matrices is not None and m else None
     return LieAlgebra(labels, brackets, matrices=mats)
 
 

@@ -1,8 +1,10 @@
-"""Exact linear algebra over Fractions and over the polynomial ring.
+"""Exact linear algebra over Fractions, and small polynomial determinants.
 
-Rational matrices are lists of lists of Fraction.  Symbolic ranks use
-fraction-free (Bareiss) elimination so every intermediate entry stays a
-polynomial and zero tests stay exact.
+Rational matrices are lists of lists of Fraction; one Gauss-Jordan routine,
+row_reduce, is behind the solves, ranks and inverses.  Polynomial matrices
+only need determinants of small minors, taken by cofactor expansion; the
+symbolic rank of a Jacobian is read off the wedge of differentials instead
+(analysis.algebraic_independence).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Polynomial, poly_div_exact
+from .polyring import Polynomial
 
 
 def mat_mul(a, b):
@@ -182,55 +184,3 @@ def poly_det_cofactor(matrix) -> Polynomial:
     idx = tuple(range(m))
     return rec(idx, idx)
 
-
-def poly_matrix_rank(matrix) -> int:
-    """Symbolic rank via fraction-free elimination with sparsest-pivot selection."""
-    if not matrix:
-        return 0
-    work = [row[:] for row in matrix]
-    nrows, ncols = len(work), len(work[0])
-    live_rows = list(range(nrows))
-    live_cols = list(range(ncols))
-    prev = None
-    rank = 0
-    while live_rows and live_cols:
-        best = None
-        for i in live_rows:
-            wi = work[i]
-            for j in live_cols:
-                e = wi[j]
-                if not e.is_zero:
-                    size = len(e.terms)
-                    if best is None or size < best[0]:
-                        best = (size, i, j)
-                        if size == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, pr, pc = best
-        pivot = work[pr][pc]
-        rank += 1
-        live_rows.remove(pr)
-        live_cols.remove(pc)
-        for i in live_rows:
-            row_i = work[i]
-            lead = row_i[pc]
-            if lead.is_zero:
-                if prev is not None:
-                    for j in live_cols:
-                        if not row_i[j].is_zero:
-                            row_i[j] = poly_div_exact(pivot * row_i[j], prev)
-                else:
-                    for j in live_cols:
-                        row_i[j] = pivot * row_i[j]
-                continue
-            prow = work[pr]
-            for j in live_cols:
-                val = pivot * row_i[j] - lead * prow[j]
-                if prev is not None and not val.is_zero:
-                    val = poly_div_exact(val, prev)
-                row_i[j] = val
-        prev = pivot
-    return rank

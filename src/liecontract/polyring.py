@@ -439,81 +439,22 @@ def poly_rename(p: Polynomial, index_map: dict, new_n: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in an auxiliary parameter t
+# grading by weighted degree
 # ---------------------------------------------------------------------------
 
-class TPolynomial:
-    """Finite sum  sum_d t^d * p_d  with Polynomial coefficients.
+def t_expand(p: Polynomial, weights) -> dict:
+    """{weighted degree d: part of p of weighted degree d}, nonzero parts only.
 
-    Negative powers of t may appear in intermediate results; the value is
-    called regular when none remain.
+    Under x_i -> t^{w_i} x_i for nonnegative integer weights, the part of
+    weighted degree d carries t^d.
     """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: dict | None = None):
-        self.n = n
-        clean = {}
-        if coeffs:
-            for d, p in coeffs.items():
-                if not p.is_zero:
-                    clean[d] = p
-        self.coeffs = clean
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def regular(self) -> bool:
-        return all(d >= 0 for d in self.coeffs)
-
-    def min_power(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero t-polynomial")
-        return min(self.coeffs)
-
-    def top(self):
-        """(degree in t, highest coefficient)."""
-        if not self.coeffs:
-            raise ValueError("zero t-polynomial")
-        d = max(self.coeffs)
-        return d, self.coeffs[d]
-
-    def coefficient(self, d: int) -> Polynomial:
-        return self.coeffs.get(d, Polynomial.zero(self.n))
-
-    def shift(self, k: int) -> "TPolynomial":
-        return TPolynomial(self.n, {d + k: p for d, p in self.coeffs.items()})
-
-    def at_one(self) -> Polynomial:
-        """Value at t = 1 (sum of all coefficients)."""
-        total = Polynomial.zero(self.n)
-        for p in self.coeffs.values():
-            total = total + p
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, TPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        parts = [f"t^{d}*({p!r})" for d, p in sorted(self.coeffs.items(), reverse=True)]
-        return " + ".join(parts) if parts else "TPolynomial(0)"
-
-
-def t_substitute(p: Polynomial, exps: Sequence[int]) -> TPolynomial:
-    """Apply x_i -> t^{exps[i]} x_i and collect by power of t.
-
-    Internal form of the weight substitution; exponents may be negative.
-    """
+    ws = list(weights)
+    if any(w < 0 for w in ws):
+        raise ValueError("weights must be nonnegative")
     n = p.n
-    if len(exps) != n:
-        raise ValueError(f"weight vector length {len(exps)} != ring dimension {n}")
-    by_field = exps[::-1]      # field f holds x_{n-1-f}
+    if len(ws) != n:
+        raise ValueError(f"weight vector length {len(ws)} != ring dimension {n}")
+    by_field = ws[::-1]      # field f holds x_{n-1-f}
     mask = (1 << (n << 4)) - 1
     buckets: dict = {}
     for m, c in p.terms.items():
@@ -528,15 +469,7 @@ def t_substitute(p: Polynomial, exps: Sequence[int]) -> TPolynomial:
         if b is None:
             b = buckets[d] = {}
         b[m] = c
-    return TPolynomial(n, {d: Polynomial._raw(n, b) for d, b in buckets.items()})
-
-
-def t_expand(p: Polynomial, weights) -> TPolynomial:
-    """Weight substitution x_i -> t^{w_i} x_i for nonnegative integer weights."""
-    ws = list(weights)
-    if any(w < 0 for w in ws):
-        raise ValueError("weights must be nonnegative")
-    return t_substitute(p, ws)
+    return {d: Polynomial._raw(n, b) for d, b in buckets.items()}
 
 
 # ---------------------------------------------------------------------------

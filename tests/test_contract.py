@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cached_builtin as builtin_algebra
 from conftest import random_polynomial
-from liecontract.builders import borel_decomposition
+from liecontract.builders import BUILTIN_ALGEBRAS, borel_decomposition
 from liecontract.contract import (ContractionWeights, contract, contract_algebra,
                                   highest_component_central, t_degree)
 from liecontract.exterior import MultiVector, schouten_square
@@ -81,7 +81,7 @@ class TestContract:
         L = builtin_algebra("sp4")
         w = borel_decomposition(L)
         res = contract_algebra(L, w)
-        assert res.pi_t.at_one() == lie_poisson_bivector(L)
+        assert sum(res.pi_t.values(), MultiVector(L.n, 2)) == lie_poisson_bivector(L)
 
     def test_level_grading_of_borel_sl3_is_valid(self):
         # graded pieces: Cartan at level 0, simple roots at 1, their sum at 2
@@ -191,3 +191,59 @@ def test_generator_degree_sum_boundaries():
         gs = char_invariants(L)
         total = sum(t_degree(g, w)[0] for g in gs.gens)
         assert total == w.total
+
+
+def replaced_contract(pi, w):
+    """The t-polynomial path the grading replaced, in public monomial form:
+    x_i -> t^{-w_i} x_i on each coefficient, then the shift by t^{w_i + w_j};
+    (offending, limit) with the offending pair first in index order."""
+    tterms = {}
+    for (i, j), p in pi.terms.items():
+        by_power = {}
+        for m, c in p.as_dict().items():
+            d = sum(-w[v] * e for v, e in m)
+            by_power.setdefault(d + w[i] + w[j], {})[m] = c
+        tterms[(i, j)] = by_power
+    for idx in sorted(tterms):
+        low = min(tterms[idx])
+        if low < 0:
+            return (idx, low), None
+    return None, MultiVector(pi.n, 2, {idx: Polynomial(pi.n, tp[0])
+                                       for idx, tp in tterms.items() if 0 in tp})
+
+
+def check_against_replaced(pi, w, linear):
+    res = contract(pi, ContractionWeights(w))
+    offending, tilde = replaced_contract(pi, w)
+    assert res.offending == offending
+    assert res.valid == (offending is None)
+    assert sum(res.pi_t.values(), MultiVector(pi.n, 2)) == pi
+    if offending is None:
+        assert res.pi_tilde == tilde
+        if linear:
+            rows = {idx: {k: c for ((k, _),), c in p.as_dict().items()}
+                    for idx, p in tilde.terms.items()}
+            assert res.contracted.brackets == rows
+    return res.valid
+
+
+@pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+def test_graded_contract_matches_replaced_t_substitution(name):
+    L = builtin_algebra(name)
+    pi = lie_poisson_bivector(L)
+    rng = random.Random(BUILTIN_ALGEBRAS.index(name))
+    weights = [(0,) * L.n, (1,) * L.n, tuple(borel_decomposition(L))]
+    weights += [tuple(rng.randint(0, 2) for _ in range(L.n)) for _ in range(40)]
+    verdicts = {check_against_replaced(pi, w, linear=True) for w in weights}
+    assert verdicts == {True, False}
+
+
+def test_graded_contract_matches_replaced_on_polynomial_bivectors():
+    rng = random.Random(8)
+    verdicts = set()
+    for _ in range(60):
+        pi = MultiVector(4, 2, {(i, j): random_polynomial(rng, 4, max_degree=2)
+                                for i in range(4) for j in range(i + 1, 4)})
+        w = tuple(rng.randint(0, 2) for _ in range(4))
+        verdicts.add(check_against_replaced(pi, w, linear=False))
+    assert verdicts == {True, False}

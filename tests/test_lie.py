@@ -6,7 +6,8 @@ import pytest
 
 from conftest import cached_builtin as builtin_algebra
 from conftest import cached_pair as symmetric_pair
-from liecontract.builders import BUILTIN_ALGEBRAS, borel_decomposition, build_classical
+from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
+                                  build_classical, is_z2_grading)
 from liecontract.lie import (JacobiError, LieAlgebra, algebra_from_text, algebra_index,
                              algebra_to_text, from_matrices, jacobi_check, killing_form,
                              lie_poisson_bivector, structure_bivector,
@@ -200,6 +201,16 @@ class TestBuilders:
                 assert L.bracket_pair(h_i, e_i) == {e_i: 2}
                 assert L.bracket_pair(h_i, f_i) == {f_i: -2}
                 assert L.bracket_pair(e_i, f_i) == {h_i: 1}
+
+    def test_z2_grading(self):
+        L = builtin_algebra("sl2")
+        assert is_z2_grading(L, [L.label_index("h")])
+        # [h, f] = -2f leaves f in the odd part
+        assert not is_z2_grading(L, [L.label_index("e")])
+        for key in Z2_PAIRS:
+            pair = symmetric_pair(key)
+            assert is_z2_grading(pair.parent, pair.g0)
+            assert not is_z2_grading(pair.parent, pair.g1)
 
     def test_unsupported_sizes(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,11 @@ from fractions import Fraction
 import pytest
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 hypothesis = pytest.importorskip("hypothesis")
 
 from conftest import random_polynomial  # noqa: E402
+from liecontract.analysis import algebraic_independence  # noqa: E402
 from liecontract.exterior import pfaffian  # noqa: E402
 from liecontract.lie import LieAlgebra, RootData, algebra_from_text, algebra_to_text  # noqa: E402
 from liecontract.linalg import poly_det_cofactor, rational_rank, row_reduce  # noqa: E402
@@ -127,6 +129,30 @@ def test_rational_rank():
         expected, expected_pivots = sympy.Matrix(mat).rref()
         assert pivots == list(expected_pivots)
         assert sympy.Matrix(reduced) == expected
+
+
+def jacobian_rank(gens):
+    """Rank of (d g / d x_i) over the field of rational functions."""
+    jac = sympy.Matrix([[sympy.diff(to_sympy(g), x) for x in XS] for g in gens])
+    return DomainMatrix.from_Matrix(jac).to_field().rank()
+
+
+def test_algebraic_independence_is_full_jacobian_rank():
+    rng = random.Random(27)
+    verdicts = set()
+    for _ in range(40):
+        gens = [random_polynomial(rng, N, max_degree=2, max_terms=3)
+                for _ in range(rng.randint(1, N + 1))]
+        # a function of the others, or a constant, makes the set dependent
+        pick = rng.randrange(3)
+        if pick == 0 and len(gens) > 1:
+            gens[-1] = gens[0] * gens[0] + gens[0] * Fraction(rng.randint(-2, 2))
+        elif pick == 1:
+            gens[-1] = Polynomial.const(N, rng.randint(0, 3))
+        expected = len(gens) <= N and jacobian_rank(gens) == len(gens)
+        assert algebraic_independence(gens) == expected
+        verdicts.add((expected, len(gens) > N))
+    assert verdicts == {(True, False), (False, False), (False, True)}
 
 
 st = hypothesis.strategies

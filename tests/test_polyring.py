@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_point, random_polynomial
+from liecontract.contract import ContractionWeights, contract
+from liecontract.exterior import MultiVector
 from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,
                                   poly_compose, poly_div_exact, poly_monic,
-                                  poly_rename, poly_to_str, t_expand, t_substitute)
+                                  poly_rename, poly_to_str, t_expand)
 
 EHF = ["e", "h", "f"]
 
@@ -153,20 +155,20 @@ class TestExactDivision:
 class TestTExpansion:
     def test_split_weights_decomposition(self):
         te = t_expand(sl2_casimir(), [1, 0, 1])
-        assert te.top() == (2, parse_polynomial("-2*e*f", EHF))
-        assert te.coefficient(0) == parse_polynomial("-1/2*h^2", EHF)
-        assert set(te.coeffs) == {0, 2}
+        assert (max(te), te[max(te)]) == (2, parse_polynomial("-2*e*f", EHF))
+        assert te[0] == parse_polynomial("-1/2*h^2", EHF)
+        assert set(te) == {0, 2}
 
     def test_weight_zero_variable(self):
         te = t_expand(parse_polynomial("h", EHF), [2, 0, 5])
-        assert set(te.coeffs) == {0}
-        assert te.coefficient(0) == parse_polynomial("h", EHF)
+        assert set(te) == {0}
+        assert te[0] == parse_polynomial("h", EHF)
 
     def test_borel_weights_decomposition(self):
         # oracle: substitute f -> t*f by hand and collect
         te = t_expand(sl2_casimir(), [0, 0, 1])
-        assert te.top() == (1, parse_polynomial("-2*e*f", EHF))
-        assert te.coefficient(0) == parse_polynomial("-1/2*h^2", EHF)
+        assert (max(te), te[max(te)]) == (1, parse_polynomial("-2*e*f", EHF))
+        assert te[0] == parse_polynomial("-1/2*h^2", EHF)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -180,13 +182,17 @@ class TestTExpansion:
                 continue
             w = [rng.randint(0, 3) for _ in range(3)]
             te = t_expand(p, w)
-            assert te.at_one() == p
-            assert not te.top()[1].is_zero
+            assert sum(te.values(), Polynomial.zero(3)) == p
+            assert not te[max(te)].is_zero
 
     def test_internal_substitution_allows_negative(self):
-        te = t_substitute(parse_polynomial("e*f", EHF), [-1, 0, 0])
-        assert not te.regular
-        assert te.min_power() == -1
+        # a contraction puts the degree-d part at t^{w_i + w_j - d}, which may
+        # be negative: here 0 + 0 - 1 at the pair (h, f)
+        pi = MultiVector(3, 2, {(1, 2): parse_polynomial("e*f", EHF)})
+        res = contract(pi, ContractionWeights((1, 0, 0)))
+        assert not res.valid
+        assert min(res.pi_t) == -1
+        assert res.offending == ((1, 2), -1)
 
 
 class TestTextGrammar:
