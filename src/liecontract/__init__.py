@@ -8,16 +8,15 @@ from .builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS, SymmetricPai
                        borel_decomposition, build_classical, builtin_algebra,
                        symmetric_pair)
 from .contract import (ContractionResult, ContractionWeights, contract,
-                       contract_algebra, highest_component_central, t_degree)
+                       contract_algebra, t_degree)
 from .exterior import (Form, MultiVector, bivector_matrix, bivector_matrix_at,
                        bracket_with_coordinate, differential, pfaffian,
-                       schouten_square, volume_dual, volume_form, wedge, wedge_power)
-from .invariants import (GeneratorSet, centrality_check, char_invariants,
-                         membership_linear, semi_invariant_weight, t_degree_reduction)
+                       schouten_square, volume_dual, wedge, wedge_power)
+from .invariants import (GeneratorSet, char_invariants, membership_linear,
+                         semi_invariant_weight, t_degree_reduction)
 from .lie import (JacobiError, LieAlgebra, RootData, algebra_from_text,
                   algebra_index, algebra_to_text, from_matrices, jacobi_check,
-                  killing_form, lie_poisson_bivector, subalgebra_from_vectors,
-                  subalgebra_on_indices)
+                  lie_poisson_bivector, subalgebra_from_vectors, subalgebra_on_indices)
 from .polyring import (Polynomial, multivariate_gcd, parse_polynomial,
                        poly_compose, poly_div_exact, poly_monic, poly_to_str, t_expand)
 

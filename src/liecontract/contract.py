@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exterior import MultiVector, bracket_with_coordinate
+from .exterior import MultiVector
 from .lie import LieAlgebra, lie_poisson_bivector
 from .polyring import Polynomial, t_expand
 
@@ -107,16 +107,3 @@ def t_degree(h: Polynomial, w: ContractionWeights):
     d = max(parts)
     return d, parts[d]
 
-
-def highest_component_central(h: Polynomial, result: ContractionResult) -> bool:
-    """Check the limit-centrality of the highest component of a central element."""
-    pi = result.original
-    for j in range(pi.n):
-        if not bracket_with_coordinate(pi, j, h).is_zero:
-            raise ValueError(f"input is not central for the original bivector "
-                             f"(bracket with coordinate {j} is nonzero)")
-    if not result.valid:
-        raise ValueError("contraction is not valid")
-    _, top = t_degree(h, result.weights)
-    tilde = result.pi_tilde
-    return all(bracket_with_coordinate(tilde, j, top).is_zero for j in range(pi.n))

@@ -8,6 +8,7 @@ coordinate differentials; the two kinds never mix in a wedge.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -262,10 +263,6 @@ def differential(p: Polynomial) -> Form:
     return Form._raw(p.n, 1, terms)
 
 
-def volume_form(n: int) -> Form:
-    return Form._raw(n, n, {tuple(range(n)): Polynomial.const(n, 1)})
-
-
 def volume_dual(f: Form) -> MultiVector:
     """Division by the volume form: the multivector with coefficient
     sgn(I, complement(I)) * f_I at the complementary index set."""
@@ -330,8 +327,6 @@ def schouten_square(pi: MultiVector) -> MultiVector:
     Coefficient at i<j<k:
         sum_l  pi_{li} d_l pi_{jk} - pi_{lj} d_l pi_{ik} + pi_{lk} d_l pi_{ij}
     """
-    import itertools
-
     n = pi.n
     if n < 3:
         raise ValueError("Schouten square needs dimension >= 3")
@@ -363,16 +358,6 @@ def schouten_square(pi: MultiVector) -> MultiVector:
     return MultiVector._raw(n, 3, out)
 
 
-def _is_zero_entry(x) -> bool:
-    if isinstance(x, Polynomial):
-        return x.is_zero
-    return x == 0
-
-
-def _neg_entry(x):
-    return -x
-
-
 def pfaffian(matrix):
     """Pfaffian of an antisymmetric even-size matrix by first-row expansion."""
     m = len(matrix)
@@ -381,10 +366,10 @@ def pfaffian(matrix):
     for i in range(m):
         if len(matrix[i]) != m:
             raise ValueError("matrix must be square")
-        if not _is_zero_entry(matrix[i][i]):
+        if matrix[i][i]:
             raise ValueError("matrix is not antisymmetric (nonzero diagonal)")
         for j in range(i + 1, m):
-            if matrix[i][j] != _neg_entry(matrix[j][i]):
+            if matrix[i][j] != -matrix[j][i]:
                 raise ValueError(f"matrix is not antisymmetric at ({i},{j})")
     if m == 0:
         return Fraction(1)
@@ -399,7 +384,7 @@ def pfaffian(matrix):
         total = None
         for t in range(1, len(rows)):
             entry = matrix[r0][rows[t]]
-            if _is_zero_entry(entry):
+            if not entry:
                 continue
             rest = rows[1:t] + rows[t + 1:]
             term = entry * rec(rest)

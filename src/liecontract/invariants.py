@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .contract import ContractionWeights, t_degree
-from .exterior import (bivector_matrix_at, bracket_with_coordinate, pfaffian,
-                       seeded_points, shuffle_sign, wedge_power_coefficient)
+from .exterior import (MultiVector, bivector_matrix_at, bracket_with_coordinate,
+                       pfaffian, seeded_points, shuffle_sign, wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
 from .linalg import poly_det_cofactor, rational_inverse, row_reduce, solve_exact
 from .polyring import Polynomial, poly_compose
@@ -44,23 +44,16 @@ class GeneratorSet:
         return len(self.gens)
 
 
-def centrality_check(h: Polynomial, L: LieAlgebra) -> bool:
-    """True when {x_j, h} vanishes for every basis coordinate."""
-    pi = lie_poisson_bivector(L)
-    return all(bracket_with_coordinate(pi, j, h).is_zero for j in range(L.n))
+def semi_invariant_weight(h: Polynomial, pi: MultiVector):
+    """Per-coordinate eigenvalues when {x_j, h} is a rational multiple of h for
+    every j under the bivector pi, or None when h is not a semi-invariant.
 
-
-def semi_invariant_weight(h: Polynomial, L: LieAlgebra):
-    """Per-basis eigenvalues when {x_j, h} is a rational multiple of h for all j.
-
-    Returns the list of eigenvalues, or None when h is not a semi-invariant.
-    """
+    h is a Casimir of pi exactly when the weight is [0] * pi.n."""
     if h.is_zero:
         raise ValueError("the zero polynomial is not a semi-invariant")
-    pi = lie_poisson_bivector(L)
     hm, hc = h.leading()
     out = []
-    for j in range(L.n):
+    for j in range(pi.n):
         br = bracket_with_coordinate(pi, j, h)
         if br.is_zero:
             out.append(_ZERO)

@@ -46,6 +46,9 @@ class LieAlgebra:
                  name: str | None = None, family=None):
         self.n = len(labels)
         self.labels = list(labels)
+        if len(set(self.labels)) != self.n:
+            repeated = next(a for i, a in enumerate(self.labels) if a in self.labels[:i])
+            raise ValueError(f"basis label {repeated!r} is repeated; labels must be distinct")
         clean: dict = {}
         for (i, j), targets in brackets.items():
             if not 0 <= i < j < self.n:
@@ -57,6 +60,13 @@ class LieAlgebra:
             row = {k: Fraction(c) for k, c in targets.items() if Fraction(c)}
             if row:
                 clean[(i, j)] = row
+        if root_data is not None:
+            rd = root_data
+            highest = () if rd.highest is None else (rd.highest,)
+            for k in (*rd.simple_e, *rd.simple_f, *rd.cartan, *rd.positive, *rd.negative,
+                      *highest):
+                if not 0 <= k < self.n:
+                    raise ValueError(f"root data index {k} must satisfy 0 <= k < {self.n}")
         self.brackets = clean
         self.matrices = matrices
         self.root_data = root_data
@@ -195,44 +205,11 @@ def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
     return L.bivector
 
 
-def structure_bivector(L: LieAlgebra) -> MultiVector:
-    """L's bivector without the Jacobi gate: the same object lie_poisson_bivector returns."""
-    return L.bivector
-
-
 def algebra_index(L: LieAlgebra) -> int:
     """Dimension minus the symbolic rank of the structure matrix, read off the
     wedge-power chain of L's bivector (see WedgeChain.rank)."""
     # an abelian algebra may be too small to carry a bivector
     return L.bivector.chain.index if L.brackets else L.n
-
-
-def killing_form(L: LieAlgebra):
-    """K(x_i, x_j) = trace(ad x_i ad x_j) as an n x n rational matrix."""
-    ads = []
-    for i in range(L.n):
-        sparse = {}
-        for j in range(L.n):
-            row = L.bracket_pair(i, j)
-            if row:
-                sparse[j] = row
-        ads.append(sparse)
-    K = [[_ZERO] * L.n for _ in range(L.n)]
-    for i in range(L.n):
-        for j in range(i, L.n):
-            total = _ZERO
-            # trace of ad_i ad_j: sum over b of (ad_i ad_j)[b][b]
-            for b, colj in ads[j].items():
-                adi = ads[i]
-                for mid, cj in colj.items():
-                    coli = adi.get(mid)
-                    if coli:
-                        cb = coli.get(b)
-                        if cb:
-                            total += cb * cj
-            K[i][j] = total
-            K[j][i] = total
-    return K
 
 
 def subalgebra_on_indices(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
@@ -346,6 +323,13 @@ def algebra_to_text(L: LieAlgebra, weights=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rational(text: str, lineno: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"line {lineno}: zero denominator in {text!r}") from None
+
+
 def algebra_from_text(text: str):
     """Parse the algebra file format; returns (LieAlgebra, weights or None)."""
     name = None
@@ -373,11 +357,11 @@ def algebra_from_text(text: str):
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: bracket needs 'i j k coefficient'")
             bracket_lines.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                                  Fraction(parts[3])))
+                                  _rational(parts[3], lineno)))
         elif key == "matsize":
             matsize = int(val)
         elif key == "matrix":
-            matrix_rows.append([Fraction(x) for x in val.split()])
+            matrix_rows.append([_rational(x, lineno) for x in val.split()])
         elif key in ("rank", "highest"):
             rd_fields[key] = int(val)
         elif key in ("simple_e", "simple_f", "cartan", "positive", "negative", "marks"):

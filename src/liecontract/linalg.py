@@ -124,30 +124,6 @@ def rational_rank(matrix) -> int:
     return len(row_reduce(matrix)[1])
 
 
-def rational_det(matrix) -> Fraction:
-    m = len(matrix)
-    rows = [list(map(Fraction, r)) for r in matrix]
-    det = Fraction(1)
-    for col in range(m):
-        sel = None
-        for r in range(col, m):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel is None:
-            return Fraction(0)
-        if sel != col:
-            rows[col], rows[sel] = rows[sel], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        for r in range(col + 1, m):
-            if rows[r][col]:
-                f = rows[r][col] / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
 def rational_inverse(matrix):
     m = len(matrix)
     rows, pivots = row_reduce([list(matrix[i]) + [int(j == i) for j in range(m)]

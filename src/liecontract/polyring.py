@@ -625,7 +625,10 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
             if not expect_factor:
                 raise ValueError(f"missing '*' before {tok!r}")
             if tok[0].isdigit():
-                coeff *= Fraction(tok)
+                try:
+                    coeff *= Fraction(tok)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {tok!r}") from None
                 i += 1
             else:
                 if tok not in index:

@@ -13,11 +13,10 @@ import time
 from conftest import cached_builtin, cached_pair, random_polynomial
 from liecontract.analysis import feigin_suite, proportionality, z2_suite
 from liecontract.builders import borel_decomposition
-from liecontract.contract import (ContractionWeights, contract_algebra,
-                                  highest_component_central, t_degree)
+from liecontract.contract import ContractionWeights, contract_algebra, t_degree
 from liecontract.exterior import (MultiVector, bivector_matrix, differential,
                                   pfaffian, schouten_square, volume_dual, wedge_power)
-from liecontract.invariants import char_invariants
+from liecontract.invariants import char_invariants, semi_invariant_weight
 from liecontract.lie import jacobi_check, lie_poisson_bivector
 from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,
                                   poly_compose, poly_div_exact)
@@ -97,10 +96,13 @@ def test_criterion_4_property_suites():
         assert res.valid
         assert schouten_square(res.pi_tilde).is_zero
 
-    # (b) highest components of random central elements stay central
+    # (b) highest components of random central elements stay central: every
+    # H has zero semi-invariant weight for the parent, and so does its top
+    # for the Borel limit
     for name in ("sl2", "sl3", "sp4"):
         L = cached_builtin(name)
         res = contract_algebra(L, borel_decomposition(L))
+        assert res.valid
         gs = char_invariants(L)
         produced = 0
         while produced < 20:
@@ -108,7 +110,9 @@ def test_criterion_4_property_suites():
             H = poly_compose(Q, gs.gens) if not Q.is_zero else Q
             if Q.is_zero or H.is_zero:
                 continue
-            assert highest_component_central(H, res)
+            assert semi_invariant_weight(H, res.original) == [0] * L.n
+            _, top = t_degree(H, res.weights)
+            assert semi_invariant_weight(top, res.pi_tilde) == [0] * L.n
             produced += 1
 
     # (c) wedge powers against Pfaffians of principal submatrices, n <= 6
@@ -186,8 +190,7 @@ def test_criterion_5_negative_controls():
                      {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {0: 1}})
     ok, triple = jacobi_check(bad)
     assert not ok and triple == (0, 1, 2)
-    from liecontract.lie import structure_bivector
-    assert not schouten_square(structure_bivector(bad)).is_zero
+    assert not schouten_square(bad.bivector).is_zero
 
     one = Polynomial.const(4, 1)
     a = MultiVector(4, 2, {(0, 1): one})

@@ -169,7 +169,7 @@ class TestFundamentalSemiInvariant:
         L = builtin_algebra("sp4")
         res = contract_algebra(L, borel_decomposition(L))
         fsi = fundamental_semiinvariant(res.pi_tilde, 2)
-        assert semi_invariant_weight(fsi.p, res.contracted) is not None
+        assert semi_invariant_weight(fsi.p, res.pi_tilde) is not None
 
     def test_wrong_index_rejected(self):
         with pytest.raises(ValueError):

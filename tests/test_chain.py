@@ -17,7 +17,7 @@ from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decompositio
 from liecontract.contract import contract_algebra, t_degree
 from liecontract.exterior import MultiVector, WedgeChain, wedge, wedge_power
 from liecontract.invariants import char_invariants
-from liecontract.lie import algebra_index, lie_poisson_bivector, structure_bivector
+from liecontract.lie import algebra_index, lie_poisson_bivector
 
 # index of every algebra below, as computed before the engine existed
 INDEX = {"sl2": 1, "sl3": 2, "sp4": 2, "so4": 2, "so5": 2,
@@ -64,7 +64,7 @@ def test_chain_matches_replaced_loop_and_wedge_power(name):
 def test_one_bivector_and_one_chain_per_algebra():
     L = builtin_algebra("sl3")
     pi = lie_poisson_bivector(L)
-    assert structure_bivector(L) is pi and pi.chain is pi.chain
+    assert L.bivector is pi and pi.chain is pi.chain
     res = contract_algebra(L, borel_decomposition(L))
     assert res.pi_tilde is lie_poisson_bivector(res.contracted)
 

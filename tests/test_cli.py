@@ -92,6 +92,35 @@ class TestQueryVerbs:
             assert code == 2
             assert "(0,1)" in err and "target 7" in err
 
+    @pytest.mark.parametrize("text, line", [
+        ("name: z\nlabels: a b c\nbracket: 0 1 2 1/0\n", 3),
+        ("name: z\nlabels: a b\nmatsize: 1\nmatrix: 1\nmatrix: 1/0\n", 5),
+    ], ids=["bracket", "matrix"])
+    def test_zero_denominator_in_file_exit_two(self, capsys, tmp_path, text, line):
+        path = tmp_path / "zero.alg"
+        path.write_text(text)
+        code, out, err = run(capsys, "index", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"line {line}: zero denominator in '1/0'" in err
+
+    def test_repeated_label_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "dup.alg"
+        path.write_text("name: dup\nlabels: a a b\nbracket: 0 2 2 1\n")
+        code, out, err = run(capsys, "index", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "label 'a' is repeated" in err
+
+    def test_root_data_index_out_of_range_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "rd.alg"
+        path.write_text("name: rd\nlabels: e h f\n"
+                        "bracket: 0 1 0 -2\nbracket: 0 2 1 1\nbracket: 1 2 2 -2\n"
+                        "rank: 1\nsimple_e: 9\nsimple_f: 2\ncartan: 1\n"
+                        "positive: 0\nnegative: 2\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "root data index 9" in err
+
     def test_fsi_invalid_weights_exit_one(self, capsys):
         code, out, _ = run(capsys, "fsi", "sl2", "--weights", "0,1,0")
         assert code == 1 and "negative t-power" in out
@@ -128,6 +157,12 @@ class TestQueryVerbs:
         code, out, err = run(capsys, "tdeg", "sl2", "--weights", "0,0,1", "--poly=h^70000")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "exceeds 65535" in err
+
+    def test_tdeg_zero_denominator_exit_two(self, capsys):
+        code, out, err = run(capsys, "tdeg", "sl2", "--weights=0,0,0", "--poly=1/0*e")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "zero denominator in '1/0'" in err
 
     def test_tdeg_bad_polynomial(self, capsys):
         code, _, err = run(capsys, "tdeg", "sl2", "--weights", "0,0,1",

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from conftest import cached_builtin as builtin_algebra
 from conftest import cached_pair as symmetric_pair
 from liecontract.builders import borel_decomposition
 from liecontract.contract import contract_algebra, t_degree
-from liecontract.invariants import (centrality_check, char_invariants,
-                                    membership_linear, semi_invariant_weight,
-                                    t_degree_reduction)
+from liecontract.exterior import MultiVector
+from liecontract.invariants import (char_invariants, membership_linear,
+                                    semi_invariant_weight, t_degree_reduction)
 from liecontract.lie import LieAlgebra
 from liecontract.polyring import Polynomial, parse_polynomial, poly_compose
 
@@ -40,7 +41,7 @@ class TestCharInvariants:
         for name in ("sl2", "sl3", "sl4", "sp4", "so4", "so5"):
             L = builtin_algebra(name)
             for g in char_invariants(L).gens:
-                assert centrality_check(g, L)
+                assert semi_invariant_weight(g, L.bivector) == [0] * L.n
 
     def test_requires_matrices(self):
         L = LieAlgebra(["a", "b"], {})
@@ -51,38 +52,52 @@ class TestCharInvariants:
 class TestCentrality:
     def test_casimir(self):
         L = builtin_algebra("sl2")
-        assert centrality_check(parse_polynomial("-1/2*h^2 - 2*e*f", EHF), L)
+        C = parse_polynomial("-1/2*h^2 - 2*e*f", EHF)
+        assert semi_invariant_weight(C, L.bivector) == [0] * 3
 
     def test_basis_vector_not_central(self):
         L = builtin_algebra("sl2")
-        assert not centrality_check(parse_polynomial("e", EHF), L)
+        assert semi_invariant_weight(parse_polynomial("e", EHF), L.bivector) != [0] * 3
 
 
 class TestSemiInvariantWeight:
     def test_negative_simple_root_vector(self):
         L = builtin_algebra("sl2")
         res = contract_algebra(L, borel_decomposition(L))
-        lam = semi_invariant_weight(parse_polynomial("f", EHF), res.contracted)
+        lam = semi_invariant_weight(parse_polynomial("f", EHF), res.pi_tilde)
         assert lam == [0, -2, 0]
 
     def test_highest_root_vector(self):
         L = builtin_algebra("sl2")
         res = contract_algebra(L, borel_decomposition(L))
-        lam = semi_invariant_weight(parse_polynomial("e", EHF), res.contracted)
+        lam = semi_invariant_weight(parse_polynomial("e", EHF), res.pi_tilde)
         assert lam == [0, 2, 0]
 
     def test_mixed_sum_rejected(self):
         L = builtin_algebra("sl2")
-        assert semi_invariant_weight(parse_polynomial("e + f", EHF), L) is None
+        assert semi_invariant_weight(parse_polynomial("e + f", EHF), L.bivector) is None
 
     def test_zero_weight_exactly_on_central(self):
         L = builtin_algebra("sl2")
-        lam = semi_invariant_weight(parse_polynomial("-1/2*h^2 - 2*e*f", EHF), L)
+        lam = semi_invariant_weight(parse_polynomial("-1/2*h^2 - 2*e*f", EHF), L.bivector)
         assert lam == [0, 0, 0]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            semi_invariant_weight(Polynomial.zero(3), builtin_algebra("sl2"))
+            semi_invariant_weight(Polynomial.zero(3), builtin_algebra("sl2").bivector)
+
+    def test_every_coordinate_is_checked(self):
+        # under {x_i, x_k} = x_k alone, x_k has weight 1 at coordinate i and 0
+        # elsewhere; under {x_i, x_k} = 1 alone, only coordinate i shows that
+        # x_k is no semi-invariant
+        n = 4
+        for i, k in itertools.permutations(range(n), 2):
+            xk = Polynomial.variable(n, k)
+            pair, sign = ((i, k), 1) if i < k else ((k, i), -1)
+            pi = MultiVector(n, 2, {pair: xk * sign})
+            assert semi_invariant_weight(xk, pi) == [int(j == i) for j in range(n)]
+            pi = MultiVector(n, 2, {pair: Polynomial.const(n, sign)})
+            assert semi_invariant_weight(xk, pi) is None
 
 
 class TestMembership:
@@ -158,4 +173,4 @@ class TestTDegreeReduction:
             for g0, g1, b in zip(gs.gens, red.gens, before):
                 assert g1.degree() == g0.degree()
                 assert t_degree(g1, sp.weights)[0] <= b
-                assert centrality_check(g1, sp.parent)
+                assert semi_invariant_weight(g1, sp.parent.bivector) == [0] * sp.parent.n

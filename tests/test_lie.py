@@ -8,11 +8,12 @@ from conftest import cached_builtin as builtin_algebra
 from conftest import cached_pair as symmetric_pair
 from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
                                   build_classical, is_z2_grading)
-from liecontract.lie import (JacobiError, LieAlgebra, algebra_from_text, algebra_index,
-                             algebra_to_text, from_matrices, jacobi_check, killing_form,
-                             lie_poisson_bivector, structure_bivector,
-                             subalgebra_from_vectors, subalgebra_on_indices)
-from liecontract.linalg import commutator, flatten, rational_det, solve_exact
+from liecontract.lie import (JacobiError, LieAlgebra, RootData, algebra_from_text,
+                             algebra_index,
+                             algebra_to_text, from_matrices, jacobi_check,
+                             lie_poisson_bivector, subalgebra_from_vectors,
+                             subalgebra_on_indices)
+from liecontract.linalg import commutator, flatten, solve_exact
 from liecontract.polyring import parse_polynomial
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -160,7 +161,7 @@ class TestLiePoissonBivector:
         with pytest.raises(JacobiError, match=r"triple \(0, 1, 2\)"):
             lie_poisson_bivector(L)
         # the ungated bivector is still available
-        assert structure_bivector(L).degree == 2
+        assert L.bivector.degree == 2
 
     def test_bracket_target_out_of_range_rejected(self):
         for k in (3, 7, -1):
@@ -168,6 +169,33 @@ class TestLiePoissonBivector:
                 LieAlgebra(["a", "b", "c"], {(0, 1): {k: 1}})
         with pytest.raises(ValueError, match="target 7"):
             algebra_from_text("name: oob\nlabels: a b c\nbracket: 0 1 7 1\n")
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ValueError, match="label 'a' is repeated"):
+            LieAlgebra(["a", "a", "b"], {})
+        with pytest.raises(ValueError, match="label 'b' is repeated"):
+            algebra_from_text("name: dup\nlabels: a b c b\n")
+
+    def test_root_data_index_out_of_range_rejected(self):
+        def root_data(**changed):
+            fields = dict(rank=1, simple_e=(0,), simple_f=(2,), cartan=(1,),
+                          positive=(0,), negative=(2,), highest=0, marks=(1,))
+            return RootData(**dict(fields, **changed))
+
+        LieAlgebra(["e", "h", "f"], {}, root_data=root_data())
+        LieAlgebra(["e", "h", "f"], {}, root_data=root_data(highest=None, marks=None))
+        for field, value in (("simple_e", (9,)), ("simple_f", (-1,)), ("cartan", (3,)),
+                             ("positive", (0, 5)), ("negative", (2, 3)), ("highest", 3)):
+            with pytest.raises(ValueError, match=r"root data index -?\d+ must satisfy"):
+                LieAlgebra(["e", "h", "f"], {}, root_data=root_data(**{field: value}))
+        # only the range is checked: tuple lengths need not match the rank
+        LieAlgebra(["e", "h", "f"], {}, root_data=root_data(simple_e=(0, 1, 2), marks=(1, 2)))
+
+    def test_zero_denominator_names_the_line(self):
+        with pytest.raises(ValueError, match=r"line 3: zero denominator in '1/0'"):
+            algebra_from_text("name: z\nlabels: a b c\nbracket: 0 1 2 1/0\n")
+        with pytest.raises(ValueError, match=r"line 5: zero denominator in '3/0'"):
+            algebra_from_text("name: z\nlabels: a\nmatsize: 2\n\nmatrix: 1 0 0 3/0\n")
 
 
 class TestBuilders:
@@ -276,23 +304,6 @@ class TestIndex:
                 labels[perm[i]] = lab
             M = LieAlgebra(labels, brackets)
             assert algebra_index(M) == base
-
-
-class TestKilling:
-    def test_sl2_values(self):
-        K = killing_form(builtin_algebra("sl2"))
-        assert K[1][1] == 8
-        assert K[0][2] == 4
-        assert K[0][0] == 0 and K[0][1] == 0 and K[1][2] == 0
-
-    def test_abelian_zero(self):
-        K = killing_form(LieAlgebra(["a", "b"], {}))
-        assert all(x == 0 for row in K for x in row)
-
-    def test_nondegenerate_for_semisimple(self):
-        for name in BUILTIN_ALGEBRAS:
-            K = killing_form(builtin_algebra(name))
-            assert rational_det(K) != 0
 
 
 class TestSubalgebras:

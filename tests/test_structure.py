@@ -9,6 +9,10 @@ into another module's objects are how derived data got out of step before.
 The monomial encoding is private to polyring: no other module may import its
 monomial helpers (`mono_*`, `_grlex_key`), so a change of encoding stays
 inside one module.
+
+No public function or class may exist only for the tests: each must be used
+somewhere in the package outside its own definition, or be listed in
+LIBRARY_API with the reason it is kept.
 """
 
 import ast
@@ -114,3 +118,69 @@ def test_encoding_guard_sees_imports_and_reads(tmp_path):
         "key = polyring._grlex_key\n"
         "from .exterior import mono_mul as other\n")
     assert encoding_imports(path) == [(1, "mono_mul"), (3, "_grlex_key")]
+
+
+# public names kept with no caller in the package, and why
+LIBRARY_API = {
+    "wedge_power": "the unmemoised power; the benchmark's tests time a fresh chain per call",
+    "schouten_square": "the Poisson check of acceptance criteria 4 and 5",
+    "algebraic_independence": "the Jacobian criterion for a list of polynomials",
+    "semi_invariant_weight": "the bracket predicate of criterion 4(b); zero weight is a Casimir",
+}
+
+
+def unreferenced_public(paths):
+    """(module, name) of public top-level functions and classes that no
+    module references outside the name's own definition.  Imports are not
+    references, so re-exporting a name from __init__ does not count."""
+    defined, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not owner.startswith("_") and path.name != "cli.py"):
+                defined.append((path.name, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return [(module, name) for module, name in defined if name not in used]
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    found = unreferenced_public(sorted(SRC.glob("*.py")))
+    stray = [f"{module}: {name}" for module, name in found if name not in LIBRARY_API]
+    assert not stray, "public names only the tests use:\n" + "\n".join(stray)
+    # a listed name that gains a caller leaves the list
+    assert sorted(name for _, name in found) == sorted(LIBRARY_API)
+
+
+def test_caller_guard_sees_unused_and_self_references(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .b import used\n"
+        "def loop(n):\n"
+        "    return loop(n - 1) if n else used(n)\n"
+        "class Shape:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n")
+    (tmp_path / "b.py").write_text(
+        "def used(x):\n"
+        "    return x\n"
+        "def via_attribute():\n"
+        "    pass\n"
+        "def call(mod):\n"
+        "    return mod.via_attribute()\n")
+    (tmp_path / "cli.py").write_text(
+        "from .b import call\n"
+        "def main():\n"
+        "    return call(None)\n")
+    (tmp_path / "__init__.py").write_text("from .a import Shape, loop\n")
+    found = unreferenced_public(sorted(tmp_path.glob("*.py")))
+    assert found == [("a.py", "loop"), ("a.py", "Shape")]
