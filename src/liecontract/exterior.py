@@ -14,8 +14,8 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
-from .linalg import rational_rank
-from .polyring import Polynomial, _accumulate
+from .linalg import row_reduce
+from .polyring import Polynomial, _accumulate, _integral_terms
 
 _ZERO = Fraction(0)
 
@@ -151,7 +151,11 @@ class Form(MultiVector):
 
 
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
-    """Exterior product of two elements of the same kind."""
+    """Exterior product of two elements of the same kind.
+
+    Each operand's common denominator is pulled out first, so the products
+    run in int arithmetic and the result is divided once per coefficient.
+    """
     if type(a) is not type(b):
         raise TypeError(f"cannot wedge {type(a).__name__} with {type(b).__name__}")
     if a.n != b.n:
@@ -161,10 +165,11 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
         raise ValueError(f"wedge degree {k} exceeds dimension {a.n}")
     n = a.n
     acc: dict = {}
-    b_items = [(idx, frozenset(idx), p.terms) for idx, p in b.terms.items()]
-    for ia, pa in a.terms.items():
+    da, a_maps = _integral_terms(a.terms.values())
+    db, b_maps = _integral_terms(b.terms.values())
+    b_items = [(idx, frozenset(idx), tb) for idx, tb in zip(b.terms, b_maps)]
+    for ia, ta in zip(a.terms, a_maps):
         sa = frozenset(ia)
-        ta = pa.terms
         for ib, sb, tb in b_items:
             if sa & sb:
                 continue
@@ -175,7 +180,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
             _accumulate(bucket, ta, tb, sign < 0, n)
     out = {}
     for idx, bucket in acc.items():
-        p = Polynomial._collect(n, bucket)
+        p = Polynomial._collect(n, bucket, da * db)
         if p:
             out[idx] = p
     return type(a)._raw(n, k, out)
@@ -231,15 +236,14 @@ class WedgeChain:
     def rank(self) -> int:
         """Rank of pi's coefficient matrix: 2k for the last nonzero wedge^k pi.
 
-        Evaluations at random rational points give a certified lower bound
-        on the rank, checked once per chain.
+        The ranks at the seeded points (point_ranks) are lower bounds on it,
+        checked once per chain.
         """
         if self._rank is None:
             pi = self.pi
             rank = 2 * self._extend(pi.n // 2)[0]
-            for point in seeded_points(pi.n, 3 if pi.terms else 0):
-                if rational_rank(bivector_matrix_at(pi, point)) > rank:
-                    raise AssertionError("wedge-power rank disagrees with point evaluation")
+            if any(r > rank for r, _, _ in point_ranks(pi)):
+                raise AssertionError("wedge-power rank disagrees with point evaluation")
             self._rank = rank
         return self._rank
 
@@ -290,11 +294,20 @@ def bivector_matrix(pi: MultiVector):
     return mat
 
 
-def seeded_points(n: int, count: int):
-    """The same `count` rational points of Q^n on every call."""
+def point_ranks(pi: MultiVector):
+    """(rank, pivot columns, point) of pi's matrix at each of three seeded
+    rational points, the same on every call, evaluated only as far as the
+    caller iterates.
+
+    Each rank is a lower bound on the rank of pi at a generic point.  The
+    pivot columns I index a nonsingular principal minor: when columns I span
+    the column space of a skew matrix M, so do rows I, and M_II is invertible.
+    """
     rng = random.Random(20240917)
-    for _ in range(count):
-        yield [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+    for _ in range(3):
+        point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(pi.n)]
+        _, pivots = row_reduce(bivector_matrix_at(pi, point))
+        yield len(pivots), tuple(pivots), point
 
 
 def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:

@@ -18,10 +18,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .contract import ContractionWeights, t_degree
-from .exterior import (MultiVector, bivector_matrix_at, bracket_with_coordinate,
-                       pfaffian, seeded_points, shuffle_sign, wedge_power_coefficient)
+from .exterior import (MultiVector, bracket_with_coordinate, pfaffian, point_ranks,
+                       shuffle_sign, wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
-from .linalg import poly_det_cofactor, rational_inverse, row_reduce, solve_exact
+from .linalg import poly_det_cofactor, rational_inverse, rational_rank, solve_exact
 from .polyring import Polynomial, poly_compose
 
 _ZERO = Fraction(0)
@@ -141,33 +141,41 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
     return GeneratorSet(algebra=L, gens=gens, normalization=scale)
 
 
-def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
-    """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power.
+def regularity_minor(pi: MultiVector, gens):
+    """(I, A_I, B_I): both sides of  dF_1^...^dF_l / omega = wedge^k pi  at
+    one index set I, k = (n - l)/2; None when no seeded point has rank n - l.
 
-    Both sides are compared at one index set I, |I| = n - l: the pivot
-    columns of pi's matrix at a seeded rational point, so that the principal
-    minor on I is nonzero.  The wedge power's coefficient there is
-    k! Pf(pi_I), and the left side's is sgn(J, I) times the l x l minor of
-    the generators' Jacobian on the complement J.  That the two sides agree
-    everywhere is Kostant's theorem, which kostant_check verifies.
+    I is the pivot set of pi's matrix at the first seeded point of rank
+    n - l, so the principal minor on I is nonzero there.  The wedge power's
+    coefficient at I is B_I = k! Pf(pi_I), and the left side's is
+    A_I = sgn(J, I) det(dF_i/dx_j, j in J), for J the complement of I.
     """
-    pi = lie_poisson_bivector(L)
-    n = L.n
+    n = pi.n
     ell = len(gens)
-    if (n - ell) % 2:
-        raise ValueError("generator count does not match a skew rank")
-    for point in seeded_points(n, 3):
-        _, pivots = row_reduce(bivector_matrix_at(pi, point))
-        if len(pivots) == n - ell:
-            break
-    else:
-        raise ValueError("degenerate generator set")
-    index_set = tuple(pivots)
+    index_set = next((piv for r, piv, _ in point_ranks(pi) if r == n - ell), None)
+    if index_set is None:
+        return None
     complement = tuple(j for j in range(n) if j not in index_set)
     B = wedge_power_coefficient(pi, index_set)
     A = poly_det_cofactor([[g.diff(j) for j in complement] for g in gens])
     if shuffle_sign(complement, index_set) < 0:
         A = -A
+    return index_set, A, B
+
+
+def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
+    """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power.
+
+    Both sides are compared at the one index set of regularity_minor.  That
+    they agree everywhere is Kostant's theorem, which kostant_check verifies.
+    """
+    pi = lie_poisson_bivector(L)
+    if (L.n - len(gens)) % 2:
+        raise ValueError("generator count does not match a skew rank")
+    minor = regularity_minor(pi, gens)
+    if minor is None:
+        raise ValueError("degenerate generator set")
+    _, A, B = minor
     bm, bc = B.leading()
     ac = A.coefficient(bm)
     if not ac or A * (bc / ac) != B:
@@ -175,6 +183,28 @@ def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     scale = bc / ac
     gens[0] = gens[0] * scale
     return scale
+
+
+def casimirs_certify_index(pi: MultiVector, casimirs) -> bool:
+    """True when the polynomials prove that the index of pi is len(casimirs).
+
+    With k = len(casimirs), the proof has three exact steps.  A seeded
+    point x0 where pi has rank n - k shows that the generic rank is at least
+    n - k, so index <= k.  Each F is a Casimir (semi_invariant_weight(F, pi)
+    == [0] * n), so dF(x) lies in ker pi(x) at every x.  The Jacobian of the
+    F has rank k at x0, so dF_1^...^dF_k != 0 and the dF(x) are independent
+    at generic x: index >= k.  False means only that the proof did not close.
+    """
+    n = pi.n
+    k = len(casimirs)
+    point = next((pt for r, _, pt in point_ranks(pi) if r == n - k), None)
+    if point is None:
+        return False
+    jacobian = [[F.diff(j).evaluate(point) for j in range(n)] for F in casimirs]
+    if rational_rank(jacobian) < k:
+        return False
+    zero = [0] * n
+    return all(semi_invariant_weight(F, pi) == zero for F in casimirs)
 
 
 def membership_linear(h: Polynomial, gens: Sequence[Polynomial],

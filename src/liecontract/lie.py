@@ -323,11 +323,15 @@ def algebra_to_text(L: LieAlgebra, weights=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rational(text: str, lineno: int) -> Fraction:
+def _number(kind, text: str, lineno: int, key: str):
+    """kind(text) for kind int or Fraction, or a ValueError naming the line."""
     try:
-        return Fraction(text)
+        return kind(text)
     except ZeroDivisionError:
         raise ValueError(f"line {lineno}: zero denominator in {text!r}") from None
+    except ValueError:
+        what = "an integer" if kind is int else "a rational number"
+        raise ValueError(f"line {lineno}: {key} needs {what}, got {text.strip()!r}") from None
 
 
 def algebra_from_text(text: str):
@@ -356,21 +360,22 @@ def algebra_from_text(text: str):
             parts = val.split()
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: bracket needs 'i j k coefficient'")
-            bracket_lines.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                                  _rational(parts[3], lineno)))
+            bracket_lines.append((*(_number(int, x, lineno, key) for x in parts[:3]),
+                                  _number(Fraction, parts[3], lineno, key)))
         elif key == "matsize":
-            matsize = int(val)
+            matsize = _number(int, val, lineno, key)
         elif key == "matrix":
-            matrix_rows.append([_rational(x, lineno) for x in val.split()])
+            matrix_rows.append([_number(Fraction, x, lineno, key) for x in val.split()])
         elif key in ("rank", "highest"):
-            rd_fields[key] = int(val)
+            rd_fields[key] = _number(int, val, lineno, key)
         elif key in ("simple_e", "simple_f", "cartan", "positive", "negative", "marks"):
-            rd_fields[key] = tuple(int(x) for x in val.split())
+            rd_fields[key] = tuple(_number(int, x, lineno, key) for x in val.split())
         elif key == "weights":
             body = val.strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise ValueError(f"line {lineno}: weights must look like [0,0,1]")
-            weights = [int(x) for x in body[1:-1].split(",") if x.strip() != ""]
+            weights = [_number(int, x, lineno, key) for x in body[1:-1].split(",")
+                       if x.strip() != ""]
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     if labels is None:

@@ -21,6 +21,7 @@ Values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -115,6 +116,24 @@ def _accumulate(acc: dict, ta: dict, tb: dict, negate: bool, n: int):
             acc[m] = get(m, 0) + ca * cb
 
 
+def _integral_terms(polys) -> tuple:
+    """(d, term maps): the least common denominator d of the coefficients of
+    the given polynomials, and each one's term map times d, all int.
+
+    When every coefficient is already an int, d is 1 and the maps are the
+    polynomials' own, after one scan."""
+    polys = list(polys)
+    d = 1
+    for p in polys:
+        for c in p.terms.values():
+            if type(c) is not int and d % c.denominator:
+                d = math.lcm(d, c.denominator)
+    if d == 1:
+        return 1, [p.terms for p in polys]
+    return d, [{m: c * d if type(c) is int else c.numerator * (d // c.denominator)
+                for m, c in p.terms.items()} for p in polys]
+
+
 class Polynomial:
     """Element of Q[x_0, ..., x_{n-1}] in canonical sparse form.
 
@@ -145,8 +164,10 @@ class Polynomial:
         return p
 
     @classmethod
-    def _collect(cls, n: int, acc: dict) -> "Polynomial":
-        """The polynomial an _accumulate map holds."""
+    def _collect(cls, n: int, acc: dict, d: int = 1) -> "Polynomial":
+        """The polynomial an _accumulate map holds, divided by the int d."""
+        if d != 1:
+            return cls._raw(n, {m: _div(c, d) for m, c in acc.items() if c})
         return cls._raw(n, {m: c if type(c) is int else _norm(c)
                             for m, c in acc.items() if c})
 

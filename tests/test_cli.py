@@ -104,6 +104,25 @@ class TestQueryVerbs:
         assert err.startswith("error:") and "Traceback" not in err
         assert f"line {line}: zero denominator in '1/0'" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("bracket: 0 1 2 abc", "bracket needs a rational number, got 'abc'"),
+        ("bracket: 0 one 2 1", "bracket needs an integer, got 'one'"),
+        ("matsize: x", "matsize needs an integer, got 'x'"),
+        ("matrix: 1 abc 0 0", "matrix needs a rational number, got 'abc'"),
+        ("rank: x", "rank needs an integer, got 'x'"),
+        ("simple_e: 0 y", "simple_e needs an integer, got 'y'"),
+        ("weights: [0,x,1]", "weights needs an integer, got 'x'"),
+    ], ids=["bracket-coefficient", "bracket-index", "matsize", "matrix", "rank",
+            "simple_e", "weights"])
+    def test_bad_number_in_file_names_line_key_and_token(self, capsys, tmp_path,
+                                                          line, message):
+        path = tmp_path / "bad.alg"
+        path.write_text(f"name: z\nlabels: a b c\n{line}\n")
+        code, out, err = run(capsys, "index", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"line 3: {message}" in err
+
     def test_repeated_label_exit_two(self, capsys, tmp_path):
         path = tmp_path / "dup.alg"
         path.write_text("name: dup\nlabels: a a b\nbracket: 0 2 2 1\n")

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cached_builtin, random_point, random_polynomial
-from liecontract.exterior import MultiVector, WedgeChain, wedge
+from liecontract.exterior import Form, MultiVector, WedgeChain, wedge
 from liecontract.polyring import (Polynomial, multivariate_gcd, poly_div_exact,
                                   poly_to_str, t_expand)
 
@@ -297,6 +297,35 @@ def test_wedge_on_random_multivectors():
         a, b = elts
         assert pub_mv(wedge(a, b)) == r_wedge(pub_mv(a), pub_mv(b))
         assert pub_mv(wedge(b, b)) == r_wedge(pub_mv(b), pub_mv(b))
+
+
+def test_fraction_free_wedge_on_fraction_operands():
+    # wedge pulls each operand's common denominator out and divides once at
+    # the end; operands mix all-int coefficients (the fast path), one shared
+    # denominator and different denominators per coefficient
+    rng = random.Random(15)
+    denominators = (1, 2, 6, 64, 256)
+    for trial in range(40):
+        n = rng.randint(4, 6)
+        kind = MultiVector if trial % 2 else Form
+        elts = []
+        for k in (1, 2):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                idx = tuple(sorted(rng.sample(range(n), k)))
+                p = random_polynomial(rng, n, max_degree=2, max_terms=3) * 12
+                terms[idx] = p * Fraction(1, rng.choice(denominators))
+            elts.append(kind(n, k, terms))
+        a, b = elts
+        for x, y in ((a, b), (b, a), (b, b), (a, a)):
+            if x.degree + y.degree > n:
+                continue
+            out = wedge(x, y)
+            assert type(out) is kind
+            assert pub_mv(out) == r_wedge(pub_mv(x), pub_mv(y))
+            for p in out.terms.values():
+                # int exactly when integral, as everywhere in the kernel
+                assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
 
 
 @pytest.mark.parametrize("name", ["sp4", "so5"])

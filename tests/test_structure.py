@@ -125,7 +125,6 @@ LIBRARY_API = {
     "wedge_power": "the unmemoised power; the benchmark's tests time a fresh chain per call",
     "schouten_square": "the Poisson check of acceptance criteria 4 and 5",
     "algebraic_independence": "the Jacobian criterion for a list of polynomials",
-    "semi_invariant_weight": "the bracket predicate of criterion 4(b); zero weight is a Casimir",
 }
 
 
