@@ -10,18 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
-from .exterior import MultiVector, differential, volume_dual, wedge
-from .invariants import (GeneratorSet, casimirs_certify_index, char_invariants,
-                         regularity_minor, t_degree_reduction)
+from .exterior import Form, MultiVector, differential, point_ranks, volume_dual, wedge
+from .invariants import (GeneratorSet, _regularity_minor, char_invariants,
+                         semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
+from .linalg import rational_rank
 from .polyring import (Polynomial, multivariate_gcd, poly_div_exact, poly_monic,
                        poly_rename, poly_to_str)
-
-_ZERO = Fraction(0)
 
 
 @dataclass
@@ -53,18 +53,21 @@ def proportionality(a: MultiVector, b: MultiVector) -> ProportionalityCertificat
     if set(a.terms) != set(b.terms):
         return ProportionalityCertificate(proportional=False)
     base = min(a.terms)
-    ai, bi = a.terms[base], b.terms[base]
-    g = multivariate_gcd(ai, bi)
-    q2 = poly_div_exact(ai, g)
-    q1 = poly_div_exact(bi, g)
-    # a_I * b_base == a_base * b_I is a_I * q1 == q2 * b_I after dividing by g
+    q1, q2 = _coprime_ratio(a.terms[base], b.terms[base])
+    # a_I * b_base == a_base * b_I is a_I * q1 == q2 * b_I after dividing by the gcd
     for idx in sorted(a.terms):
         if a.terms[idx] * q1 != q2 * b.terms[idx]:
             return ProportionalityCertificate(proportional=False)
-    _, lead = q1.leading()
-    q1 = q1 * (1 / lead)
-    q2 = q2 * (1 / lead)
     return ProportionalityCertificate(proportional=True, q1=q1, q2=q2)
+
+
+def _coprime_ratio(a: Polynomial, b: Polynomial):
+    """Coprime (q1, q2) with q1 * a = q2 * b for nonzero a, b, scaled so that
+    q1 has leading coefficient 1: the one form of the ratio a / b."""
+    g = multivariate_gcd(a, b)
+    q1, q2 = poly_div_exact(b, g), poly_div_exact(a, g)
+    _, lead = q1.leading()
+    return q1 * (1 / lead), q2 * (1 / lead)
 
 
 def algebraic_independence(polys) -> bool:
@@ -78,43 +81,107 @@ def algebraic_independence(polys) -> bool:
         return True
     if len(polys) > polys[0].n:
         return False
-    return not _form_of_differentials(polys).is_zero
+    return not _form_of_differentials(polys, polys[0].n).is_zero
 
 
-def _form_of_differentials(polys):
-    """dg_1 ^ ... ^ dg_k for at most n polynomials, k >= 1."""
-    form = None
+def _form_of_differentials(polys, n: int) -> Form:
+    """dg_1 ^ ... ^ dg_k for at most n polynomials; the unit 0-form for k = 0."""
+    form = Form.unit(n)
     for g in polys:
-        dg = differential(g)
-        form = dg if form is None else wedge(form, dg)
+        form = wedge(form, differential(g))
     return form
 
 
 @dataclass
 class KostantReport:
-    is_kostant_type: bool
-    certificate: ProportionalityCertificate
+    """regularity's verdict.  pivots is the pivot set I of the seeded point
+    that proved the index, None when pi's wedge chain gave it; independent,
+    equal (A == B) and the certificate (q1 * A = q2 * B) are made on first read.
+    """
+
+    pi: MultiVector
+    casimirs: list
     index: int
+    pivots: Optional[tuple]
+
+    @cached_property
+    def form(self) -> Form:
+        return _form_of_differentials(self.casimirs, self.pi.n)
+
+    @cached_property
+    def independent(self) -> bool:
+        return self.pivots is not None or not self.form.is_zero
+
+    @cached_property
+    def _minor(self):
+        """(A_I, B_I) when the index was proved and B_I != 0, else None."""
+        if self.pivots is not None:
+            a_i, b_i = _regularity_minor(self.pi, self.casimirs, self.pivots)
+            if b_i:
+                return a_i, b_i
+        return None
+
+    def _sides(self):
+        """A and B in full, the fallback."""
+        return volume_dual(self.form), self.pi.chain.power((self.pi.n - len(self.casimirs)) // 2)
+
+    @cached_property
+    def equal(self) -> bool:
+        if self._minor:
+            return self._minor[0] == self._minor[1]
+        a, b = self._sides()
+        return not b.is_zero and a == b
+
+    @cached_property
+    def certificate(self) -> ProportionalityCertificate:
+        if self._minor:
+            return ProportionalityCertificate(True, *_coprime_ratio(*self._minor))
+        return proportionality(*self._sides())
+
+    @property
+    def is_kostant_type(self) -> bool:
+        return self.certificate.constant_ratio
+
+
+def regularity(pi: MultiVector, casimirs) -> KostantReport:
+    """The index of pi, and A = dF_1^...^dF_l / omega against B = wedge^k pi,
+    k = (n - l)/2, for polynomials F_1..F_l offered as Casimirs of pi.
+
+    The index is proved at the first seeded point x0 (point_ranks) where pi
+    has rank n - l, which gives index <= l.  Each F is a Casimir
+    (semi_invariant_weight(F, pi) == [0] * n), so dF(x) lies in ker pi(x),
+    and their Jacobian has rank l at x0, so the dF are independent at
+    generic x: index >= l, and A != 0.  On the dense open set U where rank
+    pi(x) = n - l and the dF_i(x) are independent, they span ker pi(x).
+    There B(x) is a nonzero decomposable 2k-vector spanning im pi(x), and
+    A(x) is one spanning ann ker pi(x) = im pi(x).  So A(x) = c(x) B(x),
+    and A_I B_J = A_J B_I on U, hence as polynomials, for all index sets
+    I, J.  At the pivots I of pi's matrix at x0, with B_I != 0 required,
+    A = (A_I / B_I) B: q1 and q2 come from (A_I, B_I) alone, and A == B
+    exactly when A_I == B_I.  When the proof does not close, the index is
+    read off pi's wedge chain, and A and B are built in full.
+    """
+    casimirs = list(casimirs)
+    n, ell = pi.n, len(casimirs)
+    for rank, pivots, point in point_ranks(pi):
+        if rank == n - ell:
+            jacobian = [[F.diff(j).evaluate(point) for j in range(n)] for F in casimirs]
+            if (rational_rank(jacobian) == ell
+                    and all(semi_invariant_weight(F, pi) == [0] * n for F in casimirs)):
+                return KostantReport(pi, casimirs, ell, pivots)
+            break
+    return KostantReport(pi, casimirs, pi.chain.index, None)
 
 
 def kostant_check(gens, pi: MultiVector, ell: int) -> KostantReport:
     """Regularity test: dF_1 ^ ... ^ dF_l / omega against wedge^{(n-l)/2} pi."""
-    if isinstance(gens, GeneratorSet):
-        gens = gens.gens
-    gens = list(gens)
-    n = pi.n
-    index = pi.chain.index
-    if len(gens) != ell or ell != index:
-        raise ValueError(f"need exactly index-many generators: count={len(gens)}, "
-                         f"ell={ell}, index={index}")
-    form = _form_of_differentials(gens)
-    if form.is_zero:
+    rep = regularity(pi, gens.gens if isinstance(gens, GeneratorSet) else gens)
+    if len(rep.casimirs) != ell or ell != rep.index:
+        raise ValueError(f"need exactly index-many generators: count={len(rep.casimirs)}, "
+                         f"ell={ell}, index={rep.index}")
+    if not rep.independent:
         raise ValueError("generators are algebraically dependent")
-    a = volume_dual(form)
-    b = pi.chain.power((n - ell) // 2)
-    cert = proportionality(a, b)
-    return KostantReport(is_kostant_type=cert.constant_ratio, certificate=cert,
-                         index=index)
+    return rep
 
 
 @dataclass
@@ -182,31 +249,27 @@ def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegRepor
     if ind0 != ell:
         return ContrDegReport(ok=False,
                               error=f"generator count {ell} differs from index {ind0}")
-    ind1 = algebra_index(res.contracted)
-    preserved = ind0 == ind1
+    pairs = [t_degree(g, w) for g in gens.gens]
+    limit = regularity(res.pi_tilde, [top for _, top in pairs])
+    preserved = ind0 == limit.index
     report = ContrDegReport(ok=True, error=None, index_original=ind0,
-                            index_contracted=ind1, index_preserved=preserved)
+                            index_contracted=limit.index, index_preserved=preserved)
     if not preserved:
         report.ok = False
         report.error = "index is not preserved; the degree law does not apply"
         return report
-    pairs = [t_degree(g, w) for g in gens.gens]
     report.degrees = [g.degree() for g in gens.gens]
     report.t_degrees = [d for d, _ in pairs]
     report.sum_t_degrees = sum(report.t_degrees)
     report.weight_total = w.total
-    tops = [top for _, top in pairs]
-    form = _form_of_differentials(tops)
-    report.independent = not form.is_zero
+    report.independent = limit.independent
     if report.sum_t_degrees < report.weight_total:
         report.ok = False
         report.error = "degree-law violation: sum of t-degrees below the weight total"
         return report
     if report.sum_t_degrees == report.weight_total:
         report.classification = "equality"
-        a = volume_dual(form)
-        b = res.pi_tilde.chain.power((L.n - ell) // 2)
-        report.kostant_with_limit = (a == b)
+        report.kostant_with_limit = limit.equal
         report.good_generating_system = report.independent
         report.ok = report.independent and report.kostant_with_limit
         if not report.ok:
@@ -266,22 +329,20 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
     res = contract_algebra(L, w)
     clauses = []
 
-    tilde = res.contracted
-    ind_tilde = algebra_index(tilde)
-    clauses.append(Clause("index_of_contraction", ind_tilde == ell,
-                          {"computed": ind_tilde, "expected": ell}))
-
     gens = char_invariants(L)
     pairs = [t_degree(g, w) for g in gens.gens]
+    tops = [top for _, top in pairs]
+    limit = regularity(res.pi_tilde, tops)
+    clauses.append(Clause("index_of_contraction", limit.index == ell,
+                          {"computed": limit.index, "expected": ell}))
+
     drops = [g.degree() - d for g, (d, _) in zip(gens.gens, pairs)]
     clauses.append(Clause("t_degree_drop", all(x == 1 for x in drops),
                           {"degrees": gens.degrees, "t_degrees": [d for d, _ in pairs]}))
 
-    tops = [top for _, top in pairs]
-    a = volume_dual(_form_of_differentials(tops))
-    b = res.pi_tilde.chain.power((L.n - ell) // 2)
-    clauses.append(Clause("kostant_equality_for_tops", not b.is_zero and a == b, {}))
-    if b.is_zero:
+    clauses.append(Clause("kostant_equality_for_tops", limit.equal, {}))
+    # n - l is even, so wedge^{(n-l)/2} pi~ vanishes exactly when the index exceeds l
+    if limit.index > ell:
         clauses.append(Clause("fundamental_semiinvariant", False,
                               {"reason": "wedge power vanished"}))
         return SuiteReport(suite="feigin", target=L.name or "anon", clauses=clauses)
@@ -304,8 +365,8 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
         hfree = True
     except ValueError:
         hfree = False
-    h_form = _form_of_differentials(semis_prime) if hfree else None
-    gprime = subalgebra_on_indices(tilde, keep)
+    h_form = _form_of_differentials(semis_prime, len(keep)) if hfree else None
+    gprime = subalgebra_on_indices(res.contracted, keep)
     ind_prime = algebra_index(gprime)
     indep = hfree and not h_form.is_zero
     clauses.append(Clause("semicentre_generators",
@@ -337,9 +398,7 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
 def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     """Symmetric-pair contraction checks: grading, the Borel-dimension
     identity, index preservation, and the good-generating-system verdict
-    after t-degree reduction.  The indices of the parent and the limit are
-    proved from the generators and the tops (casimirs_certify_index), and
-    read off the wedge chain only where that proof does not close."""
+    after t-degree reduction, with regularity deciding both indices."""
     if isinstance(pair, str):
         pair = symmetric_pair(pair)
     L = pair.parent
@@ -349,8 +408,7 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
                           {"dim_g0": len(pair.g0), "dim_g1": len(pair.g1)}))
 
     gens = char_invariants(L)
-    pi = lie_poisson_bivector(L)
-    ell = len(gens) if casimirs_certify_index(pi, gens.gens) else pi.chain.index
+    ell = regularity(lie_poisson_bivector(L), gens.gens).index
     l_alg = pair.centralizer_alg
     rk_l = algebra_index(l_alg)
     dim_b = (L.n + ell) // 2
@@ -366,51 +424,16 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     reduced = t_degree_reduction(gens, pair.weights)
     pairs = [t_degree(g, pair.weights) for g in reduced.gens]
     tds = [d for d, _ in pairs]
-    tops = [top for _, top in pairs]
-    tilde = res.pi_tilde
-    certified = casimirs_certify_index(tilde, tops)
-    ind_tilde = len(tops) if certified else tilde.chain.index
-    clauses.append(Clause("index_of_contraction", ind_tilde == ell,
-                          {"computed": ind_tilde, "expected": ell}))
+    limit = regularity(res.pi_tilde, [top for _, top in pairs])
+    clauses.append(Clause("index_of_contraction", limit.index == ell,
+                          {"computed": limit.index, "expected": ell}))
 
     clauses.append(Clause("reduced_degree_sum",
                           sum(tds) == len(pair.g1) == pair.weights.total,
                           {"t_degrees": tds, "dim_g1": len(pair.g1)}))
-    form = _form_of_differentials(tops)
-    clauses.append(Clause("tops_independent", not form.is_zero, {}))
-    kost = None
-    if certified and ind_tilde == ell and not form.is_zero:
-        kost = _regularity_from_one_minor(tilde, tops)
-    if kost is None:
-        b = tilde.chain.power((L.n - ell) // 2)
-        kost = not b.is_zero and volume_dual(form) == b
-    clauses.append(Clause("kostant_equality_for_tops", kost, {}))
+    clauses.append(Clause("tops_independent", limit.independent, {}))
+    clauses.append(Clause("kostant_equality_for_tops", limit.equal, {}))
     clauses.append(Clause("codim2_note", True,
                           {"note": "centre generation certified through the recorded "
                                    "codimension-2 property of the contracted algebra"}))
     return SuiteReport(suite="z2", target=pair.pair_id, clauses=clauses)
-
-
-def _regularity_from_one_minor(pi: MultiVector, casimirs) -> Optional[bool]:
-    """Decide  dF_1^...^dF_l / omega == wedge^k pi  from one coefficient.
-
-    Requires what casimirs_certify_index proves, that the F are Casimirs of
-    pi and that the index of pi is l, and also that dF_1^...^dF_l != 0.
-    Write A for the left side and B for the right, k = (n - l)/2.  On the
-    dense open set U where rank pi(x) = n - l and dF_1^...^dF_l(x) != 0,
-    ker pi(x) is spanned by the dF_i(x).  There B(x) is a nonzero
-    decomposable 2k-vector spanning im pi(x), and A(x) is a nonzero
-    decomposable one spanning ann(span dF_i(x)) = ann(ker pi(x)) = im pi(x).
-    So A(x) = c(x) B(x), hence A_I B_J = A_J B_I on U and, U being dense,
-    as polynomials for all index sets I, J.  At an I with B_I != 0, A_I ==
-    B_I therefore gives B_I (A_J - B_J) = 0, so A == B; and A_I != B_I
-    gives A != B.  I and the pair (A_I, B_I) come from regularity_minor.
-
-    Returns None when no such I is found; the caller then compares A and B
-    in full.
-    """
-    minor = regularity_minor(pi, casimirs)
-    if minor is None or minor[2].is_zero:
-        return None
-    _, a_i, b_i = minor
-    return a_i == b_i

@@ -6,8 +6,8 @@ that each coefficient is an honest central element of the Lie-Poisson
 structure.  The first generator is rescaled once so the set satisfies the
 regularity equality  dF_1 ^ ... ^ dF_l / omega = wedge^{(n-l)/2} pi  on the
 nose.  One principal Pfaffian minor of pi fixes that scale, so no wedge power
-is built here; kostant_check verifies the full equality.  Later triangular
-modifications leave it untouched.
+is built here; analysis.regularity decides the full equality.  Later
+triangular modifications leave it untouched.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from .contract import ContractionWeights, t_degree
 from .exterior import (MultiVector, bracket_with_coordinate, pfaffian, point_ranks,
                        shuffle_sign, wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
-from .linalg import poly_det_cofactor, rational_inverse, rational_rank, solve_exact
-from .polyring import Polynomial, poly_compose
+from .linalg import poly_det_cofactor, rational_inverse, solve_exact
+from .polyring import Polynomial, _integral_terms, poly_compose
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -51,6 +50,9 @@ def semi_invariant_weight(h: Polynomial, pi: MultiVector):
     h is a Casimir of pi exactly when the weight is [0] * pi.n."""
     if h.is_zero:
         raise ValueError("the zero polynomial is not a semi-invariant")
+    # h times its common denominator has the same weights and int coefficients
+    _, (terms,) = _integral_terms([h])
+    h = Polynomial._raw(h.n, terms)
     hm, hc = h.leading()
     out = []
     for j in range(pi.n):
@@ -141,41 +143,35 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
     return GeneratorSet(algebra=L, gens=gens, normalization=scale)
 
 
-def regularity_minor(pi: MultiVector, gens):
-    """(I, A_I, B_I): both sides of  dF_1^...^dF_l / omega = wedge^k pi  at
-    one index set I, k = (n - l)/2; None when no seeded point has rank n - l.
-
-    I is the pivot set of pi's matrix at the first seeded point of rank
-    n - l, so the principal minor on I is nonzero there.  The wedge power's
-    coefficient at I is B_I = k! Pf(pi_I), and the left side's is
-    A_I = sgn(J, I) det(dF_i/dx_j, j in J), for J the complement of I.
-    """
+def _regularity_minor(pi: MultiVector, gens, index_set):
+    """(A_I, B_I): the coefficients at the index set I of both sides of
+    dF_1^...^dF_l / omega = wedge^k pi, k = (n - l)/2, built from minors:
+    A_I = sgn(J, I) det(dF_i/dx_j, j in J) for J the complement of I (1 when
+    l = 0), and B_I = k! Pf(pi_I)."""
     n = pi.n
-    ell = len(gens)
-    index_set = next((piv for r, piv, _ in point_ranks(pi) if r == n - ell), None)
-    if index_set is None:
-        return None
     complement = tuple(j for j in range(n) if j not in index_set)
     B = wedge_power_coefficient(pi, index_set)
-    A = poly_det_cofactor([[g.diff(j) for j in complement] for g in gens])
+    A = (poly_det_cofactor([[g.diff(j) for j in complement] for g in gens])
+         if gens else Polynomial.const(n, 1))
     if shuffle_sign(complement, index_set) < 0:
         A = -A
-    return index_set, A, B
+    return A, B
 
 
 def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power.
 
-    Both sides are compared at the one index set of regularity_minor.  That
-    they agree everywhere is Kostant's theorem, which kostant_check verifies.
+    Both sides are compared at the pivots of pi's matrix at the first seeded
+    point of rank n - l.  That they agree everywhere is Kostant's theorem,
+    which analysis.regularity decides.
     """
     pi = lie_poisson_bivector(L)
     if (L.n - len(gens)) % 2:
         raise ValueError("generator count does not match a skew rank")
-    minor = regularity_minor(pi, gens)
-    if minor is None:
+    index_set = next((piv for r, piv, _ in point_ranks(pi) if r == L.n - len(gens)), None)
+    if index_set is None:
         raise ValueError("degenerate generator set")
-    _, A, B = minor
+    A, B = _regularity_minor(pi, gens, index_set)
     bm, bc = B.leading()
     ac = A.coefficient(bm)
     if not ac or A * (bc / ac) != B:
@@ -183,28 +179,6 @@ def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     scale = bc / ac
     gens[0] = gens[0] * scale
     return scale
-
-
-def casimirs_certify_index(pi: MultiVector, casimirs) -> bool:
-    """True when the polynomials prove that the index of pi is len(casimirs).
-
-    With k = len(casimirs), the proof has three exact steps.  A seeded
-    point x0 where pi has rank n - k shows that the generic rank is at least
-    n - k, so index <= k.  Each F is a Casimir (semi_invariant_weight(F, pi)
-    == [0] * n), so dF(x) lies in ker pi(x) at every x.  The Jacobian of the
-    F has rank k at x0, so dF_1^...^dF_k != 0 and the dF(x) are independent
-    at generic x: index >= k.  False means only that the proof did not close.
-    """
-    n = pi.n
-    k = len(casimirs)
-    point = next((pt for r, _, pt in point_ranks(pi) if r == n - k), None)
-    if point is None:
-        return False
-    jacobian = [[F.diff(j).evaluate(point) for j in range(n)] for F in casimirs]
-    if rational_rank(jacobian) < k:
-        return False
-    zero = [0] * n
-    return all(semi_invariant_weight(F, pi) == zero for F in casimirs)
 
 
 def membership_linear(h: Polynomial, gens: Sequence[Polynomial],

@@ -57,7 +57,7 @@ def row_reduce(matrix):
     the right (a right-hand side, an identity) is carried along and only
     takes a pivot where the columns before it leave a row free.
     """
-    rows = [[Fraction(x) for x in r] for r in matrix]
+    rows = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in matrix]
     pivots = []
     for col in range(len(rows[0]) if rows else 0):
         rank = len(pivots)

@@ -346,7 +346,7 @@ class Polynomial:
         """Exact value at a rational point."""
         if len(point) != self.n:
             raise ValueError(f"point length {len(point)} != ring dimension {self.n}")
-        vals = [Fraction(v) for v in point]
+        vals = [v if type(v) is Fraction else Fraction(v) for v in point]
         total = Fraction(0)
         for m, c in self.terms.items():
             term = c

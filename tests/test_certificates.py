@@ -1,28 +1,31 @@
-"""The chain-free certificates of z2_suite against the wedge chain.
+"""The one regularity routine against the wedge-chain paths it replaced.
 
-casimirs_certify_index proves the index of a bivector from known Casimirs
-at a seeded point, and _regularity_from_one_minor decides the regularity
-equality dF_1^...^dF_l / omega == wedge^k pi from one coefficient pair
-(A_I, B_I).  The references are the ones they replace in z2_suite: the
-chain's index and the full comparison volume_dual(form) == chain.power(k).
+analysis.regularity proves the index of a bivector from known Casimirs at a
+seeded point and decides the regularity equality dF_1^...^dF_l / omega ==
+wedge^k pi, and the certificate q1 * A = q2 * B, from one coefficient pair
+(A_I, B_I).  The references are in-test copies of what kostant_check,
+contr_deg_report, feigin_suite and z2_suite did before: the chain's index
+and the full comparison of volume_dual(form) with chain.power(k).
 """
 
 import functools
 import itertools
+import random
 
 import pytest
 from conftest import cached_builtin, cached_pair
 
-from liecontract import analysis, invariants
-from liecontract.analysis import _form_of_differentials, _regularity_from_one_minor, z2_suite
+from liecontract import analysis
+from liecontract.analysis import (ContrDegReport, _form_of_differentials, contr_deg_report,
+                                  feigin_suite, kostant_check, regularity, z2_suite)
 from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
-                                  symmetric_pair)
-from liecontract.contract import contract_algebra, t_degree
+                                  builtin_algebra, symmetric_pair)
+from liecontract.contract import ContractionWeights, contract_algebra, t_degree
 from liecontract.exterior import (MultiVector, WedgeChain, point_ranks, volume_dual,
                                   wedge_power_coefficient)
-from liecontract.invariants import casimirs_certify_index, char_invariants, t_degree_reduction
-from liecontract.lie import lie_poisson_bivector
-from liecontract.polyring import Polynomial
+from liecontract.invariants import char_invariants, t_degree_reduction
+from liecontract.lie import algebra_from_text, algebra_index, lie_poisson_bivector
+from liecontract.polyring import Polynomial, multivariate_gcd, parse_polynomial, poly_div_exact
 
 PARENTS = list(BUILTIN_ALGEBRAS) + [f"{pid}/parent" for pid in Z2_PAIRS]
 LIMITS = [f"{name}/borel" for name in BUILTIN_ALGEBRAS] + [f"{pid}/z2" for pid in Z2_PAIRS]
@@ -51,26 +54,62 @@ def case(key):
 def full_comparison(pi, casimirs):
     """The replaced verdict: both sides of the equality built in full."""
     b = pi.chain.power((pi.n - len(casimirs)) // 2)
-    return not b.is_zero and volume_dual(_form_of_differentials(casimirs)) == b
+    return not b.is_zero and volume_dual(_form_of_differentials(casimirs, pi.n)) == b
+
+
+def reference_proportionality(a, b):
+    """The replaced proportionality, with its own gcd normalisation:
+    (proportional, q1, q2) with coprime q1 * a = q2 * b."""
+    if set(a.terms) != set(b.terms):
+        return False, None, None
+    base = min(a.terms)
+    g = multivariate_gcd(a.terms[base], b.terms[base])
+    q2, q1 = poly_div_exact(a.terms[base], g), poly_div_exact(b.terms[base], g)
+    if any(a.terms[idx] * q1 != q2 * b.terms[idx] for idx in a.terms):
+        return False, None, None
+    _, lead = q1.leading()
+    return True, q1 * (1 / lead), q2 * (1 / lead)
+
+
+def chain_kostant_check(gens, pi, ell):
+    """The replaced kostant_check: (index, is_kostant_type, q1, q2) from the
+    chain's index and the full sides."""
+    index = pi.chain.index
+    if len(gens) != ell or ell != index:
+        raise ValueError("need exactly index-many generators")
+    form = _form_of_differentials(gens, pi.n)
+    if form.is_zero:
+        raise ValueError("generators are algebraically dependent")
+    proportional, q1, q2 = reference_proportionality(
+        volume_dual(form), pi.chain.power((pi.n - ell) // 2))
+    constant = proportional and q1.is_constant and q2.is_constant
+    return index, constant, q1, q2
+
+
+def kostant_tuple(rep):
+    cert = rep.certificate
+    return rep.index, rep.is_kostant_type, cert.q1, cert.q2
 
 
 @pytest.mark.parametrize("key", PARENTS + LIMITS)
 def test_certified_index_equals_the_chain_index(key):
     pi, casimirs = case(key)
-    assert casimirs_certify_index(pi, casimirs)
-    assert len(casimirs) == pi.chain.index
+    rep = regularity(pi, casimirs)
+    assert rep.pivots is not None and rep.independent
+    assert rep.index == len(casimirs) == pi.chain.index
 
 
 @pytest.mark.parametrize("key", LIMITS)
 def test_one_coefficient_verdict_equals_the_full_comparison(key):
     pi, tops = case(key)
-    assert casimirs_certify_index(pi, tops)
-    assert not _form_of_differentials(tops).is_zero
-    verdict = _regularity_from_one_minor(pi, tops)
-    assert verdict is not None and verdict == full_comparison(pi, tops)
+    rep = regularity(pi, tops)
+    assert rep.pivots is not None
+    assert not _form_of_differentials(tops, pi.n).is_zero
+    assert rep.equal == full_comparison(pi, tops)
     # a rescaled top breaks the equality, and one coefficient sees it
     doubled = (tops[0] * 2,) + tops[1:]
-    assert _regularity_from_one_minor(pi, doubled) is False
+    rep = regularity(pi, doubled)
+    assert rep.pivots is not None and rep.equal is False
     assert full_comparison(pi, doubled) is False
 
 
@@ -78,8 +117,9 @@ def test_one_coefficient_verdict_equals_the_full_comparison(key):
 def test_certificate_refuses_a_non_casimir_and_too_few(key):
     pi, casimirs = case(key)
     x0 = Polynomial.variable(pi.n, 0)
-    assert not casimirs_certify_index(pi, casimirs[:-1] + (x0,))
-    assert not casimirs_certify_index(pi, casimirs[:-1])
+    for offered in (casimirs[:-1] + (x0,), casimirs[:-1]):
+        rep = regularity(pi, offered)
+        assert rep.pivots is None and rep.index == len(casimirs)
 
 
 def test_each_check_is_needed_where_every_seeded_point_is_singular():
@@ -93,9 +133,11 @@ def test_each_check_is_needed_where_every_seeded_point_is_singular():
     pi = MultiVector(n, 2, {(1, 2): p})
     assert pi.chain.index == 1
     # independent, but x1 and x2 are not Casimirs: the Casimir check refuses
-    assert not casimirs_certify_index(pi, x)
+    rep = regularity(pi, x)
+    assert rep.pivots is None and rep.index == 1
     # Casimirs, but dependent: the Jacobian rank refuses
-    assert not casimirs_certify_index(pi, [x[0], x[0] ** 2, x[0] ** 3])
+    rep = regularity(pi, [x[0], x[0] ** 2, x[0] ** 3])
+    assert rep.pivots is None and rep.index == 1 and not rep.independent
 
 
 def test_an_index_set_with_vanishing_pfaffian_is_refused(monkeypatch):
@@ -104,18 +146,21 @@ def test_an_index_set_with_vanishing_pfaffian_is_refused(monkeypatch):
     point = next(point_ranks(pi))[2]
     bad = next(idx for idx in itertools.combinations(range(pi.n), pi.n - ell)
                if wedge_power_coefficient(pi, idx).is_zero)
-    monkeypatch.setattr(invariants, "point_ranks",
+    monkeypatch.setattr(analysis, "point_ranks",
                         lambda _: iter([(pi.n - ell, bad, point)]))
     # A = 2B is not B, yet A_I = 2 B_I = 0 = B_I at this I
     doubled = (tops[0] * 2,) + tops[1:]
-    assert _regularity_from_one_minor(pi, doubled) is None
-    assert full_comparison(pi, doubled) is False
+    rep = regularity(pi, doubled)
+    assert rep.pivots == bad and rep.index == ell
+    assert rep.equal is False and full_comparison(pi, doubled) is False
+    q2 = Polynomial.const(pi.n, 2)
+    assert kostant_tuple(rep) == (ell, True, Polynomial.const(pi.n, 1), q2)
 
 
 @pytest.mark.parametrize("pid", ["sp4_sp2sp2", "so4_gl2"])
 def test_chain_fallback_gives_the_same_report(pid, monkeypatch):
     want = z2_suite(pid).as_dict()
-    monkeypatch.setattr(analysis, "casimirs_certify_index", lambda pi, casimirs: False)
+    monkeypatch.setattr(analysis, "point_ranks", lambda pi: iter(()))
     assert z2_suite(pid).as_dict() == want
 
 
@@ -136,3 +181,164 @@ def test_z2_suite_builds_no_chain_on_the_parent_or_the_limit(monkeypatch):
     # only the centraliser l, 6-dimensional here, reads its chain
     assert seen and all(pi == pair.centralizer_alg.bivector for pi in seen)
     assert not any(pi == parent or pi == limit for pi in seen)
+
+
+# ---------------------------------------------------------------------------
+# kostant_check against the chain path it replaced
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", list(BUILTIN_ALGEBRAS) + LIMITS)
+def test_kostant_check_equals_the_chain_path(key):
+    pi, casimirs = case(key)
+    rep = kostant_check(casimirs, pi, len(casimirs))
+    assert rep.pivots is not None
+    assert kostant_tuple(rep) == chain_kostant_check(casimirs, pi, len(casimirs))
+
+
+@pytest.mark.parametrize("key", ["sp4/borel", "sl4_sp4/z2"])
+def test_kostant_check_on_a_doubled_top_equals_the_chain_path(key):
+    pi, tops = case(key)
+    doubled = (tops[0] * 2,) + tops[1:]
+    rep = kostant_check(doubled, pi, len(tops))
+    assert rep.pivots is not None
+    got = kostant_tuple(rep)
+    assert got == chain_kostant_check(doubled, pi, len(tops))
+    _, _, q1, q2 = got
+    a = volume_dual(_form_of_differentials(doubled, pi.n))
+    assert a.scale(q1) == pi.chain.power((pi.n - len(tops)) // 2).scale(q2)
+
+
+def test_kostant_check_on_a_non_casimir_set_takes_the_chain_path():
+    pi, casimirs = case("sl3")
+    offered = casimirs[:-1] + (Polynomial.variable(pi.n, 0),)
+    rep = kostant_check(offered, pi, len(offered))
+    assert rep.pivots is None
+    assert kostant_tuple(rep) == chain_kostant_check(offered, pi, len(offered))
+    assert not rep.certificate.proportional
+
+
+FROBENIUS = "name: frob\nlabels: a b\nbracket: 0 1 1 1\n"
+
+
+@pytest.mark.parametrize("path", ["certificate", "chain"])
+def test_index_zero_compares_the_unit_form(path, monkeypatch):
+    # [a, b] = b has index 0: A is the volume dual of the unit 0-form, B = pi
+    L = algebra_from_text(FROBENIUS)[0]
+    pi = lie_poisson_bivector(L)
+    if path == "chain":
+        monkeypatch.setattr(analysis, "point_ranks", lambda _: iter(()))
+    rep = kostant_check([], pi, 0)
+    assert (rep.pivots is None) == (path == "chain")
+    b, one = parse_polynomial("b", L.labels), Polynomial.const(2, 1)
+    assert kostant_tuple(rep) == (0, False, b, one) == chain_kostant_check([], pi, 0)
+    assert rep.independent and not rep.equal
+
+
+@pytest.mark.parametrize("name", ["sl4", "so6"])
+def test_kostant_check_builds_no_wedge_chain(name, monkeypatch):
+    L = builtin_algebra(name)          # a fresh algebra: no chain memoised yet
+    gens = char_invariants(L)
+    started = []
+    init = WedgeChain.__init__
+
+    def spy(self, pi):
+        started.append(pi)
+        init(self, pi)
+
+    monkeypatch.setattr(WedgeChain, "__init__", spy)
+    rep = kostant_check(gens, lie_poisson_bivector(L), len(gens))
+    assert rep.is_kostant_type and rep.certificate.q1 == Polynomial.const(L.n, 1)
+    assert started == []
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl4"])
+def test_feigin_suite_extends_the_limit_chain_only_to_the_top_power(name, monkeypatch):
+    seen = []
+    extend = WedgeChain._extend
+
+    def spy(self, k):
+        seen.append((self.pi, k))
+        return extend(self, k)
+
+    monkeypatch.setattr(WedgeChain, "_extend", spy)
+    L = builtin_algebra(name)
+    assert feigin_suite(L).ok
+    limit = contract_algebra(L, borel_decomposition(L)).pi_tilde
+    top = (L.n - L.root_data.rank) // 2
+    reads = [k for pi, k in seen if pi == limit]
+    assert reads and max(reads) == top
+
+
+# ---------------------------------------------------------------------------
+# contr_deg_report against the chain path it replaced
+# ---------------------------------------------------------------------------
+
+def chain_contr_deg_report(gens, w):
+    """The replaced contr_deg_report: the limit's index from its chain, and
+    the equality case from volume_dual(form) == chain.power(k)."""
+    L = gens.algebra
+    ell = len(gens)
+    res = contract_algebra(L, w)
+    if not res.valid:
+        return None
+    ind0 = algebra_index(L)
+    ind1 = res.pi_tilde.chain.index
+    report = ContrDegReport(ok=True, error=None, index_original=ind0,
+                            index_contracted=ind1, index_preserved=ind0 == ind1)
+    if ind0 != ind1:
+        report.ok = False
+        report.error = "index is not preserved; the degree law does not apply"
+        return report
+    pairs = [t_degree(g, w) for g in gens.gens]
+    report.degrees = [g.degree() for g in gens.gens]
+    report.t_degrees = [d for d, _ in pairs]
+    report.sum_t_degrees = sum(report.t_degrees)
+    report.weight_total = w.total
+    form = _form_of_differentials([top for _, top in pairs], L.n)
+    report.independent = not form.is_zero
+    if report.sum_t_degrees < report.weight_total:
+        report.ok = False
+        report.error = "degree-law violation: sum of t-degrees below the weight total"
+        return report
+    if report.sum_t_degrees == report.weight_total:
+        report.classification = "equality"
+        b = res.pi_tilde.chain.power((L.n - ell) // 2)
+        report.kostant_with_limit = volume_dual(form) == b
+        report.good_generating_system = report.independent
+        report.ok = report.independent and report.kostant_with_limit
+        if not report.ok:
+            report.error = "equality case must give independent tops satisfying the equality"
+    else:
+        report.classification = "strict"
+        report.good_generating_system = False
+        report.ok = not report.independent
+        if not report.ok:
+            report.error = "strict case must give dependent highest components"
+    return report
+
+
+def seeded_weights(L, keeps, seed):
+    """Valid weights in {0,1,2}^n whose limit keeps (or raises) the index,
+    judged by the limit's rank at the seeded points."""
+    rng = random.Random(seed)
+    ell = algebra_index(L)
+    while True:
+        w = ContractionWeights(tuple(rng.randint(0, 2) for _ in range(L.n)))
+        res = contract_algebra(L, w)
+        if res.valid and any(w):
+            rank = max(r for r, _, _ in point_ranks(res.pi_tilde))
+            if keeps == (rank == L.n - ell):
+                return w
+
+
+@pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+@pytest.mark.parametrize("kind", ["borel", "keeps", "raises"])
+def test_contr_deg_report_equals_the_chain_path(name, kind):
+    L = cached_builtin(name)
+    w = borel_decomposition(L) if kind == "borel" else \
+        seeded_weights(L, kind == "keeps", BUILTIN_ALGEBRAS.index(name))
+    gens = t_degree_reduction(char_invariants(L), w)
+    got = contr_deg_report(gens, w)
+    want = chain_contr_deg_report(gens, w)
+    assert got.as_dict() == want.as_dict()
+    assert got.index_preserved == (kind != "raises")

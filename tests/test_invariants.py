@@ -86,6 +86,16 @@ class TestSemiInvariantWeight:
         with pytest.raises(ValueError):
             semi_invariant_weight(Polynomial.zero(3), builtin_algebra("sl2").bivector)
 
+    @pytest.mark.parametrize("limit, text, c, want", [
+        (True, "1/3*f", Fraction(-7, 5), [0, -2, 0]),
+        (False, "-1/2*h^2 - 2*e*f", Fraction(3, 4), [0, 0, 0]),
+        (False, "1/2*e + 1/3*f", Fraction(5, 6), None)])
+    def test_a_nonzero_multiple_has_the_same_weights(self, limit, text, c, want):
+        L = builtin_algebra("sl2")
+        pi = contract_algebra(L, borel_decomposition(L)).pi_tilde if limit else L.bivector
+        h = parse_polynomial(text, EHF)
+        assert semi_invariant_weight(h * c, pi) == semi_invariant_weight(h, pi) == want
+
     def test_every_coordinate_is_checked(self):
         # under {x_i, x_k} = x_k alone, x_k has weight 1 at coordinate i and 0
         # elsewhere; under {x_i, x_k} = 1 alone, only coordinate i shows that

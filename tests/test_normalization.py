@@ -1,6 +1,6 @@
 """The Pfaffian-minor normalisation of char_invariants against the full
 wedge-power normalisation it replaced, and the regularity equality that
-moved from char_invariants to kostant_check."""
+moved from char_invariants to kostant_check, checked here in full as well."""
 
 import itertools
 import random
@@ -72,10 +72,16 @@ def test_scale_matches_the_full_wedge_normalisation(source, monkeypatch):
 def test_regularity_equality_holds_exactly(name):
     L = cached_builtin(name)
     gs = char_invariants(L)
-    rep = kostant_check(gs, lie_poisson_bivector(L), len(gs))
+    pi = lie_poisson_bivector(L)
+    rep = kostant_check(gs, pi, len(gs))
     cert = rep.certificate
     assert rep.is_kostant_type
     assert cert.q1 == Polynomial.const(L.n, 1) and cert.q2 == Polynomial.const(L.n, 1)
+    # kostant_check reads one coefficient; the equality holds at every one
+    forms = differential(gs.gens[0])
+    for g in gs.gens[1:]:
+        forms = wedge(forms, differential(g))
+    assert volume_dual(forms) == pi.chain.power((L.n - len(gs)) // 2)
 
 
 def test_non_proportional_generators_raise_value_error(monkeypatch):

@@ -13,6 +13,10 @@ inside one module.
 No public function or class may exist only for the tests: each must be used
 somewhere in the package outside its own definition, or be listed in
 LIBRARY_API with the reason it is kept.
+
+The index and the regularity equality are decided in one place,
+analysis.regularity: only the readers in CHAIN_READERS may read a
+bivector's wedge chain (`.chain.index`, `.chain.rank`, `.chain.power`).
 """
 
 import ast
@@ -183,3 +187,56 @@ def test_caller_guard_sees_unused_and_self_references(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import Shape, loop\n")
     found = unreferenced_public(sorted(tmp_path.glob("*.py")))
     assert found == [("a.py", "loop"), ("a.py", "Shape")]
+
+
+# every read of a wedge chain in the package, and why it is not regularity's
+CHAIN_READERS = {
+    ("lie.py", "algebra_index", "L.bivector.chain.index"):
+        "the index verb, the centraliser l, g' and the memoised ggs parent",
+    ("analysis.py", "regularity", "pi.chain.index"):
+        "the routine's fallback when the index proof does not close",
+    ("analysis.py", "KostantReport._sides", "self.pi.chain.power"):
+        "the routine's fallback: both sides built in full",
+    ("analysis.py", "fundamental_semiinvariant", "pi.chain.power"):
+        "the gcd of the coefficients of wedge^k pi",
+    ("analysis.py", "feigin_suite", "pi_prime.chain.power"):
+        "the semicentre proportionality on g'",
+}
+
+
+def chain_reads(path):
+    """(qualified name of the enclosing def, expression) of every read of
+    `.chain.index`, `.chain.rank` or `.chain.power` in one module."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("index", "rank", "power")
+                    and isinstance(child.value, ast.Attribute) and child.value.attr == "chain"):
+                out.append((".".join(scope), ast.unparse(child)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return out
+
+
+def test_only_the_listed_readers_read_a_wedge_chain():
+    found = sorted((path.name, where, expr) for path in SRC.glob("*.py")
+                   for where, expr in chain_reads(path))
+    assert found == sorted(CHAIN_READERS)
+
+
+def test_chain_guard_sees_reads_in_functions_and_methods(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def f(pi):\n"
+        "    return pi.chain.index + len(pi.chain.power(2).terms)\n"
+        "class R:\n"
+        "    def g(self):\n"
+        "        return self.pi.chain.rank, self.pi.chain, self.chain_index\n"
+        "top = L.bivector.chain.power\n")
+    assert chain_reads(path) == [("f", "pi.chain.index"), ("f", "pi.chain.power"),
+                                 ("R.g", "self.pi.chain.rank"), ("", "L.bivector.chain.power")]
