@@ -9,13 +9,13 @@ output is byte-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
-from .exterior import Form, MultiVector, differential, point_ranks, volume_dual, wedge
+from .exterior import (Form, MultiVector, differential, point_ranks, volume_dual, wedge,
+                       wedge_power)
 from .invariants import (GeneratorSet, _regularity_minor, char_invariants,
                          semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
@@ -36,12 +36,6 @@ class ProportionalityCertificate:
     def constant_ratio(self) -> bool:
         return (self.proportional and self.q1 is not None and self.q1.is_constant
                 and self.q2 is not None and self.q2.is_constant)
-
-    def ratio(self) -> Fraction:
-        """The constant a with A = a * B; only defined for constant certificates."""
-        if not self.constant_ratio:
-            raise ValueError("certificate does not have constant factors")
-        return self.q2.constant_value() / self.q1.constant_value()
 
 
 def proportionality(a: MultiVector, b: MultiVector) -> ProportionalityCertificate:
@@ -95,7 +89,7 @@ def _form_of_differentials(polys, n: int) -> Form:
 @dataclass
 class KostantReport:
     """regularity's verdict.  pivots is the pivot set I of the seeded point
-    that proved the index, None when pi's wedge chain gave it; independent,
+    that proved the index, None when pi's top wedge power gave it; independent,
     equal (A == B) and the certificate (q1 * A = q2 * B) are made on first read.
     """
 
@@ -123,7 +117,8 @@ class KostantReport:
 
     def _sides(self):
         """A and B in full, the fallback."""
-        return volume_dual(self.form), self.pi.chain.power((self.pi.n - len(self.casimirs)) // 2)
+        k = (self.pi.n - len(self.casimirs)) // 2
+        return volume_dual(self.form), _wedge_power(self.pi, k)
 
     @cached_property
     def equal(self) -> bool:
@@ -159,7 +154,7 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     I, J.  At the pivots I of pi's matrix at x0, with B_I != 0 required,
     A = (A_I / B_I) B: q1 and q2 come from (A_I, B_I) alone, and A == B
     exactly when A_I == B_I.  When the proof does not close, the index is
-    read off pi's wedge chain, and A and B are built in full.
+    read off pi's top wedge power, and A and B are built in full.
     """
     casimirs = list(casimirs)
     n, ell = pi.n, len(casimirs)
@@ -170,7 +165,15 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
                     and all(semi_invariant_weight(F, pi) == [0] * n for F in casimirs)):
                 return KostantReport(pi, casimirs, ell, pivots)
             break
-    return KostantReport(pi, casimirs, pi.chain.index, None)
+    return KostantReport(pi, casimirs, n - 2 * pi.top_power[0], None)
+
+
+def _wedge_power(pi: MultiVector, k: int) -> MultiVector:
+    """wedge^k pi from pi's kept top power: zero above it, afresh below it."""
+    top_k, top = pi.top_power
+    if k == top_k:
+        return top
+    return wedge_power(pi, k) if k < top_k else MultiVector(pi.n, 2 * k)
 
 
 def kostant_check(gens, pi: MultiVector, ell: int) -> KostantReport:
@@ -195,9 +198,15 @@ def fundamental_semiinvariant(pi: MultiVector, ell: int) -> FundamentalSemiInvar
     n = pi.n
     if (n - ell) % 2:
         raise ValueError("n - ell must be even")
-    b = pi.chain.power((n - ell) // 2)
+    b = _wedge_power(pi, (n - ell) // 2)
     if b.is_zero:
         raise ValueError("wedge power vanishes; ell is not the index")
+    return _content(b)
+
+
+def _content(b: MultiVector) -> FundamentalSemiInvariant:
+    """p, the monic gcd of b's coefficients, and the cofactor R = b / p."""
+    n = b.n
     coeffs = sorted(b.terms.values(), key=lambda p_: len(p_.terms))
     g = coeffs[0]
     for c in coeffs[1:]:
@@ -347,7 +356,9 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
                               {"reason": "wedge power vanished"}))
         return SuiteReport(suite="feigin", target=L.name or "anon", clauses=clauses)
 
-    fsi = fundamental_semiinvariant(res.pi_tilde, ell)
+    # A == B: the content of A is that of wedge^k pi~, with no wedge power built
+    fsi = (_content(volume_dual(limit.form)) if limit.equal
+           else fundamental_semiinvariant(res.pi_tilde, ell))
     expected = Polynomial.const(L.n, 1)
     for fi, r in zip(rd.simple_f, rd.marks):
         expected = expected * Polynomial.variable(L.n, fi) ** (r - 1)
@@ -355,6 +366,8 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
                           {"computed": poly_to_str(fsi.p, names),
                            "expected": poly_to_str(expected, names)}))
 
+    # the semicentre generators are Casimirs of the Cartan-free g', so
+    # regularity proves its index and p' * A = c * B (q1 == p', q2 == c)
     semis = list(tops[:-1])
     semis.extend(Polynomial.variable(L.n, fi) for fi in rd.simple_f)
     semis.append(Polynomial.variable(L.n, rd.highest))
@@ -365,32 +378,28 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
         hfree = True
     except ValueError:
         hfree = False
-    h_form = _form_of_differentials(semis_prime, len(keep)) if hfree else None
     gprime = subalgebra_on_indices(res.contracted, keep)
-    ind_prime = algebra_index(gprime)
-    indep = hfree and not h_form.is_zero
+    derived = regularity(lie_poisson_bivector(gprime), semis_prime) if hfree else None
+    ind_prime = derived.index if hfree else algebra_index(gprime)
+    indep = hfree and derived.independent
     clauses.append(Clause("semicentre_generators",
                           hfree and indep and ind_prime == 2 * ell,
                           {"count": len(semis), "cartan_free": hfree,
                            "independent": indep,
                            "derived_index": ind_prime, "expected_index": 2 * ell}))
 
-    if hfree:
-        pi_prime = lie_poisson_bivector(gprime)
-        p_prime = poly_rename(fsi.p, idx_map, len(keep))
-        lhs = volume_dual(h_form).scale(p_prime)
-        rhs = pi_prime.chain.power((L.n - 3 * ell) // 2)
-        if lhs.is_zero:
-            clauses.append(Clause("semicentre_proportionality", False,
-                                  {"reason": "left side vanished"}))
-        else:
-            cert = proportionality(lhs, rhs)
-            ok = cert.constant_ratio and cert.ratio() != 0
-            data = {"constant": str(cert.ratio())} if cert.constant_ratio else {}
-            clauses.append(Clause("semicentre_proportionality", ok, data))
-    else:
+    if not hfree:
         clauses.append(Clause("semicentre_proportionality", False,
                               {"reason": "semicentre generators involve Cartan variables"}))
+    elif not indep:
+        clauses.append(Clause("semicentre_proportionality", False,
+                              {"reason": "left side vanished"}))
+    else:
+        cert = derived.certificate
+        ok = (cert.proportional and cert.q2.is_constant
+              and cert.q1 == poly_rename(fsi.p, idx_map, len(keep)))
+        data = {"constant": str(cert.q2.constant_value())} if ok else {}
+        clauses.append(Clause("semicentre_proportionality", ok, data))
 
     return SuiteReport(suite="feigin", target=L.name or "anon", clauses=clauses)
 

@@ -289,8 +289,11 @@ def cmd_emit_builtin(args, fmt):
     weights = list(borel_decomposition(L)) if L.root_data is not None else None
     text = algebra_to_text(L, weights=weights)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)

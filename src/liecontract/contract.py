@@ -86,7 +86,7 @@ def contract(pi: MultiVector, w: ContractionWeights, labels=None) -> Contraction
                 raise ValueError("limit of a linear bivector must stay linear")
             brackets[(i, j)] = row
         contracted = LieAlgebra(use_labels, brackets)
-        # the limit algebra's own bivector, so the limit has one wedge chain
+        # the limit algebra's own bivector, so the limit has one top wedge power
         tilde = contracted.bivector
     return ContractionResult(pi_t=pi_t, valid=True, weights=w, original=pi,
                              pi_tilde=tilde, contracted=contracted)

@@ -41,14 +41,14 @@ class MultiVector:
 
     kind = "multivector"
 
-    __slots__ = ("n", "degree", "terms", "_chain")
+    __slots__ = ("n", "degree", "terms", "_top")
 
     def __init__(self, n: int, degree: int, terms=None):
         if not 0 <= degree <= n:
             raise ValueError(f"degree {degree} out of range for n={n}")
         self.n = n
         self.degree = degree
-        self._chain = None
+        self._top = None
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -70,7 +70,7 @@ class MultiVector:
         mv.n = n
         mv.degree = degree
         mv.terms = terms
-        mv._chain = None
+        mv._top = None
         return mv
 
     @classmethod
@@ -83,11 +83,28 @@ class MultiVector:
         return not self.terms
 
     @property
-    def chain(self) -> "WedgeChain":
-        """This bivector's wedge-power chain, made on first use and kept."""
-        if self._chain is None:
-            self._chain = WedgeChain(self)
-        return self._chain
+    def top_power(self):
+        """(k, wedge^k pi) for the last nonzero wedge power of this bivector pi,
+        computed on first read and kept.
+
+        pi's coefficient matrix has rank 2k, so its index is n - 2k.  The ranks
+        at the seeded points (point_ranks) are lower bounds on 2k, checked
+        once.  The memo is set by one assignment, so threads sharing pi can at
+        worst compute it twice.
+        """
+        if self._top is None:
+            if self.degree != 2:
+                raise ValueError("wedge powers need a bivector")
+            k, top = 0, MultiVector.unit(self.n)
+            while 2 * (k + 1) <= self.n:
+                nxt = self if k == 0 else wedge(top, self)
+                if nxt.is_zero:
+                    break
+                k, top = k + 1, nxt
+            if any(r > 2 * k for r, _, _ in point_ranks(self)):
+                raise AssertionError("wedge-power rank disagrees with point evaluation")
+            self._top = (k, top)
+        return self._top
 
     def coefficient(self, idx) -> Polynomial:
         return self.terms.get(tuple(idx), Polynomial.zero(self.n))
@@ -186,75 +203,20 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     return type(a)._raw(n, k, out)
 
 
-class WedgeChain:
-    """The wedge powers of one bivector, extended only as far as a caller asks.
-
-    Only pi and the highest nonzero power computed so far are kept: callers
-    want that top power, and keeping every power would hold more terms than
-    computing them ever does.  The state changes by one assignment of a
-    tuple, so callers sharing a chain can at worst repeat work.
-    """
-
-    __slots__ = ("pi", "_top", "_rank")
-
-    def __init__(self, pi: MultiVector):
-        if pi.degree != 2:
-            raise ValueError("wedge chain expects a bivector")
-        self.pi = pi
-        # (k, wedge^k pi, whether wedge^(k+1) pi is known to vanish)
-        self._top = (0, MultiVector.unit(pi.n), False)
-        self._rank = None
-
-    def _extend(self, k: int):
-        """Grow the chain to wedge^k pi or to its last nonzero power; returns
-        the top (k', wedge^k' pi), from one reading of the state."""
-        top_k, top, last = self._top
-        pi = self.pi
-        while top_k < k and not last:
-            nxt = pi if top_k == 0 else wedge(top, pi)
-            if nxt.is_zero:
-                last = True
-            else:
-                top_k, top = top_k + 1, nxt
-                last = 2 * (top_k + 1) > pi.n
-            self._top = (top_k, top, last)
-        return top_k, top
-
-    def power(self, k: int) -> MultiVector:
-        """wedge^k pi; zero in degree 2k once the chain has ended."""
-        n = self.pi.n
-        if k < 0:
-            raise ValueError("negative wedge power")
-        if 2 * k > n:
-            raise ValueError(f"wedge power 2k={2 * k} exceeds dimension {n}")
-        top_k, top = self._extend(k)
-        if top_k > k:    # lower powers are not kept
-            return WedgeChain(self.pi).power(k)
-        return top if top_k == k else type(self.pi)._raw(n, 2 * k, {})
-
-    @property
-    def rank(self) -> int:
-        """Rank of pi's coefficient matrix: 2k for the last nonzero wedge^k pi.
-
-        The ranks at the seeded points (point_ranks) are lower bounds on it,
-        checked once per chain.
-        """
-        if self._rank is None:
-            pi = self.pi
-            rank = 2 * self._extend(pi.n // 2)[0]
-            if any(r > rank for r, _, _ in point_ranks(pi)):
-                raise AssertionError("wedge-power rank disagrees with point evaluation")
-            self._rank = rank
-        return self._rank
-
-    @property
-    def index(self) -> int:
-        return self.pi.n - self.rank
-
-
 def wedge_power(pi: MultiVector, k: int) -> MultiVector:
     """k-fold wedge of a bivector with itself, computed afresh each call."""
-    return WedgeChain(pi).power(k)
+    if pi.degree != 2:
+        raise ValueError("wedge powers need a bivector")
+    if k < 0:
+        raise ValueError("negative wedge power")
+    if 2 * k > pi.n:
+        raise ValueError(f"wedge power 2k={2 * k} exceeds dimension {pi.n}")
+    power = MultiVector.unit(pi.n)
+    for j in range(k):
+        power = pi if j == 0 else wedge(power, pi)
+        if power.is_zero:
+            return type(pi)._raw(pi.n, 2 * k, {})
+    return power
 
 
 def differential(p: Polynomial) -> Form:

@@ -3,8 +3,8 @@
 A LieAlgebra stores the bracket sparsely as [x_i, x_j] = sum_k c[i,j][k] x_k
 for i < j; antisymmetry is built into the storage.  Instances are immutable
 after construction, so every operation here is a pure function.  Derived
-data (the bivector, the Jacobi verdict, and through the bivector its wedge
-chain) is computed on first use and kept.
+data (the bivector, the Jacobi verdict, and through the bivector its top
+wedge power) is computed on first use and kept.
 """
 
 from __future__ import annotations
@@ -207,9 +207,9 @@ def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
 
 def algebra_index(L: LieAlgebra) -> int:
     """Dimension minus the symbolic rank of the structure matrix, read off the
-    wedge-power chain of L's bivector (see WedgeChain.rank)."""
+    top wedge power of L's bivector (see MultiVector.top_power)."""
     # an abelian algebra may be too small to carry a bivector
-    return L.bivector.chain.index if L.brackets else L.n
+    return L.n - 2 * L.bivector.top_power[0] if L.brackets else L.n
 
 
 def subalgebra_on_indices(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:

@@ -4,8 +4,10 @@ analysis.regularity proves the index of a bivector from known Casimirs at a
 seeded point and decides the regularity equality dF_1^...^dF_l / omega ==
 wedge^k pi, and the certificate q1 * A = q2 * B, from one coefficient pair
 (A_I, B_I).  The references are in-test copies of what kostant_check,
-contr_deg_report, feigin_suite and z2_suite did before: the chain's index
-and the full comparison of volume_dual(form) with chain.power(k).
+contr_deg_report, feigin_suite and z2_suite did before: the index read off
+the top wedge power and the full comparison of volume_dual(form) with
+wedge^k pi, and feigin's fundamental semi-invariant and semicentre clauses
+built from the wedge powers of the limit and of g'.
 """
 
 import functools
@@ -15,17 +17,21 @@ import random
 import pytest
 from conftest import cached_builtin, cached_pair
 
-from liecontract import analysis
-from liecontract.analysis import (ContrDegReport, _form_of_differentials, contr_deg_report,
-                                  feigin_suite, kostant_check, regularity, z2_suite)
-from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
-                                  builtin_algebra, symmetric_pair)
+from liecontract import analysis, exterior
+from liecontract.analysis import (Clause, ContrDegReport, FundamentalSemiInvariant,
+                                  SuiteReport, _form_of_differentials, _wedge_power,
+                                  contr_deg_report, feigin_suite, fundamental_semiinvariant,
+                                  kostant_check, proportionality, regularity, z2_suite)
+from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
+                                  borel_decomposition, builtin_algebra, symmetric_pair)
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
-from liecontract.exterior import (MultiVector, WedgeChain, point_ranks, volume_dual,
+from liecontract.exterior import (MultiVector, point_ranks, volume_dual,
                                   wedge_power_coefficient)
 from liecontract.invariants import char_invariants, t_degree_reduction
-from liecontract.lie import algebra_from_text, algebra_index, lie_poisson_bivector
-from liecontract.polyring import Polynomial, multivariate_gcd, parse_polynomial, poly_div_exact
+from liecontract.lie import (algebra_from_text, algebra_index, lie_poisson_bivector,
+                             subalgebra_on_indices)
+from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,
+                                  poly_div_exact, poly_rename, poly_to_str)
 
 PARENTS = list(BUILTIN_ALGEBRAS) + [f"{pid}/parent" for pid in Z2_PAIRS]
 LIMITS = [f"{name}/borel" for name in BUILTIN_ALGEBRAS] + [f"{pid}/z2" for pid in Z2_PAIRS]
@@ -51,9 +57,35 @@ def case(key):
     return contract_algebra(L, w).pi_tilde, tops
 
 
+def chain_index(pi):
+    """The index of pi read off its top wedge power."""
+    return pi.n - 2 * pi.top_power[0]
+
+
+def spy_wedge_powers(monkeypatch):
+    """The list of bivectors whose top power is read or of which a wedge
+    power takes a step wedge(., pi), filled as the code under test runs."""
+    seen = []
+    top_power = MultiVector.top_power
+    wedge = exterior.wedge
+
+    def read(self):
+        seen.append(self)
+        return top_power.fget(self)
+
+    def step(a, b):
+        if type(b) is MultiVector and b.degree == 2:
+            seen.append(b)
+        return wedge(a, b)
+
+    monkeypatch.setattr(MultiVector, "top_power", property(read))
+    monkeypatch.setattr(exterior, "wedge", step)
+    return seen
+
+
 def full_comparison(pi, casimirs):
     """The replaced verdict: both sides of the equality built in full."""
-    b = pi.chain.power((pi.n - len(casimirs)) // 2)
+    b = _wedge_power(pi, (pi.n - len(casimirs)) // 2)
     return not b.is_zero and volume_dual(_form_of_differentials(casimirs, pi.n)) == b
 
 
@@ -73,15 +105,15 @@ def reference_proportionality(a, b):
 
 def chain_kostant_check(gens, pi, ell):
     """The replaced kostant_check: (index, is_kostant_type, q1, q2) from the
-    chain's index and the full sides."""
-    index = pi.chain.index
+    index off the top power and the full sides."""
+    index = chain_index(pi)
     if len(gens) != ell or ell != index:
         raise ValueError("need exactly index-many generators")
     form = _form_of_differentials(gens, pi.n)
     if form.is_zero:
         raise ValueError("generators are algebraically dependent")
     proportional, q1, q2 = reference_proportionality(
-        volume_dual(form), pi.chain.power((pi.n - ell) // 2))
+        volume_dual(form), _wedge_power(pi, (pi.n - ell) // 2))
     constant = proportional and q1.is_constant and q2.is_constant
     return index, constant, q1, q2
 
@@ -96,7 +128,7 @@ def test_certified_index_equals_the_chain_index(key):
     pi, casimirs = case(key)
     rep = regularity(pi, casimirs)
     assert rep.pivots is not None and rep.independent
-    assert rep.index == len(casimirs) == pi.chain.index
+    assert rep.index == len(casimirs) == chain_index(pi)
 
 
 @pytest.mark.parametrize("key", LIMITS)
@@ -131,7 +163,7 @@ def test_each_check_is_needed_where_every_seeded_point_is_singular():
     for _, _, point in point_ranks(MultiVector(n, 2)):
         p = p * (x[0] - Polynomial.const(n, point[0]))
     pi = MultiVector(n, 2, {(1, 2): p})
-    assert pi.chain.index == 1
+    assert chain_index(pi) == 1
     # independent, but x1 and x2 are not Casimirs: the Casimir check refuses
     rep = regularity(pi, x)
     assert rep.pivots is None and rep.index == 1
@@ -165,20 +197,13 @@ def test_chain_fallback_gives_the_same_report(pid, monkeypatch):
 
 
 def test_z2_suite_builds_no_chain_on_the_parent_or_the_limit(monkeypatch):
-    seen = []
-    extend = WedgeChain._extend
-
-    def spy(self, k):
-        seen.append(self.pi)
-        return extend(self, k)
-
-    monkeypatch.setattr(WedgeChain, "_extend", spy)
+    seen = spy_wedge_powers(monkeypatch)
     rep = z2_suite("sl4_sp4")
     assert rep.ok
     pair = symmetric_pair("sl4_sp4")
     parent = lie_poisson_bivector(pair.parent)
     limit = contract_algebra(pair.parent, pair.weights).pi_tilde
-    # only the centraliser l, 6-dimensional here, reads its chain
+    # only the centraliser l, 6-dimensional here, reads its top power
     assert seen and all(pi == pair.centralizer_alg.bivector for pi in seen)
     assert not any(pi == parent or pi == limit for pi in seen)
 
@@ -205,7 +230,7 @@ def test_kostant_check_on_a_doubled_top_equals_the_chain_path(key):
     assert got == chain_kostant_check(doubled, pi, len(tops))
     _, _, q1, q2 = got
     a = volume_dual(_form_of_differentials(doubled, pi.n))
-    assert a.scale(q1) == pi.chain.power((pi.n - len(tops)) // 2).scale(q2)
+    assert a.scale(q1) == _wedge_power(pi, (pi.n - len(tops)) // 2).scale(q2)
 
 
 def test_kostant_check_on_a_non_casimir_set_takes_the_chain_path():
@@ -236,37 +261,130 @@ def test_index_zero_compares_the_unit_form(path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["sl4", "so6"])
 def test_kostant_check_builds_no_wedge_chain(name, monkeypatch):
-    L = builtin_algebra(name)          # a fresh algebra: no chain memoised yet
+    L = builtin_algebra(name)          # a fresh algebra: no top power memoised yet
     gens = char_invariants(L)
-    started = []
-    init = WedgeChain.__init__
-
-    def spy(self, pi):
-        started.append(pi)
-        init(self, pi)
-
-    monkeypatch.setattr(WedgeChain, "__init__", spy)
+    started = spy_wedge_powers(monkeypatch)
     rep = kostant_check(gens, lie_poisson_bivector(L), len(gens))
     assert rep.is_kostant_type and rep.certificate.q1 == Polynomial.const(L.n, 1)
     assert started == []
 
 
-@pytest.mark.parametrize("name", ["sl3", "sl4"])
-def test_feigin_suite_extends_the_limit_chain_only_to_the_top_power(name, monkeypatch):
-    seen = []
-    extend = WedgeChain._extend
+# ---------------------------------------------------------------------------
+# feigin_suite against the wedge-power clauses it replaced
+# ---------------------------------------------------------------------------
 
-    def spy(self, k):
-        seen.append((self.pi, k))
-        return extend(self, k)
+def chain_feigin_suite(L):
+    """The replaced feigin_suite: the fundamental semi-invariant as the
+    content of wedge^k pi~, and on g' the index off its top power, the form
+    of the semicentre generators and proportionality of p' * A with B."""
+    rd = L.root_data
+    ell = rd.rank
+    names = L.labels
+    w = borel_decomposition(L)
+    res = contract_algebra(L, w)
+    gens = char_invariants(L)
+    pairs = [t_degree(g, w) for g in gens.gens]
+    tops = [top for _, top in pairs]
+    limit = regularity(res.pi_tilde, tops)
+    drops = [g.degree() - d for g, (d, _) in zip(gens.gens, pairs)]
+    clauses = [Clause("index_of_contraction", limit.index == ell,
+                      {"computed": limit.index, "expected": ell}),
+               Clause("t_degree_drop", all(x == 1 for x in drops),
+                      {"degrees": gens.degrees, "t_degrees": [d for d, _ in pairs]}),
+               Clause("kostant_equality_for_tops", limit.equal, {})]
+    if limit.index > ell:
+        clauses.append(Clause("fundamental_semiinvariant", False,
+                              {"reason": "wedge power vanished"}))
+        return SuiteReport(suite="feigin", target=L.name, clauses=clauses)
 
-    monkeypatch.setattr(WedgeChain, "_extend", spy)
-    L = builtin_algebra(name)
+    fsi = fundamental_semiinvariant(res.pi_tilde, ell)
+    expected = Polynomial.const(L.n, 1)
+    for fi, r in zip(rd.simple_f, rd.marks):
+        expected = expected * Polynomial.variable(L.n, fi) ** (r - 1)
+    clauses.append(Clause("fundamental_semiinvariant", fsi.p == expected,
+                          {"computed": poly_to_str(fsi.p, names),
+                           "expected": poly_to_str(expected, names)}))
+
+    semis = list(tops[:-1])
+    semis.extend(Polynomial.variable(L.n, fi) for fi in rd.simple_f)
+    semis.append(Polynomial.variable(L.n, rd.highest))
+    keep = sorted(list(rd.positive) + list(rd.negative))
+    idx_map = {old: new for new, old in enumerate(keep)}
+    semis_prime = [poly_rename(hh, idx_map, len(keep)) for hh in semis]
+    h_form = _form_of_differentials(semis_prime, len(keep))
+    gprime = subalgebra_on_indices(res.contracted, keep)
+    ind_prime = algebra_index(gprime)
+    indep = not h_form.is_zero
+    clauses.append(Clause("semicentre_generators", indep and ind_prime == 2 * ell,
+                          {"count": len(semis), "cartan_free": True, "independent": indep,
+                           "derived_index": ind_prime, "expected_index": 2 * ell}))
+    p_prime = poly_rename(fsi.p, idx_map, len(keep))
+    lhs = volume_dual(h_form).scale(p_prime)
+    rhs = _wedge_power(lie_poisson_bivector(gprime), (L.n - 3 * ell) // 2)
+    cert = proportionality(lhs, rhs)
+    # the constant a with lhs = a * rhs
+    ratio = cert.q2.constant_value() / cert.q1.constant_value() if cert.constant_ratio else 0
+    ok = ratio != 0
+    data = {"constant": str(ratio)} if cert.constant_ratio else {}
+    clauses.append(Clause("semicentre_proportionality", ok, data))
+    return SuiteReport(suite="feigin", target=L.name, clauses=clauses)
+
+
+def spy_regularity(monkeypatch):
+    """The list of reports analysis.regularity returns, filled as it runs."""
+    reports = []
+    real = analysis.regularity
+
+    def spy(pi, casimirs):
+        reports.append(real(pi, casimirs))
+        return reports[-1]
+
+    monkeypatch.setattr(analysis, "regularity", spy)
+    return reports
+
+
+@pytest.mark.parametrize("name", FEIGIN_ALGEBRAS)
+def test_feigin_suite_equals_the_chain_path(name):
+    want = chain_feigin_suite(builtin_algebra(name)).as_dict()
+    assert want["ok"]
+    assert feigin_suite(builtin_algebra(name)).as_dict() == want
+
+
+@pytest.mark.parametrize("name", FEIGIN_ALGEBRAS)
+def test_feigin_chain_fallback_gives_the_same_report(name, monkeypatch):
+    want = feigin_suite(builtin_algebra(name)).as_dict()
+    monkeypatch.setattr(analysis, "point_ranks", lambda pi: iter(()))
+    reports = spy_regularity(monkeypatch)
+    assert feigin_suite(builtin_algebra(name)).as_dict() == want
+    # the limit and g' both took the fallback
+    assert len(reports) == 2 and all(rep.pivots is None for rep in reports)
+
+
+@pytest.mark.parametrize("name", FEIGIN_ALGEBRAS)
+def test_feigin_suite_builds_no_wedge_power_of_the_limit_or_g_prime(name, monkeypatch):
+    reports = spy_regularity(monkeypatch)
+    seen = spy_wedge_powers(monkeypatch)
+    L = builtin_algebra(name)          # a fresh algebra: no top power memoised yet
     assert feigin_suite(L).ok
-    limit = contract_algebra(L, borel_decomposition(L)).pi_tilde
-    top = (L.n - L.root_data.rank) // 2
-    reads = [k for pi, k in seen if pi == limit]
-    assert reads and max(reads) == top
+    limit, derived = reports
+    assert (limit.pi.n, derived.pi.n) == (L.n, L.n - L.root_data.rank)
+    # the index proofs on the limit and on g' close, and no wedge power is built
+    assert limit.pivots is not None and derived.pivots is not None
+    assert derived.index == 2 * L.root_data.rank
+    assert seen == []
+
+
+def test_a_wrong_fundamental_semiinvariant_fails_the_semicentre_clause(monkeypatch):
+    # sp4 has p = f1; with p forced to 1, p' * A = c * B has no constant c
+    monkeypatch.setattr(analysis, "_content",
+                        lambda b: FundamentalSemiInvariant(Polynomial.const(b.n, 1), b))
+    rep = feigin_suite(builtin_algebra("sp4"))
+    clauses = {c.name: c for c in rep.clauses}
+    assert clauses["fundamental_semiinvariant"].data["computed"] == "1"
+    assert clauses["semicentre_generators"].ok
+    assert not clauses["semicentre_proportionality"].ok
+    assert clauses["semicentre_proportionality"].data == {}
+    assert rep.as_dict() == chain_feigin_suite(builtin_algebra("sp4")).as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +392,15 @@ def test_feigin_suite_extends_the_limit_chain_only_to_the_top_power(name, monkey
 # ---------------------------------------------------------------------------
 
 def chain_contr_deg_report(gens, w):
-    """The replaced contr_deg_report: the limit's index from its chain, and
-    the equality case from volume_dual(form) == chain.power(k)."""
+    """The replaced contr_deg_report: the limit's index off its top power, and
+    the equality case from volume_dual(form) == wedge^k pi."""
     L = gens.algebra
     ell = len(gens)
     res = contract_algebra(L, w)
     if not res.valid:
         return None
     ind0 = algebra_index(L)
-    ind1 = res.pi_tilde.chain.index
+    ind1 = chain_index(res.pi_tilde)
     report = ContrDegReport(ok=True, error=None, index_original=ind0,
                             index_contracted=ind1, index_preserved=ind0 == ind1)
     if ind0 != ind1:
@@ -302,7 +420,7 @@ def chain_contr_deg_report(gens, w):
         return report
     if report.sum_t_degrees == report.weight_total:
         report.classification = "equality"
-        b = res.pi_tilde.chain.power((L.n - ell) // 2)
+        b = _wedge_power(res.pi_tilde, (L.n - ell) // 2)
         report.kostant_with_limit = volume_dual(form) == b
         report.good_generating_system = report.independent
         report.ok = report.independent and report.kostant_with_limit

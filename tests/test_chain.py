@@ -1,8 +1,9 @@
-"""The wedge-power chain of a bivector: one memoised engine per bivector.
+"""The top wedge power of a bivector: one memoised (k, wedge^k pi) per bivector.
 
 Equivalence against the loop it replaced (repeated wedge(., pi) keeping every
-power) and against the unmemoised wedge_power, and a count of the wedge
-products a second query on the same algebra or limit makes.
+power) and against the unmemoised wedge_power, the cross-check against the
+seeded point ranks, and a count of the wedge products a second query on the
+same algebra or limit makes.
 """
 
 import sys
@@ -11,11 +12,11 @@ import threading
 import pytest
 
 from liecontract import exterior
-from liecontract.analysis import fundamental_semiinvariant, kostant_check
+from liecontract.analysis import _wedge_power, fundamental_semiinvariant, kostant_check
 from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
                                   builtin_algebra, symmetric_pair)
 from liecontract.contract import contract_algebra, t_degree
-from liecontract.exterior import MultiVector, WedgeChain, wedge, wedge_power
+from liecontract.exterior import MultiVector, wedge, wedge_power
 from liecontract.invariants import char_invariants
 from liecontract.lie import algebra_index, lie_poisson_bivector
 
@@ -54,17 +55,19 @@ def test_chain_matches_replaced_loop_and_wedge_power(name):
     ref = reference_powers(pi)
     for k in range(L.n // 2 + 1):
         want = ref.get(k, MultiVector(L.n, 2 * k)) if k else MultiVector.unit(L.n)
-        assert pi.chain.power(k) == want == wedge_power(pi, k)
-    # a lower power than the kept one is recomputed, not lost
-    assert pi.chain.power(1) == pi
+        assert _wedge_power(pi, k) == want == wedge_power(pi, k)
+    top_k, top = pi.top_power
+    assert top_k == max(ref) and top == ref[top_k] == wedge_power(pi, top_k)
+    # a lower power is computed afresh; the kept top is not replaced
+    assert _wedge_power(pi, 1) == pi and pi.top_power[1] is top
     assert algebra_index(L) == L.n - 2 * max(ref) == INDEX[name]
-    assert pi.chain.index == INDEX[name] and pi.chain.rank == 2 * max(ref)
+    assert L.n - 2 * top_k == INDEX[name]
 
 
 def test_one_bivector_and_one_chain_per_algebra():
     L = builtin_algebra("sl3")
     pi = lie_poisson_bivector(L)
-    assert L.bivector is pi and pi.chain is pi.chain
+    assert L.bivector is pi and pi.top_power is pi.top_power
     res = contract_algebra(L, borel_decomposition(L))
     assert res.pi_tilde is lie_poisson_bivector(res.contracted)
 
@@ -72,17 +75,34 @@ def test_one_bivector_and_one_chain_per_algebra():
 def test_chain_rejects_bad_requests():
     pi = lie_poisson_bivector(builtin_algebra("sl2"))
     with pytest.raises(ValueError):
-        pi.chain.power(2)
+        wedge_power(pi, 2)
     with pytest.raises(ValueError):
-        pi.chain.power(-1)
+        wedge_power(pi, -1)
     with pytest.raises(ValueError):
-        WedgeChain(MultiVector.unit(3))
+        _wedge_power(pi, 2)
+    with pytest.raises(ValueError):
+        MultiVector.unit(3).top_power
+    with pytest.raises(ValueError):
+        wedge_power(MultiVector.unit(3), 0)
 
 
 def test_zero_bivector_has_full_index():
-    chain = MultiVector(4, 2).chain
-    assert chain.rank == 0 and chain.index == 4
-    assert chain.power(2) == MultiVector(4, 4)
+    zero = MultiVector(4, 2)
+    assert zero.top_power == (0, MultiVector.unit(4))
+    assert wedge_power(zero, 2) == MultiVector(4, 4) == _wedge_power(zero, 2)
+
+
+def test_top_power_is_checked_against_the_point_ranks(monkeypatch):
+    L = builtin_algebra("sl3")
+    pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)    # nothing memoised yet
+    # a seeded point of full rank contradicts the index 2 of sl3
+    monkeypatch.setattr(exterior, "point_ranks", lambda _: iter([(L.n, (), None)]))
+    with pytest.raises(AssertionError, match="disagrees with point evaluation"):
+        pi.top_power
+    monkeypatch.undo()
+    # the failed check kept nothing; the true ranks agree
+    assert pi.top_power[0] == (L.n - INDEX["sl3"]) // 2
+    assert max(r for r, _, _ in exterior.point_ranks(pi)) <= 2 * pi.top_power[0]
 
 
 def test_second_queries_make_no_wedge_products(monkeypatch):
@@ -93,7 +113,8 @@ def test_second_queries_make_no_wedge_products(monkeypatch):
         calls.append((a.degree, b.degree))
         return real(a, b)
 
-    # the chain engine is the only caller of exterior.wedge on bivectors
+    # the top power and wedge_power are the only callers of exterior.wedge
+    # on bivectors
     monkeypatch.setattr(exterior, "wedge", counting)
     L = builtin_algebra("sp4")
     w = borel_decomposition(L)
@@ -120,6 +141,7 @@ def test_second_queries_make_no_wedge_products(monkeypatch):
 def test_threads_sharing_one_chain_get_the_right_powers():
     L = builtin_algebra("sl3")
     ref = reference_powers(lie_poisson_bivector(L))
+    top_k = max(ref)
     want = [ref.get(k, MultiVector(L.n, 2 * k)) for k in range(L.n // 2 + 1)]
     orders = [[1, 2, 3, 4], [4, 3, 2, 1], [2, 4, 1, 3], [3, 1, 4, 2]]
     errors = []
@@ -127,7 +149,9 @@ def test_threads_sharing_one_chain_get_the_right_powers():
     def worker(pi, order):
         try:
             for k in order:
-                if pi.chain.power(k) != want[k]:
+                if pi.top_power != (top_k, want[top_k]):
+                    errors.append("top")
+                if _wedge_power(pi, k) != want[k]:
                     errors.append(k)
         except Exception as exc:    # a thread's exception would be lost otherwise
             errors.append(exc)
@@ -136,14 +160,14 @@ def test_threads_sharing_one_chain_get_the_right_powers():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)   # a fresh chain
+            pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)   # nothing memoised
             threads = [threading.Thread(target=worker, args=(pi, o)) for o in orders * 2]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert pi.chain.rank == 2 * max(ref)
+            assert L.n - 2 * pi.top_power[0] == INDEX["sl3"]
     finally:
         sys.setswitchinterval(switch)
     assert not errors

@@ -264,6 +264,15 @@ class TestEmitAndLoad:
         code, _, _ = run(capsys, "emit-builtin", "e7")
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["missing/x.alg", "."])
+    def test_unwritable_output_exit_two(self, capsys, tmp_path, where):
+        # a path under a missing directory, and a directory itself
+        path = tmp_path / where
+        code, out, err = run(capsys, "emit-builtin", "sl2", "--output", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1 and not path.is_file()
+
 
 class TestJsonFormat:
     def test_deterministic_bytes(self, capsys):

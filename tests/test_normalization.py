@@ -9,10 +9,10 @@ import pytest
 from conftest import cached_builtin, cached_pair, random_polynomial
 
 from liecontract import invariants
-from liecontract.analysis import kostant_check
+from liecontract.analysis import _wedge_power, kostant_check
 from liecontract.builders import BUILTIN_ALGEBRAS
 from liecontract.exterior import (MultiVector, differential, volume_dual, wedge,
-                                  wedge_power_coefficient)
+                                  wedge_power, wedge_power_coefficient)
 from liecontract.invariants import char_invariants
 from liecontract.lie import lie_poisson_bivector
 from liecontract.polyring import Polynomial
@@ -30,7 +30,7 @@ def reference_normalize(L, gens):
     for g in gens[1:]:
         forms = wedge(forms, differential(g))
     A = volume_dual(forms)
-    B = pi.chain.power((n - ell) // 2)
+    B = _wedge_power(pi, (n - ell) // 2)
     if A.is_zero or B.is_zero:
         raise ValueError("degenerate generator set")
     idx = next(iter(sorted(B.terms)))
@@ -81,7 +81,8 @@ def test_regularity_equality_holds_exactly(name):
     forms = differential(gs.gens[0])
     for g in gs.gens[1:]:
         forms = wedge(forms, differential(g))
-    assert volume_dual(forms) == pi.chain.power((L.n - len(gs)) // 2)
+    top_k, top = pi.top_power
+    assert top_k == (L.n - len(gs)) // 2 and volume_dual(forms) == top
 
 
 def test_non_proportional_generators_raise_value_error(monkeypatch):
@@ -121,6 +122,8 @@ def test_wedge_power_coefficient_matches_the_chain():
         pis.append(MultiVector(n, 2, terms))
     for pi in pis:
         for k in range(1, pi.n // 2 + 1):
-            power = pi.chain.power(k)
+            power = wedge_power(pi, k)
+            if k == pi.top_power[0]:
+                assert power == pi.top_power[1]
             for idx in itertools.combinations(range(pi.n), 2 * k):
                 assert wedge_power_coefficient(pi, idx) == power.coefficient(idx)

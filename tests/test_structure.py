@@ -16,7 +16,7 @@ LIBRARY_API with the reason it is kept.
 
 The index and the regularity equality are decided in one place,
 analysis.regularity: only the readers in CHAIN_READERS may read a
-bivector's wedge chain (`.chain.index`, `.chain.rank`, `.chain.power`).
+bivector's memoised top wedge power (`.top_power`).
 """
 
 import ast
@@ -126,7 +126,6 @@ def test_encoding_guard_sees_imports_and_reads(tmp_path):
 
 # public names kept with no caller in the package, and why
 LIBRARY_API = {
-    "wedge_power": "the unmemoised power; the benchmark's tests time a fresh chain per call",
     "schouten_square": "the Poisson check of acceptance criteria 4 and 5",
     "algebraic_independence": "the Jacobian criterion for a list of polynomials",
 }
@@ -189,24 +188,21 @@ def test_caller_guard_sees_unused_and_self_references(tmp_path):
     assert found == [("a.py", "loop"), ("a.py", "Shape")]
 
 
-# every read of a wedge chain in the package, and why it is not regularity's
+# every read of a top wedge power in the package, and why it is not regularity's
 CHAIN_READERS = {
-    ("lie.py", "algebra_index", "L.bivector.chain.index"):
-        "the index verb, the centraliser l, g' and the memoised ggs parent",
-    ("analysis.py", "regularity", "pi.chain.index"):
+    ("lie.py", "algebra_index", "L.bivector.top_power"):
+        "the index verb, the centraliser l, the memoised ggs parent, and g' "
+        "when feigin's semicentre generators are not Cartan-free",
+    ("analysis.py", "regularity", "pi.top_power"):
         "the routine's fallback when the index proof does not close",
-    ("analysis.py", "KostantReport._sides", "self.pi.chain.power"):
-        "the routine's fallback: both sides built in full",
-    ("analysis.py", "fundamental_semiinvariant", "pi.chain.power"):
-        "the gcd of the coefficients of wedge^k pi",
-    ("analysis.py", "feigin_suite", "pi_prime.chain.power"):
-        "the semicentre proportionality on g'",
+    ("analysis.py", "_wedge_power", "pi.top_power"):
+        "the routine's fallback and fundamental_semiinvariant: wedge^k pi in full",
 }
 
 
 def chain_reads(path):
     """(qualified name of the enclosing def, expression) of every read of
-    `.chain.index`, `.chain.rank` or `.chain.power` in one module."""
+    `.top_power` in one module."""
     out = []
 
     def visit(node, scope):
@@ -214,8 +210,7 @@ def chain_reads(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr in ("index", "rank", "power")
-                    and isinstance(child.value, ast.Attribute) and child.value.attr == "chain"):
+            if isinstance(child, ast.Attribute) and child.attr == "top_power":
                 out.append((".".join(scope), ast.unparse(child)))
             visit(child, scope)
 
@@ -233,10 +228,10 @@ def test_chain_guard_sees_reads_in_functions_and_methods(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(
         "def f(pi):\n"
-        "    return pi.chain.index + len(pi.chain.power(2).terms)\n"
+        "    return pi.n - 2 * pi.top_power[0] + len(pi.top_power[1].terms)\n"
         "class R:\n"
         "    def g(self):\n"
-        "        return self.pi.chain.rank, self.pi.chain, self.chain_index\n"
-        "top = L.bivector.chain.power\n")
-    assert chain_reads(path) == [("f", "pi.chain.index"), ("f", "pi.chain.power"),
-                                 ("R.g", "self.pi.chain.rank"), ("", "L.bivector.chain.power")]
+        "        return self.pi.top_power, self.pi.top, self.top_power_k\n"
+        "top = L.bivector.top_power\n")
+    assert chain_reads(path) == [("f", "pi.top_power"), ("f", "pi.top_power"),
+                                 ("R.g", "self.pi.top_power"), ("", "L.bivector.top_power")]
