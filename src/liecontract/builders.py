@@ -10,15 +10,11 @@ a1 + a2, e112 at 2*a1 + a2, and so on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .contract import ContractionWeights
 from .lie import LieAlgebra, RootData, centralizer_in_span, from_matrices, subalgebra_from_vectors
 from .linalg import identity_matrix, mat_mul, zero_matrix
 from .polyring import Polynomial, multivariate_gcd, poly_div_exact
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 BUILTIN_ALGEBRAS = ("sl2", "sl3", "sl4", "sp4", "so4", "so5", "so6")
 FEIGIN_ALGEBRAS = ("sl2", "sl3", "sl4", "sp4", "so5", "so6")
@@ -27,7 +23,7 @@ Z2_PAIRS = ("sl2_so2", "sp4_sp2sp2", "so4_gl2", "sl4_sp4")
 
 def _unit(m, i, j):
     M = zero_matrix(m)
-    M[i][j] = _ONE
+    M[i][j] = 1
     return M
 
 
@@ -129,7 +125,7 @@ def _build_so(m: int) -> LieAlgebra:
         for i in range(rank):
             coeffs = tuple(1 if t >= i else 0 for t in range(rank))
             emat = _so_basis_F(m, i, mid)
-            fmat = _scale(_so_basis_F(m, mid, i), Fraction(2))
+            fmat = _scale(_so_basis_F(m, mid, i), 2)
             pos.append((coeffs, emat, fmat))
         # e_i + e_j = (a_i+...+a_{j-1}) + 2(a_j+...+a_{rank-1})
         for i in range(rank):
@@ -141,7 +137,7 @@ def _build_so(m: int) -> LieAlgebra:
         cartans = []
         for i in range(rank - 1):
             cartans.append(_add(_so_basis_F(m, i, i), _neg(_so_basis_F(m, i + 1, i + 1))))
-        cartans.append(_scale(_so_basis_F(m, rank - 1, rank - 1), Fraction(2)))
+        cartans.append(_scale(_so_basis_F(m, rank - 1, rank - 1), 2))
         marks = tuple([1] + [2] * (rank - 1)) if rank >= 2 else (1,)
     else:
         # e_i + e_j roots of so_{2l}; the last simple root is e_{l-2} + e_{l-1}
@@ -313,7 +309,7 @@ def _is_semisimple_matrix(M) -> bool:
     acc = zero_matrix(m)
     power = identity_matrix(m)
     for e in range(deg + 1):
-        c = coeffs.get(e, _ZERO)
+        c = coeffs.get(e, 0)
         if c:
             acc = _add(acc, _scale(power, c))
         if e < deg:
@@ -353,10 +349,7 @@ def _adapted_sl4_basis():
         _add(_unit(4, 1, 0), _unit(4, 3, 2)),
         _add(_unit(4, 0, 2), _neg(_unit(4, 1, 3))),
         _add(_unit(4, 2, 0), _neg(_unit(4, 3, 1))),
-        [[_ONE, _ZERO, _ZERO, _ZERO],
-         [_ZERO, -_ONE, _ZERO, _ZERO],
-         [_ZERO, _ZERO, -_ONE, _ZERO],
-         [_ZERO, _ZERO, _ZERO, _ONE]],
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
     ]
     mats.extend(g1_mats)
     labels.extend(f"v{i + 1}" for i in range(5))
@@ -367,7 +360,7 @@ def _sp_form_matrix(m):
     J = zero_matrix(m)
     nn = m // 2
     for i in range(m):
-        J[i][m - 1 - i] = _ONE if i < nn else -_ONE
+        J[i][m - 1 - i] = 1 if i < nn else -1
     return J
 
 
@@ -382,29 +375,29 @@ def symmetric_pair(pair_id: str) -> SymmetricPair:
         L = build_classical("sl", 2)
         g0 = (L.label_index("h"),)
         g1 = (L.label_index("e"), L.label_index("f"))
-        c = [{g1[0]: _ONE, g1[1]: _ONE}]
+        c = [{g1[0]: 1, g1[1]: 1}]
         g0_name = "so2"
     elif pair_id == "sp4_sp2sp2":
         L = build_classical("sp", 4)
-        d = [_ONE, -_ONE, -_ONE, _ONE]
+        d = [1, -1, -1, 1]
 
         def sigma(M):
             return [[d[i] * M[i][j] * d[j] for j in range(4)] for i in range(4)]
 
         g0, g1 = _split_by_matrix_involution(L, sigma)
         e1, f1 = L.root_data.simple_e[0], L.root_data.simple_f[0]
-        c = [{e1: _ONE, f1: _ONE}]
+        c = [{e1: 1, f1: 1}]
         g0_name = "sp2+sp2"
     elif pair_id == "so4_gl2":
         L = build_classical("so", 4)
-        d = [_ONE, _ONE, -_ONE, -_ONE]
+        d = [1, 1, -1, -1]
 
         def sigma(M):
             return [[d[i] * M[i][j] * d[j] for j in range(4)] for i in range(4)]
 
         g0, g1 = _split_by_matrix_involution(L, sigma)
         e2, f2 = L.root_data.simple_e[1], L.root_data.simple_f[1]
-        c = [{e2: _ONE, f2: _ONE}]
+        c = [{e2: 1, f2: 1}]
         g0_name = "gl2"
     elif pair_id == "sl4_sp4":
         L = _adapted_sl4_basis()
@@ -415,7 +408,7 @@ def symmetric_pair(pair_id: str) -> SymmetricPair:
             return mat_mul(mat_mul(J, Mt), J)
 
         g0, g1 = _split_by_matrix_involution(L, sigma)
-        c = [{L.label_index("v5"): _ONE}]
+        c = [{L.label_index("v5"): 1}]
         g0_name = "sp4"
     else:
         raise ValueError(f"unknown symmetric pair {pair_id!r}; choose from {Z2_PAIRS}")

@@ -21,7 +21,7 @@ from .builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS, borel_decomp
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .invariants import char_invariants
 from .lie import (JacobiError, algebra_from_text, algebra_index, algebra_to_text,
-                  jacobi_check, lie_poisson_bivector, require_jacobi)
+                  from_matrices, jacobi_check, lie_poisson_bivector, require_jacobi)
 from .polyring import parse_polynomial, poly_to_str
 
 USAGE_ERROR = 2
@@ -98,9 +98,13 @@ def cmd_validate(args, fmt):
     if not ok:
         detail["violating_triple"] = [L.labels[i] for i in triple]
     if L.matrices is not None:
-        from .lie import from_matrices
-        rebuilt = from_matrices(L.matrices, labels=L.labels)
-        checks["matrix_realization"] = rebuilt.brackets == L.brackets
+        try:
+            rebuilt = from_matrices(L.matrices, labels=L.labels)
+            checks["matrix_realization"] = rebuilt.brackets == L.brackets
+        except ValueError as exc:
+            # dependent or non-closed matrices realise no bracket: a failed check
+            checks["matrix_realization"] = False
+            detail["matrix_realization_error"] = str(exc)
     rd = L.root_data
     if rd is not None and ok:
         good = True
@@ -114,8 +118,8 @@ def cmd_validate(args, fmt):
     lines = [f"validate {args.target}: {'PASS' if all_ok else 'FAIL'}"]
     for k, v in checks.items():
         lines.append(f"  [{'ok' if v else 'FAIL'}] {k}")
-    if detail:
-        lines.append(f"  violating triple: {detail['violating_triple']}")
+    for key, value in detail.items():
+        lines.append(f"  {key.replace('_', ' ')}: {value}")
     _emit(payload, fmt, lines)
     return 0 if all_ok else CHECK_ERROR
 

@@ -41,14 +41,14 @@ class MultiVector:
 
     kind = "multivector"
 
-    __slots__ = ("n", "degree", "terms", "_top")
+    __slots__ = ("n", "degree", "terms", "_top", "_ranks")
 
     def __init__(self, n: int, degree: int, terms=None):
         if not 0 <= degree <= n:
             raise ValueError(f"degree {degree} out of range for n={n}")
         self.n = n
         self.degree = degree
-        self._top = None
+        self._top = self._ranks = None
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -70,7 +70,7 @@ class MultiVector:
         mv.n = n
         mv.degree = degree
         mv.terms = terms
-        mv._top = None
+        mv._top = mv._ranks = None
         return mv
 
     @classmethod
@@ -259,17 +259,21 @@ def bivector_matrix(pi: MultiVector):
 def point_ranks(pi: MultiVector):
     """(rank, pivot columns, point) of pi's matrix at each of three seeded
     rational points, the same on every call, evaluated only as far as the
-    caller iterates.
+    caller iterates.  Each triple is reduced once per bivector and kept in
+    its _ranks slot; threads sharing pi can at worst reduce one twice.
 
     Each rank is a lower bound on the rank of pi at a generic point.  The
     pivot columns I index a nonsingular principal minor: when columns I span
     the column space of a skew matrix M, so do rows I, and M_II is invertible.
     """
+    kept = pi._ranks = pi._ranks or {}
     rng = random.Random(20240917)
-    for _ in range(3):
+    for t in range(3):
         point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(pi.n)]
-        _, pivots = row_reduce(bivector_matrix_at(pi, point))
-        yield len(pivots), tuple(pivots), point
+        if t not in kept:
+            _, pivots = row_reduce(bivector_matrix_at(pi, point))
+            kept[t] = len(pivots), tuple(pivots), point
+        yield kept[t]
 
 
 def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:

@@ -1,9 +1,11 @@
 """Symmetric-invariant generators and the degree-reduction machinery.
 
 Generators for the classical algebras come from the characteristic
-polynomial of the generic matrix written against the trace-dual basis, so
-that each coefficient is an honest central element of the Lie-Poisson
-structure.  The first generator is rescaled once so the set satisfies the
+polynomial of the generic matrix X = sum_j x_j M_j^dual written against the
+trace-dual basis, so that each coefficient is an honest central element of
+the Lie-Poisson structure.  The minors and the Pfaffian are taken of the
+integral D * X, D the common denominator of X, and a degree-d one is divided
+by D^d.  The first generator is rescaled once so the set satisfies the
 regularity equality  dF_1 ^ ... ^ dF_l / omega = wedge^{(n-l)/2} pi  on the
 nose.  One principal Pfaffian minor of pi fixes that scale, so no wedge power
 is built here; analysis.regularity decides the full equality.  Later
@@ -13,6 +15,7 @@ triangular modifications leave it untouched.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -71,31 +74,39 @@ def semi_invariant_weight(h: Polynomial, pi: MultiVector):
 
 
 def _trace_dual_generic_matrix(L: LieAlgebra):
-    """X = sum_j x_j M_j^dual with tr(M_i^dual M_j) = delta_ij."""
+    """(D * X, D) for X = sum_j x_j M_j^dual with tr(M_i^dual M_j) = delta_ij,
+    and D the least common denominator of X's coefficients."""
     if L.matrices is None:
         raise ValueError("algebra has no matrix realization")
-    mats = L.matrices
     n = L.n
-    m = len(mats[0])
-    T = [[sum((mats[i][r][s] * mats[j][s][r] for r in range(m) for s in range(m)),
-              _ZERO) for j in range(n)] for i in range(n)]
+    m = len(L.matrices[0])
+    # at[r, s]: the pairs (i, M_i[r][s]) with M_i[r][s] != 0
+    at: dict = {}
+    for i, M in enumerate(L.matrices):
+        for r, row in enumerate(M):
+            for s, x in enumerate(row):
+                if x:
+                    at.setdefault((r, s), []).append((i, x))
+    T = [[0] * n for _ in range(n)]
+    for (r, s), here in at.items():
+        for j, y in at.get((s, r), ()):
+            for i, x in here:
+                T[i][j] += x * y
     Tinv = rational_inverse(T)
-    X = [[Polynomial.zero(n) for _ in range(m)] for _ in range(m)]
-    for j in range(n):
-        # dual of M_j is sum_i Tinv[i][j] M_i
-        entry = {}
-        for i in range(n):
-            c = Tinv[i][j]
-            if c:
-                entry[i] = c
-        var = Polynomial.variable(n, j)
-        for i, c in entry.items():
-            Mi = mats[i]
-            for r in range(m):
-                for s in range(m):
-                    if Mi[r][s]:
-                        X[r][s] = X[r][s] + var * (c * Mi[r][s])
-    return X
+    # the dual of M_j is sum_i Tinv[i][j] M_i, so X[r][s] has coefficient
+    # sum_i Tinv[i][j] M_i[r][s] at x_j
+    coeffs = {}
+    for rs, here in at.items():
+        row = coeffs[rs] = {}
+        for i, x in here:
+            for j, c in enumerate(Tinv[i]):
+                if c:
+                    row[j] = row.get(j, 0) + c * x
+    d = math.lcm(*(c.denominator for row in coeffs.values() for c in row.values()))
+    X = [[Polynomial.zero(n)] * m for _ in range(m)]
+    for (r, s), row in coeffs.items():
+        X[r][s] = Polynomial.linear(n, {j: c * d for j, c in row.items()})
+    return X, d
 
 
 def _principal_minor_sum(X, d: int) -> Polynomial:
@@ -119,25 +130,16 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
     if L.family is None:
         raise ValueError("char_invariants needs a classical family tag")
     kind, size = L.family
-    X = _trace_dual_generic_matrix(L)
-    gens = []
-    if kind == "sl":
-        for d in range(2, size + 1):
-            gens.append(_principal_minor_sum(X, d))
-    elif kind == "sp":
-        for d in range(1, size // 2 + 1):
-            gens.append(_principal_minor_sum(X, 2 * d))
-    elif kind == "so":
-        ell = size // 2
-        if size % 2:
-            for d in range(1, ell + 1):
-                gens.append(_principal_minor_sum(X, 2 * d))
-        else:
-            for d in range(1, ell):
-                gens.append(_principal_minor_sum(X, 2 * d))
-            gens.append(pfaffian(_antidiag_flip(X)))
-    else:
+    if kind not in ("sl", "sp", "so"):
         raise ValueError(f"unsupported family {kind!r}")
+    X, den = _trace_dual_generic_matrix(L)
+    # sl: minors of every degree >= 2; sp, so: the even ones, except that
+    # so(2l) has the Pfaffian in place of the degree-2l minor
+    pf = kind == "so" and size % 2 == 0
+    gens = [_principal_minor_sum(X, d) * Fraction(1, den ** d)
+            for d in range(2, size - 1 if pf else size + 1, 1 if kind == "sl" else 2)]
+    if pf:
+        gens.append(pfaffian(_antidiag_flip(X)) * Fraction(1, den ** (size // 2)))
     gens.sort(key=lambda g: g.degree())
     scale = _normalize_to_regularity(L, gens)
     return GeneratorSet(algebra=L, gens=gens, normalization=scale)

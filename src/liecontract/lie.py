@@ -1,10 +1,11 @@
 """Lie algebras given by structure constants, with optional matrix realizations.
 
 A LieAlgebra stores the bracket sparsely as [x_i, x_j] = sum_k c[i,j][k] x_k
-for i < j; antisymmetry is built into the storage.  Instances are immutable
-after construction, so every operation here is a pure function.  Derived
-data (the bivector, the Jacobi verdict, and through the bivector its top
-wedge power) is computed on first use and kept.
+for i < j; antisymmetry is built into the storage.  Numbers are ints when
+integral and Fractions otherwise, as polynomial coefficients are.  Instances
+are immutable after construction, so every operation here is a pure
+function.  Derived data (the bivector, the Jacobi verdict, and through the
+bivector its top wedge power) is computed on first use and kept.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .exterior import MultiVector
-from .linalg import column_solver, commutator, flatten, row_reduce
-from .polyring import Polynomial
-
-_ZERO = Fraction(0)
+from .linalg import column_solver, flatten, row_reduce
+from .polyring import Polynomial, _coeff
 
 
 class JacobiError(ValueError):
@@ -53,11 +52,14 @@ class LieAlgebra:
         for (i, j), targets in brackets.items():
             if not 0 <= i < j < self.n:
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < n")
-            for k in targets:
+            row = {}
+            for k, c in targets.items():
                 if not 0 <= k < self.n:
                     raise ValueError(f"bracket pair ({i},{j}) has target {k}; "
                                      f"targets must satisfy 0 <= k < {self.n}")
-            row = {k: Fraction(c) for k, c in targets.items() if Fraction(c)}
+                c = _coeff(c)
+                if c:
+                    row[k] = c
             if row:
                 clean[(i, j)] = row
         if root_data is not None:
@@ -113,7 +115,7 @@ class LieAlgebra:
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
     def bracket_vectors(self, u: dict, v: dict) -> dict:
-        """Bracket of two coordinate vectors (sparse dicts index -> Fraction)."""
+        """Bracket of two coordinate vectors (sparse dicts index -> coefficient)."""
         out: dict = {}
         for i, ci in u.items():
             if not ci:
@@ -122,7 +124,7 @@ class LieAlgebra:
                 if not cj:
                     continue
                 for k, c in self.bracket_pair(i, j).items():
-                    val = out.get(k, _ZERO) + ci * cj * c
+                    val = out.get(k, 0) + ci * cj * c
                     if val:
                         out[k] = val
                     else:
@@ -133,7 +135,7 @@ class LieAlgebra:
         """Matrix of the coordinate vector vec (index -> coefficient) in the
         algebra's matrix realisation."""
         size = len(self.matrices[0])
-        M = [[_ZERO] * size for _ in range(size)]
+        M = [[0] * size for _ in range(size)]
         for i, c in vec.items():
             if c:
                 Mi = self.matrices[i]
@@ -145,30 +147,41 @@ class LieAlgebra:
 
 
 def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> LieAlgebra:
-    """Extract structure constants from a list of matrices closed under commutator."""
+    """Extract structure constants from a list of matrices closed under
+    commutator, taking each commutator from the nonzero entries."""
     if not mats:
         raise ValueError("need at least one matrix")
     m = len(mats[0])
     for M in mats:
         if len(M) != m or any(len(row) != m for row in M):
             raise ValueError("all matrices must be square of equal size")
+    mats = [[[_coeff(x) for x in row] for row in M] for M in mats]
     n = len(mats)
     solve = column_solver([flatten(M) for M in mats])
     if solve is None:
         raise ValueError("matrices are linearly dependent")
     if labels is None:
         labels = [f"x{i}" for i in range(n)]
+    # rows[a][s]: the nonzero (column, entry) pairs of row s of matrix a
+    rows = [[[(t, x) for t, x in enumerate(row) if x] for row in M] for M in mats]
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            sol = solve(flatten(commutator(mats[i], mats[j])))
+            comm = [0] * (m * m)
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                for r, row in enumerate(rows[a]):
+                    for s, x in row:
+                        x *= sign
+                        for t, y in rows[b][s]:
+                            comm[r * m + t] += x * y
+            sol = solve(comm)
             if sol is None:
                 raise ValueError(
                     f"span is not closed under commutator at pair ({labels[i]},{labels[j]})")
             row = {k: c for k, c in enumerate(sol) if c}
             if row:
                 brackets[(i, j)] = row
-    return LieAlgebra(labels, brackets, matrices=[ [list(r) for r in M] for M in mats],
+    return LieAlgebra(labels, brackets, matrices=mats,
                       root_data=root_data, name=name, family=family)
 
 
@@ -181,7 +194,7 @@ def jacobi_check(L: LieAlgebra):
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     for t, ct in L.bracket_pair(a, b).items():
                         for u, cu in L.bracket_pair(t, c).items():
-                            val = acc.get(u, _ZERO) + ct * cu
+                            val = acc.get(u, 0) + ct * cu
                             if val:
                                 acc[u] = val
                             else:
@@ -243,14 +256,14 @@ def subalgebra_from_vectors(L: LieAlgebra, vectors, labels=None) -> LieAlgebra:
     m = len(vecs)
     if labels is None:
         labels = [f"y{i}" for i in range(m)]
-    solve = column_solver([[v.get(i, _ZERO) for i in range(L.n)] for v in vecs]) if m else None
+    solve = column_solver([[v.get(i, 0) for i in range(L.n)] for v in vecs]) if m else None
     if m and solve is None:
         raise ValueError("spanning vectors are linearly dependent")
     brackets = {}
     for a in range(m):
         for b in range(a + 1, m):
             w = L.bracket_vectors(vecs[a], vecs[b])
-            sol = solve([w.get(i, _ZERO) for i in range(L.n)])
+            sol = solve([w.get(i, 0) for i in range(L.n)])
             if sol is None:
                 raise ValueError("span is not closed under the bracket")
             row = {k: c for k, c in enumerate(sol) if c}
@@ -269,24 +282,24 @@ def centralizer_in_span(L: LieAlgebra, fixed, span_indices) -> list:
     for f in fixed:
         cols = []
         for s in span:
-            w = L.bracket_vectors(f, {s: Fraction(1)})
-            cols.append([w.get(i, _ZERO) for i in range(L.n)])
+            w = L.bracket_vectors(f, {s: 1})
+            cols.append([w.get(i, 0) for i in range(L.n)])
         for coord in range(L.n):
             row = [cols[a][coord] for a in range(len(span))]
             if any(row):
                 rows.append(row)
     if not rows:
-        return [{s: Fraction(1)} for s in span]
+        return [{s: 1} for s in span]
     # exact kernel of the constraint matrix
     mat, pivots = row_reduce(rows)
     basis = []
     for c in range(len(span)):
         if c in pivots:
             continue
-        vec = {span[c]: Fraction(1)}
+        vec = {span[c]: 1}
         for r, c2 in enumerate(pivots):
             if mat[r][c]:
-                vec[span[c2]] = -mat[r][c]
+                vec[span[c2]] = _coeff(-mat[r][c])
         basis.append(vec)
     return basis
 
@@ -384,7 +397,7 @@ def algebra_from_text(text: str):
     for i, j, k, c in bracket_lines:
         if i >= j:
             raise ValueError(f"bracket indices must satisfy i < j, got ({i},{j})")
-        brackets.setdefault((i, j), {})[k] = brackets.get((i, j), {}).get(k, _ZERO) + c
+        brackets.setdefault((i, j), {})[k] = brackets.get((i, j), {}).get(k, 0) + c
     matrices = None
     if matrix_rows:
         if matsize is None:

@@ -1,7 +1,9 @@
-"""Exact linear algebra over Fractions, and small polynomial determinants.
+"""Exact linear algebra over Q, and small polynomial determinants.
 
-Rational matrices are lists of lists of Fraction; one Gauss-Jordan routine,
-row_reduce, is behind the solves, ranks and inverses.  Polynomial matrices
+Rational matrices are lists of lists of int where integral and Fraction
+otherwise.  One Gauss-Jordan routine, row_reduce, works over Fraction and is
+behind the solves, ranks and inverses; column_solver clears its inverse's
+denominator, so it solves integral systems in int.  Polynomial matrices
 only need determinants of small minors, taken by cofactor expansion; the
 symbolic rank of a Jacobian is read off the wedge of differentials instead
 (analysis.algebraic_independence).
@@ -9,17 +11,18 @@ symbolic rank of a Jacobian is read off the wedge of differentials instead
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Polynomial
+from .polyring import Polynomial, _div
 
 
 def mat_mul(a, b):
     cols = len(b[0])
     out = []
     for row in a:
-        acc = [Fraction(0)] * cols
+        acc = [0] * cols
         for x, brow in zip(row, b):
             if x:
                 for j, y in enumerate(brow):
@@ -29,21 +32,12 @@ def mat_mul(a, b):
     return out
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def identity_matrix(m):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    return [[int(i == j) for j in range(m)] for i in range(m)]
 
 
-def zero_matrix(m, k=None):
-    k = m if k is None else k
-    return [[Fraction(0)] * k for _ in range(m)]
+def zero_matrix(m):
+    return [[0] * m for _ in range(m)]
 
 
 def flatten(a):
@@ -89,12 +83,13 @@ def solve_exact(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction
     return sol
 
 
-def column_solver(columns: Sequence[Sequence[Fraction]]):
+def column_solver(columns: Sequence[Sequence]):
     """Reduce linearly independent columns once, for many right-hand sides.
 
     Returns solve(target), which gives the x with sum_k x_k columns[k] equal
-    to target in every entry, or None when there is no such x.  Returns None
-    itself when the columns are linearly dependent.
+    to target in every entry, or None when there is no such x; each x_k is
+    an int when integral.  Returns None itself when the columns are linearly
+    dependent.
     """
     n = len(columns)
     size = len(columns[0])
@@ -104,18 +99,22 @@ def column_solver(columns: Sequence[Sequence[Fraction]]):
                                for k, col in enumerate(columns)])
     if pivots[-1] >= size:
         return None
-    inverse = [row[size:] for row in rows]
+    # D * E is integral, so D * x and its check run in int for integral data
+    d = math.lcm(*(x.denominator for row in rows for x in row[size:]))
+    inverse = [[x.numerator * (d // x.denominator) for x in row[size:]] for row in rows]
+    nonzero = [[(i, v) for i, v in enumerate(col) if v] for col in columns]
 
     def solve(target):
         picked = [(target[p], inverse[r]) for r, p in enumerate(pivots) if target[p]]
-        sol = [sum((b * e[k] for b, e in picked), Fraction(0)) for k in range(n)]
-        combo = [Fraction(0)] * size
-        for c, col in zip(sol, columns):
+        dsol = [sum(b * e[k] for b, e in picked) for k in range(n)]
+        combo = [0] * size
+        for c, col in zip(dsol, nonzero):
             if c:
-                for i, v in enumerate(col):
-                    if v:
-                        combo[i] += c * v
-        return sol if combo == list(target) else None
+                for i, v in col:
+                    combo[i] += c * v
+        if combo != [d * t for t in target]:
+            return None
+        return [_div(c, d) for c in dsol]
 
     return solve
 

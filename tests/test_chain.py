@@ -3,21 +3,24 @@
 Equivalence against the loop it replaced (repeated wedge(., pi) keeping every
 power) and against the unmemoised wedge_power, the cross-check against the
 seeded point ranks, and a count of the wedge products a second query on the
-same algebra or limit makes.
+same algebra or limit makes.  The seeded point ranks are kept per bivector
+too: row_reduce spies count the reductions of one bivector's matrix.
 """
 
+import random
 import sys
 import threading
 
 import pytest
 
-from liecontract import exterior
-from liecontract.analysis import _wedge_power, fundamental_semiinvariant, kostant_check
+from liecontract import exterior, linalg
+from liecontract.analysis import (_wedge_power, contr_deg_report, fundamental_semiinvariant,
+                                  kostant_check, z2_suite)
 from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
                                   builtin_algebra, symmetric_pair)
-from liecontract.contract import contract_algebra, t_degree
-from liecontract.exterior import MultiVector, wedge, wedge_power
-from liecontract.invariants import char_invariants
+from liecontract.contract import ContractionWeights, contract_algebra, t_degree
+from liecontract.exterior import MultiVector, bivector_matrix_at, wedge, wedge_power
+from liecontract.invariants import char_invariants, t_degree_reduction
 from liecontract.lie import algebra_index, lie_poisson_bivector
 
 # index of every algebra below, as computed before the engine existed
@@ -171,3 +174,74 @@ def test_threads_sharing_one_chain_get_the_right_powers():
     finally:
         sys.setswitchinterval(switch)
     assert not errors
+
+
+def spy_row_reduce(monkeypatch):
+    """Every matrix handed to row_reduce, through linalg or exterior."""
+    seen = []
+    real = linalg.row_reduce
+
+    def spy(matrix):
+        seen.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(linalg, "row_reduce", spy)
+    monkeypatch.setattr(exterior, "row_reduce", spy)
+    return seen
+
+
+def test_point_ranks_are_reduced_once_and_only_as_far_as_read(monkeypatch):
+    L = builtin_algebra("sl3")
+    pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)    # nothing kept yet
+    want = list(exterior.point_ranks(MultiVector(L.n, 2, pi.terms)))
+    seen = spy_row_reduce(monkeypatch)
+    assert next(exterior.point_ranks(pi)) == want[0] and len(seen) == 1
+    assert list(exterior.point_ranks(pi)) == want and len(seen) == 3
+    assert list(exterior.point_ranks(pi)) == want and len(seen) == 3
+    assert [bivector_matrix_at(pi, point) for _, _, point in want] == seen
+
+
+def test_z2_suite_reduces_the_parent_matrix_once_per_point(monkeypatch):
+    # char_invariants' scale and regularity's index proof read the same point
+    parent = lie_poisson_bivector(symmetric_pair("sl4_sp4").parent)
+    points = [point for _, _, point in exterior.point_ranks(MultiVector(parent.n, 2))]
+    mats = [bivector_matrix_at(parent, point) for point in points]
+    seen = spy_row_reduce(monkeypatch)
+    assert z2_suite("sl4_sp4").ok
+    counts = [sum(m == mat for m in seen) for mat in mats]
+    assert max(counts) == 1, counts
+
+
+def raising_weights(L, seed):
+    """Valid weights in {0,1,2}^n whose limit has a larger index than L."""
+    rng = random.Random(seed)
+    ell = algebra_index(L)
+    while True:
+        w = ContractionWeights(tuple(rng.randint(0, 2) for _ in range(L.n)))
+        res = contract_algebra(L, w)
+        if res.valid and max(r for r, _, _ in exterior.point_ranks(res.pi_tilde)) < L.n - ell:
+            return w
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_index_raising_report_reduces_each_bivector_at_most_three_times(seed, monkeypatch):
+    # the routine's fallback and the top power's cross-check share the ranks
+    L = builtin_algebra("sl3")
+    w = raising_weights(L, seed)
+    gens = t_degree_reduction(char_invariants(L), w)
+    owners = []
+    real_at = exterior.bivector_matrix_at
+
+    def matrix_at(pi, point):
+        owners.append(pi)
+        return real_at(pi, point)
+
+    seen = spy_row_reduce(monkeypatch)
+    monkeypatch.setattr(exterior, "bivector_matrix_at", matrix_at)
+    assert contr_deg_report(gens, w).index_preserved is False
+    # point_ranks reduces each matrix right after evaluating it
+    assert len(seen) >= len(owners) > 0
+    per_bivector = {}
+    for pi in owners:
+        per_bivector[id(pi)] = per_bivector.get(id(pi), 0) + 1
+    assert max(per_bivector.values()) <= 3, per_bivector

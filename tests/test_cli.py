@@ -66,6 +66,34 @@ class TestQueryVerbs:
         assert code == 1
         assert "FAIL" in out and "jacobi" in out
 
+    # matrices that realise no bracket: the third is twice the first, and
+    # [e, f] = h leaves the span of e and f
+    BAD_MATRICES = {
+        "dependent": ("name: dep\nlabels: e h f\n"
+                      "bracket: 0 1 0 -2\nbracket: 0 2 1 1\nbracket: 1 2 2 -2\n"
+                      "matsize: 2\nmatrix: 0 1 0 0\nmatrix: 1 0 0 -1\nmatrix: 0 2 0 0\n",
+                      "matrices are linearly dependent"),
+        "not-closed": ("name: open\nlabels: e f\n"
+                       "matsize: 2\nmatrix: 0 1 0 0\nmatrix: 0 0 1 0\n",
+                       "span is not closed under commutator at pair (e,f)"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_MATRICES))
+    def test_validate_bad_matrices_is_a_failed_check(self, capsys, tmp_path, kind):
+        text, reason = self.BAD_MATRICES[kind]
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and err == ""
+        assert out.splitlines() == [f"validate {path}: FAIL", "  [ok] jacobi",
+                                    "  [FAIL] matrix_realization",
+                                    f"  matrix realization error: {reason}"]
+        code, out, err = run(capsys, "--format", "json", "validate", str(path))
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"target": str(path), "ok": False,
+                                   "checks": {"jacobi": True, "matrix_realization": False},
+                                   "matrix_realization_error": reason}
+
     def test_non_jacobi_file_is_a_failed_check(self, capsys, tmp_path):
         path = tmp_path / "bad.alg"
         path.write_text("name: bad\nlabels: x y z\n"

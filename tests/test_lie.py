@@ -13,10 +13,17 @@ from liecontract.lie import (JacobiError, LieAlgebra, RootData, algebra_from_tex
                              algebra_to_text, from_matrices, jacobi_check,
                              lie_poisson_bivector, subalgebra_from_vectors,
                              subalgebra_on_indices)
-from liecontract.linalg import commutator, flatten, solve_exact
+from liecontract.linalg import flatten, solve_exact
 from liecontract.polyring import parse_polynomial
 
 F0, F1 = Fraction(0), Fraction(1)
+
+
+def commutator(a, b):
+    """[a, b] = ab - ba by dense products, the reference for from_matrices."""
+    m = len(a)
+    return [[sum(a[r][s] * b[s][t] - b[r][s] * a[s][t] for s in range(m))
+             for t in range(m)] for r in range(m)]
 
 
 def sl2_matrices():
