@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .contract import ContractionWeights
 from .lie import LieAlgebra, RootData, centralizer_in_span, from_matrices, subalgebra_from_vectors
-from .linalg import identity_matrix, mat_mul, zero_matrix
+from .linalg import identity_matrix, mat_mul, poly_det_cofactor, zero_matrix
 from .polyring import Polynomial, multivariate_gcd, poly_div_exact
 
 BUILTIN_ALGEBRAS = ("sl2", "sl3", "sl4", "sp4", "so4", "so5", "so6")
@@ -280,19 +280,9 @@ class SymmetricPair:
 
 def _char_poly_1var(M):
     """det(t*I - M) as a Polynomial in one variable."""
-    m = len(M)
     t = Polynomial.variable(1, 0)
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            c = Polynomial.const(1, -M[i][j])
-            if i == j:
-                c = c + t
-            row.append(c)
-        rows.append(row)
-    from .linalg import poly_det_cofactor
-    return poly_det_cofactor(rows)
+    return poly_det_cofactor([[t - Polynomial.const(1, x) if i == j else -x
+                               for j, x in enumerate(row)] for i, row in enumerate(M)])
 
 
 def _is_semisimple_matrix(M) -> bool:

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
-from .linalg import row_reduce
+from .linalg import _Pfaffians, row_reduce
 from .polyring import Polynomial, _accumulate, _integral_terms
 
 _ZERO = Fraction(0)
@@ -338,7 +338,9 @@ def schouten_square(pi: MultiVector) -> MultiVector:
 
 
 def pfaffian(matrix):
-    """Pfaffian of an antisymmetric even-size matrix by first-row expansion."""
+    """Pfaffian of an antisymmetric even-size matrix of numbers or
+    Polynomials, from the memoised int engine linalg._Pfaffians; 1 when
+    the matrix is empty."""
     m = len(matrix)
     if m % 2:
         raise ValueError("Pfaffian needs even size")
@@ -350,31 +352,7 @@ def pfaffian(matrix):
         for j in range(i + 1, m):
             if matrix[i][j] != -matrix[j][i]:
                 raise ValueError(f"matrix is not antisymmetric at ({i},{j})")
-    if m == 0:
-        return Fraction(1)
-    sample = matrix[0][0]
-    poly_mode = isinstance(sample, Polynomial)
-    one = Polynomial.const(sample.n, 1) if poly_mode else Fraction(1)
-
-    def rec(rows):
-        if not rows:
-            return one
-        r0 = rows[0]
-        total = None
-        for t in range(1, len(rows)):
-            entry = matrix[r0][rows[t]]
-            if not entry:
-                continue
-            rest = rows[1:t] + rows[t + 1:]
-            term = entry * rec(rest)
-            if t % 2 == 0:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            return (Polynomial.zero(sample.n) if poly_mode else Fraction(0))
-        return total
-
-    return rec(tuple(range(m)))
+    return _Pfaffians(matrix)([tuple(range(m))])
 
 
 def bracket_with_coordinate(pi: MultiVector, j: int, h: Polynomial) -> Polynomial:

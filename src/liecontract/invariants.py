@@ -3,19 +3,17 @@
 Generators for the classical algebras come from the characteristic
 polynomial of the generic matrix X = sum_j x_j M_j^dual written against the
 trace-dual basis, so that each coefficient is an honest central element of
-the Lie-Poisson structure.  The minors and the Pfaffian are taken of the
-integral D * X, D the common denominator of X, and a degree-d one is divided
-by D^d.  The first generator is rescaled once so the set satisfies the
-regularity equality  dF_1 ^ ... ^ dF_l / omega = wedge^{(n-l)/2} pi  on the
-nose.  One principal Pfaffian minor of pi fixes that scale, so no wedge power
+the Lie-Poisson structure.  The principal minors and the Pfaffian come from
+linalg's memoised int engine, which clears X's denominators itself.  The
+first generator is rescaled once so the set satisfies the regularity
+equality  dF_1 ^ ... ^ dF_l / omega = wedge^{(n-l)/2} pi  on the nose.  One
+principal Pfaffian minor of pi fixes that scale, so no wedge power
 is built here; analysis.regularity decides the full equality.  Later
 triangular modifications leave it untouched.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,7 +22,7 @@ from .contract import ContractionWeights, t_degree
 from .exterior import (MultiVector, bracket_with_coordinate, pfaffian, point_ranks,
                        shuffle_sign, wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
-from .linalg import poly_det_cofactor, rational_inverse, solve_exact
+from .linalg import _principal_minor_sums, poly_det_cofactor, rational_inverse, solve_exact
 from .polyring import Polynomial, _integral_terms, poly_compose
 
 _ZERO = Fraction(0)
@@ -74,8 +72,7 @@ def semi_invariant_weight(h: Polynomial, pi: MultiVector):
 
 
 def _trace_dual_generic_matrix(L: LieAlgebra):
-    """(D * X, D) for X = sum_j x_j M_j^dual with tr(M_i^dual M_j) = delta_ij,
-    and D the least common denominator of X's coefficients."""
+    """X = sum_j x_j M_j^dual, for the dual basis with tr(M_i^dual M_j) = delta_ij."""
     if L.matrices is None:
         raise ValueError("algebra has no matrix realization")
     n = L.n
@@ -102,27 +99,10 @@ def _trace_dual_generic_matrix(L: LieAlgebra):
             for j, c in enumerate(Tinv[i]):
                 if c:
                     row[j] = row.get(j, 0) + c * x
-    d = math.lcm(*(c.denominator for row in coeffs.values() for c in row.values()))
     X = [[Polynomial.zero(n)] * m for _ in range(m)]
     for (r, s), row in coeffs.items():
-        X[r][s] = Polynomial.linear(n, {j: c * d for j, c in row.items()})
-    return X, d
-
-
-def _principal_minor_sum(X, d: int) -> Polynomial:
-    m = len(X)
-    n = X[0][0].n
-    total = Polynomial.zero(n)
-    for rows in itertools.combinations(range(m), d):
-        sub = [[X[r][c] for c in rows] for r in rows]
-        total = total + poly_det_cofactor(sub)
-    return total
-
-
-def _antidiag_flip(X):
-    """S @ X for S the anti-diagonal identity; turns the so realization skew."""
-    m = len(X)
-    return [X[m - 1 - i] for i in range(m)]
+        X[r][s] = Polynomial.linear(n, row)
+    return X
 
 
 def char_invariants(L: LieAlgebra) -> GeneratorSet:
@@ -132,14 +112,15 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
     kind, size = L.family
     if kind not in ("sl", "sp", "so"):
         raise ValueError(f"unsupported family {kind!r}")
-    X, den = _trace_dual_generic_matrix(L)
+    X = _trace_dual_generic_matrix(L)
     # sl: minors of every degree >= 2; sp, so: the even ones, except that
     # so(2l) has the Pfaffian in place of the degree-2l minor
     pf = kind == "so" and size % 2 == 0
-    gens = [_principal_minor_sum(X, d) * Fraction(1, den ** d)
-            for d in range(2, size - 1 if pf else size + 1, 1 if kind == "sl" else 2)]
+    minor_sum = _principal_minor_sums(X)
+    gens = [minor_sum(d) for d in range(2, size - 1 if pf else size + 1, 1 if kind == "sl" else 2)]
     if pf:
-        gens.append(pfaffian(_antidiag_flip(X)) * Fraction(1, den ** (size // 2)))
+        # S @ X, S the anti-diagonal identity, is skew on the so realization
+        gens.append(pfaffian(X[::-1]))
     gens.sort(key=lambda g: g.degree())
     scale = _normalize_to_regularity(L, gens)
     return GeneratorSet(algebra=L, gens=gens, normalization=scale)

@@ -1,21 +1,24 @@
-"""Exact linear algebra over Q, and small polynomial determinants.
+"""Exact linear algebra over Q, and polynomial minors.
 
 Rational matrices are lists of lists of int where integral and Fraction
 otherwise.  One Gauss-Jordan routine, row_reduce, works over Fraction and is
 behind the solves, ranks and inverses; column_solver clears its inverse's
-denominator, so it solves integral systems in int.  Polynomial matrices
-only need determinants of small minors, taken by cofactor expansion; the
-symbolic rank of a Jacobian is read off the wedge of differentials instead
+denominator, so it solves integral systems in int.  Every polynomial minor,
+Pfaffian or determinant, comes from one engine, _Pfaffians: a first-row
+Pfaffian expansion memoised per row tuple and run in int, with a
+determinant read as the Pfaffian of [[0, M], [-M^T, 0]].  The symbolic rank
+of a Jacobian is read off the wedge of differentials instead
 (analysis.algebraic_independence).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Polynomial, _div
+from .polyring import Polynomial, _accumulate, _div, _integral_terms
 
 
 def mat_mul(a, b):
@@ -132,30 +135,71 @@ def rational_inverse(matrix):
     return [row[m:] for row in rows]
 
 
-def poly_det_cofactor(matrix) -> Polynomial:
-    """Determinant of a small Polynomial matrix by first-row expansion."""
+class _Pfaffians:
+    """Sub-Pfaffians of one matrix of int, Fraction or Polynomial entries,
+    memoised per row tuple.  Only the entries above the diagonal are read.
+    They are scaled once by their common denominator d, so the expansion runs
+    in int, and a Pfaffian on 2k rows is divided by d^k at the end.  It is a
+    number when no entry is a Polynomial."""
+
+    def __init__(self, matrix):
+        self.n = next((e.n for row in matrix for e in row if isinstance(e, Polynomial)), None)
+        ring = self.ring = self.n or 0
+        spots = [((i, j), e if isinstance(e, Polynomial) else Polynomial.const(ring, e))
+                 for i, row in enumerate(matrix) for j in range(i + 1, len(row)) if (e := row[j])]
+        self.d, maps = _integral_terms(e for _, e in spots)
+        self.a = {ij: t for (ij, _), t in zip(spots, maps)}
+        self.memo = {(): {0: 1}}
+
+    def __call__(self, row_sets):
+        """The sum of the Pfaffians on sorted row tuples of one length 2k."""
+        acc, k = {}, 0
+        for rows in row_sets:
+            k = len(rows) // 2
+            terms = self.memo.get(rows)
+            for key, c in (self._expand(rows) if terms is None else terms).items():
+                acc[key] = acc.get(key, 0) + c
+        if self.n is None:
+            return _div(acc.get(0, 0), self.d ** k)
+        return Polynomial._collect(self.n, acc, self.d ** k)
+
+    def _expand(self, rows):
+        """d^k times the Pfaffian on rows, by the first row; kept in the memo."""
+        acc: dict = {}
+        for t in range(1, len(rows)):
+            entry = self.a.get((rows[0], rows[t]))
+            if entry:
+                rest = rows[1:t] + rows[t + 1:]
+                sub = self.memo.get(rest)
+                _accumulate(acc, entry, self._expand(rest) if sub is None else sub,
+                            not t % 2, self.ring)
+        out = self.memo[rows] = {k: c for k, c in acc.items() if c}
+        return out
+
+
+def _principal_minor_sums(matrix):
+    """e(k): the sum of the principal k-minors of a square matrix; e(m) is
+    its determinant.
+
+    det M_SS = (-1)^(k(k-1)/2) Pf(B on S + (S + m)) for B = [[0, M], [-M^T, 0]]
+    and |S| = k, so one memoised engine on B serves every minor of every k.
+    The engine reads B above its diagonal only, so -M^T is left out.
+    """
     m = len(matrix)
-    if m == 0:
+    if any(len(row) != m for row in matrix):
+        raise ValueError("matrix must be square")
+    pf = _Pfaffians([[0] * m + list(row) for row in matrix])
+
+    def e(k):
+        total = pf(rows + tuple(r + m for r in rows)
+                   for rows in itertools.combinations(range(m), k))
+        return -total if k // 2 % 2 else total
+
+    return e
+
+
+def poly_det_cofactor(matrix):
+    """Determinant of a square matrix, as the Pfaffian of its block."""
+    if not matrix:
         raise ValueError("empty matrix")
-    n = matrix[0][0].n
-    if m == 1:
-        return matrix[0][0]
-
-    def rec(rows, cols):
-        if len(cols) == 1:
-            return matrix[rows[0]][cols[0]]
-        r0 = rows[0]
-        rest = rows[1:]
-        total = Polynomial.zero(n)
-        for pos, c in enumerate(cols):
-            entry = matrix[r0][c]
-            if entry.is_zero:
-                continue
-            sub = rec(rest, cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total + term if pos % 2 == 0 else total - term
-        return total
-
-    idx = tuple(range(m))
-    return rec(idx, idx)
-
+    return _principal_minor_sums(matrix)(len(matrix))

@@ -210,6 +210,11 @@ class TestPfaffian:
         M = [[Polynomial.zero(n), a], [-a, Polynomial.zero(n)]]
         assert pfaffian(M) == a
 
+    def test_int_zeros_with_polynomial_entries(self):
+        # polynomial mode comes from any entry, not from matrix[0][0]
+        x = Polynomial.variable(1, 0)
+        assert pfaffian([[0, x], [-x, 0]]) == x
+
     def test_four_by_four_expansion(self):
         n = 6
         names = [f"a{i}{j}" for i, j in itertools.combinations(range(1, 5), 2)]

@@ -2,8 +2,8 @@
 
 from_matrices normalises the realisation to int where integral, takes each
 commutator from nonzero entries and solves with the inverse's denominator
-cleared; char_invariants builds the trace-dual generic matrix from nonzero
-entries with its denominator D pulled out.  The in-test copies below are the
+cleared; char_invariants builds the trace-dual generic matrix X from nonzero
+entries.  The in-test copies below are the
 replaced code: dense Fraction commutators with one Fraction solve per pair,
 and X assembled by one polynomial addition per matrix entry.  Outputs must be
 equal, and every number the layer keeps must be an int or a non-integral
@@ -170,12 +170,10 @@ def test_brackets_equal_the_dense_path(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_generators_equal_the_dense_path(name, monkeypatch):
     L = algebra(name)
-    X, d = _trace_dual_generic_matrix(L)
-    ref = reference_trace_dual(L)
-    assert [[p * Fraction(1, d) for p in row] for row in X] == ref
+    X = _trace_dual_generic_matrix(L)
+    assert X == reference_trace_dual(L)
     got = char_invariants(L)
-    monkeypatch.setattr(invariants, "_trace_dual_generic_matrix",
-                        lambda alg: (reference_trace_dual(alg), 1))
+    monkeypatch.setattr(invariants, "_trace_dual_generic_matrix", reference_trace_dual)
     want = char_invariants(algebra(name))
     assert got.gens == want.gens
     assert got.normalization == want.normalization
@@ -216,12 +214,12 @@ def test_trace_dual_basis_against_sympy():
     sympy = pytest.importorskip("sympy")
     for name in NAMES:
         L = algebra(name)
-        X, d = _trace_dual_generic_matrix(L)
+        X = _trace_dual_generic_matrix(L)
         m = len(X)
         coeffs = [[X[r][s].linear_coefficients() for s in range(m)] for r in range(m)]
         # row i: M_i^dual flattened; column j: M_j transposed, flattened
         dual = sympy.Matrix(L.n, m * m, lambda i, rs: sympy.Rational(
-            coeffs[rs // m][rs % m].get(i, 0), d))
+            str(coeffs[rs // m][rs % m].get(i, 0))))
         mats = sympy.Matrix(m * m, L.n, lambda rs, j: sympy.Rational(
             str(L.matrices[j][rs % m][rs // m])))
         assert dual * mats == sympy.eye(L.n), name
@@ -241,8 +239,7 @@ def test_matrix_layer_keeps_ints_where_integral(name, build):
     assert all(is_int_or_proper_fraction(x) for M in L.matrices for row in M for x in row)
     assert all(is_int_or_proper_fraction(c) for row in L.brackets.values()
                for c in row.values())
-    X, d = _trace_dual_generic_matrix(L)
-    assert type(d) is int and d >= 1
+    X = _trace_dual_generic_matrix(L)
     assert all(is_int_or_proper_fraction(c) for row in X for p in row
                for c in p.as_dict().values())
 

@@ -114,6 +114,21 @@ def test_pfaffian_squares_to_det():
         det = sympy.Matrix([[to_sympy(e) for e in row] for row in mat]).det()
         assert same(pfaffian(mat) ** 2, det)
 
+    # Fraction coefficients with the denominators of the invariant generators,
+    # which the Pfaffian engine clears before it expands in int
+    def poly_fraction(zero):
+        if zero:
+            return Polynomial.zero(N)
+        p = random_polynomial(rng, N, max_degree=1, max_terms=2, allow_zero=False)
+        return p * Fraction(rng.choice((1, 3, 5)), rng.choice((8, 64, 256)))
+    for m in (2, 4, 6):
+        mat = random_skew(rng, m, poly_fraction)
+        assert any(type(c) is Fraction for row in mat for e in row
+                   for c in e.as_dict().values())
+        dm = DomainMatrix.from_Matrix(sympy.Matrix([[to_sympy(e) for e in row]
+                                                    for row in mat]))
+        assert same(pfaffian(mat) ** 2, dm.domain.to_sympy(dm.det()))
+
 
 def test_rational_rank():
     rng = random.Random(26)
