@@ -10,8 +10,8 @@ from .builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS, SymmetricPai
 from .contract import (ContractionResult, ContractionWeights, contract,
                        contract_algebra, t_degree)
 from .exterior import (Form, MultiVector, bivector_matrix, bivector_matrix_at,
-                       bracket_with_coordinate, differential, pfaffian,
-                       schouten_square, volume_dual, wedge, wedge_power)
+                       differential, pfaffian, schouten_square, volume_dual, wedge,
+                       wedge_power)
 from .invariants import (GeneratorSet, char_invariants, membership_linear,
                          semi_invariant_weight, t_degree_reduction)
 from .lie import (JacobiError, LieAlgebra, RootData, algebra_from_text,

@@ -20,8 +20,8 @@ from .invariants import (GeneratorSet, _regularity_minor, char_invariants,
                          semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
 from .linalg import rational_rank
-from .polyring import (Polynomial, multivariate_gcd, poly_div_exact, poly_monic,
-                       poly_rename, poly_to_str)
+from .polyring import (Polynomial, _integral_terms, _scaled_values, multivariate_gcd,
+                       poly_div_exact, poly_monic, poly_rename, poly_to_str)
 
 
 @dataclass
@@ -160,8 +160,12 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     n, ell = pi.n, len(casimirs)
     for rank, pivots, point in point_ranks(pi):
         if rank == n - ell:
-            jacobian = [[F.diff(j).evaluate(point) for j in range(n)] for F in casimirs]
-            if (rational_rank(jacobian) == ell
+            # the Jacobian of the F scaled to int, at the point and scaled
+            # again, all in int: each scaling keeps the rank
+            _, maps = _integral_terms(casimirs)
+            values, _ = _scaled_values([Polynomial._raw(F.n, t).diff(j)
+                                        for F, t in zip(casimirs, maps) for j in range(n)], point)
+            if (rational_rank([values[i:i + n] for i in range(0, len(values), n)]) == ell
                     and all(semi_invariant_weight(F, pi) == [0] * n for F in casimirs)):
                 return KostantReport(pi, casimirs, ell, pivots)
             break

@@ -8,6 +8,7 @@ coordinate differentials; the two kinds never mix in a wedge.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -15,9 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .linalg import _Pfaffians, row_reduce
-from .polyring import Polynomial, _accumulate, _integral_terms
-
-_ZERO = Fraction(0)
+from .polyring import Polynomial, _accumulate, _div, _integral_terms, _scaled_values
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -267,13 +266,20 @@ def point_ranks(pi: MultiVector):
     the column space of a skew matrix M, so do rows I, and M_II is invertible.
     """
     kept = pi._ranks = pi._ranks or {}
-    rng = random.Random(20240917)
-    for t in range(3):
-        point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(pi.n)]
+    for t, point in enumerate(_seeded_points(pi.n)):
         if t not in kept:
             _, pivots = row_reduce(bivector_matrix_at(pi, point))
             kept[t] = len(pivots), tuple(pivots), point
         yield kept[t]
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_points(n: int) -> tuple:
+    """The three seeded rational points of point_ranks in dimension n, drawn
+    once per n; tuples, so sharing them is safe."""
+    rng = random.Random(20240917)
+    return tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n))
+                 for _ in range(3))
 
 
 def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:
@@ -288,15 +294,18 @@ def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:
 
 
 def bivector_matrix_at(pi: MultiVector, point):
-    """Evaluate the bivector's matrix at a rational point."""
+    """The bivector's matrix at a rational point, int where integral and
+    Fraction otherwise; all entries come from one int evaluation
+    (polyring._scaled_values)."""
     if len(point) != pi.n:
         raise ValueError("point length must match ring dimension")
     n = pi.n
-    mat = [[_ZERO] * n for _ in range(n)]
-    for (i, j), p in pi.terms.items():
-        v = p.evaluate(point)
-        mat[i][j] = v
-        mat[j][i] = -v
+    mat = [[0] * n for _ in range(n)]
+    values, scale = _scaled_values(pi.terms.values(), point)
+    for (i, j), v in zip(pi.terms, values):
+        if v:
+            mat[i][j] = q = _div(v, scale)
+            mat[j][i] = -q
     return mat
 
 
@@ -353,19 +362,3 @@ def pfaffian(matrix):
             if matrix[i][j] != -matrix[j][i]:
                 raise ValueError(f"matrix is not antisymmetric at ({i},{j})")
     return _Pfaffians(matrix)([tuple(range(m))])
-
-
-def bracket_with_coordinate(pi: MultiVector, j: int, h: Polynomial) -> Polynomial:
-    """Poisson bracket {x_j, h} = sum_l pi_{jl} dh/dx_l for the given bivector."""
-    n = pi.n
-    total = Polynomial.zero(n)
-    for (a, b), p in pi.terms.items():
-        if a == j:
-            d = h.diff(b)
-            if not d.is_zero:
-                total = total + p * d
-        elif b == j:
-            d = h.diff(a)
-            if not d.is_zero:
-                total = total - p * d
-    return total

@@ -19,11 +19,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .contract import ContractionWeights, t_degree
-from .exterior import (MultiVector, bracket_with_coordinate, pfaffian, point_ranks,
-                       shuffle_sign, wedge_power_coefficient)
+from .exterior import (MultiVector, pfaffian, point_ranks, shuffle_sign,
+                       wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
 from .linalg import _principal_minor_sums, poly_det_cofactor, rational_inverse, solve_exact
-from .polyring import Polynomial, _integral_terms, poly_compose
+from .polyring import Polynomial, _accumulate, _integral_terms, poly_compose
 
 _ZERO = Fraction(0)
 
@@ -48,26 +48,37 @@ def semi_invariant_weight(h: Polynomial, pi: MultiVector):
     """Per-coordinate eigenvalues when {x_j, h} is a rational multiple of h for
     every j under the bivector pi, or None when h is not a semi-invariant.
 
-    h is a Casimir of pi exactly when the weight is [0] * pi.n."""
+    h is a Casimir of pi exactly when the weight is [0] * pi.n.  Every row
+    {x_j, h} = sum_l pi_jl dh/dx_l is accumulated in one pass over pi's
+    terms, in int: h and pi are scaled by their common denominators, which
+    changes no ratio {x_j, h} / h."""
     if h.is_zero:
         raise ValueError("the zero polynomial is not a semi-invariant")
-    # h times its common denominator has the same weights and int coefficients
+    n = pi.n
+    if h.n != n:
+        raise ValueError(f"ring dimension mismatch: {h.n} vs {n}")
     _, (terms,) = _integral_terms([h])
-    h = Polynomial._raw(h.n, terms)
-    hm, hc = h.leading()
+    h = Polynomial._raw(n, terms)
+    partials = [h.diff(l).terms for l in range(n)]
+    dpi, maps = _integral_terms(pi.terms.values())
+    rows = [{} for _ in range(n)]
+    for (a, b), t in zip(pi.terms, maps):
+        _accumulate(rows[a], t, partials[b], False, n)
+        _accumulate(rows[b], t, partials[a], True, n)
+    hm = max(terms)
+    hc = terms[hm] * dpi
     out = []
-    for j in range(pi.n):
-        br = bracket_with_coordinate(pi, j, h)
-        if br.is_zero:
+    for row in rows:
+        br = {m: c for m, c in row.items() if c}
+        if not br:
             out.append(_ZERO)
             continue
-        lam = br.coefficient(hm)
-        if not lam:
+        lam = br.get(hm)
+        # br == (lam / hc) * dpi * h, compared term by term in int
+        if not lam or len(br) != len(terms) or any(
+                c * terms[hm] != lam * terms.get(m, 0) for m, c in br.items()):
             return None
-        lam = lam / hc
-        if br != h * lam:
-            return None
-        out.append(lam)
+        out.append(Fraction(lam, hc))
     return out
 
 

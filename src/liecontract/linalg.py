@@ -1,9 +1,10 @@
 """Exact linear algebra over Q, and polynomial minors.
 
 Rational matrices are lists of lists of int where integral and Fraction
-otherwise.  One Gauss-Jordan routine, row_reduce, works over Fraction and is
-behind the solves, ranks and inverses; column_solver clears its inverse's
-denominator, so it solves integral systems in int.  Every polynomial minor,
+otherwise.  One Gauss-Jordan routine, row_reduce, is behind the solves,
+ranks and inverses: it scales each row to int once, eliminates fraction-free
+and returns Fraction rows; column_solver clears its inverse's denominator,
+so it solves integral systems in int.  Every polynomial minor,
 Pfaffian or determinant, comes from one engine, _Pfaffians: a first-row
 Pfaffian expansion memoised per row tuple and run in int, with a
 determinant read as the Pfaffian of [[0, M], [-M^T, 0]].  The symbolic rank
@@ -19,6 +20,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polyring import Polynomial, _accumulate, _div, _integral_terms
+
+_ZERO = Fraction(0)
 
 
 def mat_mul(a, b):
@@ -48,15 +51,28 @@ def flatten(a):
 
 
 def row_reduce(matrix):
-    """Reduced row echelon form over Q: (rows, pivot columns).
+    """Reduced row echelon form over Q: (rows, pivot columns), every entry a
+    Fraction.
 
     Pivots are chosen column by column, so a block of columns appended on
     the right (a right-hand side, an identity) is carried along and only
-    takes a pivot where the columns before it leave a row free.
+    takes a pivot where the columns before it leave a row free.  Each row is
+    scaled to an int row once; a step touches only the rows with an entry in
+    the pivot column, dividing out each one's content, and each pivot row is
+    divided by its pivot at the end.  Row scaling moves no pivot column.
     """
-    rows = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in matrix]
+    width = len(matrix[0]) if matrix else 0
+    rows = []
+    for r in matrix:
+        if len(r) != width:
+            raise ValueError("matrix rows must have equal length")
+        dens = [x.denominator for x in r if type(x) is not int]
+        if dens:
+            d = math.lcm(*dens)
+            r = [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in r]
+        rows.append(r)
     pivots = []
-    for col in range(len(rows[0]) if rows else 0):
+    for col in range(width):
         rank = len(pivots)
         if rank == len(rows):
             break
@@ -64,14 +80,19 @@ def row_reduce(matrix):
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
-        pv = rows[rank][col]
-        prow = rows[rank] = [x / pv if x else x for x in rows[rank]]
+        prow = rows[rank]
+        pv = prow[col]
         for r, row in enumerate(rows):
             f = row[col]
             if f and r != rank:
-                rows[r] = [x - f * y if y else x for x, y in zip(row, prow)]
+                g = math.gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y if y else a * x for x, y in zip(row, prow)]
+                c = math.gcd(*row)
+                rows[r] = [x // c for x in row] if c > 1 else row
         pivots.append(col)
-    return rows, pivots
+    out = [[Fraction(x, row[col]) if x else _ZERO for x in row] for row, col in zip(rows, pivots)]
+    return out + [[_ZERO] * width for _ in rows[len(pivots):]], pivots
 
 
 def solve_exact(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
@@ -128,6 +149,8 @@ def rational_rank(matrix) -> int:
 
 def rational_inverse(matrix):
     m = len(matrix)
+    if any(len(row) != m for row in matrix):
+        raise ValueError("matrix must be square")
     rows, pivots = row_reduce([list(matrix[i]) + [int(j == i) for j in range(m)]
                                for i in range(m)])
     if pivots != list(range(m)):

@@ -134,6 +134,41 @@ def _integral_terms(polys) -> tuple:
                 for m, c in p.terms.items()} for p in polys]
 
 
+def _scaled_values(polys, point) -> tuple:
+    """(values, scale): int values scale * p(point) for polynomials of the
+    point's ring, for one positive int scale.
+
+    With x = a / D for the point's common denominator D and c / d for the
+    coefficients', a term of degree k scaled by d * D^K, K the largest
+    degree, is the int (d c) a^e D^(K-k).  Each monomial is evaluated once.
+    """
+    polys = list(polys)
+    n = len(point)
+    for p in polys:
+        if p.n != n:
+            raise ValueError(f"point length {n} != ring dimension {p.n}")
+    d, maps = _integral_terms(polys)
+    if not any(maps):
+        return [0] * len(maps), 1
+    ratios = [v.as_integer_ratio() for v in point]
+    big = math.lcm(*(q for _, q in ratios))
+    a = [u * (big // q) for u, q in ratios]
+    ds = n << 4
+    top = max((max(t) >> ds for t in maps if t), default=0)
+    seen: dict = {}
+    values = []
+    for terms in maps:
+        total = 0
+        for m, c in terms.items():
+            mv = seen.get(m)
+            if mv is None:
+                mv = seen[m] = (big ** (top - (m >> ds))
+                                * math.prod(a[v] ** e for v, e in _unpack(m, n)))
+            total += c * mv
+        values.append(total)
+    return values, d * big ** top
+
+
 class Polynomial:
     """Element of Q[x_0, ..., x_{n-1}] in canonical sparse form.
 
@@ -343,17 +378,10 @@ class Polynomial:
         return Polynomial._raw(n, out)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
-        if len(point) != self.n:
-            raise ValueError(f"point length {len(point)} != ring dimension {self.n}")
-        vals = [v if type(v) is Fraction else Fraction(v) for v in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            term = c
-            for v, e in _unpack(m, self.n):
-                term *= vals[v] ** e
-            total += term
-        return total
+        """Exact value at a rational point, as a Fraction; computed in int by
+        _scaled_values."""
+        (v,), scale = _scaled_values([self], point)
+        return Fraction(v, scale)
 
     def __repr__(self):
         if not self.terms:

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import random_polynomial
 from liecontract.exterior import (Form, MultiVector, bivector_matrix,
-                                  bivector_matrix_at, bracket_with_coordinate,
-                                  differential, pfaffian, schouten_square,
-                                  volume_dual, wedge, wedge_power)
+                                  bivector_matrix_at, differential, pfaffian,
+                                  schouten_square, volume_dual, wedge, wedge_power)
+from liecontract.invariants import semi_invariant_weight
 from liecontract.linalg import rational_rank
 from liecontract.polyring import Polynomial, parse_polynomial
 
@@ -316,9 +316,13 @@ class TestBivectorMatrix:
 
 
 def test_bracket_with_coordinate():
+    """{x_j, h} read through semi_invariant_weight: the Casimir brackets to
+    zero with every coordinate, and {h, e} = 2e gives e the weight 2 at h
+    once {f, e} = -h is dropped."""
     pi = sl2_pi()
     F = parse_polynomial("-1/2*h^2 - 2*e*f", EHF)
-    for j in range(3):
-        assert bracket_with_coordinate(pi, j, F).is_zero
+    assert semi_invariant_weight(F, pi) == [0, 0, 0]
     e = parse_polynomial("e", EHF)
-    assert bracket_with_coordinate(pi, 1, e) == parse_polynomial("2*e", EHF)
+    assert semi_invariant_weight(e, pi) is None
+    borel = MultiVector(3, 2, {(0, 1): pi.coefficient((0, 1))})
+    assert semi_invariant_weight(e, borel) == [0, 2, 0]

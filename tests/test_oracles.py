@@ -13,10 +13,13 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 hypothesis = pytest.importorskip("hypothesis")
 
-from conftest import random_polynomial  # noqa: E402
+from conftest import cached_builtin, random_polynomial  # noqa: E402
 from liecontract.analysis import algebraic_independence  # noqa: E402
-from liecontract.exterior import pfaffian  # noqa: E402
-from liecontract.lie import LieAlgebra, RootData, algebra_from_text, algebra_to_text  # noqa: E402
+from liecontract.builders import BUILTIN_ALGEBRAS, borel_decomposition  # noqa: E402
+from liecontract.contract import contract_algebra  # noqa: E402
+from liecontract.exterior import MultiVector, bivector_matrix_at, pfaffian, point_ranks  # noqa: E402
+from liecontract.lie import (LieAlgebra, RootData, algebra_from_text,  # noqa: E402
+                             algebra_to_text, lie_poisson_bivector)
 from liecontract.linalg import poly_det_cofactor, rational_rank, row_reduce  # noqa: E402
 from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,  # noqa: E402
                                   poly_div_exact, poly_to_str)
@@ -144,6 +147,18 @@ def test_rational_rank():
         expected, expected_pivots = sympy.Matrix(mat).rref()
         assert pivots == list(expected_pivots)
         assert sympy.Matrix(reduced) == expected
+
+
+@pytest.mark.parametrize("key", list(BUILTIN_ALGEBRAS)
+                         + [f"{name}/borel" for name in BUILTIN_ALGEBRAS])
+def test_point_ranks_equal_sympy_rank(key):
+    """The rank point_ranks reports at each seeded point is sympy's rank of
+    pi's matrix there."""
+    name, _, kind = key.partition("/")
+    L = cached_builtin(name)
+    pi = contract_algebra(L, borel_decomposition(L)).pi_tilde if kind else lie_poisson_bivector(L)
+    for rank, _, point in point_ranks(MultiVector(pi.n, 2, pi.terms)):
+        assert rank == sympy.Matrix(bivector_matrix_at(pi, point)).rank()
 
 
 def jacobian_rank(gens):
