@@ -9,7 +9,6 @@ coordinate differentials; the two kinds never mix in a wedge.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from bisect import bisect_right
@@ -314,36 +313,35 @@ def schouten_square(pi: MultiVector) -> MultiVector:
 
     Coefficient at i<j<k:
         sum_l  pi_{li} d_l pi_{jk} - pi_{lj} d_l pi_{ik} + pi_{lk} d_l pi_{ij}
+
+    Each product pi_{la} d_l pi_{bc} lands at the sorted triple of a, b, c,
+    negated when a sorts in the middle.  It runs on pi's int term maps,
+    scaled by their common denominator d; each coefficient is divided by d^2.
     """
     n = pi.n
     if n < 3:
         raise ValueError("Schouten square needs dimension >= 3")
-    mat = bivector_matrix(pi)
-    dmat = {}
-    for (i, j), p in pi.terms.items():
+    d, maps = _integral_terms(pi.terms.values())
+    # row[l]: (a, t, negative) for each entry pi_{la} = -t if negative else t;
+    # grad[l]: (b, c, d_l pi_{bc}) for b < c
+    row = [[] for _ in range(n)]
+    grad = [[] for _ in range(n)]
+    for (b, c), p, t in zip(pi.terms, pi.terms.values(), maps):
+        row[b].append((c, t, False))
+        row[c].append((b, t, True))
         for l in p.variables():
-            d = p.diff(l)
-            dmat[(l, i, j)] = d
-            dmat[(l, j, i)] = -d
-
-    # only indices occurring in pi can contribute to a nonzero coefficient
-    support = sorted({i for idx in pi.terms for i in idx})
-    out = {}
-    for i, j, k in itertools.combinations(support, 3):
-        total = Polynomial.zero(n)
-        for l in range(n):
-            for positive, a, bc in ((True, i, (j, k)), (False, j, (i, k)), (True, k, (i, j))):
-                d = dmat.get((l,) + bc)
-                if d is None:
+            grad[l].append((b, c, Polynomial._raw(n, t).diff(l).terms))
+    acc: dict = {}
+    for l in range(n):
+        for a, ta, negative in row[l]:
+            for b, c, tb in grad[l]:
+                if a == b or a == c:
                     continue
-                pla = mat[l][a]
-                if pla.is_zero:
-                    continue
-                term = pla * d
-                total = total + term if positive else total - term
-        if not total.is_zero:
-            out[(i, j, k)] = total
-    return MultiVector._raw(n, 3, out)
+                middle = b < a < c
+                idx = (b, a, c) if middle else (a, b, c) if a < b else (b, c, a)
+                _accumulate(acc.setdefault(idx, {}), ta, tb, negative != middle, n)
+    out = {idx: Polynomial._collect(n, acc[idx], d * d) for idx in sorted(acc)}
+    return MultiVector._raw(n, 3, {idx: p for idx, p in out.items() if p})
 
 
 def pfaffian(matrix):

@@ -4,8 +4,9 @@ A LieAlgebra stores the bracket sparsely as [x_i, x_j] = sum_k c[i,j][k] x_k
 for i < j; antisymmetry is built into the storage.  Numbers are ints when
 integral and Fractions otherwise, as polynomial coefficients are.  Instances
 are immutable after construction, so every operation here is a pure
-function.  Derived data (the bivector, the Jacobi verdict, and through the
-bivector its top wedge power) is computed on first use and kept.
+function.  Derived data (the bivector, the Jacobi verdict read off its
+Schouten square, and through the bivector its top wedge power) is computed
+on first use and kept.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exterior import MultiVector
+from .exterior import MultiVector, schouten_square
 from .linalg import column_solver, flatten, row_reduce
 from .polyring import Polynomial, _coeff
 
@@ -69,6 +70,14 @@ class LieAlgebra:
                       *highest):
                 if not 0 <= k < self.n:
                     raise ValueError(f"root data index {k} must satisfy 0 <= k < {self.n}")
+            marks = () if rd.marks is None else ("marks",)
+            for field in ("simple_e", "simple_f", "cartan", *marks):
+                size = len(getattr(rd, field))
+                if size != rd.rank:
+                    raise ValueError(f"root data {field} has length {size}; rank is {rd.rank}")
+            if len(rd.positive) != len(rd.negative):
+                raise ValueError(f"root data positive has length {len(rd.positive)} and "
+                                 f"negative has length {len(rd.negative)}; they must match")
         self.brackets = clean
         self.matrices = matrices
         self.root_data = root_data
@@ -186,22 +195,12 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
 
 
 def jacobi_check(L: LieAlgebra):
-    """(True, None) when the Jacobi identity holds, else (False, first bad triple)."""
-    for i in range(L.n):
-        for j in range(i + 1, L.n):
-            for k in range(j + 1, L.n):
-                acc: dict = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for t, ct in L.bracket_pair(a, b).items():
-                        for u, cu in L.bracket_pair(t, c).items():
-                            val = acc.get(u, 0) + ct * cu
-                            if val:
-                                acc[u] = val
-                            else:
-                                acc.pop(u, None)
-                if acc:
-                    return False, (i, j, k)
-    return True, None
+    """(True, None) when the Jacobi identity holds, else (False, first bad
+    triple).  For the linear bivector the Schouten square's coefficient at
+    i < j < k is the Jacobiator of x_i, x_j, x_k, so the least triple in its
+    support is the first that fails."""
+    bad = schouten_square(L.bivector).terms if L.n >= 3 else None
+    return (False, min(bad)) if bad else (True, None)
 
 
 def require_jacobi(L: LieAlgebra):
@@ -389,6 +388,8 @@ def algebra_from_text(text: str):
                 raise ValueError(f"line {lineno}: weights must look like [0,0,1]")
             weights = [_number(int, x, lineno, key) for x in body[1:-1].split(",")
                        if x.strip() != ""]
+            if any(w < 0 for w in weights):
+                raise ValueError(f"line {lineno}: weights entries must be nonnegative")
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     if labels is None:

@@ -168,6 +168,45 @@ class TestQueryVerbs:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "root data index 9" in err
 
+    # each edit of the emitted sl3 file keeps every index in range but
+    # contradicts rank 2; the first one used to validate as PASS
+    @pytest.mark.parametrize("edits, message", [
+        ({"cartan": "3", "marks": "1 1 5"}, "root data cartan has length 1; rank is 2"),
+        ({"simple_e": "0"}, "root data simple_e has length 1; rank is 2"),
+        ({"simple_f": "5 6 7"}, "root data simple_f has length 3; rank is 2"),
+        ({"marks": "1 1 5"}, "root data marks has length 3; rank is 2"),
+        ({"negative": "5 6"},
+         "root data positive has length 3 and negative has length 2; they must match"),
+    ], ids=["cartan-and-marks", "simple_e", "simple_f", "marks", "negative"])
+    def test_root_data_that_contradicts_its_rank_exit_two(self, capsys, tmp_path, edits,
+                                                          message):
+        path = tmp_path / "sl3.alg"
+        run(capsys, "emit-builtin", "sl3", "--output", str(path))
+        lines = [f"{line.partition(':')[0]}: {edits[line.partition(':')[0]]}"
+                 if line.partition(":")[0] in edits else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        for verb in ("validate", "index"):
+            code, out, err = run(capsys, verb, str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and message in err
+
+    def test_every_emitted_file_loads_and_validates(self, capsys, tmp_path):
+        for name in BUILTIN_ALGEBRAS:
+            path = tmp_path / f"{name}.alg"
+            run(capsys, "emit-builtin", name, "--output", str(path))
+            code, out, _ = run(capsys, "validate", str(path))
+            assert code == 0 and "PASS" in out, name
+
+    def test_negative_weight_in_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "w.alg"
+        path.write_text("name: w\nlabels: e h f\n"
+                        "bracket: 0 1 0 -2\nbracket: 0 2 1 1\nbracket: 1 2 2 -2\n"
+                        "weights: [1,-1,0]\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "line 6: weights entries must be nonnegative" in err
+
     def test_fsi_invalid_weights_exit_one(self, capsys):
         code, out, _ = run(capsys, "fsi", "sl2", "--weights", "0,1,0")
         assert code == 1 and "negative t-power" in out

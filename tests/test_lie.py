@@ -195,8 +195,34 @@ class TestLiePoissonBivector:
                              ("positive", (0, 5)), ("negative", (2, 3)), ("highest", 3)):
             with pytest.raises(ValueError, match=r"root data index -?\d+ must satisfy"):
                 LieAlgebra(["e", "h", "f"], {}, root_data=root_data(**{field: value}))
-        # only the range is checked: tuple lengths need not match the rank
-        LieAlgebra(["e", "h", "f"], {}, root_data=root_data(simple_e=(0, 1, 2), marks=(1, 2)))
+        # indices in range but tuple lengths that contradict the rank
+        with pytest.raises(ValueError, match="root data simple_e has length 3; rank is 1"):
+            LieAlgebra(["e", "h", "f"], {}, root_data=root_data(simple_e=(0, 1, 2), marks=(1, 2)))
+
+    def test_negative_weights_line_rejected(self):
+        base = "name: w\nlabels: a b c\n"
+        for body in ("[1,-1,0]", "[-3, 0, 0]", "[0,0,-1]"):
+            with pytest.raises(ValueError, match=r"line 3: weights entries must be nonnegative"):
+                algebra_from_text(base + f"weights: {body}\n")
+        assert algebra_from_text(base + "weights: [1,0,2]\n")[1] == [1, 0, 2]
+
+    def test_root_data_lengths_must_match_the_rank(self):
+        fields = dict(rank=1, simple_e=(0,), simple_f=(2,), cartan=(1,),
+                      positive=(0,), negative=(2,), highest=0, marks=(1,))
+        for field, value, message in (
+                ("simple_e", (), "simple_e has length 0; rank is 1"),
+                ("simple_f", (2, 2), "simple_f has length 2; rank is 1"),
+                ("cartan", (1, 1), "cartan has length 2; rank is 1"),
+                ("marks", (1, 1), "marks has length 2; rank is 1"),
+                ("rank", 2, "simple_e has length 1; rank is 2"),
+                ("positive", (0, 0), "positive has length 2 and negative has length 1")):
+            rd = RootData(**dict(fields, **{field: value}))
+            with pytest.raises(ValueError, match=message):
+                LieAlgebra(["e", "h", "f"], {}, root_data=rd)
+        # marks are optional, and positive and negative may be longer than the rank
+        LieAlgebra(["e", "h", "f"], {}, root_data=RootData(**dict(fields, marks=None)))
+        LieAlgebra(["e", "h", "f"], {},
+                   root_data=RootData(**dict(fields, positive=(0, 0), negative=(2, 2))))
 
     def test_zero_denominator_names_the_line(self):
         with pytest.raises(ValueError, match=r"line 3: zero denominator in '1/0'"):

@@ -223,13 +223,18 @@ def algebra_files(draw):
         matrices = [draw(st.lists(entry_rows, min_size=m, max_size=m)) for _ in range(n)]
     root_data = None
     if draw(st.booleans()):
-        index_tuples = st.lists(st.integers(0, n - 1), max_size=3).map(tuple)
-        root_data = RootData(rank=draw(st.integers(0, 3)), simple_e=draw(index_tuples),
-                             simple_f=draw(index_tuples), cartan=draw(index_tuples),
-                             positive=draw(index_tuples), negative=draw(index_tuples),
+        # the tuple lengths agree with the rank, as LieAlgebra requires
+        rank, roots = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+        def index_tuples(size):
+            return draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size).map(tuple))
+
+        root_data = RootData(rank=rank, simple_e=index_tuples(rank),
+                             simple_f=index_tuples(rank), cartan=index_tuples(rank),
+                             positive=index_tuples(roots), negative=index_tuples(roots),
                              highest=draw(st.none() | st.integers(0, n - 1)),
-                             marks=draw(st.none() | st.lists(st.integers(1, 4), min_size=1,
-                                                             max_size=3).map(tuple)))
+                             marks=draw(st.none() | st.lists(st.integers(1, 4), min_size=rank,
+                                                             max_size=rank).map(tuple)))
     name = draw(st.none() | words)
     weights = draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
     return LieAlgebra(labels, brackets, matrices=matrices, root_data=root_data,

@@ -126,7 +126,6 @@ def test_encoding_guard_sees_imports_and_reads(tmp_path):
 
 # public names kept with no caller in the package, and why
 LIBRARY_API = {
-    "schouten_square": "the Poisson check of acceptance criteria 4 and 5",
     "algebraic_independence": "the Jacobian criterion for a list of polynomials",
 }
 
