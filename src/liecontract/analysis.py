@@ -16,12 +16,12 @@ from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetr
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .exterior import (Form, MultiVector, differential, point_ranks, volume_dual, wedge,
                        wedge_power)
-from .invariants import (GeneratorSet, _regularity_minor, char_invariants,
-                         semi_invariant_weight, t_degree_reduction)
+from .invariants import (GeneratorSet, _int_partials, _regularity_minor, _weight,
+                         char_invariants, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
 from .linalg import rational_rank
-from .polyring import (Polynomial, _integral_terms, _scaled_values, multivariate_gcd,
-                       poly_div_exact, poly_monic, poly_rename, poly_to_str)
+from .polyring import (Polynomial, _scaled_values, multivariate_gcd, poly_div_exact,
+                       poly_monic, poly_rename, poly_to_str)
 
 
 @dataclass
@@ -160,13 +160,14 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     n, ell = pi.n, len(casimirs)
     for rank, pivots, point in point_ranks(pi):
         if rank == n - ell:
-            # the Jacobian of the F scaled to int, at the point and scaled
-            # again, all in int: each scaling keeps the rank
-            _, maps = _integral_terms(casimirs)
-            values, _ = _scaled_values([Polynomial._raw(F.n, t).diff(j)
-                                        for F, t in zip(casimirs, maps) for j in range(n)], point)
+            # the Jacobian of the F, each scaled to int, at the point and
+            # scaled again, all in int: each scaling keeps the rank; the
+            # Casimir checks read the same partials
+            parts = [_int_partials(F) for F in casimirs]
+            values, _ = _scaled_values([Polynomial._raw(F.n, t) for F, (_, partials)
+                                        in zip(casimirs, parts) for t in partials], point)
             if (rational_rank([values[i:i + n] for i in range(0, len(values), n)]) == ell
-                    and all(semi_invariant_weight(F, pi) == [0] * n for F in casimirs)):
+                    and all(_weight(h, pi) == [0] * n for h in parts)):
                 return KostantReport(pi, casimirs, ell, pivots)
             break
     return KostantReport(pi, casimirs, n - 2 * pi.top_power[0], None)

@@ -107,12 +107,11 @@ def cmd_validate(args, fmt):
             detail["matrix_realization_error"] = str(exc)
     rd = L.root_data
     if rd is not None and ok:
-        good = True
-        for e_i, h_i in zip(rd.simple_e, rd.cartan):
-            row = L.bracket_pair(h_i, e_i)
-            if row != {e_i: 2}:
-                good = False
-        checks["chevalley_normalization"] = good
+        # [h_i, e_i] = 2 e_i, [e_i, f_i] = h_i and [h_i, f_i] = -2 f_i
+        checks["chevalley_normalization"] = all(
+            L.bracket_pair(h, e) == {e: 2} and L.bracket_pair(e, f) == {h: 1}
+            and L.bracket_pair(h, f) == {f: -2}
+            for e, f, h in zip(rd.simple_e, rd.simple_f, rd.cartan))
     all_ok = all(checks.values())
     payload = {"target": args.target, "ok": all_ok, "checks": checks, **detail}
     lines = [f"validate {args.target}: {'PASS' if all_ok else 'FAIL'}"]

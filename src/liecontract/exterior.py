@@ -85,23 +85,31 @@ class MultiVector:
         """(k, wedge^k pi) for the last nonzero wedge power of this bivector pi,
         computed on first read and kept.
 
-        pi's coefficient matrix has rank 2k, so its index is n - 2k.  The ranks
-        at the seeded points (point_ranks) are lower bounds on 2k, checked
-        once.  The memo is set by one assignment, so threads sharing pi can at
-        worst compute it twice.
+        The coefficient of wedge^j pi at an index set I of size 2j is
+        j! Pf(pi_I), so k is the largest j with a nonzero 2j-Pfaffian, pi's
+        matrix has rank 2k and its index is n - 2k.  Both bounds are proved.
+        Lower: at a seeded point (point_ranks) of rank r, some principal
+        r-Pfaffian is nonzero, so it is nonzero as a polynomial and k >= r/2;
+        the climb starts at that level, over the sets the support can match,
+        and an empty start level is a contradiction that raises.  Upper: by
+        the first-row expansion along i = min I, Pf(pi_I) != 0 needs
+        I = J + {i, j} with pi_ij != 0 and Pf(pi_J) != 0, so the 2k-level
+        names every candidate at 2k + 2; k climbs while a candidate is
+        nonzero and stops when all of them vanish.  One memoised engine
+        (linalg._Pfaffians) serves every index set.  The memo is set by one
+        assignment, so threads sharing pi can at worst compute it twice.
         """
         if self._top is None:
             if self.degree != 2:
                 raise ValueError("wedge powers need a bivector")
-            k, top = 0, MultiVector.unit(self.n)
-            while 2 * (k + 1) <= self.n:
-                nxt = self if k == 0 else wedge(top, self)
-                if nxt.is_zero:
-                    break
-                k, top = k + 1, nxt
-            if any(r > 2 * k for r, _, _ in point_ranks(self)):
+            levels = _PfaffianLevels(self)
+            k = (max(r for r, _, _ in point_ranks(self)) + 1) // 2
+            level = levels.matchable(k)
+            if not level:
                 raise AssertionError("wedge-power rank disagrees with point evaluation")
-            self._top = (k, top)
+            while nxt := levels.nonzero(levels.above(level)):
+                k, level = k + 1, nxt
+            self._top = (k, levels.power(k, level))
         return self._top
 
     def coefficient(self, idx) -> Polynomial:
@@ -215,6 +223,68 @@ def wedge_power(pi: MultiVector, k: int) -> MultiVector:
         if power.is_zero:
             return type(pi)._raw(pi.n, 2 * k, {})
     return power
+
+
+class _PfaffianLevels:
+    """The principal Pfaffians of one bivector's matrix, level by level.  An
+    index set is a bit mask; a level maps each set I of one size 2k with
+    Pf(pi_I) != 0 to d^k Pf(pi_I), the int term map of the one memoised
+    engine (linalg._Pfaffians) that serves every index set."""
+
+    def __init__(self, pi: MultiVector):
+        self.n = pi.n
+        self.pf = _Pfaffians(pi.terms, pi.n)
+        # partners[i]: the bits of the j > i with pi_ij != 0
+        self.partners = [[] for _ in range(pi.n)]
+        for i, j in pi.terms:
+            self.partners[i].append(1 << j)
+
+    @staticmethod
+    def rows(mask) -> tuple:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+
+    def above(self, sets, low=0) -> set:
+        """The sets J + {i, j} for J in sets, low <= i < min J, pi_ij != 0 and
+        j not in J.  By the first-row expansion along i = min I, they hold
+        every I of the next size with Pf(pi_I) != 0 and min I >= low, when
+        sets holds every such J of its size."""
+        out = set()
+        for mask in sets:
+            least = (mask & -mask).bit_length() - 1 if mask else self.n
+            for i in range(low, least):
+                bit = 1 << i
+                for b in self.partners[i]:
+                    if not mask & b:
+                        out.add(mask | bit | b)
+        return out
+
+    def nonzero(self, sets) -> dict:
+        return {mask: t for mask in sets if (t := self.pf.terms(self.rows(mask)))}
+
+    def matchable(self, k) -> dict:
+        """The level of size 2k, over the sets the support can match
+        perfectly: above() from the empty set, with no polynomial work."""
+        sets = {0}
+        for low in reversed(range(k)):
+            # each later step adds a new least index, so leave room below
+            sets = self.above(sets, low)
+        return self.nonzero(sets)
+
+    def power(self, k, level) -> MultiVector:
+        """wedge^k pi: k! Pf(pi_I) at each I of the level."""
+        f, dk = math.factorial(k), self.pf.d ** k
+        out = {}
+        for idx, t in sorted((self.rows(mask), t) for mask, t in level.items()):
+            t = {m: c * f for m, c in t.items()}
+            # the engine's maps are int and hold no zeros: no pass when d^k = 1
+            out[idx] = (Polynomial._raw(self.n, t) if dk == 1
+                        else Polynomial._collect(self.n, t, dk))
+        return MultiVector._raw(self.n, 2 * k, out)
 
 
 def differential(p: Polynomial) -> Form:
@@ -359,4 +429,4 @@ def pfaffian(matrix):
         for j in range(i + 1, m):
             if matrix[i][j] != -matrix[j][i]:
                 raise ValueError(f"matrix is not antisymmetric at ({i},{j})")
-    return _Pfaffians(matrix)([tuple(range(m))])
+    return _Pfaffians.of_matrix(matrix)([tuple(range(m))])

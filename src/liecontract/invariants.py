@@ -54,12 +54,24 @@ def semi_invariant_weight(h: Polynomial, pi: MultiVector):
     changes no ratio {x_j, h} / h."""
     if h.is_zero:
         raise ValueError("the zero polynomial is not a semi-invariant")
-    n = pi.n
-    if h.n != n:
-        raise ValueError(f"ring dimension mismatch: {h.n} vs {n}")
+    if h.n != pi.n:
+        raise ValueError(f"ring dimension mismatch: {h.n} vs {pi.n}")
+    return _weight(_int_partials(h), pi)
+
+
+def _int_partials(h: Polynomial):
+    """(terms, partials): h scaled to int by its common denominator, and the
+    n partial derivatives of that, all as term maps.  The same partials serve
+    the bracket {x_j, h} and analysis.regularity's Jacobian."""
     _, (terms,) = _integral_terms([h])
-    h = Polynomial._raw(n, terms)
-    partials = [h.diff(l).terms for l in range(n)]
+    scaled = Polynomial._raw(h.n, terms)
+    return terms, [scaled.diff(l).terms for l in range(h.n)]
+
+
+def _weight(h_partials, pi: MultiVector):
+    """semi_invariant_weight of a nonzero h of pi's ring, from _int_partials(h)."""
+    terms, partials = h_partials
+    n = pi.n
     dpi, maps = _integral_terms(pi.terms.values())
     rows = [{} for _ in range(n)]
     for (a, b), t in zip(pi.terms, maps):

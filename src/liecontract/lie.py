@@ -218,8 +218,13 @@ def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
 
 
 def algebra_index(L: LieAlgebra) -> int:
-    """Dimension minus the symbolic rank of the structure matrix, read off the
-    top wedge power of L's bivector (see MultiVector.top_power)."""
+    """Dimension minus the symbolic rank 2k of the structure matrix, read off
+    the top wedge power of L's bivector (see MultiVector.top_power).
+
+    Both bounds on k are proved there: a seeded point of rank 2k gives a
+    nonzero principal 2k-Pfaffian, so k is at least that; every candidate
+    (2k+2)-Pfaffian, named by the first-row expansion from the nonzero
+    2k-level, vanishes, so k is at most that."""
     # an abelian algebra may be too small to carry a bivector
     return L.n - 2 * L.bivector.top_power[0] if L.brackets else L.n
 

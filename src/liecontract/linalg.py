@@ -159,32 +159,46 @@ def rational_inverse(matrix):
 
 
 class _Pfaffians:
-    """Sub-Pfaffians of one matrix of int, Fraction or Polynomial entries,
-    memoised per row tuple.  Only the entries above the diagonal are read.
+    """Sub-Pfaffians of one skew matrix of int, Fraction or Polynomial
+    entries, memoised per row tuple.  The matrix is given by its nonzero
+    entries above the diagonal, {(i, j): e} for i < j, and the ring
+    dimension n of its Polynomials (None when every entry is a number).
     They are scaled once by their common denominator d, so the expansion runs
     in int, and a Pfaffian on 2k rows is divided by d^k at the end.  It is a
-    number when no entry is a Polynomial."""
+    number when n is None."""
 
-    def __init__(self, matrix):
-        self.n = next((e.n for row in matrix for e in row if isinstance(e, Polynomial)), None)
-        ring = self.ring = self.n or 0
-        spots = [((i, j), e if isinstance(e, Polynomial) else Polynomial.const(ring, e))
-                 for i, row in enumerate(matrix) for j in range(i + 1, len(row)) if (e := row[j])]
-        self.d, maps = _integral_terms(e for _, e in spots)
-        self.a = {ij: t for (ij, _), t in zip(spots, maps)}
-        self.memo = {(): {0: 1}}
+    def __init__(self, entries: dict, n=None):
+        self.n = n
+        ring = self.ring = n or 0
+        self.d, maps = _integral_terms(e if isinstance(e, Polynomial) else
+                                       Polynomial.const(ring, e) for e in entries.values())
+        self.a = dict(zip(entries, maps))
+        # the Pfaffian on rows (i, j) is the entry itself
+        self.memo = {(): {0: 1}, **self.a}
+
+    @classmethod
+    def of_matrix(cls, matrix):
+        """The engine on a square matrix; only its entries above the diagonal are read."""
+        n = next((e.n for row in matrix for e in row if isinstance(e, Polynomial)), None)
+        return cls({(i, j): e for i, row in enumerate(matrix)
+                    for j in range(i + 1, len(row)) if (e := row[j])}, n)
 
     def __call__(self, row_sets):
         """The sum of the Pfaffians on sorted row tuples of one length 2k."""
         acc, k = {}, 0
         for rows in row_sets:
             k = len(rows) // 2
-            terms = self.memo.get(rows)
-            for key, c in (self._expand(rows) if terms is None else terms).items():
+            for key, c in self.terms(rows).items():
                 acc[key] = acc.get(key, 0) + c
         if self.n is None:
             return _div(acc.get(0, 0), self.d ** k)
         return Polynomial._collect(self.n, acc, self.d ** k)
+
+    def terms(self, rows) -> dict:
+        """d^k times the Pfaffian on one sorted row tuple of length 2k, as a
+        term map of int coefficients; empty when the Pfaffian is zero."""
+        terms = self.memo.get(rows)
+        return self._expand(rows) if terms is None else terms
 
     def _expand(self, rows):
         """d^k times the Pfaffian on rows, by the first row; kept in the memo."""
@@ -211,7 +225,7 @@ def _principal_minor_sums(matrix):
     m = len(matrix)
     if any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square")
-    pf = _Pfaffians([[0] * m + list(row) for row in matrix])
+    pf = _Pfaffians.of_matrix([[0] * m + list(row) for row in matrix])
 
     def e(k):
         total = pf(rows + tuple(r + m for r in rows)

@@ -197,6 +197,35 @@ class TestQueryVerbs:
             run(capsys, "emit-builtin", name, "--output", str(path))
             code, out, _ = run(capsys, "validate", str(path))
             assert code == 0 and "PASS" in out, name
+            for target in (name, str(path)):
+                code, out, _ = run(capsys, "--format", "json", "validate", target)
+                assert code == 0, target
+                assert json.loads(out)["checks"]["chevalley_normalization"] is True, target
+
+    # sl2 tables that satisfy the Jacobi identity and [h, e] = 2e, but not
+    # [e, f] = h (a rescaled f) or not [h, f] = -2f ([h, f] = -2f + e)
+    CHEVALLEY_EDITS = {"ef": {"bracket: 0 2 1 1": ["bracket: 0 2 1 2"]},
+                       "hf": {"bracket: 1 2 2 -2": ["bracket: 1 2 2 -2", "bracket: 1 2 0 1"]}}
+
+    @pytest.mark.parametrize("matrices", [True, False], ids=["matrices", "no-matrices"])
+    @pytest.mark.parametrize("edit", sorted(CHEVALLEY_EDITS))
+    def test_validate_reads_every_chevalley_relation(self, capsys, tmp_path, edit, matrices):
+        path = tmp_path / "sl2.alg"
+        run(capsys, "emit-builtin", "sl2", "--output", str(path))
+        lines = [new for line in path.read_text().splitlines()
+                 if matrices or not line.startswith(("matsize", "matrix"))
+                 for new in self.CHEVALLEY_EDITS[edit].get(line, [line])]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and err == ""
+        assert out.splitlines()[0] == f"validate {path}: FAIL"
+        assert "  [ok] jacobi" in out.splitlines()
+        assert "  [FAIL] chevalley_normalization" in out.splitlines()
+        code, out, _ = run(capsys, "--format", "json", "validate", str(path))
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert checks["jacobi"] is True and checks["chevalley_normalization"] is False
+        assert checks.get("matrix_realization", False) is False
 
     def test_negative_weight_in_file_exit_two(self, capsys, tmp_path):
         path = tmp_path / "w.alg"

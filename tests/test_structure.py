@@ -127,6 +127,8 @@ def test_encoding_guard_sees_imports_and_reads(tmp_path):
 # public names kept with no caller in the package, and why
 LIBRARY_API = {
     "algebraic_independence": "the Jacobian criterion for a list of polynomials",
+    "semi_invariant_weight": "the bracket predicate (a Casimir has weight [0] * n); "
+                             "regularity runs its kernel on partials it shares",
 }
 
 
