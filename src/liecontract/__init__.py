@@ -9,7 +9,7 @@ from .builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS, SymmetricPai
                        symmetric_pair)
 from .contract import (ContractionResult, ContractionWeights, contract,
                        contract_algebra, t_degree)
-from .exterior import (Form, MultiVector, bivector_matrix, bivector_matrix_at,
+from .exterior import (Form, MultiVector, bivector_matrix_at,
                        differential, pfaffian, schouten_square, volume_dual, wedge,
                        wedge_power)
 from .invariants import (GeneratorSet, char_invariants, membership_linear,

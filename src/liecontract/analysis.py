@@ -89,7 +89,7 @@ def _form_of_differentials(polys, n: int) -> Form:
 @dataclass
 class KostantReport:
     """regularity's verdict.  pivots is the pivot set I of the seeded point
-    that proved the index, None when pi's top wedge power gave it; independent,
+    that proved the index, None when pi's generic rank gave it; independent,
     equal (A == B) and the certificate (q1 * A = q2 * B) are made on first read.
     """
 
@@ -154,7 +154,8 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     I, J.  At the pivots I of pi's matrix at x0, with B_I != 0 required,
     A = (A_I / B_I) B: q1 and q2 come from (A_I, B_I) alone, and A == B
     exactly when A_I == B_I.  When the proof does not close, the index is
-    read off pi's top wedge power, and A and B are built in full.
+    pi's generic rank (MultiVector.generic_rank), and A and B are built in
+    full.
     """
     casimirs = list(casimirs)
     n, ell = pi.n, len(casimirs)
@@ -170,7 +171,7 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
                     and all(_weight(h, pi) == [0] * n for h in parts)):
                 return KostantReport(pi, casimirs, ell, pivots)
             break
-    return KostantReport(pi, casimirs, n - 2 * pi.top_power[0], None)
+    return KostantReport(pi, casimirs, n - pi.generic_rank[0], None)
 
 
 def _wedge_power(pi: MultiVector, k: int) -> MultiVector:
@@ -218,7 +219,9 @@ def _content(b: MultiVector) -> FundamentalSemiInvariant:
         if g.is_constant:
             break
         g = multivariate_gcd(g, c)
-    g = poly_monic(g) if not g.is_constant else Polynomial.const(n, 1)
+    if g.is_constant:
+        return FundamentalSemiInvariant(p=Polynomial.const(n, 1), cofactor=b)
+    g = poly_monic(g)
     cof = MultiVector(n, b.degree,
                       {idx: poly_div_exact(c, g) for idx, c in b.terms.items()})
     if cof.scale(g) != b:

@@ -9,6 +9,7 @@ coordinate differentials; the two kinds never mix in a wedge.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -39,14 +40,14 @@ class MultiVector:
 
     kind = "multivector"
 
-    __slots__ = ("n", "degree", "terms", "_top", "_ranks")
+    __slots__ = ("n", "degree", "terms", "_top", "_ranks", "_rank", "_pf")
 
     def __init__(self, n: int, degree: int, terms=None):
         if not 0 <= degree <= n:
             raise ValueError(f"degree {degree} out of range for n={n}")
         self.n = n
         self.degree = degree
-        self._top = self._ranks = None
+        self._top = self._ranks = self._rank = self._pf = None
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -68,7 +69,7 @@ class MultiVector:
         mv.n = n
         mv.degree = degree
         mv.terms = terms
-        mv._top = mv._ranks = None
+        mv._top = mv._ranks = mv._rank = mv._pf = None
         return mv
 
     @classmethod
@@ -81,36 +82,62 @@ class MultiVector:
         return not self.terms
 
     @property
+    def generic_rank(self):
+        """(2k, I): the rank of this bivector pi's matrix over the field of
+        rational functions, and an index set I of that size with
+        Pf(pi_I) != 0; computed on first read and kept.
+
+        Start: pi has rank r at the first seeded point (point_ranks) with
+        pivots I, |I| = r, so pi_II is invertible there and Pf(pi_I) != 0.
+        Climb: while pi_II is invertible, pi = [[pi_II, B], [-B^T, C]] has
+        rank |I| + rank S for the skew Schur complement
+        S = C + B^T pi_II^-1 B, and Pf(pi_{I+{j,m}}) = +-Pf(pi_I) S_jm for j,
+        m outside I.  So rank pi = |I| exactly when all C(n - |I|, 2) of
+        those Pfaffians vanish; otherwise one is nonzero and I grows by its
+        pair.  Every Pfaffian comes from pi's one memoised engine.  The memo
+        is set by one assignment, so threads sharing pi can at worst compute
+        it twice.
+        """
+        if self._rank is None:
+            pf = self._engine()
+            r, pivots, _ = next(point_ranks(self))
+            if len(pivots) != r or not pf.terms(pivots):
+                raise AssertionError("wedge-power rank disagrees with point evaluation")
+            rows = set(pivots)
+            while pair := next((jm for jm in itertools.combinations(
+                    sorted(set(range(self.n)) - rows), 2)
+                    if pf.terms(tuple(sorted(rows.union(jm))))), None):
+                rows.update(pair)
+            self._rank = (len(rows), tuple(sorted(rows)))
+        return self._rank
+
+    @property
     def top_power(self):
         """(k, wedge^k pi) for the last nonzero wedge power of this bivector pi,
         computed on first read and kept.
 
         The coefficient of wedge^j pi at an index set I of size 2j is
-        j! Pf(pi_I), so k is the largest j with a nonzero 2j-Pfaffian, pi's
-        matrix has rank 2k and its index is n - 2k.  Both bounds are proved.
-        Lower: at a seeded point (point_ranks) of rank r, some principal
-        r-Pfaffian is nonzero, so it is nonzero as a polynomial and k >= r/2;
-        the climb starts at that level, over the sets the support can match,
-        and an empty start level is a contradiction that raises.  Upper: by
-        the first-row expansion along i = min I, Pf(pi_I) != 0 needs
-        I = J + {i, j} with pi_ij != 0 and Pf(pi_J) != 0, so the 2k-level
-        names every candidate at 2k + 2; k climbs while a candidate is
-        nonzero and stops when all of them vanish.  One memoised engine
-        (linalg._Pfaffians) serves every index set.  The memo is set by one
-        assignment, so threads sharing pi can at worst compute it twice.
+        j! Pf(pi_I), so k is half of generic_rank, which proves it.  The
+        level of every I of size 2k with Pf(pi_I) != 0 is computed over the
+        sets pi's support can match perfectly, on pi's one engine; an empty
+        level contradicts the proved rank and raises.
         """
         if self._top is None:
-            if self.degree != 2:
-                raise ValueError("wedge powers need a bivector")
+            k = self.generic_rank[0] // 2
             levels = _PfaffianLevels(self)
-            k = (max(r for r, _, _ in point_ranks(self)) + 1) // 2
             level = levels.matchable(k)
             if not level:
                 raise AssertionError("wedge-power rank disagrees with point evaluation")
-            while nxt := levels.nonzero(levels.above(level)):
-                k, level = k + 1, nxt
             self._top = (k, levels.power(k, level))
         return self._top
+
+    def _engine(self) -> _Pfaffians:
+        """The one memoised Pfaffian engine on this bivector's matrix."""
+        if self.degree != 2:
+            raise ValueError("wedge powers need a bivector")
+        if self._pf is None:
+            self._pf = _Pfaffians(self.terms, self.n)
+        return self._pf
 
     def coefficient(self, idx) -> Polynomial:
         return self.terms.get(tuple(idx), Polynomial.zero(self.n))
@@ -228,12 +255,12 @@ def wedge_power(pi: MultiVector, k: int) -> MultiVector:
 class _PfaffianLevels:
     """The principal Pfaffians of one bivector's matrix, level by level.  An
     index set is a bit mask; a level maps each set I of one size 2k with
-    Pf(pi_I) != 0 to d^k Pf(pi_I), the int term map of the one memoised
-    engine (linalg._Pfaffians) that serves every index set."""
+    Pf(pi_I) != 0 to d^k Pf(pi_I), the int term map of pi's one memoised
+    engine (linalg._Pfaffians)."""
 
     def __init__(self, pi: MultiVector):
         self.n = pi.n
-        self.pf = _Pfaffians(pi.terms, pi.n)
+        self.pf = pi._engine()
         # partners[i]: the bits of the j > i with pi_ij != 0
         self.partners = [[] for _ in range(pi.n)]
         for i, j in pi.terms:
@@ -311,19 +338,6 @@ def volume_dual(f: Form) -> MultiVector:
     return MultiVector._raw(n, n - f.degree, out)
 
 
-def bivector_matrix(pi: MultiVector):
-    """Antisymmetric n x n matrix of Polynomial entries pi_{ij}."""
-    if pi.degree != 2:
-        raise ValueError("expected a bivector")
-    n = pi.n
-    zero = Polynomial.zero(n)
-    mat = [[zero] * n for _ in range(n)]
-    for (i, j), p in pi.terms.items():
-        mat[i][j] = p
-        mat[j][i] = -p
-    return mat
-
-
 def point_ranks(pi: MultiVector):
     """(rank, pivot columns, point) of pi's matrix at each of three seeded
     rational points, the same on every call, evaluated only as far as the
@@ -353,13 +367,13 @@ def _seeded_points(n: int) -> tuple:
 
 def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:
     """The coefficient of wedge^k pi at the index set idx (|idx| = 2k), read
-    off one principal minor as k! Pf(pi_idx) without building the power."""
+    off pi's one engine as k! Pf(pi_idx) without building the power."""
     idx = tuple(idx)
     if len(idx) % 2:
         raise ValueError("a wedge power of a bivector has even degree")
-    mat = bivector_matrix(pi)
-    pf = pfaffian([[mat[i][j] for j in idx] for i in idx])
-    return Polynomial.const(pi.n, math.factorial(len(idx) // 2)) * pf
+    if list(idx) != sorted(set(idx)) or not all(0 <= i < pi.n for i in idx):
+        raise ValueError(f"bad index set {idx} for n={pi.n}")
+    return Polynomial.const(pi.n, math.factorial(len(idx) // 2)) * pi._engine()([idx])
 
 
 def bivector_matrix_at(pi: MultiVector, point):

@@ -5,8 +5,8 @@ for i < j; antisymmetry is built into the storage.  Numbers are ints when
 integral and Fractions otherwise, as polynomial coefficients are.  Instances
 are immutable after construction, so every operation here is a pure
 function.  Derived data (the bivector, the Jacobi verdict read off its
-Schouten square, and through the bivector its top wedge power) is computed
-on first use and kept.
+Schouten square, and through the bivector its rank and top wedge power) is
+computed on first use and kept.
 """
 
 from __future__ import annotations
@@ -218,15 +218,12 @@ def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
 
 
 def algebra_index(L: LieAlgebra) -> int:
-    """Dimension minus the symbolic rank 2k of the structure matrix, read off
-    the top wedge power of L's bivector (see MultiVector.top_power).
-
-    Both bounds on k are proved there: a seeded point of rank 2k gives a
-    nonzero principal 2k-Pfaffian, so k is at least that; every candidate
-    (2k+2)-Pfaffian, named by the first-row expansion from the nonzero
-    2k-level, vanishes, so k is at most that."""
+    """Dimension minus the generic rank of the structure matrix, proved by
+    MultiVector.generic_rank: a seeded point's pivots I give a nonzero
+    principal Pfaffian, and I stops growing exactly when every Pfaffian on
+    I and one more pair vanishes, the Schur complement of pi_II being zero."""
     # an abelian algebra may be too small to carry a bivector
-    return L.n - 2 * L.bivector.top_power[0] if L.brackets else L.n
+    return L.n - L.bivector.generic_rank[0] if L.brackets else L.n
 
 
 def subalgebra_on_indices(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:

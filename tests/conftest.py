@@ -30,3 +30,13 @@ def random_polynomial(rng: random.Random, n: int, max_degree: int = 3,
 
 def random_point(rng: random.Random, n: int):
     return [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(n)]
+
+
+def bivector_matrix(pi):
+    """Antisymmetric n x n matrix of Polynomial entries pi_{ij}."""
+    zero = Polynomial.zero(pi.n)
+    mat = [[zero] * pi.n for _ in range(pi.n)]
+    for (i, j), p in pi.terms.items():
+        mat[i][j] = p
+        mat[j][i] = -p
+    return mat

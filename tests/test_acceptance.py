@@ -10,12 +10,12 @@ import math
 import random
 import time
 
-from conftest import cached_builtin, cached_pair, random_polynomial
+from conftest import bivector_matrix, cached_builtin, cached_pair, random_polynomial
 from liecontract.analysis import feigin_suite, proportionality, z2_suite
 from liecontract.builders import borel_decomposition
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
-from liecontract.exterior import (MultiVector, bivector_matrix, differential,
-                                  pfaffian, schouten_square, volume_dual, wedge_power)
+from liecontract.exterior import (MultiVector, differential, pfaffian,
+                                  schouten_square, volume_dual, wedge_power)
 from liecontract.invariants import char_invariants, semi_invariant_weight
 from liecontract.lie import jacobi_check, lie_poisson_bivector
 from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,

@@ -98,8 +98,10 @@ def test_zero_bivector_has_full_index():
 def test_top_power_is_checked_against_the_point_ranks(monkeypatch):
     L = builtin_algebra("sl3")
     pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)    # nothing memoised yet
-    # a seeded point of full rank contradicts the index 2 of sl3
-    monkeypatch.setattr(exterior, "point_ranks", lambda _: iter([(L.n, (), None)]))
+    # a seeded point of full rank contradicts the index 2 of sl3: the
+    # Pfaffian on its pivots, all of sl3's 8 indices, vanishes
+    monkeypatch.setattr(exterior, "point_ranks",
+                        lambda _: iter([(L.n, tuple(range(L.n)), None)]))
     with pytest.raises(AssertionError, match="disagrees with point evaluation"):
         pi.top_power
     monkeypatch.undo()
@@ -116,9 +118,9 @@ def test_second_queries_make_no_pfaffian_expansions(monkeypatch):
         expanded.append(rows)
         return real(self, rows)
 
-    # every top power is read off the one Pfaffian engine; regularity's
-    # minors (certificate, equal) are made afresh for each report, so the
-    # kostant queries read only what the index proof and the top power give
+    # every index, top power and B_I is read off the bivector's one Pfaffian
+    # engine; regularity's A_I (certificate, equal) is made afresh for each
+    # report, so the kostant queries read only what the index proof gives
     monkeypatch.setattr(linalg._Pfaffians, "_expand", counting)
     L = builtin_algebra("sp4")
     w = borel_decomposition(L)
@@ -140,6 +142,27 @@ def test_second_queries_make_no_pfaffian_expansions(monkeypatch):
     assert made > before
     assert queries() == first
     assert len(expanded) == made
+
+
+def test_a_second_kostant_check_makes_no_b_i_expansion(monkeypatch):
+    L = builtin_algebra("sp4")
+    gens = char_invariants(L)
+    pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)    # nothing memoised yet
+    engine = pi._engine()
+    expanded = []
+    real = linalg._Pfaffians._expand
+
+    def spy(self, rows):
+        expanded.append(self is engine)
+        return real(self, rows)
+
+    monkeypatch.setattr(linalg._Pfaffians, "_expand", spy)
+    assert kostant_check(gens, pi, 2).is_kostant_type
+    # the first report expands B_I on pi's engine and A_I on its own
+    assert True in expanded and False in expanded
+    made = len(expanded)
+    assert kostant_check(gens, pi, 2).is_kostant_type
+    assert True not in expanded[made:]
 
 
 def test_threads_sharing_one_chain_get_the_right_powers():

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_polynomial
-from liecontract.exterior import (Form, MultiVector, bivector_matrix,
-                                  bivector_matrix_at, differential, pfaffian,
+from conftest import bivector_matrix, random_polynomial
+from liecontract.exterior import (Form, MultiVector, bivector_matrix_at, differential, pfaffian,
                                   schouten_square, volume_dual, wedge, wedge_power)
 from liecontract.invariants import semi_invariant_weight
 from liecontract.linalg import rational_rank

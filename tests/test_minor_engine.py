@@ -16,10 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_builtin, random_polynomial
+from conftest import bivector_matrix, cached_builtin, random_polynomial
 from liecontract import linalg
 from liecontract.builders import BUILTIN_ALGEBRAS
-from liecontract.exterior import bivector_matrix, pfaffian, point_ranks
+from liecontract.exterior import MultiVector, pfaffian, point_ranks
 from liecontract.invariants import (_regularity_minor, _trace_dual_generic_matrix,
                                     char_invariants)
 from liecontract.lie import lie_poisson_bivector
@@ -238,7 +238,8 @@ def test_principal_minor_sums_equal_per_subset_dets(name):
 def test_each_row_tuple_is_expanded_once_in_the_regularity_minor(monkeypatch):
     L = cached_builtin("so6")
     gens = char_invariants(L).gens
-    pi = lie_poisson_bivector(L)
+    # B_I comes from pi's kept engine, so a copy with nothing memoised
+    pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)
     index_set = next(piv for r, piv, _ in point_ranks(pi) if r == L.n - len(gens))
     assert len(index_set) == 12
     seen = {}      # engine -> the row tuples it expanded; keeps each engine alive

@@ -127,3 +127,7 @@ def test_wedge_power_coefficient_matches_the_chain():
                 assert power == pi.top_power[1]
             for idx in itertools.combinations(range(pi.n), 2 * k):
                 assert wedge_power_coefficient(pi, idx) == power.coefficient(idx)
+    pi = pis[0]
+    for bad in [(1, 0), (0, 0), (-1, 0), (0, pi.n), (0, 1, 2)]:
+        with pytest.raises(ValueError):
+            wedge_power_coefficient(pi, bad)

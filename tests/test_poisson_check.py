@@ -17,11 +17,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_builtin, cached_pair, random_polynomial
+from conftest import bivector_matrix, cached_builtin, cached_pair, random_polynomial
 from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
                                   borel_decomposition)
 from liecontract.contract import contract_algebra
-from liecontract.exterior import MultiVector, bivector_matrix, schouten_square
+from liecontract.exterior import MultiVector, schouten_square
 from liecontract.lie import (JacobiError, LieAlgebra, jacobi_check, require_jacobi,
                              subalgebra_on_indices)
 from liecontract.polyring import Polynomial

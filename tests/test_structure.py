@@ -14,9 +14,9 @@ No public function or class may exist only for the tests: each must be used
 somewhere in the package outside its own definition, or be listed in
 LIBRARY_API with the reason it is kept.
 
-The index and the regularity equality are decided in one place,
-analysis.regularity: only the readers in CHAIN_READERS may read a
-bivector's memoised top wedge power (`.top_power`).
+The index is read off a bivector's generic rank, never off its top wedge
+power: only the readers in CHAIN_READERS may read the memoised top power
+(`.top_power`), and they need wedge^k pi in full.
 """
 
 import ast
@@ -191,11 +191,6 @@ def test_caller_guard_sees_unused_and_self_references(tmp_path):
 
 # every read of a top wedge power in the package, and why it is not regularity's
 CHAIN_READERS = {
-    ("lie.py", "algebra_index", "L.bivector.top_power"):
-        "the index verb, the centraliser l, the memoised ggs parent, and g' "
-        "when feigin's semicentre generators are not Cartan-free",
-    ("analysis.py", "regularity", "pi.top_power"):
-        "the routine's fallback when the index proof does not close",
     ("analysis.py", "_wedge_power", "pi.top_power"):
         "the routine's fallback and fundamental_semiinvariant: wedge^k pi in full",
 }

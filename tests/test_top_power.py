@@ -1,10 +1,13 @@
-"""The top wedge power read off principal Pfaffians, against the wedge chain
-it replaced.
+"""The generic rank and the top wedge power read off principal Pfaffians,
+against the wedge chain and the level climb they replaced.
 
-MultiVector.top_power starts at the level of nonzero 2k-Pfaffians for k
-half the largest seeded point rank, and climbs while a candidate of the
-next level is nonzero; wedge^k pi is k! times the last level.
-chain_powers below is a copy of the loop it replaced: repeated
+MultiVector.generic_rank starts at the pivots I of the first seeded point
+and adds a pair {j, m} to I while some Pf(pi_{I+{j,m}}) is nonzero; its
+rank 2k must equal twice the k of climb_k below, a copy of the replaced
+top_power climb (start at half the largest seeded point rank over the
+matchable level, climb while a candidate of the next level is nonzero), and
+Pf(pi_I) must be nonzero.  MultiVector.top_power is k! times the level of
+that k.  chain_powers below is a copy of the loop before both: repeated
 wedge(., pi) until the power vanishes.  (k, top) and wedge_power(pi, j) for
 every j must equal its powers on the builtins and their Borel limits, the
 symmetric pairs' parents, limits and centralisers, seeded valid-weight
@@ -13,9 +16,11 @@ bivectors with Fraction coefficients, which need not be Poisson.  On the
 15-dimensional bivectors only (k, top) is compared, since wedge_power is
 the reference's own chain and costs seconds there.  Misreported point
 ranks test the bounds: a climb started from rank 0 still reaches the true
-k, and an over-reported rank raises.
+k, and a pivot set whose length is not its rank, or whose Pfaffian
+vanishes, raises.
 """
 
+import itertools
 import random
 
 import pytest
@@ -44,6 +49,17 @@ def chain_powers(pi):
     return powers
 
 
+def climb_k(pi):
+    """The replaced top_power climb: k from the level of nonzero Pfaffians."""
+    levels = exterior._PfaffianLevels(pi)
+    k = (max(r for r, _, _ in exterior.point_ranks(pi)) + 1) // 2
+    level = levels.matchable(k)
+    assert level
+    while nxt := levels.nonzero(levels.above(level)):
+        k, level = k + 1, nxt
+    return k
+
+
 def fresh(pi):
     """A copy of pi with nothing memoised."""
     return MultiVector(pi.n, 2, pi.terms)
@@ -52,6 +68,9 @@ def fresh(pi):
 def assert_same_as_chain(pi):
     powers = chain_powers(fresh(pi))
     k = len(powers) - 1
+    rank, rows = fresh(pi).generic_rank
+    assert rank == len(rows) == 2 * k == 2 * climb_k(fresh(pi))
+    assert not powers[k].coefficient(rows).is_zero
     assert fresh(pi).top_power == (k, powers[k])
     if pi.n <= 10:
         for j in range(pi.n // 2 + 1):
@@ -145,14 +164,56 @@ def test_climb_from_an_under_reported_rank_reaches_the_true_k(monkeypatch):
     # every seeded point reports rank 0, so the climb starts at the empty set
     monkeypatch.setattr(exterior, "point_ranks", lambda _: iter([(0, (), None)] * 3))
     for pi, powers in zip(bound_cases(), want):
+        assert fresh(pi).generic_rank[0] == 2 * (len(powers) - 1)
         assert fresh(pi).top_power == (len(powers) - 1, powers[-1])
 
 
+def test_a_climb_from_a_partial_pivot_set_reaches_the_true_k(monkeypatch):
+    for pi in bound_cases():
+        rank, rows = fresh(pi).generic_rank
+        for size in range(0, rank, 2):
+            # a nonzero 2j-Pfaffian below the top: some j-subset of rows' pairs
+            part = next(sub for sub in itertools.combinations(rows, size)
+                        if fresh(pi)._engine().terms(sub))
+            monkeypatch.setattr(exterior, "point_ranks",
+                                lambda _, t=(size, part, None): iter([t]))
+            assert fresh(pi).generic_rank[0] == rank
+            monkeypatch.undo()
+
+
+def assert_raises_from(monkeypatch, pi, rank, pivots):
+    monkeypatch.setattr(exterior, "point_ranks", lambda _: iter([(rank, pivots, None)]))
+    for read in ("generic_rank", "top_power"):
+        with pytest.raises(AssertionError, match="disagrees with point evaluation"):
+            getattr(fresh(pi), read)
+    monkeypatch.undo()
+
+
 def test_an_over_reported_rank_raises(monkeypatch):
+    # a point of rank r above 2k: a set of r indices has a vanishing
+    # Pfaffian, and a set of any other length disagrees with r
     cases = [(pi, len(chain_powers(fresh(pi))) - 1) for pi in bound_cases()]
     for extra in (1, 2):
         for pi, k in cases:
-            monkeypatch.setattr(exterior, "point_ranks",
-                                lambda _, r=2 * k + extra: iter([(r, (), None)]))
-            with pytest.raises(AssertionError, match="disagrees with point evaluation"):
-                fresh(pi).top_power
+            r = 2 * k + extra
+            assert_raises_from(monkeypatch, pi, r, ())
+            if r <= pi.n:
+                assert_raises_from(monkeypatch, pi, r, tuple(range(r)))
+
+
+def test_a_pivot_set_that_disagrees_with_its_rank_raises(monkeypatch):
+    vanishing = 0
+    for pi in bound_cases():
+        powers = chain_powers(fresh(pi))
+        k = len(powers) - 1
+        rows = fresh(pi).generic_rank[1]
+        if k:
+            assert_raises_from(monkeypatch, pi, 2 * k, rows[:-2])
+            assert_raises_from(monkeypatch, pi, 2 * k - 2, rows)
+        # a set of the true size whose Pfaffian vanishes
+        zero = next((idx for idx in itertools.combinations(range(pi.n), 2 * k)
+                     if powers[k].coefficient(idx).is_zero), None)
+        if zero is not None:
+            vanishing += 1
+            assert_raises_from(monkeypatch, pi, 2 * k, zero)
+    assert vanishing
