@@ -3,7 +3,7 @@
 from .analysis import (ContrDegReport, FundamentalSemiInvariant, KostantReport,
                        ProportionalityCertificate, SuiteReport, algebraic_independence,
                        contr_deg_report, feigin_suite, fundamental_semiinvariant,
-                       kostant_check, proportionality, regularity, z2_suite)
+                       kostant_check, regularity, z2_suite)
 from .builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS, SymmetricPair,
                        borel_decomposition, build_classical, builtin_algebra,
                        symmetric_pair)

@@ -15,9 +15,9 @@ from typing import Optional
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .exterior import (Form, MultiVector, differential, point_ranks, volume_dual, wedge,
-                       wedge_power)
+                       wedge_power, wedge_power_coefficient)
 from .invariants import (GeneratorSet, _int_partials, _regularity_minor, _weight,
-                         char_invariants, t_degree_reduction)
+                         char_invariants, semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
 from .linalg import rational_rank
 from .polyring import (Polynomial, _scaled_values, multivariate_gcd, poly_div_exact,
@@ -36,23 +36,6 @@ class ProportionalityCertificate:
     def constant_ratio(self) -> bool:
         return (self.proportional and self.q1 is not None and self.q1.is_constant
                 and self.q2 is not None and self.q2.is_constant)
-
-
-def proportionality(a: MultiVector, b: MultiVector) -> ProportionalityCertificate:
-    """Decide q1 * a = q2 * b with coprime polynomial factors."""
-    if a.is_zero or b.is_zero:
-        raise ValueError("proportionality needs two nonzero multivectors")
-    if a.n != b.n or a.degree != b.degree:
-        raise ValueError("multivectors live in different spaces")
-    if set(a.terms) != set(b.terms):
-        return ProportionalityCertificate(proportional=False)
-    base = min(a.terms)
-    q1, q2 = _coprime_ratio(a.terms[base], b.terms[base])
-    # a_I * b_base == a_base * b_I is a_I * q1 == q2 * b_I after dividing by the gcd
-    for idx in sorted(a.terms):
-        if a.terms[idx] * q1 != q2 * b.terms[idx]:
-            return ProportionalityCertificate(proportional=False)
-    return ProportionalityCertificate(proportional=True, q1=q1, q2=q2)
 
 
 def _coprime_ratio(a: Polynomial, b: Polynomial):
@@ -90,7 +73,8 @@ def _form_of_differentials(polys, n: int) -> Form:
 class KostantReport:
     """regularity's verdict.  pivots is the pivot set I of the seeded point
     that proved the index, None when pi's generic rank gave it; independent,
-    equal (A == B) and the certificate (q1 * A = q2 * B) are made on first read.
+    equal (A == B) and the certificate (q1 * A = q2 * B) are made on first
+    read from one coefficient pair (A_I, B_I), never from wedge^k pi.
     """
 
     pi: MultiVector
@@ -108,30 +92,34 @@ class KostantReport:
 
     @cached_property
     def _minor(self):
-        """(A_I, B_I) when the index was proved and B_I != 0, else None."""
+        """(A_I, B_I) with B_I != 0 and A = (A_I / B_I) B, at the pivots or
+        at I = min(A.terms); None when A = 0 or A is not proportional to B."""
         if self.pivots is not None:
             a_i, b_i = _regularity_minor(self.pi, self.casimirs, self.pivots)
             if b_i:
                 return a_i, b_i
-        return None
-
-    def _sides(self):
-        """A and B in full, the fallback."""
-        k = (self.pi.n - len(self.casimirs)) // 2
-        return volume_dual(self.form), _wedge_power(self.pi, k)
+        a, n, ell = volume_dual(self.form), self.pi.n, len(self.casimirs)
+        if a.is_zero or not (ell == n or (ell == self.index and all(
+                semi_invariant_weight(F, self.pi) == [0] * n for F in self.casimirs))):
+            return None
+        idx = min(a.terms)
+        return a.terms[idx], wedge_power_coefficient(self.pi, idx)
 
     @cached_property
     def equal(self) -> bool:
-        if self._minor:
-            return self._minor[0] == self._minor[1]
-        a, b = self._sides()
-        return not b.is_zero and a == b
+        return self._minor is not None and self._minor[0] == self._minor[1]
 
     @cached_property
     def certificate(self) -> ProportionalityCertificate:
-        if self._minor:
+        if self._minor is not None:
             return ProportionalityCertificate(True, *_coprime_ratio(*self._minor))
-        return proportionality(*self._sides())
+        n, ell = self.pi.n, len(self.casimirs)
+        # B = wedge^k pi vanishes exactly when 2k exceeds pi's generic rank
+        if self.form.is_zero or 2 * ((n - ell) // 2) > self.pi.generic_rank[0]:
+            raise ValueError("proportionality needs two nonzero multivectors")
+        if (n - ell) % 2:
+            raise ValueError("multivectors live in different spaces")
+        return ProportionalityCertificate(False)
 
     @property
     def is_kostant_type(self) -> bool:
@@ -154,8 +142,15 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     I, J.  At the pivots I of pi's matrix at x0, with B_I != 0 required,
     A = (A_I / B_I) B: q1 and q2 come from (A_I, B_I) alone, and A == B
     exactly when A_I == B_I.  When the proof does not close, the index is
-    pi's generic rank (MultiVector.generic_rank), and A and B are built in
-    full.
+    pi's generic rank (MultiVector.generic_rank), and A alone is built.
+    When A != 0, l is the index and each F is a Casimir, the proof above
+    holds at I = min(A.terms), where A_I != 0 forces B_I != 0.  Otherwise
+    A and B are not proportional.  Conversely to the proof, A = c B with
+    A != 0 and index l makes A(x) span im pi(x) = ann ker pi(x), so each
+    dF(x) lies in ker pi(x) and each F is a Casimir.  An index other than l
+    with k >= 1 gives B = 0, or a decomposable A against a wedge^k pi that
+    is not.  For l = n (k = 0) both are scalars, B = 1, and any A != 0 is
+    proportional.
     """
     casimirs = list(casimirs)
     n, ell = pi.n, len(casimirs)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from liecontract.analysis import ProportionalityCertificate, _coprime_ratio  # noqa: E402
 from liecontract.builders import builtin_algebra as _builtin_algebra  # noqa: E402
 from liecontract.builders import symmetric_pair as _symmetric_pair  # noqa: E402
 from liecontract.polyring import Polynomial  # noqa: E402
@@ -40,3 +41,22 @@ def bivector_matrix(pi):
         mat[i][j] = p
         mat[j][i] = -p
     return mat
+
+
+def proportionality(a, b):
+    """The full-sides reference for KostantReport.certificate: decide
+    q1 * a = q2 * b with coprime polynomial factors by cross-multiplying
+    every coefficient pair of two multivectors built in full."""
+    if a.is_zero or b.is_zero:
+        raise ValueError("proportionality needs two nonzero multivectors")
+    if a.n != b.n or a.degree != b.degree:
+        raise ValueError("multivectors live in different spaces")
+    if set(a.terms) != set(b.terms):
+        return ProportionalityCertificate(proportional=False)
+    base = min(a.terms)
+    q1, q2 = _coprime_ratio(a.terms[base], b.terms[base])
+    # a_I * b_base == a_base * b_I is a_I * q1 == q2 * b_I after dividing by the gcd
+    for idx in sorted(a.terms):
+        if a.terms[idx] * q1 != q2 * b.terms[idx]:
+            return ProportionalityCertificate(proportional=False)
+    return ProportionalityCertificate(proportional=True, q1=q1, q2=q2)

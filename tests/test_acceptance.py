@@ -10,8 +10,9 @@ import math
 import random
 import time
 
-from conftest import bivector_matrix, cached_builtin, cached_pair, random_polynomial
-from liecontract.analysis import feigin_suite, proportionality, z2_suite
+from conftest import (bivector_matrix, cached_builtin, cached_pair, proportionality,
+                      random_polynomial)
+from liecontract.analysis import feigin_suite, z2_suite
 from liecontract.builders import borel_decomposition
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
 from liecontract.exterior import (MultiVector, differential, pfaffian,

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import cached_builtin as builtin_algebra
 from conftest import cached_pair as symmetric_pair
+from conftest import proportionality
 from liecontract.analysis import (algebraic_independence, contr_deg_report,
                                   feigin_suite, fundamental_semiinvariant,
-                                  kostant_check, proportionality, z2_suite)
+                                  kostant_check, regularity, z2_suite)
 from liecontract.builders import borel_decomposition
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
 from liecontract.exterior import MultiVector, differential, volume_dual, wedge_power
@@ -27,17 +28,17 @@ def casimir():
 
 
 class TestProportionality:
+    """The certificate of regularity on sl2, and the full-sides reference."""
+
     def test_regularity_instance_gives_units(self):
-        a = volume_dual(differential(casimir()))
-        cert = proportionality(a, sl2_pi())
+        cert = regularity(sl2_pi(), [casimir()]).certificate
         assert cert.proportional and cert.constant_ratio
         assert cert.q1 == Polynomial.const(3, 1)
         assert cert.q2 == Polynomial.const(3, 1)
 
     def test_square_of_casimir(self):
         F = casimir()
-        a = volume_dual(differential(F * F))
-        cert = proportionality(a, sl2_pi())
+        cert = regularity(sl2_pi(), [F * F]).certificate
         assert cert.proportional
         assert cert.q1.is_constant
         # q2/q1 is 2F up to the monic normalization of the gcd
@@ -52,8 +53,7 @@ class TestProportionality:
         assert not proportionality(a, b).proportional
 
     def test_scaling_invariance(self):
-        a = volume_dual(differential(casimir()))
-        cert = proportionality(a.scale(Fraction(7, 3)), sl2_pi())
+        cert = regularity(sl2_pi(), [casimir() * Fraction(7, 3)]).certificate
         assert cert.proportional and cert.constant_ratio
         assert cert.q2.constant_value() / cert.q1.constant_value() == Fraction(7, 3)
 
@@ -67,8 +67,9 @@ class TestProportionality:
         assert c2.q1 * c1.q1 == c2.q2 * c1.q2
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            proportionality(MultiVector(3, 2, {}), sl2_pi())
+        rep = regularity(sl2_pi(), [Polynomial.zero(3)])
+        with pytest.raises(ValueError, match="proportionality needs two nonzero multivectors"):
+            rep.certificate
 
 
 class TestIndependence:

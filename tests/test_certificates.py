@@ -7,7 +7,10 @@ wedge^k pi, and the certificate q1 * A = q2 * B, from one coefficient pair
 contr_deg_report, feigin_suite and z2_suite did before: the index read off
 the top wedge power and the full comparison of volume_dual(form) with
 wedge^k pi, and feigin's fundamental semi-invariant and semicentre clauses
-built from the wedge powers of the limit and of g'.
+built from the wedge powers of the limit and of g'.  Every read of a report
+(equal, and the certificate's q's or its error) is also compared with the
+full sides and conftest's reference proportionality, with the seeded points
+and without them, where the report falls back to A alone.
 """
 
 import functools
@@ -15,13 +18,13 @@ import itertools
 import random
 
 import pytest
-from conftest import cached_builtin, cached_pair
+from conftest import cached_builtin, cached_pair, proportionality, random_polynomial
 
 from liecontract import analysis, exterior
 from liecontract.analysis import (Clause, ContrDegReport, FundamentalSemiInvariant,
                                   SuiteReport, _form_of_differentials, _wedge_power,
                                   contr_deg_report, feigin_suite, fundamental_semiinvariant,
-                                  kostant_check, proportionality, regularity, z2_suite)
+                                  kostant_check, regularity, z2_suite)
 from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
                                   borel_decomposition, builtin_algebra)
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
@@ -193,7 +196,10 @@ def test_an_index_set_with_vanishing_pfaffian_is_refused(monkeypatch):
 def test_chain_fallback_gives_the_same_report(pid, monkeypatch):
     want = z2_suite(pid).as_dict()
     monkeypatch.setattr(analysis, "point_ranks", lambda pi: iter(()))
+    seen = spy_wedge_powers(monkeypatch)
     assert z2_suite(pid).as_dict() == want
+    # the fallback decides from A alone and one coefficient of B
+    assert seen == []
 
 
 def test_z2_suite_builds_no_chain_on_the_parent_or_the_limit(monkeypatch):
@@ -229,13 +235,17 @@ def test_kostant_check_on_a_doubled_top_equals_the_chain_path(key):
     assert a.scale(q1) == _wedge_power(pi, (pi.n - len(tops)) // 2).scale(q2)
 
 
-def test_kostant_check_on_a_non_casimir_set_takes_the_chain_path():
+def test_kostant_check_on_a_non_casimir_set_is_not_proportional(monkeypatch):
     pi, casimirs = case("sl3")
     offered = casimirs[:-1] + (Polynomial.variable(pi.n, 0),)
+    want = chain_kostant_check(offered, pi, len(offered))
+    seen = spy_wedge_powers(monkeypatch)
     rep = kostant_check(offered, pi, len(offered))
     assert rep.pivots is None
-    assert kostant_tuple(rep) == chain_kostant_check(offered, pi, len(offered))
+    assert kostant_tuple(rep) == want
     assert not rep.certificate.proportional
+    # the failed Casimir check decides it: no wedge power of pi is read
+    assert seen == []
 
 
 FROBENIUS = "name: frob\nlabels: a b\nbracket: 0 1 1 1\n"
@@ -263,6 +273,97 @@ def test_kostant_check_builds_no_wedge_chain(name, monkeypatch):
     rep = kostant_check(gens, lie_poisson_bivector(L), len(gens))
     assert rep.is_kostant_type and rep.certificate.q1 == Polynomial.const(L.n, 1)
     assert started == []
+
+
+# ---------------------------------------------------------------------------
+# every read of a report against the full sides it replaced
+# ---------------------------------------------------------------------------
+
+def outcome(read):
+    """read(), or the type and message of the ValueError it raises."""
+    try:
+        return read()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def cert_tuple(cert):
+    return cert.proportional, cert.q1, cert.q2
+
+
+def full_sides_reads(pi, casimirs):
+    """(equal, certificate) from A = volume_dual(form) and B = wedge^k pi
+    built in full, compared whole and cross-multiplied by the reference."""
+    sides = outcome(lambda: (volume_dual(_form_of_differentials(casimirs, pi.n)),
+                             _wedge_power(pi, (pi.n - len(casimirs)) // 2)))
+    if isinstance(sides[0], type):
+        return sides, sides
+    a, b = sides
+    return not b.is_zero and a == b, outcome(lambda: cert_tuple(proportionality(a, b)))
+
+
+def report_reads(pi, casimirs):
+    rep = regularity(pi, casimirs)
+    return outcome(lambda: rep.equal), outcome(lambda: cert_tuple(rep.certificate))
+
+
+def offered_sets(pi, casimirs):
+    """The Casimirs as offered, and the sets that break one hypothesis each."""
+    x = tuple(Polynomial.variable(pi.n, i) for i in range(pi.n))
+    c = tuple(casimirs)
+    return [c, c[:-1], c + x[:1], (c[0] * 2,) + c[1:], c[:-1] + x[:1],
+            (c[0], c[0] ** 2) + c[2:], x, ()]
+
+
+def reads_both_ways(cases, monkeypatch):
+    """report_reads of each (pi, casimirs) with the seeded points, and then
+    with none, so that every report takes the fallback."""
+    real = [report_reads(pi, casimirs) for pi, casimirs in cases]
+    monkeypatch.setattr(analysis, "point_ranks", lambda _: iter(()))
+    return real, [report_reads(pi, casimirs) for pi, casimirs in cases]
+
+
+@pytest.mark.parametrize("key", list(BUILTIN_ALGEBRAS) + [f"{name}/borel"
+                                                          for name in BUILTIN_ALGEBRAS])
+def test_report_reads_equal_the_full_sides(key, monkeypatch):
+    pi, casimirs = case(key)
+    cases = [(pi, offered) for offered in offered_sets(pi, casimirs)]
+    want = [full_sides_reads(pi, offered) for _, offered in cases]
+    real, fallback = reads_both_ways(cases, monkeypatch)
+    assert real == want and fallback == want
+    # the offered Casimirs pass; the doubled top is proportional, not equal
+    assert want[0][0] is True and want[3][0] is False and want[3][1][0] is True
+
+
+def random_bivector(rng, n):
+    """Random sparse Fraction coefficients on about half the pairs, with no
+    Jacobi identity asked for."""
+    return MultiVector(n, 2, {ij: random_polynomial(rng, n, max_degree=1, max_terms=2)
+                              for ij in itertools.combinations(range(n), 2)
+                              if rng.random() < 0.5})
+
+
+def random_offer(rng, n):
+    """A random polynomial, or a coordinate or its square: a Casimir when
+    pi's row of that coordinate is empty."""
+    x = Polynomial.variable(n, rng.randrange(n))
+    return rng.choice([random_polynomial(rng, n, max_degree=2, max_terms=3), x, x * x])
+
+
+def test_report_reads_equal_the_full_sides_on_random_bivectors(monkeypatch):
+    rng = random.Random(20241017)
+    cases = []
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        pi = random_bivector(rng, n)
+        cases.append((pi, [random_offer(rng, n) for _ in range(rng.randint(0, n + 1))]))
+    want = [full_sides_reads(pi, casimirs) for pi, casimirs in cases]
+    real, fallback = reads_both_ways(cases, monkeypatch)
+    assert real == want and fallback == want
+    # proportional and unproportional sides, and each of the three errors
+    kinds = {cert[1].split()[0] if isinstance(cert[0], type) else cert[0]
+             for _, cert in want}
+    assert kinds == {True, False, "proportionality", "multivectors", "wedge"}
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +452,11 @@ def test_feigin_chain_fallback_gives_the_same_report(name, monkeypatch):
     want = feigin_suite(builtin_algebra(name)).as_dict()
     monkeypatch.setattr(analysis, "point_ranks", lambda pi: iter(()))
     reports = spy_regularity(monkeypatch)
+    seen = spy_wedge_powers(monkeypatch)
     assert feigin_suite(builtin_algebra(name)).as_dict() == want
-    # the limit and g' both took the fallback
+    # the limit and g' both took the fallback, and it read no wedge power
     assert len(reports) == 2 and all(rep.pivots is None for rep in reports)
+    assert seen == []
 
 
 @pytest.mark.parametrize("name", FEIGIN_ALGEBRAS)

@@ -14,9 +14,10 @@ No public function or class may exist only for the tests: each must be used
 somewhere in the package outside its own definition, or be listed in
 LIBRARY_API with the reason it is kept.
 
-The index is read off a bivector's generic rank, never off its top wedge
-power: only the readers in CHAIN_READERS may read the memoised top power
-(`.top_power`), and they need wedge^k pi in full.
+The index and the regularity verdict never read a wedge power of the
+bivector in full: only the readers in CHAIN_READERS may read the memoised
+top power (`.top_power`) or call `_wedge_power` or `wedge_power`, and they
+need wedge^k pi in full.
 """
 
 import ast
@@ -127,8 +128,6 @@ def test_encoding_guard_sees_imports_and_reads(tmp_path):
 # public names kept with no caller in the package, and why
 LIBRARY_API = {
     "algebraic_independence": "the Jacobian criterion for a list of polynomials",
-    "semi_invariant_weight": "the bracket predicate (a Casimir has weight [0] * n); "
-                             "regularity runs its kernel on partials it shares",
 }
 
 
@@ -189,16 +188,20 @@ def test_caller_guard_sees_unused_and_self_references(tmp_path):
     assert found == [("a.py", "loop"), ("a.py", "Shape")]
 
 
-# every read of a top wedge power in the package, and why it is not regularity's
+# every read of a wedge power in full in the package, and why it is not regularity's
 CHAIN_READERS = {
     ("analysis.py", "_wedge_power", "pi.top_power"):
-        "the routine's fallback and fundamental_semiinvariant: wedge^k pi in full",
+        "fundamental_semiinvariant (and the fsi verb): wedge^k pi in full",
+    ("analysis.py", "_wedge_power", "wedge_power"): "the powers below the top one",
+    ("analysis.py", "fundamental_semiinvariant", "_wedge_power"):
+        "the content of wedge^k pi, when A == B does not give it",
 }
+WEDGE_POWERS = {"top_power", "_wedge_power", "wedge_power"}
 
 
 def chain_reads(path):
     """(qualified name of the enclosing def, expression) of every read of
-    `.top_power` in one module."""
+    `.top_power`, `_wedge_power` or `wedge_power` in one module."""
     out = []
 
     def visit(node, scope):
@@ -206,7 +209,8 @@ def chain_reads(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "top_power":
+            if ((isinstance(child, ast.Attribute) and child.attr in WEDGE_POWERS)
+                    or (isinstance(child, ast.Name) and child.id in WEDGE_POWERS)):
                 out.append((".".join(scope), ast.unparse(child)))
             visit(child, scope)
 
@@ -228,6 +232,10 @@ def test_chain_guard_sees_reads_in_functions_and_methods(tmp_path):
         "class R:\n"
         "    def g(self):\n"
         "        return self.pi.top_power, self.pi.top, self.top_power_k\n"
-        "top = L.bivector.top_power\n")
+        "top = L.bivector.top_power\n"
+        "from .exterior import wedge_power\n"
+        "def h(pi, mod):\n"
+        "    return wedge_power(pi, 2), mod._wedge_power(pi, 1), wedge_powers\n")
     assert chain_reads(path) == [("f", "pi.top_power"), ("f", "pi.top_power"),
-                                 ("R.g", "self.pi.top_power"), ("", "L.bivector.top_power")]
+                                 ("R.g", "self.pi.top_power"), ("", "L.bivector.top_power"),
+                                 ("h", "wedge_power"), ("h", "mod._wedge_power")]
