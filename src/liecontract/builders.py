@@ -5,6 +5,11 @@ sp_2n via the skew form with anti-diagonal blocks, so that in every case the
 Borel subalgebra consists of upper triangular matrices.  Root vectors are
 labeled by the expansion of their root in simple roots: e12 sits at the root
 a1 + a2, e112 at 2*a1 + a2, and so on.
+
+The symmetric pairs form one table, _PAIRS: a row keyed by the pair id holds
+the parent builder, an involution on the parent's matrices and the Cartan
+subspace as sums of basis labels.  symmetric_pair validates every row on
+construction.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .polyring import Polynomial, multivariate_gcd, poly_div_exact
 
 BUILTIN_ALGEBRAS = ("sl2", "sl3", "sl4", "sp4", "so4", "so5", "so6")
 FEIGIN_ALGEBRAS = ("sl2", "sl3", "sl4", "sp4", "so5", "so6")
-Z2_PAIRS = ("sl2_so2", "sp4_sp2sp2", "so4_gl2", "sl4_sp4")
 
 
 def _unit(m, i, j):
@@ -274,7 +278,6 @@ class SymmetricPair:
     cartan_subspace: list          # sparse coordinate vectors inside g1
     centralizer_alg: LieAlgebra    # l = centralizer of the Cartan subspace in g0
     weights: ContractionWeights
-    g0_name: str
 
 
 def _char_poly_1var(M):
@@ -306,20 +309,6 @@ def _is_semisimple_matrix(M) -> bool:
     return all(all(x == 0 for x in row) for row in acc)
 
 
-def _split_by_matrix_involution(L: LieAlgebra, sigma):
-    g0, g1 = [], []
-    for i, M in enumerate(L.matrices):
-        img = sigma(M)
-        if img == M:
-            g0.append(i)
-        elif img == _neg(M):
-            g1.append(i)
-        else:
-            raise ValueError(f"basis vector {L.labels[i]} is not homogeneous "
-                             f"under the involution")
-    return tuple(g0), tuple(g1)
-
-
 def is_z2_grading(L: LieAlgebra, g0) -> bool:
     """Whether the basis indices g0 and their complement g1 split L as a
     Z2-grading: [g_a, g_b] lies in g_{a+b} for every bracket of basis vectors."""
@@ -331,8 +320,6 @@ def is_z2_grading(L: LieAlgebra, g0) -> bool:
 def _adapted_sl4_basis():
     """Basis of sl4 adapted to the fixed-point subalgebra sp4."""
     sp = build_classical("sp", 4)
-    mats = [ [row[:] for row in M] for M in sp.matrices]
-    labels = list(sp.labels)
     g1_mats = [
         _add(_unit(4, 0, 1), _unit(4, 2, 3)),
         _add(_unit(4, 1, 0), _unit(4, 3, 2)),
@@ -340,67 +327,59 @@ def _adapted_sl4_basis():
         _add(_unit(4, 2, 0), _neg(_unit(4, 3, 1))),
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
     ]
-    mats.extend(g1_mats)
-    labels.extend(f"v{i + 1}" for i in range(5))
-    return from_matrices(mats, labels=labels, name="sl4_adapted", family=("sl", 4))
+    return from_matrices(list(sp.matrices) + g1_mats,
+                         labels=list(sp.labels) + [f"v{i + 1}" for i in range(5)],
+                         name="sl4_adapted", family=("sl", 4))
 
 
-def _sp_form_matrix(m):
-    J = zero_matrix(m)
-    nn = m // 2
-    for i in range(m):
-        J[i][m - 1 - i] = 1 if i < nn else -1
-    return J
+def _diagonal(*d):
+    """The involution M -> D M D with D = diag(d), d = +-1."""
+    def sigma(M):
+        return [[d[i] * x * d[j] for j, x in enumerate(row)] for i, row in enumerate(M)]
+    return sigma
+
+
+def _sp4_form(M):
+    """The involution M -> J M^T J, J the skew form of sp4: it fixes sp4 in sl4."""
+    J = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    return mat_mul(mat_mul(J, [list(col) for col in zip(*M)]), J)
+
+
+# pair id -> (parent builder, involution on the parent's matrices, Cartan
+# subspace as sums of basis labels); a new pair is one more row
+_PAIRS = {
+    "sl2_so2": (lambda: build_classical("sl", 2), _diagonal(1, -1), [("e", "f")]),
+    "sp4_sp2sp2": (lambda: build_classical("sp", 4), _diagonal(1, -1, -1, 1), [("e1", "f1")]),
+    "so4_gl2": (lambda: build_classical("so", 4), _diagonal(1, 1, -1, -1), [("e2", "f2")]),
+    "sl4_sp4": (_adapted_sl4_basis, _sp4_form, [("v5",)]),
+}
+Z2_PAIRS = tuple(_PAIRS)
 
 
 def symmetric_pair(pair_id: str) -> SymmetricPair:
-    """Catalog of symmetric pairs with explicit Cartan-subspace data.
+    """Build the catalog pair whose row in _PAIRS is keyed by pair_id.
 
-    Every catalog entry is validated on construction: the Z2-grading holds,
-    the supplied Cartan subspace is abelian, consists of semisimple matrices,
-    and is its own centralizer inside the odd part.
+    The involution splits the parent's basis into g0 (fixed) and g1 (negated).
+    Every row is validated on construction: each basis vector is homogeneous,
+    the split is a Z2-grading, and the supplied Cartan subspace is abelian,
+    consists of semisimple matrices, and is its own centralizer inside g1.
     """
-    if pair_id == "sl2_so2":
-        L = build_classical("sl", 2)
-        g0 = (L.label_index("h"),)
-        g1 = (L.label_index("e"), L.label_index("f"))
-        c = [{g1[0]: 1, g1[1]: 1}]
-        g0_name = "so2"
-    elif pair_id == "sp4_sp2sp2":
-        L = build_classical("sp", 4)
-        d = [1, -1, -1, 1]
-
-        def sigma(M):
-            return [[d[i] * M[i][j] * d[j] for j in range(4)] for i in range(4)]
-
-        g0, g1 = _split_by_matrix_involution(L, sigma)
-        e1, f1 = L.root_data.simple_e[0], L.root_data.simple_f[0]
-        c = [{e1: 1, f1: 1}]
-        g0_name = "sp2+sp2"
-    elif pair_id == "so4_gl2":
-        L = build_classical("so", 4)
-        d = [1, 1, -1, -1]
-
-        def sigma(M):
-            return [[d[i] * M[i][j] * d[j] for j in range(4)] for i in range(4)]
-
-        g0, g1 = _split_by_matrix_involution(L, sigma)
-        e2, f2 = L.root_data.simple_e[1], L.root_data.simple_f[1]
-        c = [{e2: 1, f2: 1}]
-        g0_name = "gl2"
-    elif pair_id == "sl4_sp4":
-        L = _adapted_sl4_basis()
-        J = _sp_form_matrix(4)
-
-        def sigma(M):
-            Mt = [[M[j][i] for j in range(4)] for i in range(4)]
-            return mat_mul(mat_mul(J, Mt), J)
-
-        g0, g1 = _split_by_matrix_involution(L, sigma)
-        c = [{L.label_index("v5"): 1}]
-        g0_name = "sp4"
-    else:
+    if pair_id not in _PAIRS:
         raise ValueError(f"unknown symmetric pair {pair_id!r}; choose from {Z2_PAIRS}")
+    build, sigma, cartan = _PAIRS[pair_id]
+    L = build()
+    g0, g1 = [], []
+    for i, M in enumerate(L.matrices):
+        img = sigma(M)
+        if img == M:
+            g0.append(i)
+        elif img == _neg(M):
+            g1.append(i)
+        else:
+            raise ValueError(f"catalog error: basis vector {L.labels[i]} of {pair_id} "
+                             f"is not homogeneous under the involution")
+    g0, g1 = tuple(g0), tuple(g1)
+    c = [{L.label_index(label): 1 for label in labels} for labels in cartan]
 
     if not is_z2_grading(L, g0):
         raise ValueError(f"catalog error: {pair_id} split is not a Z2-grading")
@@ -421,5 +400,4 @@ def symmetric_pair(pair_id: str) -> SymmetricPair:
     for i in g1:
         w[i] = 1
     return SymmetricPair(pair_id=pair_id, parent=L, g0=g0, g1=g1, cartan_subspace=c,
-                         centralizer_alg=l_alg, weights=ContractionWeights(tuple(w)),
-                         g0_name=g0_name)
+                         centralizer_alg=l_alg, weights=ContractionWeights(tuple(w)))

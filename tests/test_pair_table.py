@@ -1,0 +1,192 @@
+"""The z2 catalog as one table: the table-driven symmetric_pair against the
+four-branch construction it replaced, the catalog errors on bad rows, and
+further classical pairs that are one row each."""
+
+import pytest
+
+from liecontract import builders
+from liecontract.analysis import z2_suite
+from liecontract.builders import (Z2_PAIRS, _diagonal, _neg, _unit,
+                                  build_classical, symmetric_pair)
+from liecontract.contract import ContractionWeights
+from liecontract.lie import (algebra_to_text, centralizer_in_span, from_matrices,
+                             subalgebra_from_vectors)
+from liecontract.linalg import mat_mul, zero_matrix
+
+
+# ---------------------------------------------------------------------------
+# the four-branch construction, kept as the reference
+# ---------------------------------------------------------------------------
+
+def _split_by_matrix_involution(L, sigma):
+    g0, g1 = [], []
+    for i, M in enumerate(L.matrices):
+        img = sigma(M)
+        if img == M:
+            g0.append(i)
+        elif img == _neg(M):
+            g1.append(i)
+        else:
+            raise ValueError(f"basis vector {L.labels[i]} is not homogeneous "
+                             f"under the involution")
+    return tuple(g0), tuple(g1)
+
+
+def _reference_sl4_basis():
+    sp = build_classical("sp", 4)
+    mats = [[row[:] for row in M] for M in sp.matrices]
+    labels = list(sp.labels)
+    mats.extend([
+        builders._add(_unit(4, 0, 1), _unit(4, 2, 3)),
+        builders._add(_unit(4, 1, 0), _unit(4, 3, 2)),
+        builders._add(_unit(4, 0, 2), _neg(_unit(4, 1, 3))),
+        builders._add(_unit(4, 2, 0), _neg(_unit(4, 3, 1))),
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
+    ])
+    labels.extend(f"v{i + 1}" for i in range(5))
+    return from_matrices(mats, labels=labels, name="sl4_adapted", family=("sl", 4))
+
+
+def _sp_form_matrix(m):
+    J = zero_matrix(m)
+    nn = m // 2
+    for i in range(m):
+        J[i][m - 1 - i] = 1 if i < nn else -1
+    return J
+
+
+def _reference_pair(pair_id):
+    """(parent, g0, g1, cartan subspace, centralizer, weights) as the
+    four-branch symmetric_pair built them."""
+    if pair_id == "sl2_so2":
+        L = build_classical("sl", 2)
+        g0 = (L.label_index("h"),)
+        g1 = (L.label_index("e"), L.label_index("f"))
+        c = [{g1[0]: 1, g1[1]: 1}]
+    elif pair_id == "sp4_sp2sp2":
+        L = build_classical("sp", 4)
+        d = [1, -1, -1, 1]
+
+        def sigma(M):
+            return [[d[i] * M[i][j] * d[j] for j in range(4)] for i in range(4)]
+
+        g0, g1 = _split_by_matrix_involution(L, sigma)
+        e1, f1 = L.root_data.simple_e[0], L.root_data.simple_f[0]
+        c = [{e1: 1, f1: 1}]
+    elif pair_id == "so4_gl2":
+        L = build_classical("so", 4)
+        d = [1, 1, -1, -1]
+
+        def sigma(M):
+            return [[d[i] * M[i][j] * d[j] for j in range(4)] for i in range(4)]
+
+        g0, g1 = _split_by_matrix_involution(L, sigma)
+        e2, f2 = L.root_data.simple_e[1], L.root_data.simple_f[1]
+        c = [{e2: 1, f2: 1}]
+    elif pair_id == "sl4_sp4":
+        L = _reference_sl4_basis()
+        J = _sp_form_matrix(4)
+
+        def sigma(M):
+            Mt = [[M[j][i] for j in range(4)] for i in range(4)]
+            return mat_mul(mat_mul(J, Mt), J)
+
+        g0, g1 = _split_by_matrix_involution(L, sigma)
+        c = [{L.label_index("v5"): 1}]
+    else:
+        raise ValueError(f"unknown symmetric pair {pair_id!r}")
+    cent0 = centralizer_in_span(L, c, g0)
+    l_alg = subalgebra_from_vectors(L, cent0, labels=[f"l{i}" for i in range(len(cent0))])
+    w = [0] * L.n
+    for i in g1:
+        w[i] = 1
+    return L, g0, g1, c, l_alg, ContractionWeights(tuple(w))
+
+
+def test_catalog_ids_are_read_off_the_table():
+    assert Z2_PAIRS == tuple(builders._PAIRS) == ("sl2_so2", "sp4_sp2sp2", "so4_gl2", "sl4_sp4")
+
+
+@pytest.mark.parametrize("pair_id", Z2_PAIRS)
+def test_table_matches_the_four_branch_construction(pair_id):
+    L, g0, g1, c, l_alg, w = _reference_pair(pair_id)
+    pair = symmetric_pair(pair_id)
+    assert pair.parent == L
+    assert (pair.g0, pair.g1, pair.weights) == (g0, g1, w)
+    assert [list(v.items()) for v in pair.cartan_subspace] == [list(v.items()) for v in c]
+    assert algebra_to_text(pair.parent) == algebra_to_text(L)
+    assert algebra_to_text(pair.centralizer_alg) == algebra_to_text(l_alg)
+
+
+@pytest.mark.parametrize("pair_id", Z2_PAIRS)
+def test_z2_report_matches_the_four_branch_construction(pair_id):
+    L, g0, g1, c, l_alg, w = _reference_pair(pair_id)
+    reference = builders.SymmetricPair(pair_id=pair_id, parent=L, g0=g0, g1=g1,
+                                       cartan_subspace=c, centralizer_alg=l_alg, weights=w)
+    assert z2_suite(symmetric_pair(pair_id)).as_dict() == z2_suite(reference).as_dict()
+
+
+# ---------------------------------------------------------------------------
+# every catalog error is reached by a bad row
+# ---------------------------------------------------------------------------
+
+def _minus_transpose(M):
+    return [[-x for x in col] for col in zip(*M)]
+
+
+def _negate_off_diagonal(M):
+    return [[x if i == j else -x for j, x in enumerate(row)] for i, row in enumerate(M)]
+
+
+BAD_ROWS = {
+    "not homogeneous": ((lambda: build_classical("sl", 2)), _minus_transpose, [("e", "f")],
+                        "catalog error: basis vector e of bad is not homogeneous "
+                        "under the involution"),
+    "not graded": ((lambda: build_classical("sl", 3)), _negate_off_diagonal, [("e1", "f1")],
+                   "catalog error: bad split is not a Z2-grading"),
+    "not abelian": ((lambda: build_classical("sl", 4)), _diagonal(1, 1, -1, -1),
+                    [("e12", "f12"), ("e123", "f123")],
+                    "catalog error: Cartan subspace of bad not abelian"),
+    "not semisimple": ((lambda: build_classical("sl", 2)), _diagonal(1, -1), [("e",)],
+                       "catalog error: Cartan subspace of bad not semisimple"),
+    "not maximal": ((lambda: build_classical("sp", 4)), _diagonal(1, 1, -1, -1), [("e2", "f2")],
+                    "catalog error: Cartan subspace of bad is not maximal"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_bad_row_raises_its_catalog_error(case, monkeypatch):
+    build, sigma, cartan, message = BAD_ROWS[case]
+    monkeypatch.setitem(builders._PAIRS, "bad", (build, sigma, cartan))
+    with pytest.raises(ValueError) as err:
+        symmetric_pair("bad")
+    assert str(err.value) == message
+
+
+def test_unknown_pair_names_the_catalog():
+    with pytest.raises(ValueError) as err:
+        symmetric_pair("sl3_so3")
+    assert str(err.value) == ("unknown symmetric pair 'sl3_so3'; choose from "
+                              "('sl2_so2', 'sp4_sp2sp2', 'so4_gl2', 'sl4_sp4')")
+
+
+# ---------------------------------------------------------------------------
+# further classical pairs are one row each
+# ---------------------------------------------------------------------------
+
+MORE_ROWS = {
+    "sl3_s(gl2+gl1)": (("sl", 3), (1, 1, -1), [("e2", "f2")], (4, 4, 1)),
+    "sl4_s(gl2+gl2)": (("sl", 4), (1, 1, -1, -1), [("e12", "f12"), ("e23", "f23")], (7, 8, 1)),
+    "sl4_s(gl3+gl1)": (("sl", 4), (1, 1, 1, -1), [("e3", "f3")], (9, 6, 4)),
+}
+
+
+@pytest.mark.parametrize("pair_id", MORE_ROWS)
+def test_added_row_passes_z2(pair_id, monkeypatch):
+    (kind, size), d, cartan, dims = MORE_ROWS[pair_id]
+    monkeypatch.setitem(builders._PAIRS, pair_id,
+                        (lambda: build_classical(kind, size), _diagonal(*d), cartan))
+    pair = symmetric_pair(pair_id)
+    assert (len(pair.g0), len(pair.g1), pair.centralizer_alg.n) == dims
+    rep = z2_suite(pair)
+    assert rep.ok, [cl.name for cl in rep.clauses if not cl.ok]
