@@ -98,9 +98,16 @@ class KostantReport:
             a_i, b_i = _regularity_minor(self.pi, self.casimirs, self.pivots)
             if b_i:
                 return a_i, b_i
-        a, n, ell = volume_dual(self.form), self.pi.n, len(self.casimirs)
-        if a.is_zero or not (ell == n or (ell == self.index and all(
-                semi_invariant_weight(F, self.pi) == [0] * n for F in self.casimirs))):
+        n, ell = self.pi.n, len(self.casimirs)
+        # A is built only when l == n or l == index with every F a nonzero
+        # Casimir; l > n and an F of another ring go on to the wedge's error
+        same_ring = all(F.n == n for F in self.casimirs)
+        if ell < n and same_ring and not (ell == self.index and all(
+                not F.is_zero and semi_invariant_weight(F, self.pi) == [0] * n
+                for F in self.casimirs)):
+            return None
+        a = volume_dual(self.form)
+        if a.is_zero:
             return None
         idx = min(a.terms)
         return a.terms[idx], wedge_power_coefficient(self.pi, idx)

@@ -2,9 +2,12 @@
 
 so_m is realized as matrices skew-symmetric about the anti-diagonal and
 sp_2n via the skew form with anti-diagonal blocks, so that in every case the
-Borel subalgebra consists of upper triangular matrices.  Root vectors are
-labeled by the expansion of their root in simple roots: e12 sits at the root
-a1 + a2, e112 at 2*a1 + a2, and so on.
+Borel subalgebra consists of upper triangular matrices.  A family builder
+lists only its positive root vectors and a Cartan basis; _assemble derives
+the rest from those matrices: every root's simple-root coefficients, the f
+matrices, the highest root and its marks.  Root vectors are labeled by the
+expansion of their root in simple roots: e12 sits at the root a1 + a2, e112
+at 2*a1 + a2, and so on.
 
 The symmetric pairs form one table, _PAIRS: a row keyed by the pair id holds
 the parent builder, an involution on the parent's matrices and the Cartan
@@ -15,6 +18,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .contract import ContractionWeights
 from .lie import LieAlgebra, RootData, centralizer_in_span, from_matrices, subalgebra_from_vectors
@@ -54,173 +58,124 @@ def _root_label(prefix: str, coeffs) -> str:
     return prefix + "".join(str(i + 1) * c for i, c in enumerate(coeffs))
 
 
-def _sort_positive(roots):
+def _value(h, E, r, c):
+    """The value at h of E's root, read at E's nonzero entry (r, c): [h, E] = value * E."""
+    return sum(h[r][k] * E[k][c] - E[r][k] * h[k][c] for k in range(len(E))) // E[r][c]
+
+
+def _transpose_bracket(E):
+    """[E, E^T] from E's nonzero entries."""
+    nz = [(i, j, x) for i, row in enumerate(E) for j, x in enumerate(row) if x]
+    H = zero_matrix(len(E))
+    for i, j, x in nz:
+        for k, l, y in nz:
+            if j == l:
+                H[i][k] += x * y
+            if i == k:
+                H[j][l] -= x * y
+    return H
+
+
+def _assemble(name, family, emats, cartans):
+    """The algebra spanned by the positive root vectors emats, the Cartan basis
+    cartans and the matching negative root vectors, with its root data.
+
+    Each root is read as its values on the h's, at its vector's first nonzero
+    entry.  The simple roots are the positive roots that are no sum of two,
+    ordered by that entry; every other root's simple-root coefficients come
+    from adding simple roots one height at a time.  f is E^T scaled so that
+    the root takes 2 on [E, f].  The unique root of greatest height, when all
+    its coefficients are nonzero, is the highest root and gives the marks.
+    """
+    rank = len(cartans)
+    firsts = [next((r, c) for r, row in enumerate(E) for c, x in enumerate(row) if x)
+              for E in emats]
+    roots = [tuple(_value(h, E, r, c) for h in cartans) for E, (r, c) in zip(emats, firsts)]
+    where = {a: k for k, a in enumerate(roots)}
+    sums = {tuple(map(add, a, b)) for a in roots for b in roots}
+    simple = sorted((k for k, a in enumerate(roots) if a not in sums), key=firsts.__getitem__)
+    coeffs = {k: tuple(int(t == i) for t in range(rank)) for i, k in enumerate(simple)}
+    level = simple
+    while level:
+        up = []
+        for k in level:
+            for i, s in enumerate(simple):
+                j = where.get(tuple(map(add, roots[k], roots[s])))
+                if j is not None and j not in coeffs:
+                    coeffs[j] = tuple(c + (t == i) for t, c in enumerate(coeffs[k]))
+                    up.append(j)
+        level = up
+    if len(simple) != rank or len(coeffs) != len(roots):
+        raise ValueError(f"{name}: the root vectors are not a positive system for the Cartan basis")
     # by height, then left-heavy coefficient order
-    return sorted(roots, key=lambda rc: (sum(rc[0]), tuple(-c for c in rc[0])))
-
-
-def _assemble(name, family, rank, pos_roots, cartans, marks):
-    """Common assembly: pos_roots is a list of (coeff-tuple, e-matrix, f-matrix)."""
-    pos_sorted = _sort_positive(pos_roots)
-    labels = []
-    mats = []
-    for coeffs, emat, _ in pos_sorted:
-        labels.append(_root_label("e", coeffs))
-        mats.append(emat)
-    for i, hmat in enumerate(cartans):
-        labels.append(f"h{i + 1}")
-        mats.append(hmat)
-    for coeffs, _, fmat in pos_sorted:
-        labels.append(_root_label("f", coeffs))
-        mats.append(fmat)
-    npos = len(pos_sorted)
-    positive = tuple(range(npos))
-    cartan = tuple(range(npos, npos + rank))
-    negative = tuple(range(npos + rank, npos + rank + npos))
-    simple_e = []
-    simple_f = []
-    for i in range(rank):
-        unit = tuple(1 if j == i else 0 for j in range(rank))
-        k = next(p for p, (coeffs, _, _) in enumerate(pos_sorted) if tuple(coeffs) == unit)
-        simple_e.append(positive[k])
-        simple_f.append(negative[k])
-    highest = None
-    if marks is not None:
-        k = next(p for p, (coeffs, _, _) in enumerate(pos_sorted) if tuple(coeffs) == tuple(marks))
-        highest = positive[k]
+    order = sorted(coeffs, key=lambda k: (sum(coeffs[k]), tuple(-c for c in coeffs[k])))
+    fmats = []
+    for k in order:
+        E, (r, c) = emats[k], firsts[k]
+        v = _value(_transpose_bracket(E), E, r, c)
+        if 2 % v:
+            raise ValueError(f"{name}: f of a root vector needs a non-integral scale of E^T")
+        fmats.append([[2 // v * x for x in col] for col in zip(*E)])
+    npos = len(order)
+    labels = ([_root_label("e", coeffs[k]) for k in order] + [f"h{i + 1}" for i in range(rank)]
+              + [_root_label("f", coeffs[k]) for k in order])
     if name == "sl2":
         labels = ["e", "h", "f"]
-    rd = RootData(rank=rank, simple_e=tuple(simple_e), simple_f=tuple(simple_f),
-                  cartan=cartan, positive=positive, negative=negative,
-                  highest=highest, marks=tuple(marks) if marks is not None else None)
-    return from_matrices(mats, labels=labels, root_data=rd, name=name, family=family)
+    slot = {k: p for p, k in enumerate(order)}
+    heights = [sum(coeffs[k]) for k in order]
+    top = coeffs[order[-1]]
+    marks = top if heights.count(heights[-1]) == 1 and all(top) else None
+    rd = RootData(rank=rank, simple_e=tuple(slot[k] for k in simple),
+                  simple_f=tuple(npos + rank + slot[k] for k in simple),
+                  cartan=tuple(range(npos, npos + rank)), positive=tuple(range(npos)),
+                  negative=tuple(range(npos + rank, 2 * npos + rank)),
+                  highest=None if marks is None else npos - 1, marks=marks)
+    return from_matrices([emats[k] for k in order] + list(cartans) + fmats,
+                         labels=labels, root_data=rd, name=name, family=family)
 
 
 def _build_sl(nn: int) -> LieAlgebra:
-    rank = nn - 1
-    pos = []
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            coeffs = tuple(1 if i <= t < j else 0 for t in range(rank))
-            pos.append((coeffs, _unit(nn, i, j), _unit(nn, j, i)))
-    cartans = [_add(_unit(nn, i, i), _neg(_unit(nn, i + 1, i + 1))) for i in range(rank)]
-    marks = tuple([1] * rank)
-    return _assemble(f"sl{nn}", ("sl", nn), rank, pos, cartans, marks)
-
-
-def _so_basis_F(m, i, j):
-    # E_ij - E_{j'i'} with k' = m+1-k (1-based); indices here are 0-based
-    ip, jp = m - 1 - i, m - 1 - j
-    return _add(_unit(m, i, j), _neg(_unit(m, jp, ip)))
+    emats = [_unit(nn, i, j) for i in range(nn) for j in range(i + 1, nn)]
+    cartans = [_add(_unit(nn, i, i), _neg(_unit(nn, i + 1, i + 1))) for i in range(nn - 1)]
+    return _assemble(f"sl{nn}", ("sl", nn), emats, cartans)
 
 
 def _build_so(m: int) -> LieAlgebra:
     rank = m // 2
-    odd = m % 2 == 1
-    pos = []
-    # e_i - e_j roots, 0-based block indices i < j < rank
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            coeffs = tuple(1 if i <= t < j else 0 for t in range(rank))
-            pos.append((coeffs, _so_basis_F(m, i, j), _so_basis_F(m, j, i)))
-    if odd:
-        mid = rank  # 0-based middle column
-        # short roots e_i = a_i + ... + a_{rank-1}
-        for i in range(rank):
-            coeffs = tuple(1 if t >= i else 0 for t in range(rank))
-            emat = _so_basis_F(m, i, mid)
-            fmat = _scale(_so_basis_F(m, mid, i), 2)
-            pos.append((coeffs, emat, fmat))
-        # e_i + e_j = (a_i+...+a_{j-1}) + 2(a_j+...+a_{rank-1})
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                coeffs = tuple((1 if i <= t < j else 0) + (2 if t >= j else 0)
-                               for t in range(rank))
-                jp = m - 1 - j
-                pos.append((coeffs, _so_basis_F(m, i, jp), _so_basis_F(m, jp, i)))
-        cartans = []
-        for i in range(rank - 1):
-            cartans.append(_add(_so_basis_F(m, i, i), _neg(_so_basis_F(m, i + 1, i + 1))))
-        cartans.append(_scale(_so_basis_F(m, rank - 1, rank - 1), 2))
-        marks = tuple([1] + [2] * (rank - 1)) if rank >= 2 else (1,)
+
+    def F(i, j):
+        # E_ij - E_{j'i'} with k' = m+1-k (1-based); indices here are 0-based
+        return _add(_unit(m, i, j), _neg(_unit(m, m - 1 - j, m - 1 - i)))
+
+    # roots e_i - e_j and e_i + e_j for i < j, and e_i when m is odd
+    pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    emats = [F(i, j) for i, j in pairs] + [F(i, m - 1 - j) for i, j in pairs]
+    cartans = [_add(F(i, i), _neg(F(i + 1, i + 1))) for i in range(rank - 1)]
+    if m % 2:
+        emats += [F(i, rank) for i in range(rank)]
+        cartans.append(_scale(F(rank - 1, rank - 1), 2))
     else:
-        # e_i + e_j roots of so_{2l}; the last simple root is e_{l-2} + e_{l-1}
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                coeffs = [0] * rank
-                if j == rank - 1:
-                    for t in range(i, rank - 2):
-                        coeffs[t] += 1
-                    coeffs[rank - 1] += 1
-                else:
-                    for t in range(i, j):
-                        coeffs[t] += 1
-                    for t in range(j, rank - 2):
-                        coeffs[t] += 2
-                    coeffs[rank - 2] += 1
-                    coeffs[rank - 1] += 1
-                jp = m - 1 - j
-                pos.append((tuple(coeffs), _so_basis_F(m, i, jp), _so_basis_F(m, jp, i)))
-        cartans = []
-        for i in range(rank - 1):
-            cartans.append(_add(_so_basis_F(m, i, i), _neg(_so_basis_F(m, i + 1, i + 1))))
-        cartans.append(_add(_so_basis_F(m, rank - 2, rank - 2), _so_basis_F(m, rank - 1, rank - 1)))
-        if rank >= 4:
-            marks = tuple([1] + [2] * (rank - 3) + [1, 1])
-        elif rank == 3:
-            marks = (1, 1, 1)
-        else:
-            marks = None  # so4 is not simple
-    return _assemble(f"so{m}", ("so", m), rank, pos, cartans, marks)
+        cartans.append(_add(F(rank - 2, rank - 2), F(rank - 1, rank - 1)))
+    return _assemble(f"so{m}", ("so", m), emats, cartans)
 
 
 def _build_sp(m: int) -> LieAlgebra:
     if m % 2:
         raise ValueError("sp needs even size")
     nn = m // 2
-    rank = nn
-
-    def sgn(i):  # 0-based
-        return 1 if i < nn else -1
 
     def F(i, j):
-        ip, jp = m - 1 - i, m - 1 - j
-        M = _unit(m, i, j)
-        if sgn(i) * sgn(j) > 0:
-            M = _add(M, _neg(_unit(m, jp, ip)))
-        else:
-            M = _add(M, _unit(m, jp, ip))
-        return M
+        # E_ij -+ E_{j'i'} with k' = m+1-k: minus when i and j lie in the same half
+        sign = -1 if (i < nn) == (j < nn) else 1
+        return _add(_unit(m, i, j), _scale(_unit(m, m - 1 - j, m - 1 - i), sign))
 
-    pos = []
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            coeffs = tuple(1 if i <= t < j else 0 for t in range(rank))
-            pos.append((coeffs, F(i, j), F(j, i)))
-    # e_i + e_j = a_i+...+a_{j-1} + 2 a_j + ... + 2 a_{n-2}... ending with a_n once
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            coeffs = [0] * rank
-            for t in range(i, j):
-                coeffs[t] += 1
-            for t in range(j, nn - 1):
-                coeffs[t] += 2
-            coeffs[nn - 1] += 1
-            jp = m - 1 - j
-            pos.append((tuple(coeffs), _add(_unit(m, i, jp), _unit(m, j, m - 1 - i)),
-                        _add(_unit(m, jp, i), _unit(m, m - 1 - i, j))))
-    # 2 e_i = 2 a_i + ... + 2 a_{n-1} + a_n
-    for i in range(nn):
-        coeffs = tuple((2 if i <= t < nn - 1 else 0) + (1 if t == nn - 1 else 0)
-                       for t in range(rank))
-        ip = m - 1 - i
-        pos.append((coeffs, _unit(m, i, ip), _unit(m, ip, i)))
-    cartans = []
-    for i in range(nn - 1):
-        cartans.append(_add(F(i, i), _neg(F(i + 1, i + 1))))
+    # roots e_i - e_j and e_i + e_j for i < j, and 2 e_i
+    pairs = [(i, j) for i in range(nn) for j in range(i + 1, nn)]
+    emats = ([F(i, j) for i, j in pairs] + [F(i, m - 1 - j) for i, j in pairs]
+             + [_unit(m, i, m - 1 - i) for i in range(nn)])
+    cartans = [_add(F(i, i), _neg(F(i + 1, i + 1))) for i in range(nn - 1)]
     cartans.append(F(nn - 1, nn - 1))
-    marks = tuple([2] * (rank - 1) + [1])
-    return _assemble(f"sp{m}", ("sp", m), rank, pos, cartans, marks)
+    return _assemble(f"sp{m}", ("sp", m), emats, cartans)
 
 
 def build_classical(kind: str, size: int) -> LieAlgebra:

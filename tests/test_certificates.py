@@ -366,6 +366,37 @@ def test_report_reads_equal_the_full_sides_on_random_bivectors(monkeypatch):
     assert kinds == {True, False, "proportionality", "multivectors", "wedge"}
 
 
+def test_report_reads_no_form_when_the_count_is_not_the_index(monkeypatch):
+    # sl4's three invariants and x0: l = 4 against index 3, so A and B are
+    # not proportional and equal is read without building the 4-form
+    pi, casimirs = case("sl4")
+    rep = regularity(pi, list(casimirs) + [Polynomial.variable(pi.n, 0)])
+    calls = []
+    wedge = exterior.wedge
+
+    def count(a, b):
+        calls.append(b.degree)
+        return wedge(a, b)
+
+    monkeypatch.setattr(exterior, "wedge", count)
+    monkeypatch.setattr(analysis, "wedge", count)
+    assert (rep.index, rep.pivots, rep.equal) == (3, None, False)
+    assert calls == []
+    # the certificate's zero test on A still builds it: one wedge per dF
+    with pytest.raises(ValueError, match="different spaces"):
+        rep.certificate
+    assert len(calls) == 4
+
+
+def test_report_reads_of_polynomials_of_another_ring_raise():
+    # l = 2 against sl2's index 1 would end the read early; a ring mismatch
+    # still reaches the form and its error
+    pi = lie_poisson_bivector(cached_builtin("sl2"))
+    rep = regularity(pi, [Polynomial.variable(4, 0), Polynomial.variable(4, 1)])
+    with pytest.raises(ValueError, match="ring dimension mismatch"):
+        rep.equal
+
+
 # ---------------------------------------------------------------------------
 # feigin_suite against the wedge-power clauses it replaced
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -6,8 +7,9 @@ import pytest
 
 from conftest import cached_builtin as builtin_algebra
 from conftest import cached_pair as symmetric_pair
-from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
-                                  build_classical, is_z2_grading)
+from liecontract import builders
+from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
+                                  borel_decomposition, build_classical, is_z2_grading)
 from liecontract.lie import (JacobiError, LieAlgebra, RootData, algebra_from_text,
                              algebra_index,
                              algebra_to_text, from_matrices, jacobi_check,
@@ -231,6 +233,77 @@ class TestLiePoissonBivector:
             algebra_from_text("name: z\nlabels: a\nmatsize: 2\n\nmatrix: 1 0 0 3/0\n")
 
 
+# the classical algebras past the 15-dimensional cap as well as under it
+CLASSICAL = ([("sl", k) for k in range(2, 7)] + [("so", k) for k in range(4, 11)]
+             + [("sp", k) for k in (4, 6, 8)])
+
+
+@functools.lru_cache(maxsize=None)
+def classical(kind, size):
+    return {"sl": builders._build_sl, "so": builders._build_so,
+            "sp": builders._build_sp}[kind](size)
+
+
+def reference_roots(kind, size):
+    """(positive roots as simple-root coefficients, marks) by the per-family
+    formulas the builders once typed by hand; marks None for so4."""
+    def run(i, j, rank):  # a_i + ... + a_{j-1}
+        return [1 if i <= t < j else 0 for t in range(rank)]
+
+    if kind == "sl":
+        rank = size - 1
+        return ([run(i, j, rank) for i in range(size) for j in range(i + 1, size)],
+                (1,) * rank)
+    rank = size // 2
+    pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    roots = [run(i, j, rank) for i, j in pairs]
+    if kind == "sp":
+        # e_i + e_j and 2 e_i end with a_n once
+        roots += [[a + 2 * b for a, b in zip(run(i, j, rank), run(j, rank - 1, rank))]
+                  for i, j in pairs]
+        roots += [[2 * b for b in run(i, rank - 1, rank)] for i in range(rank)]
+        for c in roots[len(pairs):]:
+            c[-1] += 1
+        return roots, (2,) * (rank - 1) + (1,)
+    if size % 2:
+        # short roots e_i, and e_i + e_j = run(i, j) + 2 run(j, rank)
+        roots += [run(i, rank, rank) for i in range(rank)]
+        roots += [[a + 2 * b for a, b in zip(run(i, j, rank), run(j, rank, rank))]
+                  for i, j in pairs]
+        return roots, (1,) + (2,) * (rank - 1)
+    # e_i + e_j of so_2l, whose last simple root is e_{l-1} + e_l
+    for i, j in pairs:
+        c = run(i, rank - 2, rank) if j == rank - 1 else [
+            a + 2 * b for a, b in zip(run(i, j, rank), run(j, rank - 2, rank))]
+        c[-1] += 1
+        if j < rank - 1:
+            c[-2] += 1
+        roots.append(c)
+    marks = (1,) + (2,) * (rank - 3) + (1, 1) if rank >= 4 else (1, 1, 1) if rank == 3 else None
+    return roots, marks
+
+
+def reference_root_data(kind, size):
+    """(labels, RootData) from reference_roots, positives by height and then
+    left-heavy coefficients."""
+    roots, marks = reference_roots(kind, size)
+    roots = sorted(map(tuple, roots), key=lambda c: (sum(c), tuple(-x for x in c)))
+    npos, rank = len(roots), len(roots[0])
+
+    def label(prefix, c):
+        return prefix + "".join(str(i + 1) * x for i, x in enumerate(c))
+
+    labels = ([label("e", c) for c in roots] + [f"h{i + 1}" for i in range(rank)]
+              + [label("f", c) for c in roots])
+    simple = [roots.index(tuple(int(t == i) for t in range(rank))) for i in range(rank)]
+    rd = RootData(rank=rank, simple_e=tuple(simple),
+                  simple_f=tuple(npos + rank + k for k in simple),
+                  cartan=tuple(range(npos, npos + rank)), positive=tuple(range(npos)),
+                  negative=tuple(range(npos + rank, 2 * npos + rank)),
+                  highest=None if marks is None else roots.index(marks), marks=marks)
+    return (["e", "h", "f"] if npos == 1 else labels), rd
+
+
 class TestBuilders:
     def test_dimensions_and_ranks(self):
         expectations = {"sl2": (3, 1), "sl3": (8, 2), "sl4": (15, 3),
@@ -241,8 +314,8 @@ class TestBuilders:
             assert L.root_data.rank == rank
 
     def test_sl_marks_all_one(self):
-        for size in (2, 3, 4):
-            L = build_classical("sl", size)
+        for size in range(2, 7):
+            L = classical("sl", size)
             assert L.root_data.marks == tuple([1] * (size - 1))
 
     def test_sp4_marks(self):
@@ -254,14 +327,41 @@ class TestBuilders:
     def test_so4_not_simple_no_marks(self):
         assert build_classical("so", 4).root_data.marks is None
 
+    @pytest.mark.parametrize("kind,size", CLASSICAL)
+    def test_root_data_and_labels_match_the_reference(self, kind, size):
+        L = classical(kind, size)
+        rd = L.root_data
+        assert (L.labels, rd) == reference_root_data(kind, size)
+        assert L.n == 2 * len(rd.positive) + rd.rank
+        # every root, simple or not, takes 2 on [e, f] in the Cartan
+        for e, f in zip(rd.positive, rd.negative):
+            h = L.bracket_pair(e, f)
+            assert set(h) <= set(rd.cartan) and L.bracket_vectors(h, {e: 1}) == {e: 2}
+
+    def test_feigin_algebras_are_the_builtins_with_marks(self):
+        assert FEIGIN_ALGEBRAS == tuple(name for name in BUILTIN_ALGEBRAS
+                                        if builtin_algebra(name).root_data.marks is not None)
+
     def test_chevalley_normalization(self):
-        for name in BUILTIN_ALGEBRAS:
-            L = builtin_algebra(name)
+        for L in ([builtin_algebra(name) for name in BUILTIN_ALGEBRAS]
+                  + [classical(kind, size) for kind, size in CLASSICAL]):
             rd = L.root_data
             for e_i, f_i, h_i in zip(rd.simple_e, rd.simple_f, rd.cartan):
                 assert L.bracket_pair(h_i, e_i) == {e_i: 2}
                 assert L.bracket_pair(h_i, f_i) == {f_i: -2}
                 assert L.bracket_pair(e_i, f_i) == {h_i: 1}
+
+    def test_assemble_rejects_vectors_that_are_not_a_positive_system(self):
+        def unit(m, i, j):
+            return [[int((r, c) == (i, j)) for c in range(m)] for r in range(m)]
+
+        # sl3's positive root vectors against one h: e1 and e12 are sums
+        emats = [unit(3, 0, 1), unit(3, 1, 2), unit(3, 0, 2)]
+        with pytest.raises(ValueError, match="not a positive system"):
+            builders._assemble("x", None, emats, [[[1, 0, 0], [0, -1, 0], [0, 0, 0]]])
+        # e = 2 E_12 needs f = E_21 / 4
+        with pytest.raises(ValueError, match="non-integral scale"):
+            builders._assemble("x", None, [[[0, 2], [0, 0]]], [[[1, 0], [0, -1]]])
 
     def test_z2_grading(self):
         L = builtin_algebra("sl2")
