@@ -14,8 +14,8 @@ from typing import Optional
 
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
-from .exterior import (Form, MultiVector, differential, point_ranks, volume_dual, wedge,
-                       wedge_power, wedge_power_coefficient)
+from .exterior import (Form, MultiVector, _seeded_points, differential, point_ranks,
+                       volume_dual, wedge, wedge_power, wedge_power_coefficient)
 from .invariants import (GeneratorSet, _int_partials, _regularity_minor, _weight,
                          char_invariants, semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
@@ -67,6 +67,16 @@ def _form_of_differentials(polys, n: int) -> Form:
     for g in polys:
         form = wedge(form, differential(g))
     return form
+
+
+def _jacobian_rank(casimirs, parts, point) -> int:
+    """The rank of the Jacobian of the F at a rational point, from their
+    _int_partials: each F scaled to int, evaluated at the point and scaled
+    again, all in int; each scaling keeps the rank."""
+    n = len(point)
+    values, _ = _scaled_values([Polynomial._raw(F.n, t) for F, (_, partials)
+                                in zip(casimirs, parts) for t in partials], point)
+    return rational_rank([values[i:i + n] for i in range(0, len(values), n)])
 
 
 @dataclass
@@ -121,8 +131,16 @@ class KostantReport:
         if self._minor is not None:
             return ProportionalityCertificate(True, *_coprime_ratio(*self._minor))
         n, ell = self.pi.n, len(self.casimirs)
-        # B = wedge^k pi vanishes exactly when 2k exceeds pi's generic rank
-        if self.form.is_zero or 2 * ((n - ell) // 2) > self.pi.generic_rank[0]:
+        # A != 0 when the Jacobian of nonzero F of pi's ring has rank l at a
+        # seeded point; A is built only when no point proves it.  B = wedge^k
+        # pi vanishes exactly when 2k exceeds pi's generic rank
+        proved = False
+        if all(F.n == n and not F.is_zero for F in self.casimirs):
+            parts = [_int_partials(F) for F in self.casimirs]
+            proved = any(_jacobian_rank(self.casimirs, parts, point) == ell
+                         for point in _seeded_points(n))
+        if (not proved and self.form.is_zero
+                or 2 * ((n - ell) // 2) > self.pi.generic_rank[0]):
             raise ValueError("proportionality needs two nonzero multivectors")
         if (n - ell) % 2:
             raise ValueError("multivectors live in different spaces")
@@ -163,13 +181,9 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     n, ell = pi.n, len(casimirs)
     for rank, pivots, point in point_ranks(pi):
         if rank == n - ell:
-            # the Jacobian of the F, each scaled to int, at the point and
-            # scaled again, all in int: each scaling keeps the rank; the
-            # Casimir checks read the same partials
+            # the Casimir checks read the Jacobian's partials
             parts = [_int_partials(F) for F in casimirs]
-            values, _ = _scaled_values([Polynomial._raw(F.n, t) for F, (_, partials)
-                                        in zip(casimirs, parts) for t in partials], point)
-            if (rational_rank([values[i:i + n] for i in range(0, len(values), n)]) == ell
+            if (_jacobian_rank(casimirs, parts, point) == ell
                     and all(_weight(h, pi) == [0] * n for h in parts)):
                 return KostantReport(pi, casimirs, ell, pivots)
             break

@@ -117,18 +117,24 @@ class MultiVector:
         computed on first read and kept.
 
         The coefficient of wedge^j pi at an index set I of size 2j is
-        j! Pf(pi_I), so k is half of generic_rank, which proves it.  The
-        level of every I of size 2k with Pf(pi_I) != 0 is computed over the
-        sets pi's support can match perfectly, on pi's one engine; an empty
-        level contradicts the proved rank and raises.
+        j! Pf(pi_I), so k is half of generic_rank, which proves it.  Each
+        coefficient is read off pi's one engine, at every I of size 2k among
+        the rows pi's support meets: a row outside it is zero, so no nonzero
+        Pfaffian meets it.
         """
         if self._top is None:
             k = self.generic_rank[0] // 2
-            levels = _PfaffianLevels(self)
-            level = levels.matchable(k)
-            if not level:
-                raise AssertionError("wedge-power rank disagrees with point evaluation")
-            self._top = (k, levels.power(k, level))
+            pf = self._engine()
+            f, dk = math.factorial(k), pf.d ** k
+            rows = sorted({i for ij in self.terms for i in ij})
+            out = {}
+            for idx in itertools.combinations(rows, 2 * k):
+                if t := pf.terms(idx):
+                    t = {m: c * f for m, c in t.items()}
+                    # the engine's maps are int and hold no zeros: no pass when d^k = 1
+                    out[idx] = (Polynomial._raw(self.n, t) if dk == 1
+                                else Polynomial._collect(self.n, t, dk))
+            self._top = (k, MultiVector._raw(self.n, 2 * k, out))
         return self._top
 
     def _engine(self) -> _Pfaffians:
@@ -250,68 +256,6 @@ def wedge_power(pi: MultiVector, k: int) -> MultiVector:
         if power.is_zero:
             return type(pi)._raw(pi.n, 2 * k, {})
     return power
-
-
-class _PfaffianLevels:
-    """The principal Pfaffians of one bivector's matrix, level by level.  An
-    index set is a bit mask; a level maps each set I of one size 2k with
-    Pf(pi_I) != 0 to d^k Pf(pi_I), the int term map of pi's one memoised
-    engine (linalg._Pfaffians)."""
-
-    def __init__(self, pi: MultiVector):
-        self.n = pi.n
-        self.pf = pi._engine()
-        # partners[i]: the bits of the j > i with pi_ij != 0
-        self.partners = [[] for _ in range(pi.n)]
-        for i, j in pi.terms:
-            self.partners[i].append(1 << j)
-
-    @staticmethod
-    def rows(mask) -> tuple:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
-
-    def above(self, sets, low=0) -> set:
-        """The sets J + {i, j} for J in sets, low <= i < min J, pi_ij != 0 and
-        j not in J.  By the first-row expansion along i = min I, they hold
-        every I of the next size with Pf(pi_I) != 0 and min I >= low, when
-        sets holds every such J of its size."""
-        out = set()
-        for mask in sets:
-            least = (mask & -mask).bit_length() - 1 if mask else self.n
-            for i in range(low, least):
-                bit = 1 << i
-                for b in self.partners[i]:
-                    if not mask & b:
-                        out.add(mask | bit | b)
-        return out
-
-    def nonzero(self, sets) -> dict:
-        return {mask: t for mask in sets if (t := self.pf.terms(self.rows(mask)))}
-
-    def matchable(self, k) -> dict:
-        """The level of size 2k, over the sets the support can match
-        perfectly: above() from the empty set, with no polynomial work."""
-        sets = {0}
-        for low in reversed(range(k)):
-            # each later step adds a new least index, so leave room below
-            sets = self.above(sets, low)
-        return self.nonzero(sets)
-
-    def power(self, k, level) -> MultiVector:
-        """wedge^k pi: k! Pf(pi_I) at each I of the level."""
-        f, dk = math.factorial(k), self.pf.d ** k
-        out = {}
-        for idx, t in sorted((self.rows(mask), t) for mask, t in level.items()):
-            t = {m: c * f for m, c in t.items()}
-            # the engine's maps are int and hold no zeros: no pass when d^k = 1
-            out[idx] = (Polynomial._raw(self.n, t) if dk == 1
-                        else Polynomial._collect(self.n, t, dk))
-        return MultiVector._raw(self.n, 2 * k, out)
 
 
 def differential(p: Polynomial) -> Form:

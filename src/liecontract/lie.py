@@ -378,6 +378,8 @@ def algebra_from_text(text: str):
                                   _number(Fraction, parts[3], lineno, key)))
         elif key == "matsize":
             matsize = _number(int, val, lineno, key)
+            if matsize < 1:
+                raise ValueError(f"line {lineno}: matsize must be at least 1, got {matsize}")
         elif key == "matrix":
             matrix_rows.append([_number(Fraction, x, lineno, key) for x in val.split()])
         elif key in ("rank", "highest"):
@@ -388,8 +390,10 @@ def algebra_from_text(text: str):
             body = val.strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise ValueError(f"line {lineno}: weights must look like [0,0,1]")
-            weights = [_number(int, x, lineno, key) for x in body[1:-1].split(",")
-                       if x.strip() != ""]
+            entries = body[1:-1].split(",") if body[1:-1].strip() else []
+            if any(not x.strip() for x in entries):
+                raise ValueError(f"line {lineno}: weights has an empty entry in {body}")
+            weights = [_number(int, x, lineno, key) for x in entries]
             if any(w < 0 for w in weights):
                 raise ValueError(f"line {lineno}: weights entries must be nonnegative")
         else:

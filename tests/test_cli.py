@@ -140,8 +140,13 @@ class TestQueryVerbs:
         ("rank: x", "rank needs an integer, got 'x'"),
         ("simple_e: 0 y", "simple_e needs an integer, got 'y'"),
         ("weights: [0,x,1]", "weights needs an integer, got 'x'"),
+        ("weights: [1,,2]", "weights has an empty entry in [1,,2]"),
+        ("weights: [0,1,]", "weights has an empty entry in [0,1,]"),
+        ("matsize: 0", "matsize must be at least 1, got 0"),
+        ("matsize: -1", "matsize must be at least 1, got -1"),
     ], ids=["bracket-coefficient", "bracket-index", "matsize", "matrix", "rank",
-            "simple_e", "weights"])
+            "simple_e", "weights", "weights-empty-inner", "weights-empty-trailing",
+            "matsize-0", "matsize-negative"])
     def test_bad_number_in_file_names_line_key_and_token(self, capsys, tmp_path,
                                                           line, message):
         path = tmp_path / "bad.alg"

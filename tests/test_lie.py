@@ -208,6 +208,21 @@ class TestLiePoissonBivector:
                 algebra_from_text(base + f"weights: {body}\n")
         assert algebra_from_text(base + "weights: [1,0,2]\n")[1] == [1, 0, 2]
 
+    def test_empty_weights_entries_line_rejected(self):
+        base = "name: w\nlabels: a b c\n"
+        for body in ("[1,,2]", "[0,1,]", "[,0,1,2]", "[0, ,1,2]", "[,]"):
+            with pytest.raises(ValueError, match=r"line 3: weights has an empty entry"):
+                algebra_from_text(base + f"weights: {body}\n")
+        # no entries at all is still a list, of length 0
+        for body in ("[]", "[ ]"):
+            assert algebra_from_text(f"name: w\nlabels:\nweights: {body}\n")[1] == []
+
+    def test_matsize_below_one_line_rejected(self):
+        for size in ("0", "-1"):
+            with pytest.raises(ValueError, match=rf"line 3: matsize must be at least 1, got {size}"):
+                algebra_from_text(f"name: m\nlabels: a\nmatsize: {size}\nmatrix: 1\n")
+        assert algebra_from_text("name: m\nlabels: a\nmatsize: 1\nmatrix: 1\n")[0].matrices
+
     def test_root_data_lengths_must_match_the_rank(self):
         fields = dict(rank=1, simple_e=(0,), simple_f=(2,), cartan=(1,),
                       positive=(0,), negative=(2,), highest=0, marks=(1,))

@@ -1,13 +1,11 @@
 """The generic rank and the top wedge power read off principal Pfaffians,
-against the wedge chain and the level climb they replaced.
+against the wedge chain they replaced.
 
 MultiVector.generic_rank starts at the pivots I of the first seeded point
 and adds a pair {j, m} to I while some Pf(pi_{I+{j,m}}) is nonzero; its
-rank 2k must equal twice the k of climb_k below, a copy of the replaced
-top_power climb (start at half the largest seeded point rank over the
-matchable level, climb while a candidate of the next level is nonzero), and
-Pf(pi_I) must be nonzero.  MultiVector.top_power is k! times the level of
-that k.  chain_powers below is a copy of the loop before both: repeated
+rank 2k must equal twice the k of the chain below, and Pf(pi_I) must be
+nonzero.  MultiVector.top_power is k! Pf(pi_I) at every I of size 2k.
+chain_powers below is a copy of the loop before both: repeated
 wedge(., pi) until the power vanishes.  (k, top) and wedge_power(pi, j) for
 every j must equal its powers on the builtins and their Borel limits, the
 symmetric pairs' parents, limits and centralisers, seeded valid-weight
@@ -49,17 +47,6 @@ def chain_powers(pi):
     return powers
 
 
-def climb_k(pi):
-    """The replaced top_power climb: k from the level of nonzero Pfaffians."""
-    levels = exterior._PfaffianLevels(pi)
-    k = (max(r for r, _, _ in exterior.point_ranks(pi)) + 1) // 2
-    level = levels.matchable(k)
-    assert level
-    while nxt := levels.nonzero(levels.above(level)):
-        k, level = k + 1, nxt
-    return k
-
-
 def fresh(pi):
     """A copy of pi with nothing memoised."""
     return MultiVector(pi.n, 2, pi.terms)
@@ -69,7 +56,7 @@ def assert_same_as_chain(pi):
     powers = chain_powers(fresh(pi))
     k = len(powers) - 1
     rank, rows = fresh(pi).generic_rank
-    assert rank == len(rows) == 2 * k == 2 * climb_k(fresh(pi))
+    assert rank == len(rows) == 2 * k
     assert not powers[k].coefficient(rows).is_zero
     assert fresh(pi).top_power == (k, powers[k])
     if pi.n <= 10:
