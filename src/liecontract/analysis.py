@@ -15,7 +15,7 @@ from typing import Optional
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .exterior import (Form, MultiVector, _seeded_points, differential, point_ranks,
-                       volume_dual, wedge, wedge_power, wedge_power_coefficient)
+                       volume_dual, wedge)
 from .invariants import (GeneratorSet, _int_partials, _regularity_minor, _weight,
                          char_invariants, semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
@@ -103,24 +103,21 @@ class KostantReport:
     @cached_property
     def _minor(self):
         """(A_I, B_I) with B_I != 0 and A = (A_I / B_I) B, at the pivots or
-        at I = min(A.terms); None when A = 0 or A is not proportional to B."""
+        at generic_rank's I; None when A = 0 or A is not proportional to B."""
         if self.pivots is not None:
             a_i, b_i = _regularity_minor(self.pi, self.casimirs, self.pivots)
             if b_i:
                 return a_i, b_i
         n, ell = self.pi.n, len(self.casimirs)
-        # A is built only when l == n or l == index with every F a nonzero
-        # Casimir; l > n and an F of another ring go on to the wedge's error
-        same_ring = all(F.n == n for F in self.casimirs)
-        if ell < n and same_ring and not (ell == self.index and all(
+        # the proof needs l == n (I = (), B = 1) or l == index with every F
+        # a nonzero Casimir; then B_I != 0, and A_I == 0 exactly when A == 0
+        if ell < n and not (ell == self.index and all(
                 not F.is_zero and semi_invariant_weight(F, self.pi) == [0] * n
                 for F in self.casimirs)):
             return None
-        a = volume_dual(self.form)
-        if a.is_zero:
-            return None
-        idx = min(a.terms)
-        return a.terms[idx], wedge_power_coefficient(self.pi, idx)
+        a_i, b_i = _regularity_minor(self.pi, self.casimirs,
+                                     self.pi.generic_rank[1] if ell < n else ())
+        return (a_i, b_i) if a_i else None
 
     @cached_property
     def equal(self) -> bool:
@@ -131,11 +128,11 @@ class KostantReport:
         if self._minor is not None:
             return ProportionalityCertificate(True, *_coprime_ratio(*self._minor))
         n, ell = self.pi.n, len(self.casimirs)
-        # A != 0 when the Jacobian of nonzero F of pi's ring has rank l at a
-        # seeded point; A is built only when no point proves it.  B = wedge^k
-        # pi vanishes exactly when 2k exceeds pi's generic rank
+        # A != 0 when the Jacobian of nonzero F has rank l at a seeded
+        # point; A is built only when no point proves it.  B = wedge^k pi
+        # vanishes exactly when 2k exceeds pi's generic rank
         proved = False
-        if all(F.n == n and not F.is_zero for F in self.casimirs):
+        if all(not F.is_zero for F in self.casimirs):
             parts = [_int_partials(F) for F in self.casimirs]
             proved = any(_jacobian_rank(self.casimirs, parts, point) == ell
                          for point in _seeded_points(n))
@@ -167,18 +164,25 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     I, J.  At the pivots I of pi's matrix at x0, with B_I != 0 required,
     A = (A_I / B_I) B: q1 and q2 come from (A_I, B_I) alone, and A == B
     exactly when A_I == B_I.  When the proof does not close, the index is
-    pi's generic rank (MultiVector.generic_rank), and A alone is built.
-    When A != 0, l is the index and each F is a Casimir, the proof above
-    holds at I = min(A.terms), where A_I != 0 forces B_I != 0.  Otherwise
-    A and B are not proportional.  Conversely to the proof, A = c B with
-    A != 0 and index l makes A(x) span im pi(x) = ann ker pi(x), so each
-    dF(x) lies in ker pi(x) and each F is a Casimir.  An index other than l
-    with k >= 1 gives B = 0, or a decomposable A against a wedge^k pi that
-    is not.  For l = n (k = 0) both are scalars, B = 1, and any A != 0 is
-    proportional.
+    n less pi's generic rank (MultiVector.generic_rank), which gives an I
+    with B_I != 0 (I = () when l = n).  When l is the index and each F is
+    a nonzero Casimir, the proof above holds at that I, where A_I = 0 only
+    when A = 0, since A_I B_J = A_J B_I.  Otherwise A and B are not
+    proportional.  Conversely to the proof, A = c B with A != 0 and index
+    l makes A(x) span im pi(x) = ann ker pi(x), so each dF(x) lies in
+    ker pi(x) and each F is a Casimir.  An index other than l with k >= 1
+    gives B = 0, or a decomposable A against a wedge^k pi that is not.
+    For l = n (k = 0) both are scalars, B = 1, and any A != 0 is
+    proportional.  An F of another ring than pi's, or l > n, is rejected
+    before any point is evaluated.
     """
     casimirs = list(casimirs)
     n, ell = pi.n, len(casimirs)
+    for F in casimirs:
+        if F.n != n:
+            raise ValueError(f"ring dimension mismatch: {F.n} vs {n}")
+    if ell > n:
+        raise ValueError(f"more polynomials than variables: {ell} > {n}")
     for rank, pivots, point in point_ranks(pi):
         if rank == n - ell:
             # the Casimir checks read the Jacobian's partials
@@ -188,14 +192,6 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
                 return KostantReport(pi, casimirs, ell, pivots)
             break
     return KostantReport(pi, casimirs, n - pi.generic_rank[0], None)
-
-
-def _wedge_power(pi: MultiVector, k: int) -> MultiVector:
-    """wedge^k pi from pi's kept top power: zero above it, afresh below it."""
-    top_k, top = pi.top_power
-    if k == top_k:
-        return top
-    return wedge_power(pi, k) if k < top_k else MultiVector(pi.n, 2 * k)
 
 
 def kostant_check(gens, pi: MultiVector, ell: int) -> KostantReport:
@@ -216,14 +212,12 @@ class FundamentalSemiInvariant:
 
 
 def fundamental_semiinvariant(pi: MultiVector, ell: int) -> FundamentalSemiInvariant:
-    """Extract the divisor p with  wedge^{(n-l)/2} pi = p * R,  content(R) = 1."""
-    n = pi.n
-    if (n - ell) % 2:
-        raise ValueError("n - ell must be even")
-    b = _wedge_power(pi, (n - ell) // 2)
-    if b.is_zero:
-        raise ValueError("wedge power vanishes; ell is not the index")
-    return _content(b)
+    """Extract the divisor p with  wedge^{(n-l)/2} pi = p * R,  content(R) = 1,
+    for l the index of pi: wedge^{(n-l)/2} pi is pi's kept top power."""
+    index = pi.n - pi.generic_rank[0]
+    if ell != index:
+        raise ValueError(f"ell={ell} is not the index {index}")
+    return _content(pi.top_power[1])
 
 
 def _content(b: MultiVector) -> FundamentalSemiInvariant:

@@ -175,6 +175,13 @@ class TestFundamentalSemiInvariant:
     def test_wrong_index_rejected(self):
         with pytest.raises(ValueError):
             fundamental_semiinvariant(sl2_pi(), 2)
+        # only the index is accepted: above it, the content of a lower
+        # wedge power is no fundamental semi-invariant
+        pi = lie_poisson_bivector(builtin_algebra("sl3"))
+        assert fundamental_semiinvariant(pi, 2).p == Polynomial.const(8, 1)
+        for ell in (0, 1, 3, 4, 6):
+            with pytest.raises(ValueError, match="is not the index 2"):
+                fundamental_semiinvariant(pi, ell)
 
 
 class TestContrDegReport:

@@ -10,7 +10,7 @@ wedge^k pi, and feigin's fundamental semi-invariant and semicentre clauses
 built from the wedge powers of the limit and of g'.  Every read of a report
 (equal, and the certificate's q's or its error) is also compared with the
 full sides and conftest's reference proportionality, with the seeded points
-and without them, where the report falls back to A alone.
+and without them, where the report falls back to one pair at generic_rank's I.
 """
 
 import functools
@@ -22,13 +22,13 @@ from conftest import cached_builtin, cached_pair, proportionality, random_polyno
 
 from liecontract import analysis, exterior
 from liecontract.analysis import (Clause, ContrDegReport, FundamentalSemiInvariant,
-                                  SuiteReport, _form_of_differentials, _wedge_power,
-                                  contr_deg_report, feigin_suite, fundamental_semiinvariant,
-                                  kostant_check, regularity, z2_suite)
+                                  SuiteReport, _form_of_differentials, contr_deg_report,
+                                  feigin_suite, fundamental_semiinvariant, kostant_check,
+                                  regularity, z2_suite)
 from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
                                   borel_decomposition, builtin_algebra)
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
-from liecontract.exterior import (MultiVector, point_ranks, volume_dual,
+from liecontract.exterior import (MultiVector, point_ranks, volume_dual, wedge_power,
                                   wedge_power_coefficient)
 from liecontract.invariants import char_invariants, t_degree_reduction
 from liecontract.lie import (algebra_from_text, algebra_index, lie_poisson_bivector,
@@ -86,9 +86,17 @@ def spy_wedge_powers(monkeypatch):
     return seen
 
 
+def spy_point_ranks(monkeypatch):
+    """The list of bivectors regularity evaluates at the seeded points."""
+    evaluated = []
+    real = analysis.point_ranks
+    monkeypatch.setattr(analysis, "point_ranks", lambda pi: evaluated.append(pi) or real(pi))
+    return evaluated
+
+
 def full_comparison(pi, casimirs):
     """The replaced verdict: both sides of the equality built in full."""
-    b = _wedge_power(pi, (pi.n - len(casimirs)) // 2)
+    b = wedge_power(pi, (pi.n - len(casimirs)) // 2)
     return not b.is_zero and volume_dual(_form_of_differentials(casimirs, pi.n)) == b
 
 
@@ -116,7 +124,7 @@ def chain_kostant_check(gens, pi, ell):
     if form.is_zero:
         raise ValueError("generators are algebraically dependent")
     proportional, q1, q2 = reference_proportionality(
-        volume_dual(form), _wedge_power(pi, (pi.n - ell) // 2))
+        volume_dual(form), wedge_power(pi, (pi.n - ell) // 2))
     constant = proportional and q1.is_constant and q2.is_constant
     return index, constant, q1, q2
 
@@ -198,7 +206,7 @@ def test_chain_fallback_gives_the_same_report(pid, monkeypatch):
     monkeypatch.setattr(analysis, "point_ranks", lambda pi: iter(()))
     seen = spy_wedge_powers(monkeypatch)
     assert z2_suite(pid).as_dict() == want
-    # the fallback decides from A alone and one coefficient of B
+    # the fallback decides from one pair (A_I, B_I) at generic_rank's I
     assert seen == []
 
 
@@ -232,7 +240,7 @@ def test_kostant_check_on_a_doubled_top_equals_the_chain_path(key):
     assert got == chain_kostant_check(doubled, pi, len(tops))
     _, _, q1, q2 = got
     a = volume_dual(_form_of_differentials(doubled, pi.n))
-    assert a.scale(q1) == _wedge_power(pi, (pi.n - len(tops)) // 2).scale(q2)
+    assert a.scale(q1) == wedge_power(pi, (pi.n - len(tops)) // 2).scale(q2)
 
 
 def test_kostant_check_on_a_non_casimir_set_is_not_proportional(monkeypatch):
@@ -295,7 +303,7 @@ def full_sides_reads(pi, casimirs):
     """(equal, certificate) from A = volume_dual(form) and B = wedge^k pi
     built in full, compared whole and cross-multiplied by the reference."""
     sides = outcome(lambda: (volume_dual(_form_of_differentials(casimirs, pi.n)),
-                             _wedge_power(pi, (pi.n - len(casimirs)) // 2)))
+                             wedge_power(pi, (pi.n - len(casimirs)) // 2)))
     if isinstance(sides[0], type):
         return sides, sides
     a, b = sides
@@ -357,13 +365,23 @@ def test_report_reads_equal_the_full_sides_on_random_bivectors(monkeypatch):
         n = rng.randint(2, 6)
         pi = random_bivector(rng, n)
         cases.append((pi, [random_offer(rng, n) for _ in range(rng.randint(0, n + 1))]))
+    # more polynomials than variables are refused before any point is evaluated
+    over = [(pi, casimirs) for pi, casimirs in cases if len(casimirs) > pi.n]
+    cases = [(pi, casimirs) for pi, casimirs in cases if len(casimirs) <= pi.n]
+    assert len(over) == 13
+    evaluated = spy_point_ranks(monkeypatch)
+    for pi, casimirs in over:
+        with pytest.raises(ValueError, match="more polynomials than variables"):
+            regularity(pi, casimirs)
+    assert evaluated == []
+    monkeypatch.undo()
     want = [full_sides_reads(pi, casimirs) for pi, casimirs in cases]
     real, fallback = reads_both_ways(cases, monkeypatch)
     assert real == want and fallback == want
-    # proportional and unproportional sides, and each of the three errors
+    # proportional and unproportional sides, and each of the two errors
     kinds = {cert[1].split()[0] if isinstance(cert[0], type) else cert[0]
              for _, cert in want}
-    assert kinds == {True, False, "proportionality", "multivectors", "wedge"}
+    assert kinds == {True, False, "proportionality", "multivectors"}
 
 
 def test_report_reads_no_form_when_the_count_is_not_the_index(monkeypatch):
@@ -388,13 +406,16 @@ def test_report_reads_no_form_when_the_count_is_not_the_index(monkeypatch):
     assert calls == []
 
 
-def test_report_reads_of_polynomials_of_another_ring_raise():
-    # l = 2 against sl2's index 1 would end the read early; a ring mismatch
-    # still reaches the form and its error
+def test_report_reads_of_polynomials_of_another_ring_raise(monkeypatch):
+    # a ring mismatch is refused before any seeded point is evaluated: at
+    # l = 1 the seeded rank is n - l, and l = 2 would take the fallback
     pi = lie_poisson_bivector(cached_builtin("sl2"))
-    rep = regularity(pi, [Polynomial.variable(4, 0), Polynomial.variable(4, 1)])
-    with pytest.raises(ValueError, match="ring dimension mismatch"):
-        rep.equal
+    evaluated = spy_point_ranks(monkeypatch)
+    for offered in ([Polynomial.variable(4, 3)],
+                    [Polynomial.variable(4, 0), Polynomial.variable(4, 1)]):
+        with pytest.raises(ValueError, match="ring dimension mismatch: 4 vs 3"):
+            regularity(pi, offered)
+    assert evaluated == []
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +469,7 @@ def chain_feigin_suite(L):
                            "derived_index": ind_prime, "expected_index": 2 * ell}))
     p_prime = poly_rename(fsi.p, idx_map, len(keep))
     lhs = volume_dual(h_form).scale(p_prime)
-    rhs = _wedge_power(lie_poisson_bivector(gprime), (L.n - 3 * ell) // 2)
+    rhs = wedge_power(lie_poisson_bivector(gprime), (L.n - 3 * ell) // 2)
     cert = proportionality(lhs, rhs)
     # the constant a with lhs = a * rhs
     ratio = cert.q2.constant_value() / cert.q1.constant_value() if cert.constant_ratio else 0
@@ -504,6 +525,28 @@ def test_feigin_suite_builds_no_wedge_power_of_the_limit_or_g_prime(name, monkey
     assert seen == []
 
 
+@pytest.mark.parametrize("name", ["sl3", "sp4", "so5", "so6"])
+def test_feigin_reads_the_top_power_when_the_tops_are_not_equal(name, monkeypatch):
+    # with A == B refused, p is the content of the limit's top power, read by
+    # fundamental_semiinvariant at l = the rank, and every clause on p agrees
+    want = {c.name: c for c in feigin_suite(builtin_algebra(name)).clauses}
+    monkeypatch.setattr(analysis.KostantReport, "equal", property(lambda self: False))
+    asked = []
+    real = analysis.fundamental_semiinvariant
+
+    def spy(pi, ell):
+        asked.append(ell)
+        return real(pi, ell)
+
+    monkeypatch.setattr(analysis, "fundamental_semiinvariant", spy)
+    got = {c.name: c for c in feigin_suite(builtin_algebra(name)).clauses}
+    assert asked == [builtin_algebra(name).root_data.rank]
+    assert not got["kostant_equality_for_tops"].ok
+    for clause in ("fundamental_semiinvariant", "semicentre_generators",
+                   "semicentre_proportionality"):
+        assert got[clause] == want[clause]
+
+
 def test_a_wrong_fundamental_semiinvariant_fails_the_semicentre_clause(monkeypatch):
     # sp4 has p = f1; with p forced to 1, p' * A = c * B has no constant c
     monkeypatch.setattr(analysis, "_content",
@@ -550,7 +593,7 @@ def chain_contr_deg_report(gens, w):
         return report
     if report.sum_t_degrees == report.weight_total:
         report.classification = "equality"
-        b = _wedge_power(res.pi_tilde, (L.n - ell) // 2)
+        b = wedge_power(res.pi_tilde, (L.n - ell) // 2)
         report.kostant_with_limit = volume_dual(form) == b
         report.good_generating_system = report.independent
         report.ok = report.independent and report.kostant_with_limit

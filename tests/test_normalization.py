@@ -9,7 +9,7 @@ import pytest
 from conftest import cached_builtin, cached_pair, random_polynomial
 
 from liecontract import invariants
-from liecontract.analysis import _wedge_power, kostant_check
+from liecontract.analysis import kostant_check
 from liecontract.builders import BUILTIN_ALGEBRAS
 from liecontract.exterior import (MultiVector, differential, volume_dual, wedge,
                                   wedge_power, wedge_power_coefficient)
@@ -30,7 +30,7 @@ def reference_normalize(L, gens):
     for g in gens[1:]:
         forms = wedge(forms, differential(g))
     A = volume_dual(forms)
-    B = _wedge_power(pi, (n - ell) // 2)
+    B = wedge_power(pi, (n - ell) // 2)
     if A.is_zero or B.is_zero:
         raise ValueError("degenerate generator set")
     idx = next(iter(sorted(B.terms)))

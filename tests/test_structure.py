@@ -16,8 +16,8 @@ LIBRARY_API with the reason it is kept.
 
 The index and the regularity verdict never read a wedge power of the
 bivector in full: only the readers in CHAIN_READERS may read the memoised
-top power (`.top_power`) or call `_wedge_power` or `wedge_power`, and they
-need wedge^k pi in full.
+top power (`.top_power`) or call `wedge_power`, and they need wedge^k pi
+in full.
 """
 
 import ast
@@ -128,6 +128,7 @@ def test_encoding_guard_sees_imports_and_reads(tmp_path):
 # public names kept with no caller in the package, and why
 LIBRARY_API = {
     "algebraic_independence": "the Jacobian criterion for a list of polynomials",
+    "wedge_power": "wedge^k pi for any k, by repeated wedge",
 }
 
 
@@ -190,18 +191,15 @@ def test_caller_guard_sees_unused_and_self_references(tmp_path):
 
 # every read of a wedge power in full in the package, and why it is not regularity's
 CHAIN_READERS = {
-    ("analysis.py", "_wedge_power", "pi.top_power"):
-        "fundamental_semiinvariant (and the fsi verb): wedge^k pi in full",
-    ("analysis.py", "_wedge_power", "wedge_power"): "the powers below the top one",
-    ("analysis.py", "fundamental_semiinvariant", "_wedge_power"):
-        "the content of wedge^k pi, when A == B does not give it",
+    ("analysis.py", "fundamental_semiinvariant", "pi.top_power"):
+        "the fsi verb, and feigin when A == B does not give it: the content of wedge^k pi",
 }
-WEDGE_POWERS = {"top_power", "_wedge_power", "wedge_power"}
+WEDGE_POWERS = {"top_power", "wedge_power"}
 
 
 def chain_reads(path):
     """(qualified name of the enclosing def, expression) of every read of
-    `.top_power`, `_wedge_power` or `wedge_power` in one module."""
+    `.top_power` or `wedge_power` in one module."""
     out = []
 
     def visit(node, scope):
@@ -235,7 +233,7 @@ def test_chain_guard_sees_reads_in_functions_and_methods(tmp_path):
         "top = L.bivector.top_power\n"
         "from .exterior import wedge_power\n"
         "def h(pi, mod):\n"
-        "    return wedge_power(pi, 2), mod._wedge_power(pi, 1), wedge_powers\n")
+        "    return wedge_power(pi, 2), mod.wedge_power(pi, 1), wedge_powers\n")
     assert chain_reads(path) == [("f", "pi.top_power"), ("f", "pi.top_power"),
                                  ("R.g", "self.pi.top_power"), ("", "L.bivector.top_power"),
-                                 ("h", "wedge_power"), ("h", "mod._wedge_power")]
+                                 ("h", "wedge_power"), ("h", "mod.wedge_power")]
