@@ -18,7 +18,7 @@ from typing import Optional
 
 from .exterior import MultiVector
 from .lie import LieAlgebra, lie_poisson_bivector
-from .polyring import Polynomial, t_expand
+from .polyring import Polynomial, _graded, t_expand
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,13 @@ class ContractionWeights:
     weights: tuple
 
     def __post_init__(self):
-        if any(w < 0 or w != int(w) for w in self.weights):
-            raise ValueError("weights must be nonnegative integers")
+        for i, w in enumerate(self.weights):
+            try:
+                ok = w >= 0 and w == int(w)
+            except (TypeError, ValueError, OverflowError):      # a str, None, inf
+                ok = False
+            if not ok:
+                raise ValueError(f"weight {w!r} at position {i} is not a nonnegative integer")
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
 
     def __len__(self):
@@ -62,22 +67,26 @@ def contract(pi: MultiVector, w: ContractionWeights, labels=None) -> Contraction
     """Pull the bivector back along the weight scaling and take the t -> 0 limit."""
     if pi.degree != 2:
         raise ValueError("contract expects a bivector")
-    if len(w) != pi.n:
-        raise ValueError(f"weight length {len(w)} != ring dimension {pi.n}")
+    ws = w.weights
+    if len(ws) != pi.n:
+        raise ValueError(f"weight length {len(ws)} != ring dimension {pi.n}")
+    parts, top = _graded(pi.n, pi.terms.values(), ws)
     grades: dict = {}
-    for idx, p in pi.terms.items():
-        shift = w[idx[0]] + w[idx[1]]
-        for d, part in t_expand(p, w).items():
-            grades.setdefault(shift - d, {})[idx] = part
+    offending = None        # the first pair in index order with a negative power, at its lowest
+    for idx, by_degree in zip(pi.terms, parts):
+        shift = ws[idx[0]] + ws[idx[1]]
+        for d, part in by_degree.items():
+            k = shift - d
+            grades.setdefault(k, {})[idx] = part
+            if k < 0 and (offending is None or (idx, k) < offending):
+                offending = (idx, k)
     pi_t = {k: MultiVector._raw(pi.n, 2, terms) for k, terms in grades.items()}
-    # the first pair in index order with a negative power, and its lowest power
-    negative = [(idx, k) for k, part in pi_t.items() if k < 0 for idx in part.terms]
-    if negative:
+    if offending:
         return ContractionResult(pi_t=pi_t, valid=False, weights=w, original=pi,
-                                 offending=min(negative))
+                                 offending=offending)
     tilde = pi_t.get(0, MultiVector._raw(pi.n, 2, {}))
     contracted = None
-    if all(p.degree() <= 1 for p in pi.terms.values()):
+    if top <= 1:
         use_labels = list(labels) if labels is not None else [f"x{i}" for i in range(pi.n)]
         brackets = {}
         for (i, j), p in tilde.terms.items():
@@ -103,7 +112,7 @@ def t_degree(h: Polynomial, w: ContractionWeights):
         raise ValueError("t-degree of the zero polynomial is undefined")
     if len(w) != h.n:
         raise ValueError("weight length must match ring dimension")
-    parts = t_expand(h, w)
+    parts = t_expand(h, w.weights)
     d = max(parts)
     return d, parts[d]
 

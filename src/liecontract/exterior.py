@@ -15,7 +15,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
-from .linalg import _Pfaffians, row_reduce
+from .linalg import _echelon, _Pfaffians
 from .polyring import Polynomial, _accumulate, _div, _integral_terms, _scaled_values
 
 
@@ -295,7 +295,7 @@ def point_ranks(pi: MultiVector):
     kept = pi._ranks = pi._ranks or {}
     for t, point in enumerate(_seeded_points(pi.n)):
         if t not in kept:
-            _, pivots = row_reduce(bivector_matrix_at(pi, point))
+            _, pivots = _echelon(_scaled_matrix_at(pi, point)[0])
             kept[t] = len(pivots), tuple(pivots), point
         yield kept[t]
 
@@ -322,8 +322,14 @@ def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:
 
 def bivector_matrix_at(pi: MultiVector, point):
     """The bivector's matrix at a rational point, int where integral and
-    Fraction otherwise; all entries come from one int evaluation
-    (polyring._scaled_values)."""
+    Fraction otherwise: _scaled_matrix_at divided by its scale."""
+    mat, scale = _scaled_matrix_at(pi, point)
+    return [[_div(v, scale) if v else 0 for v in row] for row in mat]
+
+
+def _scaled_matrix_at(pi: MultiVector, point):
+    """(scale * M, scale): the bivector's matrix M at a rational point times
+    one positive int scale, every entry an int (polyring._scaled_values)."""
     if len(point) != pi.n:
         raise ValueError("point length must match ring dimension")
     n = pi.n
@@ -331,9 +337,9 @@ def bivector_matrix_at(pi: MultiVector, point):
     values, scale = _scaled_values(pi.terms.values(), point)
     for (i, j), v in zip(pi.terms, values):
         if v:
-            mat[i][j] = q = _div(v, scale)
-            mat[j][i] = -q
-    return mat
+            mat[i][j] = v
+            mat[j][i] = -v
+    return mat, scale
 
 
 def schouten_square(pi: MultiVector) -> MultiVector:

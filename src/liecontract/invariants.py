@@ -252,31 +252,25 @@ def t_degree_reduction(gens: GeneratorSet, w: ContractionWeights) -> GeneratorSe
     total t-degree strictly drops, so the loop terminates.
     """
     current = list(gens.gens)
+    graded = [t_degree(g, w) for g in current]      # (t-degree, top) of each, kept
     order = sorted(range(len(current)), key=lambda i: current[i].degree())
     changed = True
     while changed:
         changed = False
         for j in order:
-            fj = current[j]
-            dj, topj = t_degree(fj, w)
             others = [i for i in order if i != j]
             if not others:
                 continue
-            other_polys = [current[i] for i in others]
-            other_tops = []
-            other_tdegs = []
-            for i in others:
-                di, ti = t_degree(current[i], w)
-                other_tops.append(ti)
-                other_tdegs.append(di)
-            P = membership_linear(topj, other_tops, profile=(other_tdegs, dj))
+            dj, topj = graded[j]
+            P = membership_linear(topj, [graded[i][1] for i in others],
+                                  profile=([graded[i][0] for i in others], dj))
             if P is None or P.is_zero:
                 continue
-            replacement = fj - poly_compose(P, other_polys)
+            replacement = current[j] - poly_compose(P, [current[i] for i in others])
             if replacement.is_zero:
                 raise ValueError("reduction annihilated a generator; set is dependent")
-            new_d, _ = t_degree(replacement, w)
-            if new_d >= dj:
+            graded[j] = t_degree(replacement, w)
+            if graded[j][0] >= dj:
                 raise AssertionError("reduction did not lower the t-degree")
             current[j] = replacement
             changed = True

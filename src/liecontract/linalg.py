@@ -1,10 +1,12 @@
 """Exact linear algebra over Q, and polynomial minors.
 
 Rational matrices are lists of lists of int where integral and Fraction
-otherwise.  One Gauss-Jordan routine, row_reduce, is behind the solves,
-ranks and inverses: it scales each row to int once, eliminates fraction-free
-and returns Fraction rows; column_solver clears its inverse's denominator,
-so it solves integral systems in int.  Every polynomial minor,
+otherwise.  One Gauss-Jordan elimination, _echelon, is behind the solves,
+ranks and inverses: it scales each row to int once and eliminates
+fraction-free.  A rank reads its pivots straight off its int rows, and
+row_reduce divides each pivot row by its pivot into Fraction rows;
+column_solver clears its inverse's denominator, so it solves integral
+systems in int.  Every polynomial minor,
 Pfaffian or determinant, comes from one engine, _Pfaffians: a first-row
 Pfaffian expansion memoised per row tuple and run in int, with a
 determinant read as the Pfaffian of [[0, M], [-M^T, 0]].  The symbolic rank
@@ -52,14 +54,23 @@ def flatten(a):
 
 def row_reduce(matrix):
     """Reduced row echelon form over Q: (rows, pivot columns), every entry a
-    Fraction.
+    Fraction: _echelon's int rows with each pivot row divided by its pivot.
 
     Pivots are chosen column by column, so a block of columns appended on
     the right (a right-hand side, an identity) is carried along and only
-    takes a pivot where the columns before it leave a row free.  Each row is
-    scaled to an int row once; a step touches only the rows with an entry in
-    the pivot column, dividing out each one's content, and each pivot row is
-    divided by its pivot at the end.  Row scaling moves no pivot column.
+    takes a pivot where the columns before it leave a row free.
+    """
+    rows, pivots = _echelon(matrix)
+    out = [[Fraction(x, row[col]) if x else _ZERO for x in row] for row, col in zip(rows, pivots)]
+    return out + [[_ZERO] * len(row) for row in rows[len(pivots):]], pivots
+
+
+def _echelon(matrix):
+    """(int rows, pivot columns) of a fraction-free Gauss-Jordan elimination:
+    each pivot row is a multiple of row_reduce's, and the rows below the
+    rank are zero.  Each row is scaled to an int row once; a step touches
+    only the rows with an entry in the pivot column, dividing out each one's
+    content.  Row scaling moves no pivot column.
     """
     width = len(matrix[0]) if matrix else 0
     rows = []
@@ -91,8 +102,7 @@ def row_reduce(matrix):
                 c = math.gcd(*row)
                 rows[r] = [x // c for x in row] if c > 1 else row
         pivots.append(col)
-    out = [[Fraction(x, row[col]) if x else _ZERO for x in row] for row, col in zip(rows, pivots)]
-    return out + [[_ZERO] * width for _ in rows[len(pivots):]], pivots
+    return rows, pivots
 
 
 def solve_exact(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
@@ -144,7 +154,7 @@ def column_solver(columns: Sequence[Sequence]):
 
 
 def rational_rank(matrix) -> int:
-    return len(row_reduce(matrix)[1])
+    return len(_echelon(matrix)[1])
 
 
 def rational_inverse(matrix):

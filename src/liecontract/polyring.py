@@ -497,28 +497,45 @@ def t_expand(p: Polynomial, weights) -> dict:
     Under x_i -> t^{w_i} x_i for nonnegative integer weights, the part of
     weighted degree d carries t^d.
     """
-    ws = list(weights)
+    return _graded(p.n, [p], weights)[0][0]
+
+
+def _graded(n: int, polys, weights) -> tuple:
+    """(parts, top) for polynomials of one ring Q[x_0, ..., x_{n-1}]: each
+    one's t_expand, in order, and the largest total degree of a monomial
+    among them (-1 when all are zero).
+
+    The weights are checked once and each distinct monomial is graded once,
+    so a linear bivector grades at most n monomials.
+    """
+    ws = tuple(weights)
     if any(w < 0 for w in ws):
         raise ValueError("weights must be nonnegative")
-    n = p.n
     if len(ws) != n:
         raise ValueError(f"weight vector length {len(ws)} != ring dimension {n}")
     by_field = ws[::-1]      # field f holds x_{n-1-f}
     mask = (1 << (n << 4)) - 1
-    buckets: dict = {}
-    for m, c in p.terms.items():
-        d = 0
-        r = m & mask
-        while r:
-            low = ((r & -r).bit_length() - 1) & ~15
-            e = (r >> low) & _EMAX
-            d += by_field[low >> 4] * e
-            r ^= e << low
-        b = buckets.get(d)
-        if b is None:
-            b = buckets[d] = {}
-        b[m] = c
-    return {d: Polynomial._raw(n, b) for d, b in buckets.items()}
+    seen: dict = {}
+    parts = []
+    for p in polys:
+        buckets: dict = {}
+        for m, c in p.terms.items():
+            d = seen.get(m)
+            if d is None:
+                d = 0
+                r = m & mask
+                while r:
+                    low = ((r & -r).bit_length() - 1) & ~15
+                    e = (r >> low) & _EMAX
+                    d += by_field[low >> 4] * e
+                    r ^= e << low
+                seen[m] = d
+            b = buckets.get(d)
+            if b is None:
+                b = buckets[d] = {}
+            b[m] = c
+        parts.append({d: Polynomial._raw(n, b) for d, b in buckets.items()})
+    return parts, max(seen) >> (n << 4) if seen else -1
 
 
 # ---------------------------------------------------------------------------

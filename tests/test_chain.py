@@ -4,7 +4,8 @@ Equivalence against the chain loop (repeated wedge(., pi) keeping every
 power) and against the unmemoised wedge_power, the cross-check against the
 seeded point ranks, and a count of the Pfaffian expansions a second query on
 the same algebra or limit makes.  The seeded point ranks are kept per bivector
-too: row_reduce spies count the reductions of one bivector's matrix.
+too: spies on the int elimination (linalg._echelon) count the reductions of
+one bivector's matrix.
 """
 
 import random
@@ -19,7 +20,7 @@ from liecontract.analysis import (contr_deg_report, fundamental_semiinvariant, k
 from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
                                   builtin_algebra, symmetric_pair)
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
-from liecontract.exterior import MultiVector, bivector_matrix_at, wedge, wedge_power
+from liecontract.exterior import MultiVector, wedge, wedge_power
 from liecontract.invariants import char_invariants, t_degree_reduction
 from liecontract.lie import algebra_index, lie_poisson_bivector
 from liecontract.polyring import Polynomial
@@ -201,37 +202,43 @@ def test_threads_sharing_one_chain_get_the_right_powers():
     assert not errors
 
 
-def spy_row_reduce(monkeypatch):
-    """Every matrix handed to row_reduce, through linalg or exterior."""
+def spy_echelon(monkeypatch):
+    """Every matrix handed to the one elimination, _echelon, through linalg
+    (row_reduce, rational_rank) or exterior (point_ranks)."""
     seen = []
-    real = linalg.row_reduce
+    real = linalg._echelon
 
     def spy(matrix):
         seen.append(matrix)
         return real(matrix)
 
-    monkeypatch.setattr(linalg, "row_reduce", spy)
-    monkeypatch.setattr(exterior, "row_reduce", spy)
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    monkeypatch.setattr(exterior, "_echelon", spy)
     return seen
+
+
+def matrix_at(pi, point):
+    """The int matrix point_ranks reduces: pi's matrix at point times one scale."""
+    return exterior._scaled_matrix_at(pi, point)[0]
 
 
 def test_point_ranks_are_reduced_once_and_only_as_far_as_read(monkeypatch):
     L = builtin_algebra("sl3")
     pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)    # nothing kept yet
     want = list(exterior.point_ranks(MultiVector(L.n, 2, pi.terms)))
-    seen = spy_row_reduce(monkeypatch)
+    seen = spy_echelon(monkeypatch)
     assert next(exterior.point_ranks(pi)) == want[0] and len(seen) == 1
     assert list(exterior.point_ranks(pi)) == want and len(seen) == 3
     assert list(exterior.point_ranks(pi)) == want and len(seen) == 3
-    assert [bivector_matrix_at(pi, point) for _, _, point in want] == seen
+    assert [matrix_at(pi, point) for _, _, point in want] == seen
 
 
 def test_z2_suite_reduces_the_parent_matrix_once_per_point(monkeypatch):
     # char_invariants' scale and regularity's index proof read the same point
     parent = lie_poisson_bivector(symmetric_pair("sl4_sp4").parent)
     points = [point for _, _, point in exterior.point_ranks(MultiVector(parent.n, 2))]
-    mats = [bivector_matrix_at(parent, point) for point in points]
-    seen = spy_row_reduce(monkeypatch)
+    mats = [matrix_at(parent, point) for point in points]
+    seen = spy_echelon(monkeypatch)
     assert z2_suite("sl4_sp4").ok
     counts = [sum(m == mat for m in seen) for mat in mats]
     assert max(counts) == 1, counts
@@ -255,14 +262,14 @@ def test_index_raising_report_reduces_each_bivector_at_most_three_times(seed, mo
     w = raising_weights(L, seed)
     gens = t_degree_reduction(char_invariants(L), w)
     owners = []
-    real_at = exterior.bivector_matrix_at
+    real_at = exterior._scaled_matrix_at
 
-    def matrix_at(pi, point):
+    def scaled_at(pi, point):
         owners.append(pi)
         return real_at(pi, point)
 
-    seen = spy_row_reduce(monkeypatch)
-    monkeypatch.setattr(exterior, "bivector_matrix_at", matrix_at)
+    seen = spy_echelon(monkeypatch)
+    monkeypatch.setattr(exterior, "_scaled_matrix_at", scaled_at)
     assert contr_deg_report(gens, w).index_preserved is False
     # point_ranks reduces each matrix right after evaluating it
     assert len(seen) >= len(owners) > 0

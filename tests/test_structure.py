@@ -128,6 +128,8 @@ def test_encoding_guard_sees_imports_and_reads(tmp_path):
 # public names kept with no caller in the package, and why
 LIBRARY_API = {
     "algebraic_independence": "the Jacobian criterion for a list of polynomials",
+    "bivector_matrix_at": "pi's matrix at a rational point, the Fraction view of the int "
+                          "evaluation point_ranks reduces",
     "wedge_power": "wedge^k pi for any k, by repeated wedge",
 }
 
