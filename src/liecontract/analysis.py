@@ -1,17 +1,17 @@
 """High-level verification: regularity equalities, degree laws, and the
 consolidated suites for the Borel-split and symmetric-split contractions.
 
-Reports are plain dataclasses whose payloads are JSON-safe; polynomial values
-are rendered against the relevant basis labels at construction time so the
-output is byte-deterministic.
+Reports are plain records (_record.Record, no dataclasses, so a cold start
+stays short) whose payloads are JSON-safe; polynomial values are rendered
+against the relevant basis labels at construction time so the output is
+byte-deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
+from ._record import Record
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .exterior import (Form, MultiVector, _seeded_points, differential, point_ranks,
@@ -24,13 +24,12 @@ from .polyring import (Polynomial, _scaled_values, multivariate_gcd, poly_div_ex
                        poly_monic, poly_rename, poly_to_str)
 
 
-@dataclass
-class ProportionalityCertificate:
+class ProportionalityCertificate(Record):
     """Coprime q1, q2 with q1 * A = q2 * B, when the sides are proportional."""
 
-    proportional: bool
-    q1: Optional[Polynomial] = None
-    q2: Optional[Polynomial] = None
+    def __init__(self, proportional: bool, q1: Polynomial | None = None,
+                 q2: Polynomial | None = None):
+        self._set(locals())
 
     @property
     def constant_ratio(self) -> bool:
@@ -79,18 +78,15 @@ def _jacobian_rank(casimirs, parts, point) -> int:
     return rational_rank([values[i:i + n] for i in range(0, len(values), n)])
 
 
-@dataclass
-class KostantReport:
+class KostantReport(Record):
     """regularity's verdict.  pivots is the pivot set I of the seeded point
     that proved the index, None when pi's generic rank gave it; independent,
     equal (A == B) and the certificate (q1 * A = q2 * B) are made on first
     read from one coefficient pair (A_I, B_I), never from wedge^k pi.
     """
 
-    pi: MultiVector
-    casimirs: list
-    index: int
-    pivots: Optional[tuple]
+    def __init__(self, pi: MultiVector, casimirs: list, index: int, pivots: tuple | None):
+        self._set(locals())
 
     @cached_property
     def form(self) -> Form:
@@ -205,10 +201,9 @@ def kostant_check(gens, pi: MultiVector, ell: int) -> KostantReport:
     return rep
 
 
-@dataclass
-class FundamentalSemiInvariant:
-    p: Polynomial
-    cofactor: MultiVector
+class FundamentalSemiInvariant(Record):
+    def __init__(self, p: Polynomial, cofactor: MultiVector):
+        self._set(locals())
 
 
 def fundamental_semiinvariant(pi: MultiVector, ell: int) -> FundamentalSemiInvariant:
@@ -243,21 +238,15 @@ def _content(b: MultiVector) -> FundamentalSemiInvariant:
 # degree trichotomy report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ContrDegReport:
-    ok: bool
-    error: Optional[str]
-    index_original: Optional[int] = None
-    index_contracted: Optional[int] = None
-    index_preserved: Optional[bool] = None
-    degrees: Optional[list] = None
-    t_degrees: Optional[list] = None
-    sum_t_degrees: Optional[int] = None
-    weight_total: Optional[int] = None
-    classification: Optional[str] = None
-    independent: Optional[bool] = None
-    kostant_with_limit: Optional[bool] = None
-    good_generating_system: Optional[bool] = None
+class ContrDegReport(Record):
+    def __init__(self, ok: bool, error: str | None, index_original: int | None = None,
+                 index_contracted: int | None = None, index_preserved: bool | None = None,
+                 degrees: list | None = None, t_degrees: list | None = None,
+                 sum_t_degrees: int | None = None, weight_total: int | None = None,
+                 classification: str | None = None, independent: bool | None = None,
+                 kostant_with_limit: bool | None = None,
+                 good_generating_system: bool | None = None):
+        self._set(locals())
 
     def as_dict(self):
         return {k: v for k, v in self.__dict__.items()}
@@ -315,18 +304,15 @@ def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegRepor
 # suites
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Clause:
-    name: str
-    ok: bool
-    data: dict = field(default_factory=dict)
+class Clause(Record):
+    def __init__(self, name: str, ok: bool, data: dict | None = None):
+        data = {} if data is None else data        # a fresh dict per clause
+        self._set(locals())
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    target: str
-    clauses: list
+class SuiteReport(Record):
+    def __init__(self, suite: str, target: str, clauses: list):
+        self._set(locals())
 
     @property
     def ok(self) -> bool:

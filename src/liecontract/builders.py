@@ -17,9 +17,9 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
+from ._record import Record
 from .contract import ContractionWeights
 from .lie import LieAlgebra, RootData, centralizer_in_span, from_matrices, subalgebra_from_vectors
 from .linalg import identity_matrix, mat_mul, poly_det_cofactor, zero_matrix
@@ -222,17 +222,14 @@ def borel_decomposition(L: LieAlgebra) -> ContractionWeights:
 # symmetric pairs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SymmetricPair:
+class SymmetricPair(Record):
     """A Z2-graded split of a parent algebra with supplied Cartan subspace."""
 
-    pair_id: str
-    parent: LieAlgebra
-    g0: tuple
-    g1: tuple
-    cartan_subspace: list          # sparse coordinate vectors inside g1
-    centralizer_alg: LieAlgebra    # l = centralizer of the Cartan subspace in g0
-    weights: ContractionWeights
+    def __init__(self, pair_id: str, parent: LieAlgebra, g0: tuple, g1: tuple,
+                 cartan_subspace: list,          # sparse coordinate vectors inside g1
+                 centralizer_alg: LieAlgebra,    # l = centralizer of the Cartan subspace in g0
+                 weights: ContractionWeights):
+        self._set(locals())
 
 
 def _char_poly_1var(M):

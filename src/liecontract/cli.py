@@ -9,7 +9,6 @@ identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -75,6 +74,7 @@ def _parse_weights(text: str, n: int) -> ContractionWeights:
 
 def _emit(payload: dict, fmt: str, lines):
     if fmt == "json":
+        import json      # text output, the default, never loads it
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:

@@ -13,29 +13,24 @@ negative, and the limit is the grade-0 part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from ._record import Frozen, Record
 from .exterior import MultiVector
 from .lie import LieAlgebra, lie_poisson_bivector
 from .polyring import Polynomial, _graded, t_expand
 
 
-@dataclass(frozen=True)
-class ContractionWeights:
+class ContractionWeights(Frozen):
     """Nonnegative integer weight per basis vector."""
 
-    weights: tuple
-
-    def __post_init__(self):
-        for i, w in enumerate(self.weights):
+    def __init__(self, weights: tuple):
+        for i, w in enumerate(weights):
             try:
                 ok = w >= 0 and w == int(w)
             except (TypeError, ValueError, OverflowError):      # a str, None, inf
                 ok = False
             if not ok:
                 raise ValueError(f"weight {w!r} at position {i} is not a nonnegative integer")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        self.__dict__["weights"] = tuple(int(w) for w in weights)
 
     def __len__(self):
         return len(self.weights)
@@ -52,15 +47,13 @@ class ContractionWeights:
         return sum(self.weights)
 
 
-@dataclass
-class ContractionResult:
-    pi_t: dict                               # t-power -> MultiVector part
-    valid: bool
-    weights: ContractionWeights
-    original: MultiVector
-    pi_tilde: Optional[MultiVector] = None
-    offending: Optional[tuple] = None        # (index pair, most negative t-power)
-    contracted: Optional[LieAlgebra] = None  # read off pi_tilde when linear
+class ContractionResult(Record):
+    def __init__(self, pi_t: dict, valid: bool, weights: ContractionWeights,
+                 original: MultiVector, pi_tilde: MultiVector | None = None,
+                 offending: tuple | None = None, contracted: LieAlgebra | None = None):
+        # pi_t: t-power -> MultiVector part; offending: (index pair, most
+        # negative t-power); contracted: read off pi_tilde when linear
+        self._set(locals())
 
 
 def contract(pi: MultiVector, w: ContractionWeights, labels=None) -> ContractionResult:
@@ -94,9 +87,8 @@ def contract(pi: MultiVector, w: ContractionWeights, labels=None) -> Contraction
             if row is None:
                 raise ValueError("limit of a linear bivector must stay linear")
             brackets[(i, j)] = row
-        contracted = LieAlgebra(use_labels, brackets)
-        # the limit algebra's own bivector, so the limit has one top wedge power
-        tilde = contracted.bivector
+        # the limit keeps tilde as its bivector, so it has one top wedge power
+        contracted = LieAlgebra._with_bivector(use_labels, brackets, tilde)
     return ContractionResult(pi_t=pi_t, valid=True, weights=w, original=pi,
                              pi_tilde=tilde, contracted=contracted)
 

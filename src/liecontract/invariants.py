@@ -14,10 +14,10 @@ triangular modifications leave it untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
+from ._record import Record
 from .contract import ContractionWeights, t_degree
 from .exterior import (MultiVector, pfaffian, point_ranks, shuffle_sign,
                        wedge_power_coefficient)
@@ -28,13 +28,11 @@ from .polyring import Polynomial, _accumulate, _integral_terms, poly_compose
 _ZERO = Fraction(0)
 
 
-@dataclass
-class GeneratorSet:
+class GeneratorSet(Record):
     """Homogeneous central generators in ascending degree, jointly normalized."""
 
-    algebra: LieAlgebra
-    gens: list
-    normalization: Fraction
+    def __init__(self, algebra: LieAlgebra, gens: list, normalization: Fraction):
+        self._set(locals())
 
     @property
     def degrees(self):
@@ -188,7 +186,7 @@ def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
 
 
 def membership_linear(h: Polynomial, gens: Sequence[Polynomial],
-                      profile: Optional[tuple] = None):
+                      profile: tuple | None = None):
     """Write h as a polynomial in the given homogeneous generators.
 
     The candidate monomials in the generators are those whose composed total

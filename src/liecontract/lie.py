@@ -11,11 +11,11 @@ computed on first use and kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
 
+from ._record import Frozen
 from .exterior import MultiVector, schouten_square
 from .linalg import column_solver, flatten, row_reduce
 from .polyring import Polynomial, _coeff
@@ -25,18 +25,18 @@ class JacobiError(ValueError):
     """The bracket table fails the Jacobi identity: a failed check, not bad input."""
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(Frozen):
     """Chevalley bookkeeping: which basis slots are roots, which are Cartan."""
 
-    rank: int
-    simple_e: tuple          # indices of e_1..e_l
-    simple_f: tuple          # indices of f_1..f_l
-    cartan: tuple            # indices of h_1..h_l
-    positive: tuple          # all positive root vector indices (simple first)
-    negative: tuple          # matching negative root vector indices
-    highest: Optional[int] = None      # index of a highest-root vector
-    marks: Optional[tuple] = None      # coefficients of the highest root
+    def __init__(self, rank: int,
+                 simple_e: tuple,          # indices of e_1..e_l
+                 simple_f: tuple,          # indices of f_1..f_l
+                 cartan: tuple,            # indices of h_1..h_l
+                 positive: tuple,          # all positive root vector indices (simple first)
+                 negative: tuple,          # matching negative root vector indices
+                 highest: int | None = None,     # index of a highest-root vector
+                 marks: tuple | None = None):    # coefficients of the highest root
+        self._set(locals())
 
 
 class LieAlgebra:
@@ -83,6 +83,16 @@ class LieAlgebra:
         self.root_data = root_data
         self.name = name
         self.family = family
+
+    @classmethod
+    def _with_bivector(cls, labels, brackets: dict, pi: MultiVector) -> LieAlgebra:
+        """The algebra of the bracket rows read off the linear bivector pi,
+        with pi kept as its bivector rather than packed again from them."""
+        L = cls(labels, brackets)
+        if L.n != pi.n:
+            raise ValueError(f"{L.n} labels for a bivector in {pi.n} variables")
+        L.__dict__["bivector"] = pi
+        return L
 
     @cached_property
     def bivector(self) -> MultiVector:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .polyring import Polynomial, _accumulate, _div, _integral_terms
 

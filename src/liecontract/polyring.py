@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 _EMAX = 0xFFFF      # largest exponent a 16-bit field holds
 

@@ -244,6 +244,40 @@ def test_contract_matches_the_per_coefficient_path(name):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+def test_the_limit_keeps_the_grade_zero_part_as_its_bivector(name):
+    """pi_tilde is pi_t[0] itself and the limit algebra's bivector, and it
+    equals, pair for pair and term for term in order, the bivector packed
+    again from the limit's bracket table."""
+    L = cached_builtin(name)
+    pi = lie_poisson_bivector(L)
+    kept = 0
+    for ws in seeded_weights(L, 7 * sum(map(ord, name))):
+        res = contract(pi, ContractionWeights(ws), labels=L.labels)
+        if not res.valid:
+            continue
+        kept += 0 in res.pi_t
+        assert res.pi_tilde is res.pi_t.get(0, res.pi_tilde) is res.contracted.bivector
+        repacked = LieAlgebra(L.labels, res.contracted.brackets).bivector
+        assert list(res.pi_tilde.terms) == list(repacked.terms)
+        for idx, p in repacked.terms.items():
+            assert list(res.pi_tilde.terms[idx].terms.items()) == list(p.terms.items())
+        rows = [(ij, p.linear_coefficients()) for ij, p in res.pi_tilde.terms.items()]
+        assert list(res.contracted.brackets.items()) == rows
+    assert kept >= 2       # the Borel and the zero weights at least
+
+
+def test_the_limit_needs_a_label_per_variable():
+    # too few labels leave a bracket pair out of range; too many would give
+    # the limit algebra a dimension its kept bivector does not have
+    L = cached_builtin("sl2")
+    pi, w = lie_poisson_bivector(L), ContractionWeights((0, 0, 1))
+    with pytest.raises(ValueError, match="must satisfy 0 <= i < j < n"):
+        contract(pi, w, labels=L.labels[:2])
+    with pytest.raises(ValueError, match="4 labels for a bivector in 3 variables"):
+        contract(pi, w, labels=L.labels + ["x"])
+
+
 def test_contract_matches_on_polynomial_bivectors():
     rng = random.Random(2207)
     for _ in range(40):
