@@ -14,8 +14,7 @@ from functools import cached_property
 from ._record import Record
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
-from .exterior import (Form, MultiVector, _seeded_points, differential, point_ranks,
-                       volume_dual, wedge)
+from .exterior import Form, MultiVector, _seeded_points, differential, point_ranks, wedge
 from .invariants import (GeneratorSet, _int_partials, _regularity_minor, _weight,
                          char_invariants, semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
@@ -227,8 +226,7 @@ def _content(b: MultiVector) -> FundamentalSemiInvariant:
     if g.is_constant:
         return FundamentalSemiInvariant(p=Polynomial.const(n, 1), cofactor=b)
     g = poly_monic(g)
-    cof = MultiVector(n, b.degree,
-                      {idx: poly_div_exact(c, g) for idx, c in b.terms.items()})
+    cof = type(b)(n, b.degree, {idx: poly_div_exact(c, g) for idx, c in b.terms.items()})
     if cof.scale(g) != b:
         raise AssertionError("cofactor reconstruction failed")
     return FundamentalSemiInvariant(p=g, cofactor=cof)
@@ -360,8 +358,8 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
                               {"reason": "wedge power vanished"}))
         return SuiteReport(suite="feigin", target=L.name or "anon", clauses=clauses)
 
-    # A == B: the content of A is that of wedge^k pi~, with no wedge power built
-    fsi = (_content(volume_dual(limit.form)) if limit.equal
+    # A == B: the l-form's content is that of A = wedge^k pi~, with no wedge power built
+    fsi = (_content(limit.form) if limit.equal
            else fundamental_semiinvariant(res.pi_tilde, ell))
     expected = Polynomial.const(L.n, 1)
     for fi, r in zip(rd.simple_f, rd.marks):

@@ -1,16 +1,17 @@
 """Exact linear algebra over Q, and polynomial minors.
 
 Rational matrices are lists of lists of int where integral and Fraction
-otherwise.  One Gauss-Jordan elimination, _echelon, is behind the solves,
-ranks and inverses: it scales each row to int once and eliminates
-fraction-free.  A rank reads its pivots straight off its int rows, and
-row_reduce divides each pivot row by its pivot into Fraction rows;
-column_solver clears its inverse's denominator, so it solves integral
-systems in int.  Every polynomial minor,
-Pfaffian or determinant, comes from one engine, _Pfaffians: a first-row
-Pfaffian expansion memoised per row tuple and run in int, with a
-determinant read as the Pfaffian of [[0, M], [-M^T, 0]].  The symbolic rank
-of a Jacobian is read off the wedge of differentials instead
+otherwise.  One forward elimination, _echelon, is behind the solves, ranks
+and inverses: it scales each row to int once and clears the rows below each
+pivot fraction-free, and a rank reads its pivots straight off it.  An upward
+pass with the same row step reduces it (_reduced) for the rest: row_reduce
+divides each pivot row by its pivot into Fraction rows, solve_exact and
+rational_inverse divide only the entries they return, and column_solver
+reads its inverse off the int rows and solves sparsely in int.  Every
+polynomial minor, Pfaffian or determinant, comes from one engine,
+_Pfaffians: a first-row Pfaffian expansion memoised per row tuple and run in
+int, with a determinant read as the Pfaffian of [[0, M], [-M^T, 0]].  The
+symbolic rank of a Jacobian is read off the wedge of differentials instead
 (analysis.algebraic_independence).
 """
 
@@ -54,24 +55,30 @@ def flatten(a):
 
 def row_reduce(matrix):
     """Reduced row echelon form over Q: (rows, pivot columns), every entry a
-    Fraction: _echelon's int rows with each pivot row divided by its pivot.
+    Fraction: _reduced's int rows with each pivot row divided by its pivot.
 
     Pivots are chosen column by column, so a block of columns appended on
     the right (a right-hand side, an identity) is carried along and only
     takes a pivot where the columns before it leave a row free.
     """
-    rows, pivots = _echelon(matrix)
+    rows, pivots = _reduced(matrix)
     out = [[Fraction(x, row[col]) if x else _ZERO for x in row] for row, col in zip(rows, pivots)]
     return out + [[_ZERO] * len(row) for row in rows[len(pivots):]], pivots
 
 
+def _reduced(matrix):
+    """_echelon and an upward pass: row r is its pivot times the reduced row r."""
+    rows, pivots = _echelon(matrix)
+    for r in range(len(pivots) - 1, 0, -1):
+        _clear(rows, range(r), rows[r], pivots[r])
+    return rows, pivots
+
+
 def _echelon(matrix):
-    """(int rows, pivot columns) of a fraction-free Gauss-Jordan elimination:
-    each pivot row is a multiple of row_reduce's, and the rows below the
-    rank are zero.  Each row is scaled to an int row once; a step touches
-    only the rows with an entry in the pivot column, dividing out each one's
-    content.  Row scaling moves no pivot column.
-    """
+    """(int rows, pivot columns) of a fraction-free forward elimination: row
+    r starts at pivots[r] with zeros below it, and the rows below the rank are
+    zero.  Gauss-Jordan picks the same pivots, as its upward steps never touch
+    the rows the next pivot is picked from."""
     width = len(matrix[0]) if matrix else 0
     rows = []
     for r in matrix:
@@ -91,29 +98,34 @@ def _echelon(matrix):
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
-        prow = rows[rank]
-        pv = prow[col]
-        for r, row in enumerate(rows):
-            f = row[col]
-            if f and r != rank:
-                g = math.gcd(pv, f)
-                a, b = pv // g, f // g
-                row = [a * x - b * y if y else a * x for x, y in zip(row, prow)]
-                c = math.gcd(*row)
-                rows[r] = [x // c for x in row] if c > 1 else row
+        _clear(rows, range(rank + 1, len(rows)), rows[rank], col)
         pivots.append(col)
     return rows, pivots
+
+
+def _clear(rows, targets, prow, col):
+    """Clear column col of each target row by the int row prow, fraction-free,
+    dividing out the content of each row it changes."""
+    pv = prow[col]
+    for r in targets:
+        f = rows[r][col]
+        if f:
+            g = math.gcd(pv, f)
+            a, b = pv // g, f // g
+            row = [a * x - b * y if y else a * x for x, y in zip(rows[r], prow)]
+            c = math.gcd(*row)
+            rows[r] = [x // c for x in row] if c > 1 else row
 
 
 def solve_exact(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
     """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent."""
     n = len(columns)
-    rows, pivots = row_reduce([[c[i] for c in columns] + [t] for i, t in enumerate(target)])
+    rows, pivots = _reduced([[c[i] for c in columns] + [t] for i, t in enumerate(target)])
     if pivots and pivots[-1] == n:
         return None
     sol = [Fraction(0)] * n
     for r, col in enumerate(pivots):
-        sol[col] = rows[r][n]
+        sol[col] = Fraction(rows[r][n], rows[r][col])
     return sol
 
 
@@ -127,20 +139,24 @@ def column_solver(columns: Sequence[Sequence]):
     """
     n = len(columns)
     size = len(columns[0])
-    # [C^T | I] reduces to [R | E], where R has unit columns at n pivot
-    # entries P; then E = (C_P^T)^-1 and x = E^T b_P is the only candidate.
-    rows, pivots = row_reduce([list(col) + [int(j == k) for j in range(n)]
-                               for k, col in enumerate(columns)])
+    # [C^T | I] reduces to v_r [R | E] in row r, where R has unit columns at
+    # n pivot entries P; then E = (C_P^T)^-1 and x = E^T b_P is the only candidate
+    rows, pivots = _reduced([list(col) + [int(j == k) for j in range(n)]
+                             for k, col in enumerate(columns)])
     if pivots[-1] >= size:
         return None
-    # D * E is integral, so D * x and its check run in int for integral data
-    d = math.lcm(*(x.denominator for row in rows for x in row[size:]))
-    inverse = [[x.numerator * (d // x.denominator) for x in row[size:]] for row in rows]
+    # D * E is integral for D the lcm of each v_r over its gcd with E's row r
+    d = math.lcm(*(row[p] // math.gcd(row[p], *row[size:]) for row, p in zip(rows, pivots)))
+    inverse = [(p, [(k, x * d // row[p]) for k, x in enumerate(row[size:]) if x])
+               for row, p in zip(rows, pivots)]
     nonzero = [[(i, v) for i, v in enumerate(col) if v] for col in columns]
 
     def solve(target):
-        picked = [(target[p], inverse[r]) for r, p in enumerate(pivots) if target[p]]
-        dsol = [sum(b * e[k] for b, e in picked) for k in range(n)]
+        dsol = [0] * n
+        for p, erow in inverse:
+            if b := target[p]:
+                for k, e in erow:
+                    dsol[k] += b * e
         combo = [0] * size
         for c, col in zip(dsol, nonzero):
             if c:
@@ -148,7 +164,7 @@ def column_solver(columns: Sequence[Sequence]):
                     combo[i] += c * v
         if combo != [d * t for t in target]:
             return None
-        return [_div(c, d) for c in dsol]
+        return [_div(c, d) if c else 0 for c in dsol]
 
     return solve
 
@@ -161,11 +177,11 @@ def rational_inverse(matrix):
     m = len(matrix)
     if any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square")
-    rows, pivots = row_reduce([list(matrix[i]) + [int(j == i) for j in range(m)]
-                               for i in range(m)])
+    rows, pivots = _reduced([list(matrix[i]) + [int(j == i) for j in range(m)]
+                             for i in range(m)])
     if pivots != list(range(m)):
         raise ValueError("matrix is singular")
-    return [row[m:] for row in rows]
+    return [[Fraction(x, row[r]) if x else _ZERO for x in row[m:]] for r, row in enumerate(rows)]
 
 
 class _Pfaffians:

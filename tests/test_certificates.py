@@ -22,13 +22,13 @@ from conftest import cached_builtin, cached_pair, proportionality, random_polyno
 
 from liecontract import analysis, exterior
 from liecontract.analysis import (Clause, ContrDegReport, FundamentalSemiInvariant,
-                                  SuiteReport, _form_of_differentials, contr_deg_report,
-                                  feigin_suite, fundamental_semiinvariant, kostant_check,
-                                  regularity, z2_suite)
+                                  SuiteReport, _content, _form_of_differentials,
+                                  contr_deg_report, feigin_suite, fundamental_semiinvariant,
+                                  kostant_check, regularity, z2_suite)
 from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
                                   borel_decomposition, builtin_algebra)
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
-from liecontract.exterior import (MultiVector, point_ranks, volume_dual, wedge_power,
+from liecontract.exterior import (Form, MultiVector, point_ranks, volume_dual, wedge_power,
                                   wedge_power_coefficient)
 from liecontract.invariants import char_invariants, t_degree_reduction
 from liecontract.lie import (algebra_from_text, algebra_index, lie_poisson_bivector,
@@ -545,6 +545,17 @@ def test_feigin_reads_the_top_power_when_the_tops_are_not_equal(name, monkeypatc
     for clause in ("fundamental_semiinvariant", "semicentre_generators",
                    "semicentre_proportionality"):
         assert got[clause] == want[clause]
+
+
+@pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+def test_the_content_of_the_form_is_that_of_its_volume_dual(name):
+    # feigin_suite reads p off the limit's l-form: volume_dual only re-indexes
+    # its coefficients and changes signs, so the monic gcd is the same
+    form = regularity(*case(f"{name}/borel")).form
+    got, want = _content(form), _content(volume_dual(form))
+    assert got.p == want.p
+    assert type(got.cofactor) is Form and got.cofactor.scale(got.p) == form
+    assert got.p.is_constant == (name not in ("sp4", "so5"))
 
 
 def test_a_wrong_fundamental_semiinvariant_fails_the_semicentre_clause(monkeypatch):

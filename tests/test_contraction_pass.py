@@ -3,8 +3,9 @@
 contract grades the whole bivector in one call of polyring's batch grader,
 which checks the weights once and grades each distinct monomial once;
 t_expand is its one-polynomial case.  The seeded-point ranks read their
-pivots off linalg's int elimination, on the int matrix scale * pi(x), and
-row_reduce is that elimination with each pivot row divided by its pivot.
+pivots off linalg's forward int elimination, on the int matrix scale * pi(x),
+and row_reduce is that elimination with an upward pass and each pivot row
+divided by its pivot.
 t_degree_reduction keeps each generator's (t-degree, top) and grades again
 only the generator it replaced.
 
@@ -186,14 +187,20 @@ def deficient_matrices():
 
 @pytest.mark.parametrize("matrix", deficient_matrices())
 def test_int_echelon_matches_row_reduce(matrix):
+    """The forward pass: int rows, row r's first nonzero at pivots[r] and
+    zeros below it, the rows below the rank zero, and the row space of the
+    matrix, so that row_reduce reads the same reduced rows off them."""
     rows, pivots = _echelon(matrix)
     want_rows, want_pivots = row_reduce(matrix)
     assert pivots == want_pivots
     assert rational_rank(matrix) == len(pivots) < min(len(matrix), len(matrix[0]))
     assert all(type(x) is int for row in rows for x in row)
     for r, col in enumerate(pivots):
-        assert [Fraction(x, rows[r][col]) for x in rows[r]] == want_rows[r]
+        assert not any(rows[r][:col]) and rows[r][col]
+        assert not any(row[col] for row in rows[r + 1:])
     assert not any(x for row in rows[len(pivots):] for x in row)
+    assert row_reduce(rows) == (want_rows, want_pivots)
+    assert rational_rank(matrix + rows) == len(pivots)
 
 
 def test_int_echelon_matches_sympy():

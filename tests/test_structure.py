@@ -130,6 +130,8 @@ LIBRARY_API = {
     "algebraic_independence": "the Jacobian criterion for a list of polynomials",
     "bivector_matrix_at": "pi's matrix at a rational point, the Fraction view of the int "
                           "evaluation point_ranks reduces",
+    "volume_dual": "the multivector A = f / omega of a form f; feigin_suite reads the "
+                   "fundamental semi-invariant off the form itself, as both have one content",
     "wedge_power": "wedge^k pi for any k, by repeated wedge",
 }
 
