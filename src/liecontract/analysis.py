@@ -20,7 +20,7 @@ from .invariants import (GeneratorSet, _int_partials, _regularity_minor, _weight
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
 from .linalg import rational_rank
 from .polyring import (Polynomial, _scaled_values, multivariate_gcd, poly_div_exact,
-                       poly_monic, poly_rename, poly_to_str)
+                       poly_gcd_many, poly_rename, poly_to_str)
 
 
 class ProportionalityCertificate(Record):
@@ -216,17 +216,10 @@ def fundamental_semiinvariant(pi: MultiVector, ell: int) -> FundamentalSemiInvar
 
 def _content(b: MultiVector) -> FundamentalSemiInvariant:
     """p, the monic gcd of b's coefficients, and the cofactor R = b / p."""
-    n = b.n
-    coeffs = sorted(b.terms.values(), key=lambda p_: len(p_.terms))
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        if g.is_constant:
-            break
-        g = multivariate_gcd(g, c)
+    g = poly_gcd_many(b.terms.values())
     if g.is_constant:
-        return FundamentalSemiInvariant(p=Polynomial.const(n, 1), cofactor=b)
-    g = poly_monic(g)
-    cof = type(b)(n, b.degree, {idx: poly_div_exact(c, g) for idx, c in b.terms.items()})
+        return FundamentalSemiInvariant(p=g, cofactor=b)
+    cof = type(b)(b.n, b.degree, {idx: poly_div_exact(c, g) for idx, c in b.terms.items()})
     if cof.scale(g) != b:
         raise AssertionError("cofactor reconstruction failed")
     return FundamentalSemiInvariant(p=g, cofactor=cof)
@@ -261,41 +254,31 @@ def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegRepor
         return ContrDegReport(ok=False, error=f"invalid contraction: t^{pw} at pair {pair}")
     ind0 = algebra_index(L)
     if ind0 != ell:
-        return ContrDegReport(ok=False,
-                              error=f"generator count {ell} differs from index {ind0}")
+        return ContrDegReport(ok=False, error=f"generator count {ell} differs from index {ind0}")
     pairs = [t_degree(g, w) for g in gens.gens]
     limit = regularity(res.pi_tilde, [top for _, top in pairs])
-    preserved = ind0 == limit.index
-    report = ContrDegReport(ok=True, error=None, index_original=ind0,
-                            index_contracted=limit.index, index_preserved=preserved)
-    if not preserved:
-        report.ok = False
-        report.error = "index is not preserved; the degree law does not apply"
-        return report
-    report.degrees = [g.degree() for g in gens.gens]
-    report.t_degrees = [d for d, _ in pairs]
-    report.sum_t_degrees = sum(report.t_degrees)
-    report.weight_total = w.total
-    report.independent = limit.independent
-    if report.sum_t_degrees < report.weight_total:
-        report.ok = False
-        report.error = "degree-law violation: sum of t-degrees below the weight total"
-        return report
-    if report.sum_t_degrees == report.weight_total:
-        report.classification = "equality"
-        report.kostant_with_limit = limit.equal
-        report.good_generating_system = report.independent
-        report.ok = report.independent and report.kostant_with_limit
-        if not report.ok:
-            report.error = "equality case must give independent tops satisfying the equality"
-    else:
-        report.classification = "strict"
-        report.good_generating_system = False
-        report.kostant_with_limit = None
-        report.ok = not report.independent
-        if not report.ok:
-            report.error = "strict case must give dependent highest components"
-    return report
+    indices = {"index_original": ind0, "index_contracted": limit.index}
+    if ind0 != limit.index:
+        return ContrDegReport(ok=False, index_preserved=False, **indices,
+                              error="index is not preserved; the degree law does not apply")
+    t_degrees = [d for d, _ in pairs]
+    total = sum(t_degrees)
+    law = {**indices, "index_preserved": True, "degrees": [g.degree() for g in gens.gens],
+           "t_degrees": t_degrees, "sum_t_degrees": total, "weight_total": w.total,
+           "independent": limit.independent}
+    if total < w.total:
+        error = "degree-law violation: sum of t-degrees below the weight total"
+        return ContrDegReport(ok=False, error=error, **law)
+    if total == w.total:
+        ok = limit.independent and limit.equal
+        error = "equality case must give independent tops satisfying the equality"
+        return ContrDegReport(ok=ok, error=None if ok else error, **law,
+                              classification="equality", kostant_with_limit=limit.equal,
+                              good_generating_system=limit.independent)
+    ok = not limit.independent
+    error = "strict case must give dependent highest components"
+    return ContrDegReport(ok=ok, error=None if ok else error, **law, classification="strict",
+                          good_generating_system=False)
 
 
 # ---------------------------------------------------------------------------

@@ -263,23 +263,14 @@ def cmd_fsi(args, fmt):
     return 0
 
 
-def cmd_feigin(args, fmt):
-    if args.name not in FEIGIN_ALGEBRAS:
-        raise InputError(f"feigin suite supports {', '.join(FEIGIN_ALGEBRAS)}")
+def cmd_suite(args, fmt):
+    """feigin and z2: the verb's suite on one member of its catalog."""
+    if args.target not in args.catalog:
+        raise InputError(f"{args.verb} suite supports {', '.join(args.catalog)}")
     started = time.monotonic()
-    rep = feigin_suite(builtin_algebra(args.name))
+    rep = args.suite(args.target)
     _emit(rep.as_dict(), fmt, _suite_lines(rep))
     # timing stays outside the deterministic payload
-    print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
-    return 0 if rep.ok else CHECK_ERROR
-
-
-def cmd_z2(args, fmt):
-    if args.pair not in Z2_PAIRS:
-        raise InputError(f"z2 suite supports {', '.join(Z2_PAIRS)}")
-    started = time.monotonic()
-    rep = z2_suite(args.pair)
-    _emit(rep.as_dict(), fmt, _suite_lines(rep))
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
     return 0 if rep.ok else CHECK_ERROR
 
@@ -340,10 +331,12 @@ def build_parser():
     p = add("fsi", cmd_fsi, help="fundamental semi-invariant")
     p.add_argument("target")
     p.add_argument("--weights")
-    p = add("feigin", cmd_feigin, help="Borel-split contraction suite")
-    p.add_argument("name")
-    p = add("z2", cmd_z2, help="symmetric-pair contraction suite")
-    p.add_argument("pair")
+    p = add("feigin", cmd_suite, help="Borel-split contraction suite")
+    p.add_argument("target", metavar="name")
+    p.set_defaults(catalog=FEIGIN_ALGEBRAS, suite=lambda name: feigin_suite(builtin_algebra(name)))
+    p = add("z2", cmd_suite, help="symmetric-pair contraction suite")
+    p.add_argument("target", metavar="pair")
+    p.set_defaults(catalog=Z2_PAIRS, suite=z2_suite)
     p = add("emit-builtin", cmd_emit_builtin, help="write a canonical algebra file")
     p.add_argument("name")
     p.add_argument("--output", "-o")

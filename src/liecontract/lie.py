@@ -330,18 +330,11 @@ def algebra_to_text(L: LieAlgebra, weights=None) -> str:
         lines.append(f"matsize: {len(L.matrices[0])}")
         for M in L.matrices:
             lines.append("matrix: " + " ".join(str(x) for x in flatten(M)))
-    rd = L.root_data
-    if rd is not None:
-        lines.append(f"rank: {rd.rank}")
-        lines.append("simple_e: " + " ".join(map(str, rd.simple_e)))
-        lines.append("simple_f: " + " ".join(map(str, rd.simple_f)))
-        lines.append("cartan: " + " ".join(map(str, rd.cartan)))
-        lines.append("positive: " + " ".join(map(str, rd.positive)))
-        lines.append("negative: " + " ".join(map(str, rd.negative)))
-        if rd.highest is not None:
-            lines.append(f"highest: {rd.highest}")
-        if rd.marks is not None:
-            lines.append("marks: " + " ".join(map(str, rd.marks)))
+    if L.root_data is not None:
+        for field, value in zip(RootData._fields, L.root_data._values()):
+            if value is not None:
+                text = value if isinstance(value, int) else " ".join(map(str, value))
+                lines.append(f"{field}: {text}")
     if weights is not None:
         lines.append("weights: [" + ",".join(str(w) for w in weights) + "]")
     return "\n".join(lines) + "\n"
@@ -394,7 +387,7 @@ def algebra_from_text(text: str):
             matrix_rows.append([_number(Fraction, x, lineno, key) for x in val.split()])
         elif key in ("rank", "highest"):
             rd_fields[key] = _number(int, val, lineno, key)
-        elif key in ("simple_e", "simple_f", "cartan", "positive", "negative", "marks"):
+        elif key in RootData._fields:
             rd_fields[key] = tuple(_number(int, x, lineno, key) for x in val.split())
         elif key == "weights":
             body = val.strip()
@@ -428,17 +421,12 @@ def algebra_from_text(text: str):
             matrices.append([row[r * matsize:(r + 1) * matsize] for r in range(matsize)])
     root_data = None
     if rd_fields:
-        try:
-            root_data = RootData(rank=rd_fields["rank"],
-                                 simple_e=rd_fields["simple_e"],
-                                 simple_f=rd_fields["simple_f"],
-                                 cartan=rd_fields["cartan"],
-                                 positive=rd_fields["positive"],
-                                 negative=rd_fields["negative"],
-                                 highest=rd_fields.get("highest"),
-                                 marks=rd_fields.get("marks"))
-        except KeyError as exc:
-            raise ValueError(f"incomplete root data block: missing {exc.args[0]}") from None
+        # the fields without a default are required
+        required = RootData._fields[:-len(RootData.__init__.__defaults__)]
+        missing = next((f for f in required if f not in rd_fields), None)
+        if missing:
+            raise ValueError(f"incomplete root data block: missing {missing}")
+        root_data = RootData(**rd_fields)
     if weights is not None and len(weights) != len(labels):
         raise ValueError("weights length must match the basis size")
     L = LieAlgebra(labels, brackets, matrices=matrices, root_data=root_data, name=name)

@@ -199,8 +199,8 @@ class _Pfaffians:
         self.d, maps = _integral_terms(e if isinstance(e, Polynomial) else
                                        Polynomial.const(ring, e) for e in entries.values())
         self.a = dict(zip(entries, maps))
-        # the Pfaffian on rows (i, j) is the entry itself
-        self.memo = {(): {0: 1}, **self.a}
+        # the Pfaffian on no rows is 1, and on rows (i, j) the entry itself
+        self.memo = {(): Polynomial.const(ring, 1).terms, **self.a}
 
     @classmethod
     def of_matrix(cls, matrix):
@@ -216,9 +216,9 @@ class _Pfaffians:
             k = len(rows) // 2
             for key, c in self.terms(rows).items():
                 acc[key] = acc.get(key, 0) + c
-        if self.n is None:
-            return _div(acc.get(0, 0), self.d ** k)
-        return Polynomial._collect(self.n, acc, self.d ** k)
+        total = Polynomial._collect(self.ring, acc, self.d ** k)
+        # a polynomial in no variables has one coefficient at most: the number
+        return total if self.n is not None else sum(total.terms.values())
 
     def terms(self, rows) -> dict:
         """d^k times the Pfaffian on one sorted row tuple of length 2k, as a

@@ -588,18 +588,8 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
 
 
 def _content_primitive(p: Polynomial, v: int):
-    coeffs = _as_univariate(p, v)
-    content = None
-    for e in sorted(coeffs, key=lambda k: len(coeffs[k].terms)):
-        c = coeffs[e]
-        content = c if content is None else _gcd_rec(content, c)
-        if content.is_constant:
-            content = Polynomial.const(p.n, 1)
-            return content, p
-    content = poly_monic(content)
-    if content.is_constant:
-        return Polynomial.const(p.n, 1), p
-    return content, poly_div_exact(p, content)
+    content = poly_gcd_many(_as_univariate(p, v).values())
+    return content, (p if content.is_constant else poly_div_exact(p, content))
 
 
 def _monomial_gcd(keys, n: int) -> int:
@@ -641,6 +631,17 @@ def multivariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
     return poly_monic(_gcd_rec(a, b))
+
+
+def poly_gcd_many(polys) -> Polynomial:
+    """The monic gcd of nonzero polynomials of one ring, at least one.  They
+    are taken smallest first, and the gcd stops at 1 once it is constant."""
+    g = None
+    for c in sorted(polys, key=lambda p: len(p.terms)):
+        g = c if g is None else _gcd_rec(g, c)
+        if g.is_constant:
+            return Polynomial.const(c.n, 1)
+    return poly_monic(g)
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +686,8 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
             if tok in "+-":
                 break
             if tok == "*":
+                if expect_factor:
+                    raise ValueError("'*' must follow a factor")
                 i += 1
                 expect_factor = True
                 continue

@@ -156,6 +156,40 @@ class TestQueryVerbs:
         assert err.startswith("error:") and "Traceback" not in err
         assert f"line 3: {message}" in err
 
+    @pytest.mark.parametrize("body, message", [
+        ("labels a b c\n", "line 2: expected 'key: value'"),
+        ("labels: a b c\nbracket: 0 1 2\n", "line 3: bracket needs 'i j k coefficient'"),
+        ("labels: a b c\nweights: 0,0,1\n", "line 3: weights must look like [0,0,1]"),
+        ("labels: a b c\ncolour: red\n", "line 3: unknown key 'colour'"),
+        ("labels: a b\nmatrix: 1\nmatrix: 2\n", "matrix lines need a matsize line"),
+        ("labels: a b c\nmatsize: 1\nmatrix: 1\nmatrix: 2\n",
+         "need one matrix per basis label"),
+        ("labels: a b\nmatsize: 2\nmatrix: 1 0 0 0\nmatrix: 0 0 1\n",
+         "matrix line has the wrong number of entries"),
+    ], ids=["no-colon", "bracket-arity", "weights-brackets", "unknown-key", "no-matsize",
+            "matrix-count", "matrix-length"])
+    def test_malformed_file_exit_two(self, capsys, tmp_path, body, message):
+        path = tmp_path / "bad.alg"
+        path.write_text("name: bad\n" + body)
+        code, out, err = run(capsys, "index", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot load {path}: {message}\n"
+
+    # each required root-data field dropped from the emitted sl3 file; the
+    # fields are checked in RootData's order, so each file names its own
+    @pytest.mark.parametrize("field", ["rank", "simple_e", "simple_f", "cartan",
+                                       "positive", "negative"])
+    def test_incomplete_root_data_names_the_missing_field(self, capsys, tmp_path, field):
+        path = tmp_path / "sl3.alg"
+        run(capsys, "emit-builtin", "sl3", "--output", str(path))
+        lines = [line for line in path.read_text().splitlines()
+                 if line.partition(":")[0] != field]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot load {path}: "
+                       f"incomplete root data block: missing {field}\n")
+
     def test_repeated_label_exit_two(self, capsys, tmp_path):
         path = tmp_path / "dup.alg"
         path.write_text("name: dup\nlabels: a a b\nbracket: 0 2 2 1\n")
@@ -289,6 +323,35 @@ class TestQueryVerbs:
                            "--poly", "q + 1")
         assert code == 2
 
+    @pytest.mark.parametrize("poly, message", [
+        ("2**3*e", "'*' must follow a factor"),
+        ("e**2", "'*' must follow a factor"),
+        ("*e", "'*' must follow a factor"),
+        ("e+*f", "'*' must follow a factor"),
+        ("e* *f", "'*' must follow a factor"),
+        ("e$f", "unexpected characters '$' in polynomial"),
+        ("  ", "empty polynomial text"),
+        ("e +", "dangling sign in polynomial"),
+        ("e^x", "'^' must be followed by an integer"),
+        ("e*", "term ends with an operator"),
+        ("0", "t-degree of the zero polynomial is undefined"),
+    ])
+    def test_tdeg_malformed_polynomial_exit_two(self, capsys, poly, message):
+        code, out, err = run(capsys, "tdeg", "sl2", "--weights", "0,0,1", f"--poly={poly}")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("weights, message", [
+        ("0,x,1", "--weights must be a comma list of integers: "
+                  "invalid literal for int() with base 10: 'x'"),
+        ("0,-1,1", "--weights entries must be nonnegative"),
+    ], ids=["non-integer", "negative"])
+    def test_bad_weights_exit_two(self, capsys, weights, message):
+        for argv in (["contract", "sl2"], ["tdeg", "sl2", "--poly=e"]):
+            code, out, err = run(capsys, *argv, f"--weights={weights}")
+            assert code == 2 and out == ""
+            assert err == f"error: {message}\n"
+
     def test_ggs(self, capsys):
         code, out, _ = run(capsys, "ggs", "sl2", "--weights", "1,0,1")
         assert code == 0
@@ -329,6 +392,15 @@ class TestEmitAndLoad:
             assert code == 0
             loaded, _ = algebra_from_text(path.read_text())
             assert loaded == cached_builtin(name)
+
+    def test_emit_to_stdout_matches_the_output_file(self, capsys, tmp_path):
+        for name in BUILTIN_ALGEBRAS:
+            path = tmp_path / f"{name}.alg"
+            assert run(capsys, "emit-builtin", name, "--output", str(path)) == (
+                0, f"wrote {path}\n", "")
+            code, out, err = run(capsys, "emit-builtin", name)
+            assert code == 0 and err == ""
+            assert out == path.read_text(), name
 
     def test_loaded_file_usable_as_target(self, capsys, tmp_path):
         path = tmp_path / "sl2.alg"

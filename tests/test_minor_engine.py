@@ -211,6 +211,18 @@ def test_mixed_entries_choose_polynomial_mode():
     assert poly_det_cofactor([[x, 1], [half, y]]) == x * y - Polynomial.const(2, half)
 
 
+def test_a_number_is_an_int_when_integral():
+    half = Fraction(1, 2)
+    for mat, want in (([[0, 3], [-3, 0]], 3), ([[0, Fraction(4, 2)], [-2, 0]], 2),
+                      ([[0, half], [-half, 0]], half), ([[0, 0], [0, 0]], 0)):
+        got = pfaffian(mat)
+        assert got == want and type(got) is type(want)
+    for mat, want in (([[2, 1], [1, 1]], 1), ([[half, 0], [0, 1]], half),
+                      ([[half, 1], [half, 1]], 0)):
+        got = poly_det_cofactor(mat)
+        assert got == want and type(got) is type(want)
+
+
 @pytest.mark.parametrize("bad", ([["x", "y"]], [["x"], ["y"]]))
 def test_det_rejects_a_non_square_matrix(bad):
     x, y = (Polynomial.variable(2, i) for i in range(2))

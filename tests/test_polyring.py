@@ -7,7 +7,7 @@ from conftest import random_point, random_polynomial
 from liecontract.contract import ContractionWeights, contract
 from liecontract.exterior import MultiVector
 from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,
-                                  poly_compose, poly_div_exact, poly_monic,
+                                  poly_compose, poly_div_exact, poly_gcd_many, poly_monic,
                                   poly_rename, poly_to_str, t_expand)
 
 EHF = ["e", "h", "f"]
@@ -140,6 +140,26 @@ class TestGcd:
         g = multivariate_gcd(4 * x1 * x1 - 4 * x2 * x2, 6 * x1 + 6 * x2)
         assert g == x1 + x2
 
+    def test_gcd_of_many_folds_the_pairwise_gcd(self):
+        rng = random.Random(4711)
+        for _ in range(40):
+            common = random_polynomial(rng, 3, max_degree=2, max_terms=2)
+            polys = [random_polynomial(rng, 3, max_degree=2, max_terms=3) * common
+                     for _ in range(rng.randint(1, 4))]
+            if any(p.is_zero for p in polys):
+                continue
+            want = poly_monic(polys[0])
+            for p in polys[1:]:
+                want = multivariate_gcd(want, p)
+            got = poly_gcd_many(polys)
+            assert got == (Polynomial.const(3, 1) if want.is_constant else want)
+
+    def test_gcd_of_many_is_one_once_constant(self):
+        x1, x2 = var(2, 0), var(2, 1)
+        assert poly_gcd_many([3 * x1 * x2, 2 * x1, Polynomial.const(2, 5)]) == \
+            Polynomial.const(2, 1)
+        assert poly_gcd_many([-2 * x1 * x2 + 4 * x1]) == x1 * x2 - 2 * x1
+
 
 class TestExactDivision:
     def test_not_divisible_raises(self):
@@ -222,6 +242,13 @@ class TestTextGrammar:
     def test_missing_star(self):
         with pytest.raises(ValueError):
             parse_polynomial("2e", EHF)
+
+    # a '*' must sit between two factors; each of these used to parse, as
+    # 6*e, 2*e, e, e + f and e*f
+    @pytest.mark.parametrize("text", ["2**3*e", "e**2", "*e", "e+*f", "e* *f"])
+    def test_star_that_follows_no_factor(self, text):
+        with pytest.raises(ValueError, match=r"^'\*' must follow a factor$"):
+            parse_polynomial(text, EHF)
 
 
 class TestComposeRename:
