@@ -45,20 +45,6 @@ def _coprime_ratio(a: Polynomial, b: Polynomial):
     return q1 * (1 / lead), q2 * (1 / lead)
 
 
-def algebraic_independence(polys) -> bool:
-    """Jacobian criterion: dg_1 ^ ... ^ dg_k is nonzero.
-
-    The coefficients of that form are the k x k minors of the Jacobian
-    (d g_j / d x_i), so it vanishes exactly when the Jacobian has rank < k.
-    """
-    polys = list(polys)
-    if not polys:
-        return True
-    if len(polys) > polys[0].n:
-        return False
-    return not _form_of_differentials(polys, polys[0].n).is_zero
-
-
 def _form_of_differentials(polys, n: int) -> Form:
     """dg_1 ^ ... ^ dg_k for at most n polynomials; the unit 0-form for k = 0."""
     form = Form.unit(n)

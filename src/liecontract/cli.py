@@ -168,9 +168,9 @@ def cmd_contract(args, fmt):
 
 def cmd_tdeg(args, fmt):
     # without --poly the verb reads the invariant generators
-    L, _ = (_load_target if args.poly else _load_classical)(args.target)
+    L, _ = (_load_target if args.poly is not None else _load_classical)(args.target)
     w = _parse_weights(args.weights, L.n)
-    if args.poly:
+    if args.poly is not None:
         try:
             p = parse_polynomial(args.poly, L.labels)
         except ValueError as exc:

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .linalg import _echelon, _Pfaffians
-from .polyring import Polynomial, _accumulate, _div, _integral_terms, _scaled_values
+from .polyring import Polynomial, _accumulate, _integral_terms, _scaled_values
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -268,20 +268,6 @@ def differential(p: Polynomial) -> Form:
     return Form._raw(p.n, 1, terms)
 
 
-def volume_dual(f: Form) -> MultiVector:
-    """Division by the volume form: the multivector with coefficient
-    sgn(I, complement(I)) * f_I at the complementary index set."""
-    n = f.n
-    full = tuple(range(n))
-    out = {}
-    for idx, p in f.terms.items():
-        mark = set(idx)
-        comp = tuple(i for i in full if i not in mark)
-        sign = shuffle_sign(idx, comp)
-        out[comp] = p if sign > 0 else -p
-    return MultiVector._raw(n, n - f.degree, out)
-
-
 def point_ranks(pi: MultiVector):
     """(rank, pivot columns, point) of pi's matrix at each of three seeded
     rational points, the same on every call, evaluated only as far as the
@@ -318,13 +304,6 @@ def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:
     if list(idx) != sorted(set(idx)) or not all(0 <= i < pi.n for i in idx):
         raise ValueError(f"bad index set {idx} for n={pi.n}")
     return Polynomial.const(pi.n, math.factorial(len(idx) // 2)) * pi._engine()([idx])
-
-
-def bivector_matrix_at(pi: MultiVector, point):
-    """The bivector's matrix at a rational point, int where integral and
-    Fraction otherwise: _scaled_matrix_at divided by its scale."""
-    mat, scale = _scaled_matrix_at(pi, point)
-    return [[_div(v, scale) if v else 0 for v in row] for row in mat]
 
 
 def _scaled_matrix_at(pi: MultiVector, point):

@@ -610,8 +610,6 @@ def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(a.terms) == 1 or len(b.terms) == 1:
         return Polynomial._raw(a.n, {_monomial_gcd([*a.terms, *b.terms], a.n): 1})
     v = _main_variable(a, b)
-    if v is None:
-        return Polynomial.const(a.n, 1)
     ca, pa = _content_primitive(a, v)
     cb, pb = _content_primitive(b, v)
     cg = _gcd_rec(ca, cb)
@@ -685,6 +683,8 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
             tok = tokens[i]
             if tok in "+-":
                 break
+            if tok == "^":
+                raise ValueError("'^' must follow a variable")
             if tok == "*":
                 if expect_factor:
                     raise ValueError("'*' must follow a factor")

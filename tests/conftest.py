@@ -9,6 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from liecontract.analysis import ProportionalityCertificate, _coprime_ratio  # noqa: E402
 from liecontract.builders import builtin_algebra as _builtin_algebra  # noqa: E402
 from liecontract.builders import symmetric_pair as _symmetric_pair  # noqa: E402
+from liecontract.exterior import MultiVector, shuffle_sign, wedge_power  # noqa: E402
 from liecontract.polyring import Polynomial  # noqa: E402
 
 # algebras are immutable, so tests may share one instance per builtin
@@ -41,6 +42,31 @@ def bivector_matrix(pi):
         mat[i][j] = p
         mat[j][i] = -p
     return mat
+
+
+def volume_dual(f):
+    """The full-sides reference A = f / omega: division of a form by the
+    volume form, the multivector with coefficient sgn(I, complement(I)) * f_I
+    at the complementary index set."""
+    n = f.n
+    out = {}
+    for idx, p in f.terms.items():
+        comp = tuple(i for i in range(n) if i not in idx)
+        out[comp] = p if shuffle_sign(idx, comp) > 0 else -p
+    return MultiVector(n, n - f.degree, out)
+
+
+# (id(pi), k) -> (pi, wedge^k pi); pi is kept so that its id is not reused
+_POWERS = {}
+
+
+def cached_wedge_power(pi, k):
+    """The full-sides reference B = wedge^k pi, built once per bivector and
+    power: a bivector is immutable, and the builtin cases share one."""
+    key = id(pi), k
+    if key not in _POWERS:
+        _POWERS[key] = pi, wedge_power(pi, k)
+    return _POWERS[key][1]
 
 
 def proportionality(a, b):

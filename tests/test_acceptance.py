@@ -11,12 +11,12 @@ import random
 import time
 
 from conftest import (bivector_matrix, cached_builtin, cached_pair, proportionality,
-                      random_polynomial)
+                      random_polynomial, volume_dual)
 from liecontract.analysis import feigin_suite, z2_suite
 from liecontract.builders import borel_decomposition
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
-from liecontract.exterior import (MultiVector, differential, pfaffian,
-                                  schouten_square, volume_dual, wedge_power)
+from liecontract.exterior import (MultiVector, differential, pfaffian, schouten_square,
+                                  wedge_power)
 from liecontract.invariants import char_invariants, semi_invariant_weight
 from liecontract.lie import jacobi_check, lie_poisson_bivector
 from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,

@@ -4,7 +4,9 @@ import pytest
 
 from liecontract.builders import BUILTIN_ALGEBRAS
 from liecontract.cli import main
-from liecontract.lie import algebra_from_text
+from liecontract.exterior import MultiVector, pfaffian
+from liecontract.lie import algebra_from_text, from_matrices
+from liecontract.polyring import Polynomial, parse_polynomial, poly_compose
 
 
 def run(capsys, *argv):
@@ -30,6 +32,13 @@ class TestContractVerb:
         code, _, err = run(capsys, "contract", "sl2", "--weights", "0,1")
         assert code == 2
         assert "3 entries" in err
+
+    def test_abelian_limit(self, capsys):
+        # weight 1 on every basis vector sends every bracket to t^1 -> 0
+        code, out, _ = run(capsys, "contract", "sl2", "--weights", "1,1,1")
+        assert code == 0 and out == "(abelian limit: all brackets vanish)\n"
+        code, out, _ = run(capsys, "--format", "json", "contract", "sl2", "--weights", "1,1,1")
+        assert code == 0 and json.loads(out)["brackets"] == []
 
 
 class TestSuiteVerbs:
@@ -324,6 +333,11 @@ class TestQueryVerbs:
         assert code == 2
 
     @pytest.mark.parametrize("poly, message", [
+        ("", "empty polynomial text"),
+        ("2^3*e", "'^' must follow a variable"),
+        ("e^2^3", "'^' must follow a variable"),
+        ("^e", "'^' must follow a variable"),
+        ("e^", "'^' must be followed by an integer"),
         ("2**3*e", "'*' must follow a factor"),
         ("e**2", "'*' must follow a factor"),
         ("*e", "'*' must follow a factor"),
@@ -463,3 +477,39 @@ class TestJsonFormat:
         payload = json.loads(out)
         assert payload["valid"] is True
         assert ["[e,h]~", "-2*e"] in payload["brackets"]
+
+
+ONE = Polynomial.const(3, 1)
+
+
+# the library's own argument checks, each with its message
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: pfaffian([[0, 1], [-1]]), "matrix must be square",
+                 id="pfaffian-non-square"),
+    pytest.param(lambda: pfaffian([[1, 1], [-1, 0]]),
+                 "matrix is not antisymmetric (nonzero diagonal)", id="pfaffian-diagonal"),
+    pytest.param(lambda: from_matrices([]), "need at least one matrix",
+                 id="from-matrices-empty"),
+    pytest.param(lambda: from_matrices([[[0, 1], [0, 0]], [[0, 0], [1]]]),
+                 "all matrices must be square of equal size", id="from-matrices-ragged"),
+    pytest.param(lambda: poly_compose(Polynomial.variable(2, 0), [Polynomial.variable(1, 0)]),
+                 "need one argument polynomial per variable", id="compose-count"),
+    pytest.param(lambda: poly_compose(Polynomial.const(0, 1), []),
+                 "composition needs at least one argument to fix the target ring",
+                 id="compose-no-argument"),
+    pytest.param(lambda: poly_compose(Polynomial.variable(2, 0),
+                                      [Polynomial.variable(1, 0), Polynomial.variable(2, 0)]),
+                 "argument polynomials live in different rings", id="compose-rings"),
+    pytest.param(lambda: MultiVector(3, 2, {(0, 3): ONE}), "bad index set (0, 3) for degree 2, n=3",
+                 id="multivector-index-set"),
+    pytest.param(lambda: MultiVector(3, 2, {(1, 0): ONE}),
+                 "index set (1, 0) must be strictly increasing", id="multivector-order"),
+    pytest.param(lambda: Polynomial.linear(3, {3: 1}), "variable index 3 out of range for n=3",
+                 id="linear-index"),
+    pytest.param(lambda: parse_polynomial("e $", ["e", "h", "f"]),
+                 "unexpected characters ' $' in polynomial", id="parse-character"),
+])
+def test_library_boundary_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

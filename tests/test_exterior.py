@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bivector_matrix, random_polynomial
-from liecontract.exterior import (Form, MultiVector, bivector_matrix_at, differential, pfaffian,
-                                  schouten_square, volume_dual, wedge, wedge_power)
+from conftest import bivector_matrix, random_polynomial, volume_dual
+from liecontract.exterior import (Form, MultiVector, _scaled_matrix_at, differential, pfaffian,
+                                  schouten_square, wedge, wedge_power)
 from liecontract.invariants import semi_invariant_weight
 from liecontract.linalg import rational_rank
 from liecontract.polyring import Polynomial, parse_polynomial
@@ -282,7 +282,7 @@ class TestWedgePowerRank:
                 for _ in range(50):
                     pt = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                           for _ in range(n)]
-                    sampled = max(sampled, rational_rank(bivector_matrix_at(pi, pt)))
+                    sampled = max(sampled, rational_rank(_scaled_matrix_at(pi, pt)[0]))
                 if power.is_zero:
                     assert sampled < 2 * k
                     # symbolic rank below 2k: every 2k-Pfaffian minor vanishes
@@ -296,19 +296,22 @@ class TestWedgePowerRank:
 
 
 class TestBivectorMatrix:
+    """pi's matrix at a point, as the int matrix point_ranks reduces."""
+
     def test_zero_point(self):
-        M = bivector_matrix_at(sl2_pi(), [0, 0, 0])
+        M, _ = _scaled_matrix_at(sl2_pi(), [0, 0, 0])
         assert all(x == 0 for row in M for x in row)
 
     def test_rank_at_point(self):
-        M = bivector_matrix_at(sl2_pi(), [1, 0, 0])
+        M, scale = _scaled_matrix_at(sl2_pi(), [1, 0, 0])
+        assert scale == 1
         assert M[0][1] == -2 and M[0][2] == 0 and M[1][2] == 0
         assert rational_rank(M) == 2
 
     def test_antisymmetric(self):
         rng = random.Random(3)
         pi = random_bivector(rng, 4)
-        M = bivector_matrix_at(pi, [1, 2, 3, 4])
+        M, _ = _scaled_matrix_at(pi, [1, 2, 3, 4])
         for i in range(4):
             for j in range(4):
                 assert M[i][j] == -M[j][i]

@@ -6,13 +6,13 @@ import itertools
 import random
 
 import pytest
-from conftest import cached_builtin, cached_pair, random_polynomial
+from conftest import cached_builtin, cached_pair, random_polynomial, volume_dual
 
 from liecontract import invariants
 from liecontract.analysis import kostant_check
 from liecontract.builders import BUILTIN_ALGEBRAS
-from liecontract.exterior import (MultiVector, differential, volume_dual, wedge,
-                                  wedge_power, wedge_power_coefficient)
+from liecontract.exterior import (MultiVector, differential, wedge, wedge_power,
+                                  wedge_power_coefficient)
 from liecontract.invariants import char_invariants
 from liecontract.lie import lie_poisson_bivector
 from liecontract.polyring import Polynomial

@@ -250,6 +250,13 @@ class TestTextGrammar:
         with pytest.raises(ValueError, match=r"^'\*' must follow a factor$"):
             parse_polynomial(text, EHF)
 
+    # a '^' must follow a variable; these used to ask for a '*' before it, or
+    # name '^' as an unknown variable
+    @pytest.mark.parametrize("text", ["2^3*e", "e^2^3", "^e", "e*^2"])
+    def test_caret_that_follows_no_variable(self, text):
+        with pytest.raises(ValueError, match=r"^'\^' must follow a variable$"):
+            parse_polynomial(text, EHF)
+
 
 class TestComposeRename:
     def test_compose(self):

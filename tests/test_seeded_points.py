@@ -1,7 +1,7 @@
 """The int seeded-point layer against the Fraction paths it replaced.
 
 Every index and regularity proof runs at seeded rational points: the rank of
-pi there (linalg.row_reduce on exterior.bivector_matrix_at), the rank of the
+pi there (linalg._echelon on exterior._scaled_matrix_at), the rank of the
 Casimirs' Jacobian there (polyring._scaled_values) and the exact Casimir test
 (invariants.semi_invariant_weight).  The in-test copies below are the
 replaced code: a Gauss-Jordan elimination in Fraction, a term-by-term
@@ -9,7 +9,7 @@ Fraction evaluation, a per-coordinate bracket that re-derives h for every
 entry of pi, and the seeded points drawn afresh on every call.  On seeded
 matrices, random polynomials, the builtins, their Borel limits and the
 symmetric-pair limits, the results must be identical, types included; only
-a matrix at a point now holds int where its entries are integral.
+a matrix at a point is now int, times one positive scale.
 Standard library only, so these run without sympy.
 """
 
@@ -25,7 +25,7 @@ from conftest import cached_builtin, cached_pair, random_point, random_polynomia
 from liecontract.analysis import fundamental_semiinvariant
 from liecontract.builders import BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition
 from liecontract.contract import contract_algebra, t_degree
-from liecontract.exterior import MultiVector, bivector_matrix_at, point_ranks
+from liecontract.exterior import MultiVector, _scaled_matrix_at, point_ranks
 from liecontract.invariants import char_invariants, semi_invariant_weight, t_degree_reduction
 from liecontract.lie import lie_poisson_bivector
 from liecontract.linalg import rational_inverse, rational_rank, row_reduce, solve_exact
@@ -276,11 +276,11 @@ def test_point_ranks_match_the_fraction_path(key):
     assert [list(point) for _, _, point in triples] == reference_points(pi.n)
     for rank, pivots, point in triples:
         want = reference_matrix_at(pi, point)
-        got = bivector_matrix_at(pi, point)
-        # the same values, int where integral
-        assert got == want
-        assert all(type(x) is (int if x.denominator == 1 else Fraction)
-                   for row in got for x in row)
+        got, scale = _scaled_matrix_at(pi, point)
+        # the same values times one positive scale, every entry an int
+        assert type(scale) is int and scale > 0
+        assert all(type(x) is int for row in got for x in row)
+        assert [[Fraction(x, scale) for x in row] for row in got] == want
         _, want_pivots = reference_row_reduce(want)
         assert (rank, pivots) == (len(want_pivots), tuple(want_pivots))
 
