@@ -17,6 +17,6 @@ from .lie import (JacobiError, LieAlgebra, RootData, algebra_from_text,
                   algebra_index, algebra_to_text, from_matrices, jacobi_check,
                   lie_poisson_bivector, subalgebra_from_vectors, subalgebra_on_indices)
 from .polyring import (Polynomial, multivariate_gcd, parse_polynomial,
-                       poly_compose, poly_div_exact, poly_monic, poly_to_str, t_expand)
+                       poly_compose, poly_div_exact, poly_monic, poly_to_str)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

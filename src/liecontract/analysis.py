@@ -20,7 +20,7 @@ from .invariants import (GeneratorSet, _int_partials, _regularity_minor, _weight
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
 from .linalg import rational_rank
 from .polyring import (Polynomial, _scaled_values, multivariate_gcd, poly_div_exact,
-                       poly_gcd_many, poly_rename, poly_to_str)
+                       poly_rename, poly_to_str)
 
 
 class ProportionalityCertificate(Record):
@@ -38,7 +38,12 @@ class ProportionalityCertificate(Record):
 
 def _coprime_ratio(a: Polynomial, b: Polynomial):
     """Coprime (q1, q2) with q1 * a = q2 * b for nonzero a, b, scaled so that
-    q1 has leading coefficient 1: the one form of the ratio a / b."""
+    q1 has leading coefficient 1: the one form of the ratio a / b.  When
+    a = c * b for a number c, read off the leading coefficients, that is
+    (1, c) with no gcd taken."""
+    c = a.leading()[1] / b.leading()[1]
+    if b * c == a:
+        return Polynomial.const(a.n, 1), Polynomial.const(a.n, c)
     g = multivariate_gcd(a, b)
     q1, q2 = poly_div_exact(b, g), poly_div_exact(a, g)
     _, lead = q1.leading()
@@ -202,7 +207,7 @@ def fundamental_semiinvariant(pi: MultiVector, ell: int) -> FundamentalSemiInvar
 
 def _content(b: MultiVector) -> FundamentalSemiInvariant:
     """p, the monic gcd of b's coefficients, and the cofactor R = b / p."""
-    g = poly_gcd_many(b.terms.values())
+    g = multivariate_gcd(*b.terms.values())
     if g.is_constant:
         return FundamentalSemiInvariant(p=g, cofactor=b)
     cof = type(b)(b.n, b.degree, {idx: poly_div_exact(c, g) for idx, c in b.terms.items()})

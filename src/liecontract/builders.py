@@ -160,8 +160,6 @@ def _build_so(m: int) -> LieAlgebra:
 
 
 def _build_sp(m: int) -> LieAlgebra:
-    if m % 2:
-        raise ValueError("sp needs even size")
     nn = m // 2
 
     def F(i, j):
@@ -242,8 +240,6 @@ def _char_poly_1var(M):
 def _is_semisimple_matrix(M) -> bool:
     """Squarefree part of the characteristic polynomial must annihilate M."""
     m = len(M)
-    if m == 0:
-        return True
     p = _char_poly_1var(M)
     dp = p.diff(0)
     g = multivariate_gcd(p, dp)

@@ -20,7 +20,7 @@ from .builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS, borel_decomp
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .invariants import char_invariants
 from .lie import (JacobiError, algebra_from_text, algebra_index, algebra_to_text,
-                  from_matrices, jacobi_check, lie_poisson_bivector, require_jacobi)
+                  from_matrices, jacobi_check, lie_poisson_bivector)
 from .polyring import parse_polynomial, poly_to_str
 
 USAGE_ERROR = 2
@@ -135,7 +135,8 @@ def cmd_bivector(args, fmt):
 
 def cmd_index(args, fmt):
     L, _ = _load_target(args.target)
-    require_jacobi(L)
+    if L.brackets:      # an abelian algebra satisfies Jacobi, and may be too small for a bivector
+        lie_poisson_bivector(L)
     idx = algebra_index(L)
     _emit({"target": args.target, "index": idx}, fmt, [f"index {args.target} = {idx}"])
     return 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from ._record import Frozen, Record
 from .exterior import MultiVector
 from .lie import LieAlgebra, lie_poisson_bivector
-from .polyring import Polynomial, _graded, t_expand
+from .polyring import Polynomial, _graded
 
 
 class ContractionWeights(Frozen):
@@ -79,14 +79,10 @@ def contract(pi: MultiVector, w: ContractionWeights, labels=None) -> Contraction
                                  offending=offending)
     tilde = pi_t.get(0, MultiVector._raw(pi.n, 2, {}))
     contracted = None
-    if top <= 1:
+    # a Lie algebra needs linear rows; an affine pi may keep a constant in its limit
+    brackets = {idx: p.linear_coefficients() for idx, p in tilde.terms.items()}
+    if top <= 1 and None not in brackets.values():
         use_labels = list(labels) if labels is not None else [f"x{i}" for i in range(pi.n)]
-        brackets = {}
-        for (i, j), p in tilde.terms.items():
-            row = p.linear_coefficients()
-            if row is None:
-                raise ValueError("limit of a linear bivector must stay linear")
-            brackets[(i, j)] = row
         # the limit keeps tilde as its bivector, so it has one top wedge power
         contracted = LieAlgebra._with_bivector(use_labels, brackets, tilde)
     return ContractionResult(pi_t=pi_t, valid=True, weights=w, original=pi,
@@ -102,9 +98,7 @@ def t_degree(h: Polynomial, w: ContractionWeights):
     """(degree in t, highest component) of h under the weight scaling x -> t^w x."""
     if h.is_zero:
         raise ValueError("t-degree of the zero polynomial is undefined")
-    if len(w) != h.n:
-        raise ValueError("weight length must match ring dimension")
-    parts = t_expand(h, w.weights)
+    parts = _graded(h.n, [h], w.weights)[0][0]
     d = max(parts)
     return d, parts[d]
 

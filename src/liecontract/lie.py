@@ -17,8 +17,8 @@ from functools import cached_property
 
 from ._record import Frozen
 from .exterior import MultiVector, schouten_square
-from .linalg import column_solver, flatten, row_reduce
-from .polyring import Polynomial, _coeff
+from .linalg import _reduced, column_solver, flatten
+from .polyring import Polynomial, _coeff, _div
 
 
 class JacobiError(ValueError):
@@ -213,17 +213,12 @@ def jacobi_check(L: LieAlgebra):
     return (False, min(bad)) if bad else (True, None)
 
 
-def require_jacobi(L: LieAlgebra):
-    """The Jacobi gate: raise JacobiError unless L's bracket satisfies the
-    Jacobi identity.  The verdict is computed once per algebra."""
+def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
+    """L's bivector, behind the Jacobi gate: JacobiError unless L's bracket
+    satisfies the Jacobi identity.  The verdict is computed once per algebra."""
     ok, triple = L._jacobi
     if not ok:
         raise JacobiError(f"Jacobi identity fails at triple {triple}")
-
-
-def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
-    """L's bivector, behind the Jacobi gate."""
-    require_jacobi(L)
     return L.bivector
 
 
@@ -301,16 +296,16 @@ def centralizer_in_span(L: LieAlgebra, fixed, span_indices) -> list:
                 rows.append(row)
     if not rows:
         return [{s: 1} for s in span]
-    # exact kernel of the constraint matrix
-    mat, pivots = row_reduce(rows)
+    # exact kernel of the constraint matrix: reduced row r is rows[r] / rows[r][pivots[r]]
+    rows, pivots = _reduced(rows)
     basis = []
     for c in range(len(span)):
         if c in pivots:
             continue
         vec = {span[c]: 1}
-        for r, c2 in enumerate(pivots):
-            if mat[r][c]:
-                vec[span[c2]] = _coeff(-mat[r][c])
+        for row, c2 in zip(rows, pivots):
+            if row[c]:
+                vec[span[c2]] = _div(-row[c], row[c2])
         basis.append(vec)
     return basis
 

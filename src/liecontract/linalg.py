@@ -4,10 +4,10 @@ Rational matrices are lists of lists of int where integral and Fraction
 otherwise.  One forward elimination, _echelon, is behind the solves, ranks
 and inverses: it scales each row to int once and clears the rows below each
 pivot fraction-free, and a rank reads its pivots straight off it.  An upward
-pass with the same row step reduces it (_reduced) for the rest: row_reduce
-divides each pivot row by its pivot into Fraction rows, solve_exact and
-rational_inverse divide only the entries they return, and column_solver
-reads its inverse off the int rows and solves sparsely in int.  Every
+pass with the same row step reduces it (_reduced) for the rest:
+solve_exact, rational_inverse and lie.centralizer_in_span divide only the
+entries they return, and column_solver reads its inverse off the int rows
+and solves sparsely in int.  Every
 polynomial minor, Pfaffian or determinant, comes from one engine,
 _Pfaffians: a first-row Pfaffian expansion memoised per row tuple and run in
 int, with a determinant read as the Pfaffian of [[0, M], [-M^T, 0]].  The
@@ -53,21 +53,13 @@ def flatten(a):
     return [x for row in a for x in row]
 
 
-def row_reduce(matrix):
-    """Reduced row echelon form over Q: (rows, pivot columns), every entry a
-    Fraction: _reduced's int rows with each pivot row divided by its pivot.
+def _reduced(matrix):
+    """_echelon and an upward pass: row r is its pivot times the reduced row r.
 
     Pivots are chosen column by column, so a block of columns appended on
     the right (a right-hand side, an identity) is carried along and only
     takes a pivot where the columns before it leave a row free.
     """
-    rows, pivots = _reduced(matrix)
-    out = [[Fraction(x, row[col]) if x else _ZERO for x in row] for row, col in zip(rows, pivots)]
-    return out + [[_ZERO] * len(row) for row in rows[len(pivots):]], pivots
-
-
-def _reduced(matrix):
-    """_echelon and an upward pass: row r is its pivot times the reduced row r."""
     rows, pivots = _echelon(matrix)
     for r in range(len(pivots) - 1, 0, -1):
         _clear(rows, range(r), rows[r], pivots[r])

@@ -491,19 +491,12 @@ def poly_rename(p: Polynomial, index_map: dict, new_n: int) -> Polynomial:
 # grading by weighted degree
 # ---------------------------------------------------------------------------
 
-def t_expand(p: Polynomial, weights) -> dict:
-    """{weighted degree d: part of p of weighted degree d}, nonzero parts only.
-
-    Under x_i -> t^{w_i} x_i for nonnegative integer weights, the part of
-    weighted degree d carries t^d.
-    """
-    return _graded(p.n, [p], weights)[0][0]
-
-
 def _graded(n: int, polys, weights) -> tuple:
-    """(parts, top) for polynomials of one ring Q[x_0, ..., x_{n-1}]: each
-    one's t_expand, in order, and the largest total degree of a monomial
-    among them (-1 when all are zero).
+    """(parts, top) for polynomials of one ring Q[x_0, ..., x_{n-1}]: for
+    each one in order, {weighted degree d: its part of weighted degree d},
+    nonzero parts only, and the largest total degree of a monomial among
+    them (-1 when all are zero).  Under x_i -> t^{w_i} x_i for nonnegative
+    integer weights, the part of weighted degree d carries t^d.
 
     The weights are checked once and each distinct monomial is graded once,
     so a linear bivector grades at most n monomials.
@@ -588,7 +581,7 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
 
 
 def _content_primitive(p: Polynomial, v: int):
-    content = poly_gcd_many(_as_univariate(p, v).values())
+    content = _gcd_many(_as_univariate(p, v).values())
     return content, (p if content.is_constant else poly_div_exact(p, content))
 
 
@@ -623,15 +616,18 @@ def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
     return cg * f
 
 
-def multivariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """GCD normalized to graded-lex leading coefficient 1."""
-    a._check_dim(b)
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    return poly_monic(_gcd_rec(a, b))
+def multivariate_gcd(*polys: Polynomial) -> Polynomial:
+    """The gcd of polynomials of one ring, normalized to graded-lex leading
+    coefficient 1.  Zero entries are skipped; at least one must be nonzero."""
+    for p in polys[1:]:
+        polys[0]._check_dim(p)
+    nonzero = [p for p in polys if not p.is_zero]
+    if not nonzero:
+        raise ValueError("gcd of zero polynomials is undefined")
+    return _gcd_many(nonzero)
 
 
-def poly_gcd_many(polys) -> Polynomial:
+def _gcd_many(polys) -> Polynomial:
     """The monic gcd of nonzero polynomials of one ring, at least one.  They
     are taken smallest first, and the gcd stops at 1 once it is constant."""
     g = None

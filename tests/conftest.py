@@ -10,6 +10,7 @@ from liecontract.analysis import ProportionalityCertificate, _coprime_ratio  # n
 from liecontract.builders import builtin_algebra as _builtin_algebra  # noqa: E402
 from liecontract.builders import symmetric_pair as _symmetric_pair  # noqa: E402
 from liecontract.exterior import MultiVector, shuffle_sign, wedge_power  # noqa: E402
+from liecontract.linalg import _reduced  # noqa: E402
 from liecontract.polyring import Polynomial  # noqa: E402
 
 # algebras are immutable, so tests may share one instance per builtin
@@ -42,6 +43,15 @@ def bivector_matrix(pi):
         mat[i][j] = p
         mat[j][i] = -p
     return mat
+
+
+def row_reduce(matrix):
+    """Reduced row echelon form over Q as (rows, pivot columns), every entry a
+    Fraction: linalg._reduced's int rows with each pivot row divided by its
+    pivot, then the zero rows below the rank."""
+    rows, pivots = _reduced(matrix)
+    out = [[Fraction(x, row[col]) for x in row] for row, col in zip(rows, pivots)]
+    return out + [[Fraction(0)] * len(row) for row in rows[len(pivots):]], pivots
 
 
 def volume_dual(f):

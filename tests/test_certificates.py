@@ -16,14 +16,15 @@ and without them, where the report falls back to one pair at generic_rank's I.
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import (cached_builtin, cached_pair, cached_wedge_power, proportionality,
                       random_polynomial, volume_dual)
 
-from liecontract import analysis, exterior
+from liecontract import analysis, exterior, polyring
 from liecontract.analysis import (Clause, ContrDegReport, FundamentalSemiInvariant,
-                                  SuiteReport, _content, _form_of_differentials,
+                                  SuiteReport, _content, _coprime_ratio, _form_of_differentials,
                                   contr_deg_report, feigin_suite, fundamental_semiinvariant,
                                   kostant_check, regularity, z2_suite)
 from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
@@ -282,6 +283,77 @@ def test_kostant_check_builds_no_wedge_chain(name, monkeypatch):
     rep = kostant_check(gens, lie_poisson_bivector(L), len(gens))
     assert rep.is_kostant_type and rep.certificate.q1 == Polynomial.const(L.n, 1)
     assert started == []
+
+
+def gcd_ratio(a, b):
+    """The replaced _coprime_ratio: the gcd path for every pair."""
+    g = multivariate_gcd(a, b)
+    q1, q2 = poly_div_exact(b, g), poly_div_exact(a, g)
+    _, lead = q1.leading()
+    return q1 * (1 / lead), q2 * (1 / lead)
+
+
+def typed_terms(p):
+    return sorted((m, type(c), c) for m, c in p.terms.items())
+
+
+def test_the_ratio_without_the_gcd_equals_the_gcd_path():
+    """(q1, q2) from a constant ratio read off the leading coefficients,
+    against the gcd path, on every (A_I, B_I) pair of the parents and limits
+    and on seeded pairs, half of them a number times the other."""
+    pairs = [rep._minor for key in PARENTS + LIMITS if (rep := regularity(*case(key)))._minor]
+    rng = random.Random(3131)
+    while len(pairs) < 120:
+        common = random_polynomial(rng, 3, max_degree=2, max_terms=2)
+        b = random_polynomial(rng, 3, max_degree=3, max_terms=4) * common
+        c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        a = b * c if rng.random() < 0.5 else random_polynomial(rng, 3, max_terms=4) * common
+        if a and b:
+            pairs.append((a, b))
+    for a, b in pairs:
+        got, want = _coprime_ratio(a, b), gcd_ratio(a, b)
+        assert [typed_terms(q) for q in got] == [typed_terms(q) for q in want]
+
+
+def spy_ratio_gcd(monkeypatch):
+    """[inside] per call of the PRS gcd, polyring._gcd_rec: whether it ran
+    under analysis._coprime_ratio."""
+    calls, depth = [], []
+    real_gcd, real_ratio = polyring._gcd_rec, analysis._coprime_ratio
+
+    def gcd(a, b):
+        calls.append(bool(depth))
+        return real_gcd(a, b)
+
+    def ratio(a, b):
+        depth.append(1)
+        try:
+            return real_ratio(a, b)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(polyring, "_gcd_rec", gcd)
+    monkeypatch.setattr(analysis, "_coprime_ratio", ratio)
+    return calls
+
+
+@pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+def test_kostant_takes_no_gcd(name, monkeypatch):
+    L = builtin_algebra(name)
+    gens = char_invariants(L)
+    calls = spy_ratio_gcd(monkeypatch)
+    rep = kostant_check(gens, lie_poisson_bivector(L), len(gens))
+    cert = rep.certificate
+    assert (cert.q1, cert.q2) == (Polynomial.const(L.n, 1), Polynomial.const(L.n, 1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", FEIGIN_ALGEBRAS)
+def test_feigin_takes_the_ratio_gcd_only_where_q1_is_not_constant(name, monkeypatch):
+    """On sp4 and so5 the semicentre certificate has q1 = p', of degree 1."""
+    calls = spy_ratio_gcd(monkeypatch)
+    assert feigin_suite(builtin_algebra(name)).ok
+    assert any(calls) == (name in ("sp4", "so5"))
 
 
 # ---------------------------------------------------------------------------

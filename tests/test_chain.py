@@ -204,7 +204,7 @@ def test_threads_sharing_one_chain_get_the_right_powers():
 
 def spy_echelon(monkeypatch):
     """Every matrix handed to the one elimination, _echelon, through linalg
-    (row_reduce, rational_rank) or exterior (point_ranks)."""
+    (_reduced, rational_rank) or exterior (point_ranks)."""
     seen = []
     real = linalg._echelon
 

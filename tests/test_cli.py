@@ -2,11 +2,18 @@ import json
 
 import pytest
 
-from liecontract.builders import BUILTIN_ALGEBRAS
+from conftest import cached_builtin
+from liecontract.analysis import kostant_check
+from liecontract.builders import (BUILTIN_ALGEBRAS, borel_decomposition, build_classical,
+                                  builtin_algebra)
 from liecontract.cli import main
-from liecontract.exterior import MultiVector, pfaffian
-from liecontract.lie import algebra_from_text, from_matrices
-from liecontract.polyring import Polynomial, parse_polynomial, poly_compose
+from liecontract.contract import ContractionWeights, t_degree
+from liecontract.exterior import MultiVector, pfaffian, wedge
+from liecontract.invariants import char_invariants, membership_linear
+from liecontract.lie import (LieAlgebra, algebra_from_text, centralizer_in_span, from_matrices,
+                             lie_poisson_bivector, subalgebra_from_vectors)
+from liecontract.polyring import (Polynomial, parse_polynomial, poly_compose, poly_div_exact,
+                                  poly_to_str)
 
 
 def run(capsys, *argv):
@@ -399,7 +406,6 @@ class TestQueryVerbs:
 
 class TestEmitAndLoad:
     def test_round_trip_catalog(self, capsys, tmp_path):
-        from conftest import cached_builtin
         for name in BUILTIN_ALGEBRAS:
             path = tmp_path / f"{name}.alg"
             code, _, _ = run(capsys, "emit-builtin", name, "--output", str(path))
@@ -513,3 +519,63 @@ def test_library_boundary_rejects_bad_arguments(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+X0 = Polynomial.variable(3, 0)
+
+
+def dependent_kostant_offer():
+    sp4 = cached_builtin("sp4")
+    f1 = char_invariants(sp4).gens[0]
+    return kostant_check([f1, f1 * f1], lie_poisson_bivector(sp4), 2)
+
+
+# library checks that no other test reaches, each with its outcome: the
+# error it raises, or the value it returns
+@pytest.mark.parametrize("call, outcome", [
+    pytest.param(dependent_kostant_offer, ValueError("generators are algebraically dependent"),
+                 id="kostant-dependent"),
+    pytest.param(lambda: t_degree(X0, ContractionWeights((0, 0))),
+                 ValueError("weight vector length 2 != ring dimension 3"), id="t-degree-weights"),
+    pytest.param(lambda: builtin_algebra("e7"),
+                 ValueError(f"unknown builtin algebra 'e7'; choose from {BUILTIN_ALGEBRAS}"),
+                 id="builtin-unknown"),
+    pytest.param(lambda: build_classical("so", 3), ValueError("unsupported so size 3"),
+                 id="classical-size"),
+    pytest.param(lambda: borel_decomposition(algebra_from_text("labels: a b\n")[0]),
+                 ValueError("algebra has no root data"), id="borel-no-root-data"),
+    pytest.param(lambda: subalgebra_from_vectors(cached_builtin("sl2"), [{0: 1}, {0: 2}]),
+                 ValueError("spanning vectors are linearly dependent"), id="span-dependent"),
+    pytest.param(lambda: cached_builtin("sl2").label_index("zz"),
+                 ValueError("unknown basis label 'zz'"), id="label-unknown"),
+    pytest.param(lambda: centralizer_in_span(cached_builtin("sl2"), [], [0, 2]),
+                 [{0: 1}, {2: 1}], id="centralizer-of-nothing"),
+    pytest.param(X0.constant_value, ValueError("not a constant polynomial"),
+                 id="constant-value"),
+    pytest.param(Polynomial.zero(3).leading, ValueError("zero polynomial has no leading term"),
+                 id="leading-zero"),
+    pytest.param(lambda: X0 ** -1, ValueError("negative power"), id="negative-power"),
+    pytest.param(lambda: poly_div_exact(X0, Polynomial.zero(3)),
+                 ZeroDivisionError("division by zero polynomial"), id="divide-by-zero"),
+    pytest.param(lambda: poly_to_str(X0, ["a"]), ValueError("need one name per variable"),
+                 id="to-str-names"),
+    pytest.param(lambda: MultiVector(2, 3), ValueError("degree 3 out of range for n=2"),
+                 id="multivector-degree"),
+    pytest.param(lambda: wedge(MultiVector(2, 1, {(0,): Polynomial.const(2, 1)}),
+                               MultiVector(3, 1, {(0,): Polynomial.const(3, 1)})),
+                 ValueError("ring dimension mismatch"), id="wedge-rings"),
+    pytest.param(lambda: membership_linear(Polynomial.zero(3), [X0]),
+                 ValueError("membership of the zero polynomial is trivial"),
+                 id="membership-zero"),
+    pytest.param(lambda: membership_linear(X0, [Polynomial.const(3, 2)]),
+                 ValueError("generators must be nonconstant"), id="membership-constant"),
+    pytest.param(lambda: char_invariants(LieAlgebra(["a", "b"], {}, family=("g", 2))),
+                 ValueError("unsupported family 'g'"), id="invariants-family"),
+])
+def test_library_boundary_cases_no_verb_reaches(call, outcome):
+    if not isinstance(outcome, Exception):
+        assert call() == outcome
+        return
+    with pytest.raises(type(outcome)) as err:
+        call()
+    assert type(err.value) is type(outcome) and str(err.value) == str(outcome)

@@ -97,6 +97,16 @@ class TestContract:
             contract(MultiVector(3, 1, {(0,): Polynomial.const(3, 1)}),
                      ContractionWeights((0, 0, 0)))
 
+    def test_affine_bivector_keeps_no_algebra_for_a_constant_limit(self):
+        # a constant kept in the limit has no bracket row; one sent to t^2 leaves a linear limit
+        x0 = Polynomial.variable(3, 0)
+        pi = MultiVector(3, 2, {(0, 1): Polynomial.const(3, 1), (1, 2): x0})
+        res = contract(pi, ContractionWeights((0, 0, 0)))
+        assert res.valid and res.pi_tilde == pi and res.contracted is None
+        res = contract(pi, ContractionWeights((1, 1, 0)))
+        assert res.valid and res.pi_tilde == MultiVector(3, 2, {(1, 2): x0})
+        assert res.contracted.brackets == {(1, 2): {0: 1}}
+
     def test_nonlinear_coefficients_supported(self):
         # quadratic coefficient: monomial weight 2, frame shift 2, power 0
         x = Polynomial.variable(2, 0)

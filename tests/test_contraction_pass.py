@@ -2,10 +2,10 @@
 
 contract grades the whole bivector in one call of polyring's batch grader,
 which checks the weights once and grades each distinct monomial once;
-t_expand is its one-polynomial case.  The seeded-point ranks read their
+t_degree reads its one-polynomial case.  The seeded-point ranks read their
 pivots off linalg's forward int elimination, on the int matrix scale * pi(x),
-and row_reduce is that elimination with an upward pass and each pivot row
-divided by its pivot.
+and conftest.row_reduce reads linalg._reduced, that elimination with an
+upward pass, with each pivot row divided by its pivot.
 t_degree_reduction keeps each generator's (t-degree, top) and grades again
 only the generator it replaced.
 
@@ -22,15 +22,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_builtin, cached_pair, random_polynomial
+from conftest import cached_builtin, cached_pair, random_polynomial, row_reduce
 from liecontract import invariants
 from liecontract.builders import BUILTIN_ALGEBRAS, borel_decomposition
 from liecontract.contract import ContractionResult, ContractionWeights, contract, t_degree
 from liecontract.exterior import MultiVector
 from liecontract.invariants import char_invariants, membership_linear, t_degree_reduction
 from liecontract.lie import LieAlgebra, lie_poisson_bivector
-from liecontract.linalg import _echelon, rational_rank, row_reduce
-from liecontract.polyring import _EMAX, Polynomial, _graded, poly_compose, t_expand
+from liecontract.linalg import _echelon, rational_rank
+from liecontract.polyring import _EMAX, Polynomial, _graded, poly_compose
 
 # ---------------------------------------------------------------------------
 # the replaced paths
@@ -146,7 +146,7 @@ def test_batch_grader_matches_the_per_polynomial_t_expand(polys, ws):
     assert len(parts) == len(polys)
     for p, got in zip(polys, parts):
         assert same_parts(got, reference_t_expand(p, ws))
-        assert same_parts(t_expand(p, ws), reference_t_expand(p, ws))
+        assert same_parts(_graded(p.n, [p], ws)[0][0], reference_t_expand(p, ws))
     assert top == max((p.degree() for p in polys), default=-1)
 
 
@@ -155,7 +155,7 @@ def test_batch_grader_checks_the_weights_once_for_every_polynomial():
     for ws, message in (([1, -1, 0], "weights must be nonnegative"),
                         ([1, 0], "weight vector length 2 != ring dimension 3")):
         for call in (lambda: _graded(3, polys, ws), lambda: reference_t_expand(polys[0], ws),
-                     lambda: t_expand(polys[0], ws)):
+                     lambda: _graded(3, polys[:1], ws)):
             with pytest.raises(ValueError, match=message):
                 call()
     assert _graded(3, [], [0, 0, 0]) == ([], -1)

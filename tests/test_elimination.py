@@ -2,9 +2,10 @@
 the paths they replaced.
 
 linalg._echelon clears only the rows below each pivot.  An upward pass with
-the same fraction-free row step reduces those rows for row_reduce,
-solve_exact and rational_inverse, and for column_solver, which reads its
-inverse off the int rows and solves in int, touching only nonzero entries.
+the same fraction-free row step reduces those rows (_reduced, read as
+Fraction rows by conftest.row_reduce) for solve_exact and rational_inverse,
+and for column_solver, which reads its inverse off the int rows and solves
+in int, touching only nonzero entries.
 The in-test copy below is the replaced elimination: a Gauss-Jordan pass that
 also clears the entries above each pivot.  Pivots, reduced rows, solutions
 and inverses must be identical to it (and to sympy's rref when sympy is
@@ -20,12 +21,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_builtin
+from conftest import cached_builtin, row_reduce
 from liecontract import builders
 from liecontract.builders import BUILTIN_ALGEBRAS, _PAIRS, symmetric_pair
 from liecontract.lie import algebra_to_text
-from liecontract.linalg import (_echelon, column_solver, rational_inverse, rational_rank,
-                               row_reduce, solve_exact)
+from liecontract.linalg import _echelon, column_solver, rational_inverse, rational_rank, solve_exact
 from test_contraction_pass import deficient_matrices
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from conftest import cached_builtin, random_point, random_polynomial
 from liecontract.exterior import Form, MultiVector, wedge, wedge_power
 from liecontract.polyring import (Polynomial, multivariate_gcd, poly_div_exact,
-                                  poly_to_str, t_expand)
+                                  _graded, poly_to_str)
 
 ONE = Fraction(1)
 
@@ -272,7 +272,7 @@ def test_t_substitute_leading_and_term_order():
             continue
         ra = pub(a)
         exps = [rng.randint(0, 3) for _ in range(4)]
-        tp = t_expand(a, exps)
+        tp = _graded(4, [a], exps)[0][0]
         assert {d: pub(p) for d, p in tp.items()} == r_t_substitute(ra, exps)
         m, c = a.leading()
         assert type(c) is Fraction and (m, c) == r_leading(ra, 4)

@@ -15,13 +15,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import row_reduce
 from liecontract import invariants
 from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, _adapted_sl4_basis,
                                   builtin_algebra, symmetric_pair)
 from liecontract.cli import main
 from liecontract.invariants import _trace_dual_generic_matrix, char_invariants
 from liecontract.lie import algebra_from_text, from_matrices
-from liecontract.linalg import rational_inverse, row_reduce
+from liecontract.linalg import rational_inverse
 from liecontract.polyring import Polynomial
 
 _ZERO = Fraction(0)

@@ -13,7 +13,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 hypothesis = pytest.importorskip("hypothesis")
 
-from conftest import cached_builtin, random_polynomial  # noqa: E402
+from conftest import cached_builtin, random_polynomial, row_reduce  # noqa: E402
 from liecontract.analysis import _form_of_differentials  # noqa: E402
 from liecontract.builders import BUILTIN_ALGEBRAS, borel_decomposition  # noqa: E402
 from liecontract.contract import contract_algebra  # noqa: E402
@@ -21,7 +21,7 @@ from liecontract.exterior import (MultiVector, _scaled_matrix_at, pfaffian,  # n
                                   point_ranks)
 from liecontract.lie import (LieAlgebra, RootData, algebra_from_text,  # noqa: E402
                              algebra_to_text, lie_poisson_bivector)
-from liecontract.linalg import poly_det_cofactor, rational_rank, row_reduce  # noqa: E402
+from liecontract.linalg import poly_det_cofactor, rational_rank  # noqa: E402
 from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,  # noqa: E402
                                   poly_div_exact, poly_to_str)
 

@@ -6,15 +6,20 @@ import pytest
 from conftest import random_point, random_polynomial
 from liecontract.contract import ContractionWeights, contract
 from liecontract.exterior import MultiVector
-from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,
-                                  poly_compose, poly_div_exact, poly_gcd_many, poly_monic,
-                                  poly_rename, poly_to_str, t_expand)
+from liecontract.polyring import (Polynomial, _gcd_rec, _graded, multivariate_gcd,
+                                  parse_polynomial, poly_compose, poly_div_exact, poly_monic,
+                                  poly_rename, poly_to_str)
 
 EHF = ["e", "h", "f"]
 
 
 def var(n, i):
     return Polynomial.variable(n, i)
+
+
+def t_expand(p, weights):
+    """{weighted degree d: part of p}, the one-polynomial case of the grader."""
+    return _graded(p.n, [p], weights)[0][0]
 
 
 def sl2_casimir():
@@ -116,6 +121,16 @@ class TestGcd:
         with pytest.raises(ValueError):
             multivariate_gcd(Polynomial.zero(2), Polynomial.zero(2))
 
+    def test_no_nonzero_entry_rejected_and_zero_entries_skipped(self):
+        x0 = var(2, 0)
+        for polys in ((), (Polynomial.zero(2),), (Polynomial.zero(2), Polynomial.zero(2))):
+            with pytest.raises(ValueError, match="gcd of zero polynomials is undefined"):
+                multivariate_gcd(*polys)
+        assert multivariate_gcd(Polynomial.zero(2), x0 ** 2) == x0 ** 2
+        assert multivariate_gcd(3 * x0 ** 2, Polynomial.zero(2), 6 * x0) == x0
+        with pytest.raises(ValueError, match="ring dimension mismatch"):
+            multivariate_gcd(x0, Polynomial.zero(3))
+
     def test_division_and_coprimality_postconditions(self):
         rng = random.Random(90210)
         done = 0
@@ -151,14 +166,44 @@ class TestGcd:
             want = poly_monic(polys[0])
             for p in polys[1:]:
                 want = multivariate_gcd(want, p)
-            got = poly_gcd_many(polys)
+            got = multivariate_gcd(*polys)
             assert got == (Polynomial.const(3, 1) if want.is_constant else want)
 
     def test_gcd_of_many_is_one_once_constant(self):
         x1, x2 = var(2, 0), var(2, 1)
-        assert poly_gcd_many([3 * x1 * x2, 2 * x1, Polynomial.const(2, 5)]) == \
+        assert multivariate_gcd(3 * x1 * x2, 2 * x1, Polynomial.const(2, 5)) == \
             Polynomial.const(2, 1)
-        assert poly_gcd_many([-2 * x1 * x2 + 4 * x1]) == x1 * x2 - 2 * x1
+        assert multivariate_gcd(-2 * x1 * x2 + 4 * x1) == x1 * x2 - 2 * x1
+
+    def test_one_gcd_matches_the_two_it_replaced(self):
+        """multivariate_gcd(*polys) against the replaced pair: the two-argument
+        gcd (poly_monic of _gcd_rec, zero entries allowed) on seeded pairs, and
+        the gcd of many (smallest first, 1 once constant) on nonzero lists."""
+        def two_argument(a, b):
+            if a.is_zero and b.is_zero:
+                raise ValueError("gcd of two zero polynomials is undefined")
+            return poly_monic(_gcd_rec(a, b))
+
+        def of_many(polys):
+            g = None
+            for c in sorted(polys, key=lambda p: len(p.terms)):
+                g = c if g is None else _gcd_rec(g, c)
+                if g.is_constant:
+                    return Polynomial.const(c.n, 1)
+            return poly_monic(g)
+
+        rng = random.Random(2727)
+        pairs = lists = 0
+        while pairs < 80 or lists < 40:
+            common = random_polynomial(rng, 3, max_degree=2, max_terms=2)
+            polys = [random_polynomial(rng, 3, max_degree=2, max_terms=3) * common
+                     for _ in range(rng.randint(1, 4))]
+            if len(polys) == 2 and any(polys):
+                assert multivariate_gcd(*polys) == two_argument(*polys)
+                pairs += 1
+            if all(polys):
+                assert multivariate_gcd(*polys) == of_many(polys)
+                lists += 1
 
 
 class TestExactDivision:

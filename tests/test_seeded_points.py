@@ -21,14 +21,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_builtin, cached_pair, random_point, random_polynomial
+from conftest import cached_builtin, cached_pair, random_point, random_polynomial, row_reduce
 from liecontract.analysis import fundamental_semiinvariant
 from liecontract.builders import BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition
 from liecontract.contract import contract_algebra, t_degree
 from liecontract.exterior import MultiVector, _scaled_matrix_at, point_ranks
 from liecontract.invariants import char_invariants, semi_invariant_weight, t_degree_reduction
 from liecontract.lie import lie_poisson_bivector
-from liecontract.linalg import rational_inverse, rational_rank, row_reduce, solve_exact
+from liecontract.linalg import rational_inverse, rational_rank, solve_exact
 from liecontract.polyring import Polynomial, _scaled_values
 
 _ZERO = Fraction(0)
@@ -124,7 +124,7 @@ def same_typed(a, b):
 
 
 # ---------------------------------------------------------------------------
-# row_reduce
+# the reduced rows (linalg._reduced, read by conftest.row_reduce)
 # ---------------------------------------------------------------------------
 
 def seeded_matrices():

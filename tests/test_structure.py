@@ -14,6 +14,9 @@ No public function or class may exist only for the tests: each must be used
 somewhere in the package outside its own definition, or be listed in
 LIBRARY_API with the reason it is kept.
 
+No module but the package's __init__ imports a name it never reads, so a
+deletion leaves no import behind.
+
 The index and the regularity verdict never read a wedge power of the
 bivector in full: only the readers in CHAIN_READERS may read the memoised
 top power (`.top_power`) or call `wedge_power`, and they need wedge^k pi
@@ -123,6 +126,40 @@ def test_encoding_guard_sees_imports_and_reads(tmp_path):
         "key = polyring._grlex_key\n"
         "from .exterior import mono_mul as other\n")
     assert encoding_imports(path) == [(1, "mono_mul"), (3, "_grlex_key")]
+
+
+def unused_imports(path):
+    """(line, name) of each name one module imports and never reads; `import
+    a.b` binds a, and `from __future__` binds nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend((node.lineno, (a.asname or a.name).split(".")[0])
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.extend((node.lineno, a.asname or a.name) for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py" for line, name in unused_imports(path)]
+    assert not found, "imported names never read:\n" + "\n".join(found)
+
+
+def test_import_guard_sees_unread_names(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys, json as js\n"
+        "from .polyring import Polynomial, _div, _coeff as coeff\n"
+        "def f(p: Polynomial) -> int:\n"
+        "    return os.path.sep, coeff(p), sys.argv\n")
+    assert unused_imports(path) == [(3, "js"), (4, "_div")]
 
 
 # public names kept with no caller in the package, and why
