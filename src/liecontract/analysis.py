@@ -15,8 +15,8 @@ from ._record import Record
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .exterior import Form, MultiVector, _seeded_points, differential, point_ranks, wedge
-from .invariants import (GeneratorSet, _int_partials, _regularity_minor, _weight,
-                         char_invariants, semi_invariant_weight, t_degree_reduction)
+from .invariants import (GeneratorSet, _graded_tops_minor, _int_partials, _regularity_minor,
+                         _weight, char_invariants, semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
 from .linalg import rational_rank
 from .polyring import (Polynomial, _scaled_values, multivariate_gcd, poly_div_exact,
@@ -383,7 +383,14 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
 def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     """Symmetric-pair contraction checks: grading, the Borel-dimension
     identity, index preservation, and the good-generating-system verdict
-    after t-degree reduction, with regularity deciding both indices."""
+    after t-degree reduction, with regularity deciding both indices.
+
+    The tops equality expands no minor of the limit (README has the steps):
+    (1) the normalisation proved A_I = B_I at _regularity_pivots' I; (2)
+    t_degree_reduction's unit triangular steps keep A'_I = A_I; (3) B~_I is
+    the w(I)-part of B_I; (4) A~_I is the (sum d' - w(J))-part of A'_I; (5)
+    if regularity's proof closes on the limit, A~ = (A~_I / B~_I) B~ where
+    B~_I != 0, so A~ == B~ iff sum d' is the weight total; else limit.equal."""
     if isinstance(pair, str):
         pair = symmetric_pair(pair)
     L = pair.parent
@@ -417,7 +424,9 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
                           sum(tds) == len(pair.g1) == pair.weights.total,
                           {"t_degrees": tds, "dim_g1": len(pair.g1)}))
     clauses.append(Clause("tops_independent", limit.independent, {}))
-    clauses.append(Clause("kostant_equality_for_tops", limit.equal, {}))
+    a_t, b_t = _graded_tops_minor(L.bivector, len(gens), pair.weights, tds)
+    equal = a_t == b_t if limit.pivots is not None and b_t else limit.equal
+    clauses.append(Clause("kostant_equality_for_tops", equal, {}))
     clauses.append(Clause("codim2_note", True,
                           {"note": "centre generation certified through the recorded "
                                    "codimension-2 property of the contracted algebra"}))

@@ -61,8 +61,6 @@ def contract(pi: MultiVector, w: ContractionWeights, labels=None) -> Contraction
     if pi.degree != 2:
         raise ValueError("contract expects a bivector")
     ws = w.weights
-    if len(ws) != pi.n:
-        raise ValueError(f"weight length {len(ws)} != ring dimension {pi.n}")
     parts, top = _graded(pi.n, pi.terms.values(), ws)
     grades: dict = {}
     offending = None        # the first pair in index order with a negative power, at its lowest

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .linalg import _echelon, _Pfaffians
-from .polyring import Polynomial, _accumulate, _integral_terms, _scaled_values
+from .polyring import Polynomial, _accumulate, _integral_terms, _partials, _scaled_values
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -335,26 +335,27 @@ def schouten_square(pi: MultiVector) -> MultiVector:
     if n < 3:
         raise ValueError("Schouten square needs dimension >= 3")
     d, maps = _integral_terms(pi.terms.values())
+    # every product has total degree at most 2 deg pi - 1, bounded once here
+    degree = 2 * max((p.degree() for p in pi.terms.values()), default=0) - 1
     # row[l]: (a, t, negative) for each entry pi_{la} = -t if negative else t;
     # grad[l]: (b, c, d_l pi_{bc}) for b < c
-    row = [[] for _ in range(n)]
-    grad = [[] for _ in range(n)]
-    for (b, c), p, t in zip(pi.terms, pi.terms.values(), maps):
-        row[b].append((c, t, False))
-        row[c].append((b, t, True))
-        for l in p.variables():
-            grad[l].append((b, c, Polynomial._raw(n, t).diff(l).terms))
+    row, grad = {}, {}
+    for (b, c), t in zip(pi.terms, maps):
+        row.setdefault(b, []).append((c, t, False))
+        row.setdefault(c, []).append((b, t, True))
+        for l, tl in _partials(t, n).items():
+            grad.setdefault(l, []).append((b, c, tl))
     acc: dict = {}
-    for l in range(n):
-        for a, ta, negative in row[l]:
-            for b, c, tb in grad[l]:
+    for l, grads in sorted(grad.items()):
+        for a, ta, negative in row.get(l, ()):
+            for b, c, tb in grads:
                 if a == b or a == c:
                     continue
                 middle = b < a < c
                 idx = (b, a, c) if middle else (a, b, c) if a < b else (b, c, a)
-                _accumulate(acc.setdefault(idx, {}), ta, tb, negative != middle, n)
-    out = {idx: Polynomial._collect(n, acc[idx], d * d) for idx in sorted(acc)}
-    return MultiVector._raw(n, 3, {idx: p for idx, p in out.items() if p})
+                _accumulate(acc.setdefault(idx, {}), ta, tb, negative != middle, n, degree)
+    return MultiVector._raw(n, 3, {idx: Polynomial._collect(n, acc[idx], d * d)
+                                   for idx in sorted(acc) if any(acc[idx].values())})
 
 
 def pfaffian(matrix):

@@ -23,7 +23,7 @@ from .exterior import (MultiVector, pfaffian, point_ranks, shuffle_sign,
                        wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
 from .linalg import _principal_minor_sums, poly_det_cofactor, rational_inverse, solve_exact
-from .polyring import Polynomial, _accumulate, _integral_terms, poly_compose
+from .polyring import Polynomial, _accumulate, _graded, _integral_terms, poly_compose
 
 _ZERO = Fraction(0)
 
@@ -162,20 +162,34 @@ def _regularity_minor(pi: MultiVector, gens, index_set):
     return A, B
 
 
+def _regularity_pivots(pi: MultiVector, ell: int) -> tuple:
+    """The pivots I of pi's matrix at the first seeded point of rank n - l,
+    where the normalisation compares the sides; kept with pi's point ranks."""
+    if (pi.n - ell) % 2:
+        raise ValueError("generator count does not match a skew rank")
+    index_set = next((piv for r, piv, _ in point_ranks(pi) if r == pi.n - ell), None)
+    if index_set is None:
+        raise ValueError("degenerate generator set")
+    return index_set
+
+
+def _graded_tops_minor(pi: MultiVector, ell: int, w: ContractionWeights, t_degrees):
+    """(A~_I, B~_I) at _regularity_pivots' I: the parts of weighted degree
+    sum(t_degrees) - w(J) and w(I) of B_I = A_I (analysis.z2_suite's proof)."""
+    index_set = _regularity_pivots(pi, ell)
+    parts = _graded(pi.n, [wedge_power_coefficient(pi, index_set)], w)[0][0]
+    w_i, zero = sum(w[i] for i in index_set), Polynomial.zero(pi.n)
+    return parts.get(sum(t_degrees) - w.total + w_i, zero), parts.get(w_i, zero)
+
+
 def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power.
 
-    Both sides are compared at the pivots of pi's matrix at the first seeded
-    point of rank n - l.  That they agree everywhere is Kostant's theorem,
-    which analysis.regularity decides.
+    Both sides are compared at _regularity_pivots' I.  That they agree
+    everywhere is Kostant's theorem, which analysis.regularity decides.
     """
     pi = lie_poisson_bivector(L)
-    if (L.n - len(gens)) % 2:
-        raise ValueError("generator count does not match a skew rank")
-    index_set = next((piv for r, piv, _ in point_ranks(pi) if r == L.n - len(gens)), None)
-    if index_set is None:
-        raise ValueError("degenerate generator set")
-    A, B = _regularity_minor(pi, gens, index_set)
+    A, B = _regularity_minor(pi, gens, _regularity_pivots(pi, len(gens)))
     bm, bc = B.leading()
     ac = A.coefficient(bm)
     if not ac or A * (bc / ac) != B:

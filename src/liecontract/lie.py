@@ -86,11 +86,12 @@ class LieAlgebra:
 
     @classmethod
     def _with_bivector(cls, labels, brackets: dict, pi: MultiVector) -> LieAlgebra:
-        """The algebra of the bracket rows read off the linear bivector pi,
-        with pi kept as its bivector rather than packed again from them."""
-        L = cls(labels, brackets)
+        """The algebra of the rows read off the linear bivector pi, kept as its
+        bivector; the rows are canonical as pi's terms, so only labels are checked."""
+        L = cls(labels, {})
         if L.n != pi.n:
             raise ValueError(f"{L.n} labels for a bivector in {pi.n} variables")
+        L.brackets = brackets
         L.__dict__["bivector"] = pi
         return L
 

@@ -94,9 +94,10 @@ def _check_exponents(ta: dict, tb: dict, n: int):
                 raise ValueError(f"an exponent of the product exceeds {_EMAX}")
 
 
-def _accumulate(acc: dict, ta: dict, tb: dict, negate: bool, n: int):
+def _accumulate(acc: dict, ta: dict, tb: dict, negate: bool, n: int, degree=None):
     """acc += ta * tb (or -ta * tb) for term maps of one ring.
 
+    degree, when given, bounds every product's total degree in place of a scan.
     Sums that cancel stay in acc as zeros; Polynomial._collect drops them.
     """
     if not ta or not tb:
@@ -105,7 +106,7 @@ def _accumulate(acc: dict, ta: dict, tb: dict, negate: bool, n: int):
         ta, tb = tb, ta
     ds = n << 4
     # the total degree bounds every exponent, so most products need no field check
-    if (max(ta) >> ds) + (max(tb) >> ds) > _EMAX:
+    if ((max(ta) >> ds) + (max(tb) >> ds) if degree is None else degree) > _EMAX:
         _check_exponents(ta, tb, n)
     get = acc.get
     for mb, cb in tb.items():
@@ -114,6 +115,21 @@ def _accumulate(acc: dict, ta: dict, tb: dict, negate: bool, n: int):
         for ma, ca in ta.items():
             m = ma + mb
             acc[m] = get(m, 0) + ca * cb
+
+
+def _partials(terms: dict, n: int) -> dict:
+    """{l: the term map of d/dx_l} for one term map of Q[x_0, ..., x_{n-1}],
+    the nonzero partials only, from one pass over its terms; no images merge."""
+    out: dict = {}
+    one = 1 << (n << 4)
+    for m, c in terms.items():
+        r = m & (one - 1)
+        while r:
+            low = ((r & -r).bit_length() - 1) & ~15
+            e = (r >> low) & _EMAX
+            out.setdefault(n - 1 - (low >> 4), {})[m - (1 << low) - one] = _norm(c * e)
+            r ^= e << low
+    return out
 
 
 def _integral_terms(polys) -> tuple:

@@ -275,14 +275,48 @@ def test_the_limit_keeps_the_grade_zero_part_as_its_bivector(name):
 
 
 def test_the_limit_needs_a_label_per_variable():
-    # too few labels leave a bracket pair out of range; too many would give
-    # the limit algebra a dimension its kept bivector does not have
+    # too few or too many labels would give the limit algebra a dimension
+    # its kept bivector does not have; repeated labels are still refused
     L = cached_builtin("sl2")
     pi, w = lie_poisson_bivector(L), ContractionWeights((0, 0, 1))
-    with pytest.raises(ValueError, match="must satisfy 0 <= i < j < n"):
+    with pytest.raises(ValueError, match="2 labels for a bivector in 3 variables"):
         contract(pi, w, labels=L.labels[:2])
     with pytest.raises(ValueError, match="4 labels for a bivector in 3 variables"):
         contract(pi, w, labels=L.labels + ["x"])
+    with pytest.raises(ValueError, match="basis label 'e' is repeated"):
+        contract(pi, w, labels=["e", "e", "f"])
+
+
+def seeded_valid_weights(L, count, seed):
+    """count seeded weight vectors in {0, 1, 2}^n whose contraction of L is valid."""
+    rng = random.Random(seed)
+    pi, out = lie_poisson_bivector(L), []
+    while len(out) < count:
+        w = ContractionWeights(tuple(rng.randint(0, 2) for _ in range(L.n)))
+        if contract(pi, w).valid:
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+def test_the_limit_algebra_equals_the_cleaned_one(name):
+    """The limit is built from pi~'s rows without __init__'s cleaning pass;
+    it must equal LieAlgebra(labels, rows), with the same row, target and
+    coefficient-type order, at the Borel weights and at seeded valid ones."""
+    L = cached_builtin(name)
+    pi = lie_poisson_bivector(L)
+    for w in [borel_decomposition(L), *seeded_valid_weights(L, 6, 2300 + L.n)]:
+        limit = contract(pi, w, labels=L.labels).contracted
+        rows = {ij: p.linear_coefficients() for ij, p in contract(pi, w).pi_tilde.terms.items()}
+        cleaned = LieAlgebra(L.labels, rows)
+        assert limit == cleaned
+        assert ([(ij, [(k, type(c), c) for k, c in row.items()])
+                 for ij, row in limit.brackets.items()]
+                == [(ij, [(k, type(c), c) for k, c in row.items()])
+                    for ij, row in cleaned.brackets.items()])
+        assert (limit.n, limit.name, limit.family, limit.matrices, limit.root_data) == (
+            cleaned.n, cleaned.name, cleaned.family, cleaned.matrices, cleaned.root_data)
+        assert limit.bivector == cleaned.bivector
 
 
 def test_contract_matches_on_polynomial_bivectors():
@@ -298,7 +332,7 @@ def test_contract_matches_on_polynomial_bivectors():
 
 def test_contract_rejects_a_weight_of_another_length():
     pi = lie_poisson_bivector(cached_builtin("sl2"))
-    with pytest.raises(ValueError, match="weight length 2 != ring dimension 3"):
+    with pytest.raises(ValueError, match="weight vector length 2 != ring dimension 3"):
         contract(pi, ContractionWeights((0, 1)))
 
 

@@ -1,16 +1,21 @@
 """The z2 catalog as one table: the table-driven symmetric_pair against the
 four-branch construction it replaced, the catalog errors on bad rows, and
-further classical pairs that are one row each."""
+further classical pairs that are one row each.  The z2 tops equality, read
+as two weighted-degree parts of the parent's minor pair, against the
+limit's own minor pair that it replaced."""
 
 import pytest
 
-from liecontract import builders
-from liecontract.analysis import z2_suite
-from liecontract.builders import (Z2_PAIRS, _diagonal, _neg, _unit,
-                                  build_classical, symmetric_pair)
-from liecontract.contract import ContractionWeights
+from liecontract import analysis, builders, invariants
+from liecontract.analysis import regularity, z2_suite
+from liecontract.builders import (Z2_PAIRS, _diagonal, _neg, _unit, borel_decomposition,
+                                  build_classical, builtin_algebra, symmetric_pair)
+from liecontract.contract import ContractionWeights, contract_algebra, t_degree
+from liecontract.invariants import (_graded_tops_minor, _regularity_minor, _regularity_pivots,
+                                    char_invariants, t_degree_reduction)
 from liecontract.lie import (algebra_to_text, centralizer_in_span, from_matrices,
-                             subalgebra_from_vectors)
+                             lie_poisson_bivector, subalgebra_from_vectors,
+                             subalgebra_on_indices)
 from liecontract.linalg import mat_mul, zero_matrix
 
 
@@ -190,3 +195,92 @@ def test_added_row_passes_z2(pair_id, monkeypatch):
     assert (len(pair.g0), len(pair.g1), pair.centralizer_alg.n) == dims
     rep = z2_suite(pair)
     assert rep.ok, [cl.name for cl in rep.clauses if not cl.ok]
+
+
+# ---------------------------------------------------------------------------
+# the tops equality graded off the parent's minor pair
+# ---------------------------------------------------------------------------
+
+def add_row(monkeypatch, pair_id):
+    if pair_id in MORE_ROWS:
+        (kind, size), d, cartan, _ = MORE_ROWS[pair_id]
+        monkeypatch.setitem(builders._PAIRS, pair_id,
+                            (lambda: build_classical(kind, size), _diagonal(*d), cartan))
+
+
+def tops_clause(rep):
+    return next(c.ok for c in rep.clauses if c.name == "kostant_equality_for_tops")
+
+
+@pytest.mark.parametrize("pair_id", [*Z2_PAIRS, *MORE_ROWS])
+def test_graded_pair_is_the_limit_minor_pair(pair_id, monkeypatch):
+    """At the parent's I, the two graded parts of B_I are the limit's
+    (A~_I, B~_I), for the reduced tops and for the tops before reduction
+    (where sum d' exceeds the weight total on three catalog pairs, so the
+    parts differ); the clause equals the limit's own verdict."""
+    add_row(monkeypatch, pair_id)
+    pair = symmetric_pair(pair_id)
+    L, w = pair.parent, pair.weights
+    gens = char_invariants(L)
+    pi = lie_poisson_bivector(L)
+    res = contract_algebra(L, w)
+    verdicts = []
+    for gs in (t_degree_reduction(gens, w).gens, gens.gens):
+        graded = [t_degree(g, w) for g in gs]
+        tops = [top for _, top in graded]
+        a_t, b_t = _graded_tops_minor(pi, len(gens), w, [d for d, _ in graded])
+        index_set = _regularity_pivots(pi, len(gens))
+        assert (a_t, b_t) == _regularity_minor(res.pi_tilde, tops, index_set)
+        assert not b_t.is_zero
+        limit = regularity(res.pi_tilde, tops)
+        if limit.pivots is not None:
+            assert (a_t == b_t) == limit.equal
+        verdicts.append(limit.equal)
+    assert tops_clause(z2_suite(pair)) == verdicts[0] is True
+
+
+@pytest.mark.parametrize("pair_id", Z2_PAIRS)
+def test_each_z2_suite_expands_one_minor_pair(pair_id, monkeypatch):
+    """The parent's normalisation expands the one (A_I, B_I) pair of the
+    suite; the limit's verdict is read off it."""
+    calls = []
+
+    def spy(pi, gens, index_set):
+        calls.append(pi)
+        return _regularity_minor(pi, gens, index_set)
+
+    monkeypatch.setattr(invariants, "_regularity_minor", spy)
+    monkeypatch.setattr(analysis, "_regularity_minor", spy)
+    pair = symmetric_pair(pair_id)
+    assert z2_suite(pair).ok
+    assert calls == [lie_poisson_bivector(pair.parent)]
+    assert calls[0] is lie_poisson_bivector(pair.parent)
+
+
+def test_the_sl4_borel_limit_takes_the_fallback(monkeypatch):
+    """On the sl4 Borel limit, B_I has no part of degree w(I) at the parent's
+    I, so the clause is the limit's own verdict, from its own minor pair."""
+    L = builtin_algebra("sl4")
+    w = borel_decomposition(L)
+    pi = lie_poisson_bivector(L)
+    graded = [t_degree(g, w) for g in char_invariants(L).gens]
+    tops = [top for _, top in graded]
+    _, b_t = _graded_tops_minor(pi, len(graded), w, [d for d, _ in graded])
+    assert b_t.is_zero
+    calls = []
+
+    def spy(pi, gens, index_set):
+        calls.append(pi)
+        return _regularity_minor(pi, gens, index_set)
+
+    monkeypatch.setattr(invariants, "_regularity_minor", spy)
+    monkeypatch.setattr(analysis, "_regularity_minor", spy)
+    g1 = tuple(i for i in range(L.n) if w[i])
+    borel = builders.SymmetricPair(
+        pair_id="sl4_borel", parent=L, g0=tuple(i for i in range(L.n) if not w[i]), g1=g1,
+        cartan_subspace=[], centralizer_alg=subalgebra_on_indices(L, L.root_data.cartan),
+        weights=w)
+    rep = z2_suite(borel)
+    limit_pi = contract_algebra(L, w).pi_tilde
+    assert calls == [pi, limit_pi]
+    assert tops_clause(rep) == regularity(limit_pi, tops).equal is True

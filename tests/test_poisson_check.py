@@ -1,13 +1,15 @@
 """The one Poisson check: the Jacobi gate reads the sparse Schouten square.
 
-In-test copies of the two routines it replaced are the references: the
-triple loop over the bracket table that was `jacobi_check`, and the dense
-loop over support triples that was `schouten_square`.  The gate must give
-the same (ok, first bad triple) on every algebra the package builds, on
-seeded perturbed bracket tables and on the smallest dimensions; the kernel
-must give the same trivector on seeded polynomial bivectors.  A sympy
-oracle, skipped without sympy, computes [pi, pi] from the coordinate
-formula.
+In-test copies of the routines it replaced are the references: the
+triple loop over the bracket table that was `jacobi_check`, the dense
+loop over support triples that was `schouten_square`, and the sparse
+square that built a Polynomial per partial and scanned both maps for the
+exponent bound in each product.  The gate must give the same (ok, first
+bad triple) on every algebra the package builds, on seeded perturbed
+bracket tables and on the smallest dimensions; the kernel must give the
+same trivector on seeded polynomial bivectors, term order included against
+the sparse square.  A sympy oracle, skipped without sympy, computes
+[pi, pi] from the coordinate formula.
 """
 
 import functools
@@ -24,7 +26,7 @@ from liecontract.contract import contract_algebra
 from liecontract.exterior import MultiVector, schouten_square
 from liecontract.lie import (JacobiError, LieAlgebra, jacobi_check, lie_poisson_bivector,
                              subalgebra_on_indices)
-from liecontract.polyring import Polynomial
+from liecontract.polyring import _EMAX, Polynomial, _accumulate, _integral_terms, _partials
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +50,33 @@ def loop_jacobi_check(L):
                 if acc:
                     return False, (i, j, k)
     return True, None
+
+
+def sparse_schouten_square(pi):
+    """The sparse square with one Polynomial per partial and the exponent
+    bound read off both maps in every product."""
+    n = pi.n
+    if n < 3:
+        raise ValueError("Schouten square needs dimension >= 3")
+    d, maps = _integral_terms(pi.terms.values())
+    row = [[] for _ in range(n)]
+    grad = [[] for _ in range(n)]
+    for (b, c), p, t in zip(pi.terms, pi.terms.values(), maps):
+        row[b].append((c, t, False))
+        row[c].append((b, t, True))
+        for l in p.variables():
+            grad[l].append((b, c, Polynomial._raw(n, t).diff(l).terms))
+    acc = {}
+    for l in range(n):
+        for a, ta, negative in row[l]:
+            for b, c, tb in grad[l]:
+                if a == b or a == c:
+                    continue
+                middle = b < a < c
+                idx = (b, a, c) if middle else (a, b, c) if a < b else (b, c, a)
+                _accumulate(acc.setdefault(idx, {}), ta, tb, negative != middle, n)
+    out = {idx: Polynomial._collect(n, acc[idx], d * d) for idx in sorted(acc)}
+    return MultiVector._raw(n, 3, {idx: p for idx, p in out.items() if p})
 
 
 def dense_schouten_square(pi):
@@ -275,6 +304,58 @@ def test_kernel_on_poisson_bivectors_with_fraction_coefficients():
                             (1, 2): x[1] * x[2] * Fraction(-2, 3)})
     assert schouten_square(pi).is_zero
     assert dense_schouten_square(pi).is_zero
+
+
+def same_trivector(got, want):
+    """Equal trivectors, in the same index, term and coefficient-type order."""
+    return (list(got.terms) == list(want.terms)
+            and all([(m, type(c), c) for m, c in got.terms[idx].terms.items()]
+                    == [(m, type(c), c) for m, c in want.terms[idx].terms.items()]
+                    for idx in want.terms))
+
+
+def test_one_pass_square_equals_the_sparse_square():
+    """On every bivector the package builds, and on seeded non-linear
+    bivectors (most of them not Poisson), some with Fraction coefficients."""
+    pis = [cached_builtin(name).bivector for name in BUILTIN_ALGEBRAS]
+    pis += [cached_pair(pid).parent.bivector for pid in Z2_PAIRS]
+    nonzero = 0
+    for seed in range(80):
+        rng = random.Random(7100 + seed)
+        pi = random_bivector(rng, rng.randint(3, 7))
+        pis.append(pi.scale(Fraction(rng.randint(1, 5), rng.randint(1, 4))) if seed % 3 else pi)
+        nonzero += not pis[-1].is_zero and not schouten_square(pis[-1]).is_zero
+    assert nonzero >= 50
+    for pi in pis:
+        assert same_trivector(schouten_square(pi), sparse_schouten_square(pi))
+
+
+def test_one_pass_partials_equal_diff():
+    rng = random.Random(7300)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        p = random_polynomial(rng, n, max_degree=4, max_terms=6)
+        got = _partials(p.terms, n)
+        want = {l: p.diff(l).terms for l in range(n) if not p.diff(l).is_zero}
+        assert sorted(got) == sorted(want)
+        assert all([(m, type(c), c) for m, c in got[l].items()]
+                   == [(m, type(c), c) for m, c in want[l].items()] for l in want)
+
+
+def test_square_beyond_the_exponent_bound_raises_as_before():
+    """2 deg pi - 1 above the 16-bit field: each product is checked, and one
+    whose exponent overflows raises as the sparse square did; one that does
+    not overflow a field goes through."""
+    n = 4
+    x = [Polynomial.variable(n, i) for i in range(n)]
+    # pi_23 d_2 pi_01 is x2^30000 x2^39999
+    overflow = MultiVector(n, 2, {(0, 1): x[2] ** 40000, (2, 3): x[2] ** 30000})
+    for square in (schouten_square, sparse_schouten_square):
+        with pytest.raises(ValueError, match=f"exponent of the product exceeds {_EMAX}"):
+            square(overflow)
+    fits = MultiVector(n, 2, {(0, 1): x[2] ** 40000, (2, 3): x[0] ** 30000})
+    assert not schouten_square(fits).is_zero
+    assert same_trivector(schouten_square(fits), sparse_schouten_square(fits))
 
 
 # ---------------------------------------------------------------------------
