@@ -14,12 +14,13 @@ from functools import cached_property
 from ._record import Record
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
-from .exterior import Form, MultiVector, _seeded_points, differential, point_ranks, wedge
-from .invariants import (GeneratorSet, _graded_tops_minor, _int_partials, _regularity_minor,
-                         _weight, char_invariants, semi_invariant_weight, t_degree_reduction)
+from .exterior import Form, MultiVector, _seeded_points, differential, wedge
+from .invariants import (GeneratorSet, _graded_tops_minor, _int_partials, _pivot_point,
+                         _regularity_minor, _weight, char_invariants, semi_invariant_weight,
+                         t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
 from .linalg import rational_rank
-from .polyring import (Polynomial, _scaled_values, multivariate_gcd, poly_div_exact,
+from .polyring import (Polynomial, _ratio, _scaled_values, multivariate_gcd, poly_div_exact,
                        poly_rename, poly_to_str)
 
 
@@ -39,10 +40,10 @@ class ProportionalityCertificate(Record):
 def _coprime_ratio(a: Polynomial, b: Polynomial):
     """Coprime (q1, q2) with q1 * a = q2 * b for nonzero a, b, scaled so that
     q1 has leading coefficient 1: the one form of the ratio a / b.  When
-    a = c * b for a number c, read off the leading coefficients, that is
-    (1, c) with no gcd taken."""
-    c = a.leading()[1] / b.leading()[1]
-    if b * c == a:
+    a = c * b for a number c (polyring._ratio), that is (1, c) with no gcd
+    taken."""
+    c = _ratio(a, b)
+    if c is not None:
         return Polynomial.const(a.n, 1), Polynomial.const(a.n, c)
     g = multivariate_gcd(a, b)
     q1, q2 = poly_div_exact(b, g), poly_div_exact(a, g)
@@ -58,14 +59,13 @@ def _form_of_differentials(polys, n: int) -> Form:
     return form
 
 
-def _jacobian_rank(casimirs, parts, point) -> int:
+def _jacobian_rank(parts, point) -> int:
     """The rank of the Jacobian of the F at a rational point, from their
     _int_partials: each F scaled to int, evaluated at the point and scaled
     again, all in int; each scaling keeps the rank."""
     n = len(point)
-    values, _ = _scaled_values([Polynomial._raw(F.n, t) for F, (_, partials)
-                                in zip(casimirs, parts) for t in partials], point)
-    return rational_rank([values[i:i + n] for i in range(0, len(values), n)])
+    values, _ = _scaled_values([Polynomial._raw(n, t) for _, ps in parts for t in ps], point)
+    return rational_rank([values[i * n:i * n + n] for i in range(len(parts))])
 
 
 class KostantReport(Record):
@@ -114,14 +114,11 @@ class KostantReport(Record):
         if self._minor is not None:
             return ProportionalityCertificate(True, *_coprime_ratio(*self._minor))
         n, ell = self.pi.n, len(self.casimirs)
-        # A != 0 when the Jacobian of nonzero F has rank l at a seeded
-        # point; A is built only when no point proves it.  B = wedge^k pi
+        # A != 0 when the Jacobian of the F has rank l at a seeded point;
+        # A is built only when no point proves it.  B = wedge^k pi
         # vanishes exactly when 2k exceeds pi's generic rank
-        proved = False
-        if all(not F.is_zero for F in self.casimirs):
-            parts = [_int_partials(F) for F in self.casimirs]
-            proved = any(_jacobian_rank(self.casimirs, parts, point) == ell
-                         for point in _seeded_points(n))
+        parts = [_int_partials(F) for F in self.casimirs]
+        proved = any(_jacobian_rank(parts, point) == ell for point in _seeded_points(n))
         if (not proved and self.form.is_zero
                 or 2 * ((n - ell) // 2) > self.pi.generic_rank[0]):
             raise ValueError("proportionality needs two nonzero multivectors")
@@ -138,7 +135,7 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     """The index of pi, and A = dF_1^...^dF_l / omega against B = wedge^k pi,
     k = (n - l)/2, for polynomials F_1..F_l offered as Casimirs of pi.
 
-    The index is proved at the first seeded point x0 (point_ranks) where pi
+    The index is proved at the first seeded point x0 (_pivot_point) where pi
     has rank n - l, which gives index <= l.  Each F is a Casimir
     (semi_invariant_weight(F, pi) == [0] * n), so dF(x) lies in ker pi(x),
     and their Jacobian has rank l at x0, so the dF are independent at
@@ -169,14 +166,12 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
             raise ValueError(f"ring dimension mismatch: {F.n} vs {n}")
     if ell > n:
         raise ValueError(f"more polynomials than variables: {ell} > {n}")
-    for rank, pivots, point in point_ranks(pi):
-        if rank == n - ell:
-            # the Casimir checks read the Jacobian's partials
-            parts = [_int_partials(F) for F in casimirs]
-            if (_jacobian_rank(casimirs, parts, point) == ell
-                    and all(_weight(h, pi) == [0] * n for h in parts)):
-                return KostantReport(pi, casimirs, ell, pivots)
-            break
+    if pivot := _pivot_point(pi, ell):
+        # the Casimir checks read the Jacobian's partials
+        parts = [_int_partials(F) for F in casimirs]
+        if (_jacobian_rank(parts, pivot[1]) == ell
+                and all(_weight(h, pi) == [0] * n for h in parts)):
+            return KostantReport(pi, casimirs, ell, pivot[0])
     return KostantReport(pi, casimirs, n - pi.generic_rank[0], None)
 
 
@@ -386,7 +381,7 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     after t-degree reduction, with regularity deciding both indices.
 
     The tops equality expands no minor of the limit (README has the steps):
-    (1) the normalisation proved A_I = B_I at _regularity_pivots' I; (2)
+    (1) the normalisation proved A_I = B_I at _pivot_point's I; (2)
     t_degree_reduction's unit triangular steps keep A'_I = A_I; (3) B~_I is
     the w(I)-part of B_I; (4) A~_I is the (sum d' - w(J))-part of A'_I; (5)
     if regularity's proof closes on the limit, A~ = (A~_I / B~_I) B~ where

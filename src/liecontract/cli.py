@@ -135,8 +135,7 @@ def cmd_bivector(args, fmt):
 
 def cmd_index(args, fmt):
     L, _ = _load_target(args.target)
-    if L.brackets:      # an abelian algebra satisfies Jacobi, and may be too small for a bivector
-        lie_poisson_bivector(L)
+    lie_poisson_bivector(L)
     idx = algebra_index(L)
     _emit({"target": args.target, "index": idx}, fmt, [f"index {args.target} = {idx}"])
     return 0

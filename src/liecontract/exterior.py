@@ -16,7 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .linalg import _echelon, _Pfaffians
-from .polyring import Polynomial, _accumulate, _integral_terms, _partials, _scaled_values
+from .polyring import Polynomial, _accumulate, _div, _integral_terms, _partials, _scaled_values
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -125,15 +125,11 @@ class MultiVector:
         if self._top is None:
             k = self.generic_rank[0] // 2
             pf = self._engine()
-            f, dk = math.factorial(k), pf.d ** k
             rows = sorted({i for ij in self.terms for i in ij})
             out = {}
             for idx in itertools.combinations(rows, 2 * k):
                 if t := pf.terms(idx):
-                    t = {m: c * f for m, c in t.items()}
-                    # the engine's maps are int and hold no zeros: no pass when d^k = 1
-                    out[idx] = (Polynomial._raw(self.n, t) if dk == 1
-                                else Polynomial._collect(self.n, t, dk))
+                    out[idx] = _power_coefficient(self.n, t, k, pf.d)
             self._top = (k, MultiVector._raw(self.n, 2 * k, out))
         return self._top
 
@@ -259,13 +255,9 @@ def wedge_power(pi: MultiVector, k: int) -> MultiVector:
 
 
 def differential(p: Polynomial) -> Form:
-    """The 1-form dF = sum_i (dF/dx_i) dx_i."""
-    terms = {}
-    for i in range(p.n):
-        d = p.diff(i)
-        if not d.is_zero:
-            terms[(i,)] = d
-    return Form._raw(p.n, 1, terms)
+    """The 1-form dF = sum_i (dF/dx_i) dx_i, its partials from one pass."""
+    partials = _partials(p.terms, p.n)
+    return Form._raw(p.n, 1, {(i,): Polynomial._raw(p.n, partials[i]) for i in sorted(partials)})
 
 
 def point_ranks(pi: MultiVector):
@@ -303,7 +295,17 @@ def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:
         raise ValueError("a wedge power of a bivector has even degree")
     if list(idx) != sorted(set(idx)) or not all(0 <= i < pi.n for i in idx):
         raise ValueError(f"bad index set {idx} for n={pi.n}")
-    return Polynomial.const(pi.n, math.factorial(len(idx) // 2)) * pi._engine()([idx])
+    pf = pi._engine()
+    return _power_coefficient(pi.n, pf.terms(idx), len(idx) // 2, pf.d)
+
+
+def _power_coefficient(n: int, t: dict, k: int, d: int) -> Polynomial:
+    """k! Pf(pi_I), the coefficient of wedge^k pi at an I of size 2k, read in
+    one pass off t = d^k Pf(pi_I), the engine's int term map with no zeros."""
+    f, dk = math.factorial(k), d ** k
+    if dk == 1:
+        return Polynomial._raw(n, {m: c * f for m, c in t.items()})
+    return Polynomial._raw(n, {m: _div(c * f, dk) for m, c in t.items()})
 
 
 def _scaled_matrix_at(pi: MultiVector, point):
@@ -322,7 +324,8 @@ def _scaled_matrix_at(pi: MultiVector, point):
 
 
 def schouten_square(pi: MultiVector) -> MultiVector:
-    """The trivector [pi, pi] in coordinates; zero exactly when pi is Poisson.
+    """The trivector [pi, pi] in coordinates; zero exactly when pi is Poisson,
+    as every pi is when n < 3, where there is no triple.
 
     Coefficient at i<j<k:
         sum_l  pi_{li} d_l pi_{jk} - pi_{lj} d_l pi_{ik} + pi_{lk} d_l pi_{ij}
@@ -332,8 +335,6 @@ def schouten_square(pi: MultiVector) -> MultiVector:
     scaled by their common denominator d; each coefficient is divided by d^2.
     """
     n = pi.n
-    if n < 3:
-        raise ValueError("Schouten square needs dimension >= 3")
     d, maps = _integral_terms(pi.terms.values())
     # every product has total degree at most 2 deg pi - 1, bounded once here
     degree = 2 * max((p.degree() for p in pi.terms.values()), default=0) - 1

@@ -23,7 +23,8 @@ from .exterior import (MultiVector, pfaffian, point_ranks, shuffle_sign,
                        wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
 from .linalg import _principal_minor_sums, poly_det_cofactor, rational_inverse, solve_exact
-from .polyring import Polynomial, _accumulate, _graded, _integral_terms, poly_compose
+from .polyring import (Polynomial, _accumulate, _graded, _integral_terms, _partials, _ratio,
+                       poly_compose)
 
 _ZERO = Fraction(0)
 
@@ -58,37 +59,31 @@ def semi_invariant_weight(h: Polynomial, pi: MultiVector):
 
 
 def _int_partials(h: Polynomial):
-    """(terms, partials): h scaled to int by its common denominator, and the
-    n partial derivatives of that, all as term maps.  The same partials serve
-    the bracket {x_j, h} and analysis.regularity's Jacobian."""
+    """(scaled, partials): h scaled to int by its common denominator, and
+    the term maps of the n partial derivatives of that, from one pass.  The
+    same partials serve the bracket {x_j, h} and analysis.regularity's
+    Jacobian."""
     _, (terms,) = _integral_terms([h])
-    scaled = Polynomial._raw(h.n, terms)
-    return terms, [scaled.diff(l).terms for l in range(h.n)]
+    partials = _partials(terms, h.n)
+    return Polynomial._raw(h.n, terms), [partials.get(l, {}) for l in range(h.n)]
 
 
 def _weight(h_partials, pi: MultiVector):
     """semi_invariant_weight of a nonzero h of pi's ring, from _int_partials(h)."""
-    terms, partials = h_partials
+    h, partials = h_partials
     n = pi.n
     dpi, maps = _integral_terms(pi.terms.values())
     rows = [{} for _ in range(n)]
     for (a, b), t in zip(pi.terms, maps):
         _accumulate(rows[a], t, partials[b], False, n)
         _accumulate(rows[b], t, partials[a], True, n)
-    hm = max(terms)
-    hc = terms[hm] * dpi
     out = []
     for row in rows:
-        br = {m: c for m, c in row.items() if c}
-        if not br:
-            out.append(_ZERO)
-            continue
-        lam = br.get(hm)
-        # br == (lam / hc) * dpi * h, compared term by term in int
-        if not lam or len(br) != len(terms) or any(
-                c * terms[hm] != lam * terms.get(m, 0) for m, c in br.items()):
+        br = {m: c for m, c in row.items() if c}      # dpi * {x_j, h}, h scaled to int
+        lam = _ratio(Polynomial._raw(n, br), h) if br else _ZERO
+        if lam is None:
             return None
-        out.append(Fraction(lam, hc))
+        out.append(lam / dpi if br else _ZERO)
     return out
 
 
@@ -162,21 +157,18 @@ def _regularity_minor(pi: MultiVector, gens, index_set):
     return A, B
 
 
-def _regularity_pivots(pi: MultiVector, ell: int) -> tuple:
-    """The pivots I of pi's matrix at the first seeded point of rank n - l,
-    where the normalisation compares the sides; kept with pi's point ranks."""
-    if (pi.n - ell) % 2:
-        raise ValueError("generator count does not match a skew rank")
-    index_set = next((piv for r, piv, _ in point_ranks(pi) if r == pi.n - ell), None)
-    if index_set is None:
-        raise ValueError("degenerate generator set")
-    return index_set
+def _pivot_point(pi: MultiVector, ell: int):
+    """(I, x0): the pivots I of pi's matrix at the first seeded point x0
+    (point_ranks) of rank n - l, or None; regularity's proof and the
+    normalisation both stand on it, and a second read is a memo hit."""
+    return next(((pivots, point) for rank, pivots, point in point_ranks(pi)
+                 if rank == pi.n - ell), None)
 
 
 def _graded_tops_minor(pi: MultiVector, ell: int, w: ContractionWeights, t_degrees):
-    """(A~_I, B~_I) at _regularity_pivots' I: the parts of weighted degree
+    """(A~_I, B~_I) at _pivot_point's I: the parts of weighted degree
     sum(t_degrees) - w(J) and w(I) of B_I = A_I (analysis.z2_suite's proof)."""
-    index_set = _regularity_pivots(pi, ell)
+    index_set, _ = _pivot_point(pi, ell)
     parts = _graded(pi.n, [wedge_power_coefficient(pi, index_set)], w)[0][0]
     w_i, zero = sum(w[i] for i in index_set), Polynomial.zero(pi.n)
     return parts.get(sum(t_degrees) - w.total + w_i, zero), parts.get(w_i, zero)
@@ -185,16 +177,19 @@ def _graded_tops_minor(pi: MultiVector, ell: int, w: ContractionWeights, t_degre
 def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power.
 
-    Both sides are compared at _regularity_pivots' I.  That they agree
+    Both sides are compared at _pivot_point's I.  That they agree
     everywhere is Kostant's theorem, which analysis.regularity decides.
     """
     pi = lie_poisson_bivector(L)
-    A, B = _regularity_minor(pi, gens, _regularity_pivots(pi, len(gens)))
-    bm, bc = B.leading()
-    ac = A.coefficient(bm)
-    if not ac or A * (bc / ac) != B:
+    if (pi.n - len(gens)) % 2:
+        raise ValueError("generator count does not match a skew rank")
+    pivot = _pivot_point(pi, len(gens))
+    if pivot is None:
+        raise ValueError("degenerate generator set")
+    A, B = _regularity_minor(pi, gens, pivot[0])
+    scale = _ratio(B, A)
+    if scale is None:
         raise ValueError("generator differentials are not proportional to the wedge power")
-    scale = bc / ac
     gens[0] = gens[0] * scale
     return scale
 

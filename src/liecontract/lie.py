@@ -97,9 +97,8 @@ class LieAlgebra:
 
     @cached_property
     def bivector(self) -> MultiVector:
-        """The linear bivector with coefficient sum_k c_ij^k x_k at each pair i < j."""
-        if self.n < 2:
-            raise ValueError(f"a bivector needs dimension >= 2, got {self.n}")
+        """The linear bivector with coefficient sum_k c_ij^k x_k at each pair
+        i < j; zero when n < 2, where there is no pair."""
         # the bracket table is canonical: pairs i < j, nonzero rows and coefficients
         return MultiVector._raw(self.n, 2, {
             (i, j): Polynomial.linear(self.n, targets)
@@ -210,7 +209,7 @@ def jacobi_check(L: LieAlgebra):
     triple).  For the linear bivector the Schouten square's coefficient at
     i < j < k is the Jacobiator of x_i, x_j, x_k, so the least triple in its
     support is the first that fails."""
-    bad = schouten_square(L.bivector).terms if L.n >= 3 else None
+    bad = schouten_square(L.bivector).terms
     return (False, min(bad)) if bad else (True, None)
 
 
@@ -228,8 +227,7 @@ def algebra_index(L: LieAlgebra) -> int:
     MultiVector.generic_rank: a seeded point's pivots I give a nonzero
     principal Pfaffian, and I stops growing exactly when every Pfaffian on
     I and one more pair vanishes, the Schur complement of pi_II being zero."""
-    # an abelian algebra may be too small to carry a bivector
-    return L.n - L.bivector.generic_rank[0] if L.brackets else L.n
+    return L.n - L.bivector.generic_rank[0]
 
 
 def subalgebra_on_indices(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
@@ -295,8 +293,6 @@ def centralizer_in_span(L: LieAlgebra, fixed, span_indices) -> list:
             row = [cols[a][coord] for a in range(len(span))]
             if any(row):
                 rows.append(row)
-    if not rows:
-        return [{s: 1} for s in span]
     # exact kernel of the constraint matrix: reduced row r is rows[r] / rows[r][pivots[r]]
     rows, pivots = _reduced(rows)
     basis = []

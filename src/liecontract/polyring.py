@@ -132,6 +132,20 @@ def _partials(terms: dict, n: int) -> dict:
     return out
 
 
+def _ratio(a: Polynomial, b: Polynomial):
+    """The Fraction c with a = c * b for polynomials of one ring, or None, as
+    when either is zero: both scaled to int by their common denominator and
+    compared term by term by cross-multiplication, with no Fraction product."""
+    if len(a.terms) != len(b.terms):
+        return None
+    _, (ta, tb) = _integral_terms([a, b])
+    m = max(tb, default=None)
+    ca = ta.get(m)
+    if ca is None or any(c * tb[m] != ca * tb.get(k, 0) for k, c in ta.items()):
+        return None
+    return Fraction(ca, tb[m])
+
+
 def _integral_terms(polys) -> tuple:
     """(d, term maps): the least common denominator d of the coefficients of
     the given polynomials, and each one's term map times d, all int.
@@ -164,8 +178,6 @@ def _scaled_values(polys, point) -> tuple:
         if p.n != n:
             raise ValueError(f"point length {n} != ring dimension {p.n}")
     d, maps = _integral_terms(polys)
-    if not any(maps):
-        return [0] * len(maps), 1
     ratios = [v.as_integer_ratio() for v in point]
     big = math.lcm(*(q for _, q in ratios))
     a = [u * (big // q) for u, q in ratios]

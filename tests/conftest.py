@@ -7,15 +7,37 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from liecontract.analysis import ProportionalityCertificate, _coprime_ratio  # noqa: E402
+from liecontract.builders import borel_decomposition  # noqa: E402
 from liecontract.builders import builtin_algebra as _builtin_algebra  # noqa: E402
 from liecontract.builders import symmetric_pair as _symmetric_pair  # noqa: E402
+from liecontract.contract import contract_algebra, t_degree  # noqa: E402
 from liecontract.exterior import MultiVector, shuffle_sign, wedge_power  # noqa: E402
+from liecontract.invariants import char_invariants, t_degree_reduction  # noqa: E402
+from liecontract.lie import lie_poisson_bivector  # noqa: E402
 from liecontract.linalg import _reduced  # noqa: E402
 from liecontract.polyring import Polynomial  # noqa: E402
 
 # algebras are immutable, so tests may share one instance per builtin
 cached_builtin = functools.lru_cache(maxsize=None)(_builtin_algebra)
 cached_pair = functools.lru_cache(maxsize=None)(_symmetric_pair)
+
+
+@functools.lru_cache(maxsize=None)
+def case(key):
+    """(bivector, Casimirs) of a builtin ("sl3") or a pair's parent
+    ("sl2_so2/parent"), or (limit bivector, tops) of a builtin's Borel limit
+    ("sl3/borel") or of a pair's limit ("sl2_so2/z2"), whose generators are
+    reduced first."""
+    name, _, kind = key.partition("/")
+    pair = cached_pair(name) if kind in ("parent", "z2") else None
+    L = pair.parent if pair else cached_builtin(name)
+    gens = char_invariants(L)
+    if kind in ("", "parent"):
+        return lie_poisson_bivector(L), tuple(gens.gens)
+    w = borel_decomposition(L) if kind == "borel" else pair.weights
+    if kind == "z2":
+        gens = t_degree_reduction(gens, w)
+    return contract_algebra(L, w).pi_tilde, tuple(t_degree(g, w)[1] for g in gens.gens)
 
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int = 3,

@@ -13,16 +13,15 @@ full sides and conftest's reference proportionality, with the seeded points
 and without them, where the report falls back to one pair at generic_rank's I.
 """
 
-import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import (cached_builtin, cached_pair, cached_wedge_power, proportionality,
+from conftest import (cached_builtin, cached_wedge_power, case, proportionality,
                       random_polynomial, volume_dual)
 
-from liecontract import analysis, exterior, polyring
+from liecontract import analysis, exterior, invariants, polyring
 from liecontract.analysis import (Clause, ContrDegReport, FundamentalSemiInvariant,
                                   SuiteReport, _content, _coprime_ratio, _form_of_differentials,
                                   contr_deg_report, feigin_suite, fundamental_semiinvariant,
@@ -40,26 +39,6 @@ from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial
 
 PARENTS = list(BUILTIN_ALGEBRAS) + [f"{pid}/parent" for pid in Z2_PAIRS]
 LIMITS = [f"{name}/borel" for name in BUILTIN_ALGEBRAS] + [f"{pid}/z2" for pid in Z2_PAIRS]
-
-
-@functools.lru_cache(maxsize=None)
-def case(key):
-    """(bivector, Casimirs) of a builtin, a pair's parent, a builtin's Borel
-    limit with the tops of its generators, or a pair's limit with the tops
-    of its reduced generators."""
-    name, _, kind = key.partition("/")
-    pair = cached_pair(name) if kind in ("parent", "z2") else None
-    L = pair.parent if pair else cached_builtin(name)
-    gens = char_invariants(L)
-    if kind in ("", "parent"):
-        return lie_poisson_bivector(L), tuple(gens.gens)
-    if kind == "borel":
-        w = borel_decomposition(L)
-    else:
-        w = pair.weights
-        gens = t_degree_reduction(gens, w)
-    tops = tuple(t_degree(g, w)[1] for g in gens.gens)
-    return contract_algebra(L, w).pi_tilde, tops
 
 
 def chain_index(pi):
@@ -89,10 +68,12 @@ def spy_wedge_powers(monkeypatch):
 
 
 def spy_point_ranks(monkeypatch):
-    """The list of bivectors regularity evaluates at the seeded points."""
+    """The list of bivectors regularity evaluates at the seeded points, by
+    _pivot_point or by generic_rank."""
     evaluated = []
-    real = analysis.point_ranks
-    monkeypatch.setattr(analysis, "point_ranks", lambda pi: evaluated.append(pi) or real(pi))
+    real = exterior.point_ranks
+    for module in (exterior, invariants):
+        monkeypatch.setattr(module, "point_ranks", lambda pi: evaluated.append(pi) or real(pi))
     return evaluated
 
 
@@ -191,8 +172,7 @@ def test_an_index_set_with_vanishing_pfaffian_is_refused(monkeypatch):
     point = next(point_ranks(pi))[2]
     bad = next(idx for idx in itertools.combinations(range(pi.n), pi.n - ell)
                if wedge_power_coefficient(pi, idx).is_zero)
-    monkeypatch.setattr(analysis, "point_ranks",
-                        lambda _: iter([(pi.n - ell, bad, point)]))
+    monkeypatch.setattr(analysis, "_pivot_point", lambda *_: (bad, point))
     # A = 2B is not B, yet A_I = 2 B_I = 0 = B_I at this I
     doubled = (tops[0] * 2,) + tops[1:]
     rep = regularity(pi, doubled)
@@ -205,7 +185,7 @@ def test_an_index_set_with_vanishing_pfaffian_is_refused(monkeypatch):
 @pytest.mark.parametrize("pid", ["sp4_sp2sp2", "so4_gl2"])
 def test_chain_fallback_gives_the_same_report(pid, monkeypatch):
     want = z2_suite(pid).as_dict()
-    monkeypatch.setattr(analysis, "point_ranks", lambda pi: iter(()))
+    monkeypatch.setattr(analysis, "_pivot_point", lambda *_: None)
     seen = spy_wedge_powers(monkeypatch)
     assert z2_suite(pid).as_dict() == want
     # the fallback decides from one pair (A_I, B_I) at generic_rank's I
@@ -267,7 +247,7 @@ def test_index_zero_compares_the_unit_form(path, monkeypatch):
     L = algebra_from_text(FROBENIUS)[0]
     pi = lie_poisson_bivector(L)
     if path == "chain":
-        monkeypatch.setattr(analysis, "point_ranks", lambda _: iter(()))
+        monkeypatch.setattr(analysis, "_pivot_point", lambda *_: None)
     rep = kostant_check([], pi, 0)
     assert (rep.pivots is None) == (path == "chain")
     b, one = parse_polynomial("b", L.labels), Polynomial.const(2, 1)
@@ -400,7 +380,7 @@ def reads_both_ways(cases, monkeypatch):
     """report_reads of each (pi, casimirs) with the seeded points, and then
     with none, so that every report takes the fallback."""
     real = [report_reads(pi, casimirs) for pi, casimirs in cases]
-    monkeypatch.setattr(analysis, "point_ranks", lambda _: iter(()))
+    monkeypatch.setattr(analysis, "_pivot_point", lambda *_: None)
     return real, [report_reads(pi, casimirs) for pi, casimirs in cases]
 
 
@@ -575,7 +555,7 @@ def test_feigin_suite_equals_the_chain_path(name):
 @pytest.mark.parametrize("name", FEIGIN_ALGEBRAS)
 def test_feigin_chain_fallback_gives_the_same_report(name, monkeypatch):
     want = feigin_suite(builtin_algebra(name)).as_dict()
-    monkeypatch.setattr(analysis, "point_ranks", lambda pi: iter(()))
+    monkeypatch.setattr(analysis, "_pivot_point", lambda *_: None)
     reports = spy_regularity(monkeypatch)
     seen = spy_wedge_powers(monkeypatch)
     assert feigin_suite(builtin_algebra(name)).as_dict() == want

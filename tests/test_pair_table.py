@@ -11,7 +11,7 @@ from liecontract.analysis import regularity, z2_suite
 from liecontract.builders import (Z2_PAIRS, _diagonal, _neg, _unit, borel_decomposition,
                                   build_classical, builtin_algebra, symmetric_pair)
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
-from liecontract.invariants import (_graded_tops_minor, _regularity_minor, _regularity_pivots,
+from liecontract.invariants import (_graded_tops_minor, _pivot_point, _regularity_minor,
                                     char_invariants, t_degree_reduction)
 from liecontract.lie import (algebra_to_text, centralizer_in_span, from_matrices,
                              lie_poisson_bivector, subalgebra_from_vectors,
@@ -229,7 +229,7 @@ def test_graded_pair_is_the_limit_minor_pair(pair_id, monkeypatch):
         graded = [t_degree(g, w) for g in gs]
         tops = [top for _, top in graded]
         a_t, b_t = _graded_tops_minor(pi, len(gens), w, [d for d, _ in graded])
-        index_set = _regularity_pivots(pi, len(gens))
+        index_set, _ = _pivot_point(pi, len(gens))
         assert (a_t, b_t) == _regularity_minor(res.pi_tilde, tops, index_set)
         assert not b_t.is_zero
         limit = regularity(res.pi_tilde, tops)

@@ -24,8 +24,8 @@ from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
                                   borel_decomposition)
 from liecontract.contract import contract_algebra
 from liecontract.exterior import MultiVector, schouten_square
-from liecontract.lie import (JacobiError, LieAlgebra, jacobi_check, lie_poisson_bivector,
-                             subalgebra_on_indices)
+from liecontract.lie import (JacobiError, LieAlgebra, algebra_index, jacobi_check,
+                             lie_poisson_bivector, subalgebra_on_indices)
 from liecontract.polyring import _EMAX, Polynomial, _accumulate, _integral_terms, _partials
 
 
@@ -56,8 +56,6 @@ def sparse_schouten_square(pi):
     """The sparse square with one Polynomial per partial and the exponent
     bound read off both maps in every product."""
     n = pi.n
-    if n < 3:
-        raise ValueError("Schouten square needs dimension >= 3")
     d, maps = _integral_terms(pi.terms.values())
     row = [[] for _ in range(n)]
     grad = [[] for _ in range(n)]
@@ -83,8 +81,6 @@ def dense_schouten_square(pi):
     """Coefficient at i<j<k:
     sum_l  pi_{li} d_l pi_{jk} - pi_{lj} d_l pi_{ik} + pi_{lk} d_l pi_{ij}"""
     n = pi.n
-    if n < 3:
-        raise ValueError("Schouten square needs dimension >= 3")
     mat = bivector_matrix(pi)
     dmat = {}
     for (i, j), p in pi.terms.items():
@@ -380,15 +376,16 @@ SMALL_TABLES = [
 def test_smallest_dimensions(labels, brackets):
     L = LieAlgebra(labels, brackets)
     assert jacobi_check(L) == loop_jacobi_check(L)
+    # no pair below dimension 2 and no triple below 3: the zero multivector
     if L.n < 2:
-        with pytest.raises(ValueError, match="bivector needs dimension >= 2"):
-            L.bivector
-    elif L.n < 3:
-        for square in (schouten_square, dense_schouten_square):
-            with pytest.raises(ValueError, match="needs dimension >= 3"):
-                square(L.bivector)
-    else:
-        assert schouten_square(L.bivector) == dense_schouten_square(L.bivector)
+        assert L.bivector == MultiVector._raw(L.n, 2, {})
+    square = schouten_square(L.bivector)
+    for reference in (dense_schouten_square, sparse_schouten_square):
+        assert square == reference(L.bivector)
+    if L.n < 3:
+        assert square == MultiVector._raw(L.n, 3, {})
+    if not brackets:
+        assert algebra_index(L) == L.n
 
 
 # ---------------------------------------------------------------------------
