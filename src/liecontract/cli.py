@@ -171,13 +171,7 @@ def cmd_tdeg(args, fmt):
     L, _ = (_load_target if args.poly is not None else _load_classical)(args.target)
     w = _parse_weights(args.weights, L.n)
     if args.poly is not None:
-        try:
-            p = parse_polynomial(args.poly, L.labels)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        if p.is_zero:
-            raise InputError("t-degree of the zero polynomial is undefined")
-        targets = [("input", p)]
+        targets = [("input", parse_polynomial(args.poly, L.labels))]
     else:
         gs = char_invariants(L)
         targets = [(f"F{i + 1}", g) for i, g in enumerate(gs.gens)]
@@ -244,7 +238,7 @@ def cmd_ggs(args, fmt):
 
 def cmd_fsi(args, fmt):
     L, _ = _load_target(args.target)
-    if args.weights:
+    if args.weights is not None:
         w = _parse_weights(args.weights, L.n)
         res = contract_algebra(L, w)
         if not res.valid:

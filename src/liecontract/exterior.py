@@ -38,16 +38,13 @@ def shuffle_sign(front: tuple, back: tuple) -> int:
 class MultiVector:
     """Degree-k alternating tensor of derivations with Polynomial coefficients."""
 
-    kind = "multivector"
-
-    __slots__ = ("n", "degree", "terms", "_top", "_ranks", "_rank", "_pf")
+    __slots__ = ("n", "degree", "terms", "__dict__")
 
     def __init__(self, n: int, degree: int, terms=None):
         if not 0 <= degree <= n:
             raise ValueError(f"degree {degree} out of range for n={n}")
         self.n = n
         self.degree = degree
-        self._top = self._ranks = self._rank = self._pf = None
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -69,7 +66,6 @@ class MultiVector:
         mv.n = n
         mv.degree = degree
         mv.terms = terms
-        mv._top = mv._ranks = mv._rank = mv._pf = None
         return mv
 
     @classmethod
@@ -81,7 +77,7 @@ class MultiVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
+    @functools.cached_property
     def generic_rank(self):
         """(2k, I): the rank of this bivector pi's matrix over the field of
         rational functions, and an index set I of that size with
@@ -98,20 +94,18 @@ class MultiVector:
         is set by one assignment, so threads sharing pi can at worst compute
         it twice.
         """
-        if self._rank is None:
-            pf = self._engine()
-            r, pivots, _ = next(point_ranks(self))
-            if len(pivots) != r or not pf.terms(pivots):
-                raise AssertionError("wedge-power rank disagrees with point evaluation")
-            rows = set(pivots)
-            while pair := next((jm for jm in itertools.combinations(
-                    sorted(set(range(self.n)) - rows), 2)
-                    if pf.terms(tuple(sorted(rows.union(jm))))), None):
-                rows.update(pair)
-            self._rank = (len(rows), tuple(sorted(rows)))
-        return self._rank
+        pf = self._engine
+        r, pivots, _ = next(point_ranks(self))
+        if len(pivots) != r or not pf.terms(pivots):
+            raise AssertionError("wedge-power rank disagrees with point evaluation")
+        rows = set(pivots)
+        while pair := next((jm for jm in itertools.combinations(
+                sorted(set(range(self.n)) - rows), 2)
+                if pf.terms(tuple(sorted(rows.union(jm))))), None):
+            rows.update(pair)
+        return len(rows), tuple(sorted(rows))
 
-    @property
+    @functools.cached_property
     def top_power(self):
         """(k, wedge^k pi) for the last nonzero wedge power of this bivector pi,
         computed on first read and kept.
@@ -122,24 +116,26 @@ class MultiVector:
         the rows pi's support meets: a row outside it is zero, so no nonzero
         Pfaffian meets it.
         """
-        if self._top is None:
-            k = self.generic_rank[0] // 2
-            pf = self._engine()
-            rows = sorted({i for ij in self.terms for i in ij})
-            out = {}
-            for idx in itertools.combinations(rows, 2 * k):
-                if t := pf.terms(idx):
-                    out[idx] = _power_coefficient(self.n, t, k, pf.d)
-            self._top = (k, MultiVector._raw(self.n, 2 * k, out))
-        return self._top
+        k = self.generic_rank[0] // 2
+        pf = self._engine
+        rows = sorted({i for ij in self.terms for i in ij})
+        out = {}
+        for idx in itertools.combinations(rows, 2 * k):
+            if t := pf.terms(idx):
+                out[idx] = _power_coefficient(self.n, t, k, pf.d)
+        return k, MultiVector._raw(self.n, 2 * k, out)
 
+    @functools.cached_property
     def _engine(self) -> _Pfaffians:
         """The one memoised Pfaffian engine on this bivector's matrix."""
         if self.degree != 2:
             raise ValueError("wedge powers need a bivector")
-        if self._pf is None:
-            self._pf = _Pfaffians(self.terms, self.n)
-        return self._pf
+        return _Pfaffians(self.terms, self.n)
+
+    @functools.cached_property
+    def _ranks(self) -> dict:
+        """point_ranks' kept triples, by seeded point."""
+        return {}
 
     def coefficient(self, idx) -> Polynomial:
         return self.terms.get(tuple(idx), Polynomial.zero(self.n))
@@ -198,8 +194,6 @@ class MultiVector:
 
 class Form(MultiVector):
     """Degree-k differential form with Polynomial coefficients."""
-
-    kind = "form"
 
 
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -264,13 +258,13 @@ def point_ranks(pi: MultiVector):
     """(rank, pivot columns, point) of pi's matrix at each of three seeded
     rational points, the same on every call, evaluated only as far as the
     caller iterates.  Each triple is reduced once per bivector and kept in
-    its _ranks slot; threads sharing pi can at worst reduce one twice.
+    its _ranks dict; threads sharing pi can at worst reduce one twice.
 
     Each rank is a lower bound on the rank of pi at a generic point.  The
     pivot columns I index a nonsingular principal minor: when columns I span
     the column space of a skew matrix M, so do rows I, and M_II is invertible.
     """
-    kept = pi._ranks = pi._ranks or {}
+    kept = pi._ranks
     for t, point in enumerate(_seeded_points(pi.n)):
         if t not in kept:
             _, pivots = _echelon(_scaled_matrix_at(pi, point)[0])
@@ -295,7 +289,7 @@ def wedge_power_coefficient(pi: MultiVector, idx) -> Polynomial:
         raise ValueError("a wedge power of a bivector has even degree")
     if list(idx) != sorted(set(idx)) or not all(0 <= i < pi.n for i in idx):
         raise ValueError(f"bad index set {idx} for n={pi.n}")
-    pf = pi._engine()
+    pf = pi._engine
     return _power_coefficient(pi.n, pf.terms(idx), len(idx) // 2, pf.d)
 
 
@@ -311,8 +305,6 @@ def _power_coefficient(n: int, t: dict, k: int, d: int) -> Polynomial:
 def _scaled_matrix_at(pi: MultiVector, point):
     """(scale * M, scale): the bivector's matrix M at a rational point times
     one positive int scale, every entry an int (polyring._scaled_values)."""
-    if len(point) != pi.n:
-        raise ValueError("point length must match ring dimension")
     n = pi.n
     mat = [[0] * n for _ in range(n)]
     values, scale = _scaled_values(pi.terms.values(), point)

@@ -14,6 +14,7 @@ triangular modifications leave it untouched.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -181,8 +182,6 @@ def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     everywhere is Kostant's theorem, which analysis.regularity decides.
     """
     pi = lie_poisson_bivector(L)
-    if (pi.n - len(gens)) % 2:
-        raise ValueError("generator count does not match a skew rank")
     pivot = _pivot_point(pi, len(gens))
     if pivot is None:
         raise ValueError("degenerate generator set")
@@ -211,22 +210,9 @@ def membership_linear(h: Polynomial, gens: Sequence[Polynomial],
     if any(d <= 0 for d in degs):
         raise ValueError("generators must be nonconstant")
     target = h.degree()
-    exposants = []
-
-    def enumerate_exps(i, remaining, current):
-        if i == len(degs):
-            if remaining == 0:
-                exposants.append(tuple(current))
-            return
-        step = degs[i]
-        for e in range(remaining // step + 1):
-            enumerate_exps(i + 1, remaining - e * step, current + [e])
-
-    enumerate_exps(0, target, [])
-    if profile is not None:
-        aux, aux_target = profile
-        exposants = [e for e in exposants
-                     if sum(a * x for a, x in zip(aux, e)) == aux_target]
+    exposants = [e for e in itertools.product(*(range(target // d + 1) for d in degs))
+                 if sum(d * x for d, x in zip(degs, e)) == target
+                 and (profile is None or sum(a * x for a, x in zip(profile[0], e)) == profile[1])]
     if not exposants:
         return None
     products = []

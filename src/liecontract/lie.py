@@ -397,8 +397,6 @@ def algebra_from_text(text: str):
         raise ValueError("missing 'labels' line")
     brackets: dict = {}
     for i, j, k, c in bracket_lines:
-        if i >= j:
-            raise ValueError(f"bracket indices must satisfy i < j, got ({i},{j})")
         brackets.setdefault((i, j), {})[k] = brackets.get((i, j), {}).get(k, 0) + c
     matrices = None
     if matrix_rows:

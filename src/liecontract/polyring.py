@@ -484,21 +484,11 @@ def poly_compose(p: Polynomial, args: Sequence[Polynomial]) -> Polynomial:
     for q in args:
         if q.n != n_out:
             raise ValueError("argument polynomials live in different rings")
-    powers: dict = {}
-
-    def arg_pow(i, e):
-        key = (i, e)
-        got = powers.get(key)
-        if got is None:
-            got = args[i] ** e
-            powers[key] = got
-        return got
-
     total = Polynomial.zero(n_out)
     for m, c in p.terms.items():
         term = Polynomial.const(n_out, c)
         for v, e in _unpack(m, p.n):
-            term = term * arg_pow(v, e)
+            term = term * args[v] ** e
         total = total + term
     return total
 
@@ -624,10 +614,6 @@ def _monomial_gcd(keys, n: int) -> int:
 
 
 def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
     if len(a.terms) == 1 or len(b.terms) == 1:
         return Polynomial._raw(a.n, {_monomial_gcd([*a.terms, *b.terms], a.n): 1})
     v = _main_variable(a, b)

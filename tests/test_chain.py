@@ -150,7 +150,7 @@ def test_a_second_kostant_check_makes_no_b_i_expansion(monkeypatch):
     L = builtin_algebra("sp4")
     gens = char_invariants(L)
     pi = MultiVector(L.n, 2, lie_poisson_bivector(L).terms)    # nothing memoised yet
-    engine = pi._engine()
+    engine = pi._engine
     expanded = []
     real = linalg._Pfaffians._expand
 

@@ -366,9 +366,12 @@ class TestQueryVerbs:
         ("0,x,1", "--weights must be a comma list of integers: "
                   "invalid literal for int() with base 10: 'x'"),
         ("0,-1,1", "--weights entries must be nonnegative"),
-    ], ids=["non-integer", "negative"])
+        ("", "--weights must be a comma list of integers: "
+             "invalid literal for int() with base 10: ''"),
+    ], ids=["non-integer", "negative", "empty"])
     def test_bad_weights_exit_two(self, capsys, weights, message):
-        for argv in (["contract", "sl2"], ["tdeg", "sl2", "--poly=e"]):
+        for argv in (["contract", "sl2"], ["tdeg", "sl2", "--poly=e"], ["fsi", "sl2"],
+                     ["ggs", "sl2"]):
             code, out, err = run(capsys, *argv, f"--weights={weights}")
             assert code == 2 and out == ""
             assert err == f"error: {message}\n"

@@ -182,6 +182,8 @@ class TestGcd:
         def two_argument(a, b):
             if a.is_zero and b.is_zero:
                 raise ValueError("gcd of two zero polynomials is undefined")
+            if a.is_zero or b.is_zero:
+                return poly_monic(b if a.is_zero else a)
             return poly_monic(_gcd_rec(a, b))
 
         def of_many(polys):

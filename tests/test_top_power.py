@@ -161,7 +161,7 @@ def test_a_climb_from_a_partial_pivot_set_reaches_the_true_k(monkeypatch):
         for size in range(0, rank, 2):
             # a nonzero 2j-Pfaffian below the top: some j-subset of rows' pairs
             part = next(sub for sub in itertools.combinations(rows, size)
-                        if fresh(pi)._engine().terms(sub))
+                        if fresh(pi)._engine.terms(sub))
             monkeypatch.setattr(exterior, "point_ranks",
                                 lambda _, t=(size, part, None): iter([t]))
             assert fresh(pi).generic_rank[0] == rank

@@ -216,14 +216,14 @@ def test_weight_is_the_replaced_weight(key):
 
 def engine_coefficient(pi, idx):
     """The replaced wedge_power_coefficient: k! times the engine's call."""
-    return Polynomial.const(pi.n, math.factorial(len(idx) // 2)) * pi._engine()([idx])
+    return Polynomial.const(pi.n, math.factorial(len(idx) // 2)) * pi._engine([idx])
 
 
 def loop_top_power(pi):
     """The replaced top_power loop, on a fresh copy of pi."""
     fresh = MultiVector(pi.n, 2, pi.terms)
     k = fresh.generic_rank[0] // 2
-    pf = fresh._engine()
+    pf = fresh._engine
     f, dk = math.factorial(k), pf.d ** k
     out = {}
     for idx in itertools.combinations(sorted({i for ij in pi.terms for i in ij}), 2 * k):
@@ -247,7 +247,7 @@ def coefficient_bivectors():
 
 def test_coefficient_read_is_k_factorial_times_the_engine():
     pis = coefficient_bivectors()
-    assert sum(pi._engine().d != 1 for pi in pis) >= 6
+    assert sum(pi._engine.d != 1 for pi in pis) >= 6
     for pi in pis:
         for k in range(pi.n // 2 + 1):
             for idx in itertools.combinations(range(pi.n), 2 * k):
@@ -263,7 +263,7 @@ def test_coefficient_read_is_k_factorial_times_the_engine():
 
 def test_a_memo_hit_with_d_one_makes_no_product(monkeypatch):
     pi = MultiVector(15, 2, lie_poisson_bivector(cached_builtin("sl4")).terms)
-    assert pi._engine().d == 1
+    assert pi._engine.d == 1
     index_set, _ = _pivot_point(pi, 3)
     want = wedge_power_coefficient(pi, index_set)
     calls = []
