@@ -229,11 +229,21 @@ class ContrDegReport(Record):
         return {k: v for k, v in self.__dict__.items()}
 
 
+def _contraction(L: LieAlgebra, gens, w: ContractionWeights):
+    """(res, pairs, limit): L contracted at w, each generator's (t-degree, top)
+    and regularity on pi~ against the tops; (res, None, None) if invalid."""
+    res = contract_algebra(L, w)
+    if not res.valid:
+        return res, None, None
+    pairs = [t_degree(g, w) for g in gens]
+    return res, pairs, regularity(res.pi_tilde, [top for _, top in pairs])
+
+
 def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegReport:
     """Classify a contraction against the degree law for the invariant set."""
     L = gens.algebra
     ell = len(gens)
-    res = contract_algebra(L, w)
+    res, pairs, limit = _contraction(L, gens.gens, w)
     if not res.valid:
         idx, pw = res.offending
         pair = f"({L.labels[idx[0]]},{L.labels[idx[1]]})"
@@ -241,8 +251,6 @@ def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegRepor
     ind0 = algebra_index(L)
     if ind0 != ell:
         return ContrDegReport(ok=False, error=f"generator count {ell} differs from index {ind0}")
-    pairs = [t_degree(g, w) for g in gens.gens]
-    limit = regularity(res.pi_tilde, [top for _, top in pairs])
     indices = {"index_original": ind0, "index_contracted": limit.index}
     if ind0 != limit.index:
         return ContrDegReport(ok=False, index_preserved=False, **indices,
@@ -305,16 +313,10 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
         raise ValueError("Borel-split suite needs root data with highest-root marks")
     ell = rd.rank
     names = L.labels
-    w = borel_decomposition(L)
-    res = contract_algebra(L, w)
-    clauses = []
-
     gens = char_invariants(L)
-    pairs = [t_degree(g, w) for g in gens.gens]
-    tops = [top for _, top in pairs]
-    limit = regularity(res.pi_tilde, tops)
-    clauses.append(Clause("index_of_contraction", limit.index == ell,
-                          {"computed": limit.index, "expected": ell}))
+    res, pairs, limit = _contraction(L, gens.gens, borel_decomposition(L))
+    clauses = [Clause("index_of_contraction", limit.index == ell,
+                      {"computed": limit.index, "expected": ell})]
 
     drops = [g.degree() - d for g, (d, _) in zip(gens.gens, pairs)]
     clauses.append(Clause("t_degree_drop", all(x == 1 for x in drops),
@@ -339,7 +341,7 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
 
     # the semicentre generators are Casimirs of the Cartan-free g', so
     # regularity proves its index and p' * A = c * B (q1 == p', q2 == c)
-    semis = list(tops[:-1])
+    semis = limit.casimirs[:-1]                 # the tops but the last
     semis.extend(Polynomial.variable(L.n, fi) for fi in rd.simple_f)
     semis.append(Polynomial.variable(L.n, rd.highest))
     keep = sorted(list(rd.positive) + list(rd.negative))
@@ -378,7 +380,8 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
 def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     """Symmetric-pair contraction checks: grading, the Borel-dimension
     identity, index preservation, and the good-generating-system verdict
-    after t-degree reduction, with regularity deciding both indices.
+    after t-degree reduction, with regularity deciding both indices: the
+    limit's from _contraction, ggs and feigin's pipeline, on the reduced set.
 
     The tops equality expands no minor of the limit (README has the steps):
     (1) the normalisation proved A_I = B_I at _pivot_point's I; (2)
@@ -404,14 +407,12 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
                           dim_b == len(pair.g1) + dim_b_l,
                           {"dim_b": dim_b, "dim_g1": len(pair.g1), "dim_b_l": dim_b_l}))
 
-    res = contract_algebra(L, pair.weights)
+    reduced = t_degree_reduction(gens, pair.weights)
+    res, pairs, limit = _contraction(L, reduced.gens, pair.weights)
     if not res.valid:
         clauses.append(Clause("contraction_valid", False, {}))
         return SuiteReport(suite="z2", target=pair.pair_id, clauses=clauses)
-    reduced = t_degree_reduction(gens, pair.weights)
-    pairs = [t_degree(g, pair.weights) for g in reduced.gens]
     tds = [d for d, _ in pairs]
-    limit = regularity(res.pi_tilde, [top for _, top in pairs])
     clauses.append(Clause("index_of_contraction", limit.index == ell,
                           {"computed": limit.index, "expected": ell}))
 

@@ -18,7 +18,7 @@ from .analysis import (contr_deg_report, feigin_suite, fundamental_semiinvariant
 from .builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS, borel_decomposition,
                        builtin_algebra)
 from .contract import ContractionWeights, contract_algebra, t_degree
-from .invariants import char_invariants
+from .invariants import char_invariants, t_degree_reduction
 from .lie import (JacobiError, algebra_from_text, algebra_index, algebra_to_text,
                   from_matrices, jacobi_check, lie_poisson_bivector)
 from .polyring import parse_polynomial, poly_to_str
@@ -217,7 +217,6 @@ def cmd_kostant(args, fmt):
 
 
 def cmd_ggs(args, fmt):
-    from .invariants import t_degree_reduction
     L, _ = _load_classical(args.target)
     w = _parse_weights(args.weights, L.n)
     gs = char_invariants(L)

@@ -14,7 +14,6 @@ triangular modifications leave it untouched.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -193,6 +192,16 @@ def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     return scale
 
 
+def _exponents(degs, target):
+    """The tuples e with sum(d * x) == target, in lexicographic order: each
+    exponent's range is bounded by the degree still left, and a tuple is
+    built only once its degree is met."""
+    if not degs:
+        return [()] if target == 0 else []
+    return [(x,) + rest for x in range(target // degs[0] + 1)
+            for rest in _exponents(degs[1:], target - degs[0] * x)]
+
+
 def membership_linear(h: Polynomial, gens: Sequence[Polynomial],
                       profile: tuple | None = None):
     """Write h as a polynomial in the given homogeneous generators.
@@ -210,9 +219,8 @@ def membership_linear(h: Polynomial, gens: Sequence[Polynomial],
     if any(d <= 0 for d in degs):
         raise ValueError("generators must be nonconstant")
     target = h.degree()
-    exposants = [e for e in itertools.product(*(range(target // d + 1) for d in degs))
-                 if sum(d * x for d, x in zip(degs, e)) == target
-                 and (profile is None or sum(a * x for a, x in zip(profile[0], e)) == profile[1])]
+    exposants = [e for e in _exponents(degs, target)
+                 if profile is None or sum(a * x for a, x in zip(profile[0], e)) == profile[1]]
     if not exposants:
         return None
     products = []
@@ -252,8 +260,6 @@ def t_degree_reduction(gens: GeneratorSet, w: ContractionWeights) -> GeneratorSe
         changed = False
         for j in order:
             others = [i for i in order if i != j]
-            if not others:
-                continue
             dj, topj = graded[j]
             P = membership_linear(topj, [graded[i][1] for i in others],
                                   profile=([graded[i][0] for i in others], dj))

@@ -394,7 +394,9 @@ class TestQueryVerbs:
     @pytest.mark.parametrize("callee, argv", [
         ("liecontract.cli.fundamental_semiinvariant", ("fsi", "sl2")),
         ("liecontract.cli.algebra_index", ("index", "sl2")),
-        ("liecontract.invariants.t_degree_reduction", ("ggs", "sl2", "--weights", "1,0,1")),
+        ("liecontract.cli.t_degree_reduction", ("ggs", "sl2", "--weights", "1,0,1")),
+        # a check failing deep inside the reduction, not at the verb's own call
+        ("liecontract.invariants.membership_linear", ("ggs", "sl2", "--weights", "1,0,1")),
     ])
     def test_internal_check_failure_exit_one_without_traceback(self, capsys, monkeypatch,
                                                                 callee, argv):

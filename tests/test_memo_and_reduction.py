@@ -3,8 +3,9 @@ reduction's two kernels in plain Python, each against the code it replaced:
 
 * generic_rank, top_power, the Pfaffian engine and the kept point ranks are
   computed once per bivector, whatever is read and how often;
-* membership_linear's candidate exponent tuples, from one itertools.product,
-  against the recursive enumeration, in the same order;
+* membership_linear's candidate exponent tuples, from a recursion bounded by
+  the degree still left, against the recursive enumeration, in the same
+  order, with no tuple built outside the kept ones;
 * poly_compose with plain powers against the per-call power memo.
 """
 
@@ -160,6 +161,24 @@ def test_candidate_exponents_are_the_recursive_ones(monkeypatch):
             filtered += profile is not None and 0 < len(want) < len(
                 recursive_exponents(degs, target))
     assert filtered >= 20
+
+
+def test_five_linear_generators_at_twelve_build_only_the_kept_tuples(monkeypatch):
+    """Every tuple the enumeration builds, at every depth, is the tail of one
+    of the 1,820 kept tuples; the box it replaced has 13^5 = 371,293."""
+    real, calls = invariants._exponents, []
+
+    def spy(degs, target):
+        out = real(degs, target)
+        calls.append((len(degs), out))
+        return out
+
+    monkeypatch.setattr(invariants, "_exponents", spy)
+    kept = invariants._exponents([1] * 5, 12)
+    assert kept == recursive_exponents([1] * 5, 12) and len(kept) == 1820
+    tails = {e[5 - k:] for e in kept for k in range(6)}
+    assert all(set(out) <= tails for _, out in calls)
+    assert {k for k, _ in calls} == set(range(6))
 
 
 # ---------------------------------------------------------------------------

@@ -274,3 +274,38 @@ def test_chain_guard_sees_reads_in_functions_and_methods(tmp_path):
     assert chain_reads(path) == [("f", "pi.top_power"), ("f", "pi.top_power"),
                                  ("R.g", "self.pi.top_power"), ("", "L.bivector.top_power"),
                                  ("h", "wedge_power"), ("h", "mod.wedge_power")]
+
+
+# analysis contracts and grades in one place: the pipeline that ggs, feigin
+# and z2 share
+PIPELINE_CALLEES = {"contract_algebra", "t_degree"}
+
+
+def pipeline_calls(path):
+    """(enclosing top-level def, callee) of each call of contract_algebra or
+    t_degree in one module."""
+    out = []
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in PIPELINE_CALLEES):
+                out.append((getattr(stmt, "name", ""), node.func.id))
+    return out
+
+
+def test_only_the_pipeline_contracts_and_grades_in_analysis():
+    assert sorted(pipeline_calls(SRC / "analysis.py")) == [
+        ("_contraction", "contract_algebra"), ("_contraction", "t_degree")]
+
+
+def test_pipeline_guard_sees_calls_in_functions_and_at_module_level(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def _contraction(L, w):\n"
+        "    return contract_algebra(L, w), [t_degree(g, w) for g in L]\n"
+        "def report(L, w):\n"
+        "    return t_degree(L, w), contract(L, w), mod.t_degree(L, w)\n"
+        "res = contract_algebra(None, None)\n")
+    assert pipeline_calls(path) == [("_contraction", "contract_algebra"),
+                                    ("_contraction", "t_degree"), ("report", "t_degree"),
+                                    ("", "contract_algebra")]
