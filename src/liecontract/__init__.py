@@ -15,7 +15,7 @@ from .invariants import (GeneratorSet, char_invariants, membership_linear,
                          semi_invariant_weight, t_degree_reduction)
 from .lie import (JacobiError, LieAlgebra, RootData, algebra_from_text,
                   algebra_index, algebra_to_text, from_matrices, jacobi_check,
-                  lie_poisson_bivector, subalgebra_from_vectors, subalgebra_on_indices)
+                  lie_poisson_bivector, subalgebra_from_vectors)
 from .polyring import (Polynomial, multivariate_gcd, parse_polynomial,
                        poly_compose, poly_div_exact, poly_monic, poly_to_str)
 

@@ -18,7 +18,7 @@ from .exterior import Form, MultiVector, _seeded_points, differential, wedge
 from .invariants import (GeneratorSet, _graded_tops_minor, _int_partials, _pivot_point,
                          _regularity_minor, _weight, char_invariants, semi_invariant_weight,
                          t_degree_reduction)
-from .lie import LieAlgebra, algebra_index, lie_poisson_bivector, subalgebra_on_indices
+from .lie import LieAlgebra, algebra_index, lie_poisson_bivector
 from .linalg import rational_rank
 from .polyring import (Polynomial, _ratio, _scaled_values, multivariate_gcd, poly_div_exact,
                        poly_rename, poly_to_str)
@@ -339,32 +339,25 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
                           {"computed": poly_to_str(fsi.p, names),
                            "expected": poly_to_str(expected, names)}))
 
-    # the semicentre generators are Casimirs of the Cartan-free g', so
-    # regularity proves its index and p' * A = c * B (q1 == p', q2 == c)
+    # g' is closed in the limit, so its bivector is pi~ on its pairs (poly_rename
+    # raises on a Cartan variable); the semicentre generators are its Casimirs,
+    # so regularity proves its index and p' * A = c * B (q1 == p', q2 == c)
     semis = limit.casimirs[:-1]                 # the tops but the last
     semis.extend(Polynomial.variable(L.n, fi) for fi in rd.simple_f)
     semis.append(Polynomial.variable(L.n, rd.highest))
     keep = sorted(list(rd.positive) + list(rd.negative))
     idx_map = {old: new for new, old in enumerate(keep)}
-    try:
-        semis_prime = [poly_rename(hh, idx_map, len(keep)) for hh in semis]
-        hfree = True
-    except ValueError:
-        hfree = False
-    gprime = subalgebra_on_indices(res.contracted, keep)
-    derived = regularity(lie_poisson_bivector(gprime), semis_prime) if hfree else None
-    ind_prime = derived.index if hfree else algebra_index(gprime)
-    indep = hfree and derived.independent
+    pi_prime = MultiVector._raw(len(keep), 2, {
+        (idx_map[i], idx_map[j]): poly_rename(p, idx_map, len(keep))
+        for (i, j), p in res.pi_tilde.terms.items() if i in idx_map and j in idx_map})
+    derived = regularity(pi_prime, [poly_rename(hh, idx_map, len(keep)) for hh in semis])
     clauses.append(Clause("semicentre_generators",
-                          hfree and indep and ind_prime == 2 * ell,
-                          {"count": len(semis), "cartan_free": hfree,
-                           "independent": indep,
-                           "derived_index": ind_prime, "expected_index": 2 * ell}))
+                          derived.independent and derived.index == 2 * ell,
+                          {"count": len(semis), "cartan_free": True,
+                           "independent": derived.independent,
+                           "derived_index": derived.index, "expected_index": 2 * ell}))
 
-    if not hfree:
-        clauses.append(Clause("semicentre_proportionality", False,
-                              {"reason": "semicentre generators involve Cartan variables"}))
-    elif not indep:
+    if not derived.independent:
         clauses.append(Clause("semicentre_proportionality", False,
                               {"reason": "left side vanished"}))
     else:

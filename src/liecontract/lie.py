@@ -230,31 +230,6 @@ def algebra_index(L: LieAlgebra) -> int:
     return L.n - L.bivector.generic_rank[0]
 
 
-def subalgebra_on_indices(L: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
-    """Restriction to a subset of basis vectors that spans a subalgebra."""
-    idx = list(indices)
-    pos = {old: new for new, old in enumerate(idx)}
-    keep = set(idx)
-    brackets = {}
-    for a, old_i in enumerate(idx):
-        for b in range(a + 1, len(idx)):
-            old_j = idx[b]
-            row = L.bracket_pair(old_i, old_j)
-            bad = [k for k in row if k not in keep]
-            if bad:
-                raise ValueError(
-                    f"basis subset is not closed: [{L.labels[old_i]},{L.labels[old_j]}] "
-                    f"meets {L.labels[bad[0]]}")
-            if row:
-                # enumeration order gives pos[old_i] = a < b = pos[old_j]
-                brackets[(a, b)] = {pos[k]: c for k, c in row.items()}
-    mats = None
-    if L.matrices is not None:
-        mats = [L.matrices[i] for i in idx]
-    return LieAlgebra([L.labels[i] for i in idx], brackets, matrices=mats,
-                      name=f"{L.name}-sub" if L.name else None)
-
-
 def subalgebra_from_vectors(L: LieAlgebra, vectors, labels=None) -> LieAlgebra:
     """Subalgebra spanned by coordinate vectors (closure verified by exact solve)."""
     vecs = [dict(v) for v in vectors]
@@ -352,6 +327,7 @@ def algebra_from_text(text: str):
     matrix_rows = []
     rd_fields: dict = {}
     weights = None
+    seen = set()            # the keys read once; bracket and matrix lines repeat
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -361,6 +337,10 @@ def algebra_from_text(text: str):
         key, _, val = line.partition(":")
         key = key.strip()
         val = val.strip()
+        if key in seen:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
+        if key not in ("bracket", "matrix"):
+            seen.add(key)
         if key == "name":
             name = val
         elif key == "labels":

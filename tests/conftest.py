@@ -13,7 +13,7 @@ from liecontract.builders import symmetric_pair as _symmetric_pair  # noqa: E402
 from liecontract.contract import contract_algebra, t_degree  # noqa: E402
 from liecontract.exterior import MultiVector, shuffle_sign, wedge_power  # noqa: E402
 from liecontract.invariants import char_invariants, t_degree_reduction  # noqa: E402
-from liecontract.lie import lie_poisson_bivector  # noqa: E402
+from liecontract.lie import LieAlgebra, lie_poisson_bivector  # noqa: E402
 from liecontract.linalg import _reduced  # noqa: E402
 from liecontract.polyring import Polynomial  # noqa: E402
 
@@ -38,6 +38,32 @@ def case(key):
     if kind == "z2":
         gens = t_degree_reduction(gens, w)
     return contract_algebra(L, w).pi_tilde, tuple(t_degree(g, w)[1] for g in gens.gens)
+
+
+def subalgebra_on_indices(L, indices):
+    """Restriction to a subset of basis vectors that spans a subalgebra: the
+    reference for the Cartan-free g' that feigin_suite reads off pi~."""
+    idx = list(indices)
+    pos = {old: new for new, old in enumerate(idx)}
+    keep = set(idx)
+    brackets = {}
+    for a, old_i in enumerate(idx):
+        for b in range(a + 1, len(idx)):
+            old_j = idx[b]
+            row = L.bracket_pair(old_i, old_j)
+            bad = [k for k in row if k not in keep]
+            if bad:
+                raise ValueError(
+                    f"basis subset is not closed: [{L.labels[old_i]},{L.labels[old_j]}] "
+                    f"meets {L.labels[bad[0]]}")
+            if row:
+                # enumeration order gives pos[old_i] = a < b = pos[old_j]
+                brackets[(a, b)] = {pos[k]: c for k, c in row.items()}
+    mats = None
+    if L.matrices is not None:
+        mats = [L.matrices[i] for i in idx]
+    return LieAlgebra([L.labels[i] for i in idx], brackets, matrices=mats,
+                      name=f"{L.name}-sub" if L.name else None)
 
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int = 3,

@@ -12,7 +12,7 @@ from liecontract.analysis import (_form_of_differentials, contr_deg_report, feig
 from liecontract.builders import borel_decomposition
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
 from liecontract.exterior import MultiVector, differential, wedge_power
-from liecontract.invariants import char_invariants, semi_invariant_weight
+from liecontract.invariants import char_invariants, semi_invariant_weight, t_degree_reduction
 from liecontract.lie import lie_poisson_bivector
 from liecontract.polyring import Polynomial, parse_polynomial, poly_compose
 
@@ -217,6 +217,29 @@ class TestContrDegReport:
             rep = contr_deg_report(char_invariants(L), borel_decomposition(L))
             assert rep.index_preserved
             assert rep.sum_t_degrees >= rep.weight_total
+
+    def test_so4_strict_until_reduced(self):
+        # w gives h2 weight 1, and both generators' tops are multiples of
+        # h2^2: the law is strict with dependent tops; reduction cancels h2^2
+        # from one, and the set is in the equality class
+        L = builtin_algebra("so4")
+        w = ContractionWeights((1, 1, 0, 1, 0, 0))
+        rep = contr_deg_report(char_invariants(L), w)
+        assert rep.ok and rep.classification == "strict"
+        assert rep.t_degrees == [2, 2] and (rep.sum_t_degrees, rep.weight_total) == (4, 3)
+        assert rep.independent is False and rep.good_generating_system is False
+        rep = contr_deg_report(t_degree_reduction(char_invariants(L), w), w)
+        assert rep.ok and rep.classification == "equality"
+        assert rep.t_degrees == [1, 2] and rep.sum_t_degrees == rep.weight_total == 3
+        assert rep.good_generating_system is True
+
+    def test_sl3_stays_strict_after_reduction(self):
+        L = builtin_algebra("sl3")
+        w = ContractionWeights((0, 1, 0, 0, 2, 2, 1, 2))
+        rep = contr_deg_report(t_degree_reduction(char_invariants(L), w), w)
+        assert rep.ok and rep.classification == "strict"
+        assert rep.t_degrees == [4, 6] and (rep.sum_t_degrees, rep.weight_total) == (10, 8)
+        assert rep.independent is False and rep.good_generating_system is False
 
 
 class TestHighestComponentAlgebra:

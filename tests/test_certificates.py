@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import pytest
 from conftest import (cached_builtin, cached_wedge_power, case, proportionality,
-                      random_polynomial, volume_dual)
+                      random_polynomial, subalgebra_on_indices, volume_dual)
 
-from liecontract import analysis, exterior, invariants, polyring
+from liecontract import analysis, builders, exterior, invariants, lie, polyring
 from liecontract.analysis import (Clause, ContrDegReport, FundamentalSemiInvariant,
                                   SuiteReport, _content, _coprime_ratio, _form_of_differentials,
                                   contr_deg_report, feigin_suite, fundamental_semiinvariant,
@@ -32,8 +32,7 @@ from liecontract.contract import ContractionWeights, contract_algebra, t_degree
 from liecontract.exterior import (Form, MultiVector, point_ranks, wedge_power,
                                   wedge_power_coefficient)
 from liecontract.invariants import char_invariants, t_degree_reduction
-from liecontract.lie import (algebra_from_text, algebra_index, lie_poisson_bivector,
-                             subalgebra_on_indices)
+from liecontract.lie import algebra_from_text, algebra_index, lie_poisson_bivector
 from liecontract.polyring import (Polynomial, multivariate_gcd, parse_polynomial,
                                   poly_div_exact, poly_rename, poly_to_str)
 
@@ -576,6 +575,43 @@ def test_feigin_suite_builds_no_wedge_power_of_the_limit_or_g_prime(name, monkey
     assert limit.pivots is not None and derived.pivots is not None
     assert derived.index == 2 * L.root_data.rank
     assert seen == []
+
+
+FEIGIN_TARGETS = list(FEIGIN_ALGEBRAS) + ["sp6", "so7", "sl5"]
+
+
+def feigin_target(name):
+    """A fresh Borel-split target: a builtin, or sp6, so7 and sl5 past the
+    15-dimensional cap of the builtins."""
+    if name in FEIGIN_ALGEBRAS:
+        return builtin_algebra(name)
+    return getattr(builders, f"_build_{name[:2]}")(int(name[2:]))
+
+
+@pytest.mark.parametrize("name", FEIGIN_TARGETS)
+def test_g_prime_bivector_is_the_limit_restricted(name, monkeypatch):
+    # g' = n+ + n- of the limit, as the Lie algebra the suite no longer
+    # builds: its gated bivector is pi~ restricted and renamed
+    L = feigin_target(name)
+    reports = spy_regularity(monkeypatch)
+    assert feigin_suite(L).ok
+    _, derived = reports
+    rd = L.root_data
+    gprime = subalgebra_on_indices(contract_algebra(L, borel_decomposition(L)).contracted,
+                                   sorted(rd.positive + rd.negative))
+    assert derived.pi == lie_poisson_bivector(gprime)
+    assert derived.pi.n == gprime.n == L.n - rd.rank
+
+
+@pytest.mark.parametrize("name", FEIGIN_TARGETS)
+def test_feigin_suite_runs_one_schouten_square(name, monkeypatch):
+    # the one Jacobi gate is L's: the limit and g' are Poisson as limits of L's bivector
+    squares = []
+    real = lie.schouten_square
+    monkeypatch.setattr(lie, "schouten_square", lambda pi: squares.append(pi.n) or real(pi))
+    L = feigin_target(name)            # fresh: no Jacobi verdict kept yet
+    assert feigin_suite(L).ok
+    assert squares == [L.n]
 
 
 @pytest.mark.parametrize("name", ["sl3", "sp4", "so5", "so6"])

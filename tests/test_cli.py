@@ -182,8 +182,9 @@ class TestQueryVerbs:
          "need one matrix per basis label"),
         ("labels: a b\nmatsize: 2\nmatrix: 1 0 0 0\nmatrix: 0 0 1\n",
          "matrix line has the wrong number of entries"),
+        ("labels: a b\nlabels: x y z\n", "line 3: repeated key 'labels'"),
     ], ids=["no-colon", "bracket-arity", "weights-brackets", "unknown-key", "no-matsize",
-            "matrix-count", "matrix-length"])
+            "matrix-count", "matrix-length", "second-labels"])
     def test_malformed_file_exit_two(self, capsys, tmp_path, body, message):
         path = tmp_path / "bad.alg"
         path.write_text("name: bad\n" + body)
@@ -212,6 +213,23 @@ class TestQueryVerbs:
         code, out, err = run(capsys, "index", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "label 'a' is repeated" in err
+
+    # each single-valued key of the emitted sl3 file written twice in a row;
+    # its bracket and matrix lines repeat, and the file loads without the copy
+    @pytest.mark.parametrize("key", ["name", "labels", "matsize", "rank", "simple_e",
+                                     "simple_f", "cartan", "positive", "negative",
+                                     "highest", "marks", "weights"])
+    def test_repeated_key_exit_two(self, capsys, tmp_path, key):
+        path = tmp_path / "sl3.alg"
+        run(capsys, "emit-builtin", "sl3", "--output", str(path))
+        lines = path.read_text().splitlines()
+        assert run(capsys, "validate", str(path))[0] == 0
+        at = next(i for i, line in enumerate(lines) if line.partition(":")[0] == key)
+        lines.insert(at + 1, lines[at])
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot load {path}: line {at + 2}: repeated key {key!r}\n"
 
     def test_root_data_index_out_of_range_exit_two(self, capsys, tmp_path):
         path = tmp_path / "rd.alg"

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import cached_builtin as builtin_algebra
-from conftest import random_polynomial
+from conftest import random_polynomial, subalgebra_on_indices
 from liecontract.builders import BUILTIN_ALGEBRAS, borel_decomposition
 from liecontract.contract import ContractionWeights, contract, contract_algebra, t_degree
 from liecontract.exterior import MultiVector, schouten_square
 from liecontract.invariants import char_invariants, semi_invariant_weight
-from liecontract.lie import (algebra_index, lie_poisson_bivector,
-                             subalgebra_on_indices)
+from liecontract.lie import algebra_index, lie_poisson_bivector
 from liecontract.polyring import Polynomial, parse_polynomial
 
 EHF = ["e", "h", "f"]

