@@ -70,9 +70,9 @@ def _jacobian_rank(parts, point) -> int:
 
 class KostantReport(Record):
     """regularity's verdict.  pivots is the pivot set I of the seeded point
-    that proved the index, None when pi's generic rank gave it; independent,
-    equal (A == B) and the certificate (q1 * A = q2 * B) are made on first
-    read from one coefficient pair (A_I, B_I), never from wedge^k pi.
+    that proved the index, None when pi's generic rank gave it; equal
+    (A == B) and the certificate (q1 * A = q2 * B) are made on first read
+    from one coefficient pair (A_I, B_I), never from wedge^k pi.
     """
 
     def __init__(self, pi: MultiVector, casimirs: list, index: int, pivots: tuple | None):
@@ -84,7 +84,13 @@ class KostantReport(Record):
 
     @cached_property
     def independent(self) -> bool:
-        return self.pivots is not None or not self.form.is_zero
+        """A != 0: the pivots, or the F's Jacobian of rank l at a seeded
+        point, prove it; the form is built only when neither does."""
+        if self.pivots is not None:
+            return True
+        parts = [_int_partials(F) for F in self.casimirs]
+        return (any(_jacobian_rank(parts, x) == len(parts) for x in _seeded_points(self.pi.n))
+                or not self.form.is_zero)
 
     @cached_property
     def _minor(self):
@@ -114,13 +120,8 @@ class KostantReport(Record):
         if self._minor is not None:
             return ProportionalityCertificate(True, *_coprime_ratio(*self._minor))
         n, ell = self.pi.n, len(self.casimirs)
-        # A != 0 when the Jacobian of the F has rank l at a seeded point;
-        # A is built only when no point proves it.  B = wedge^k pi
-        # vanishes exactly when 2k exceeds pi's generic rank
-        parts = [_int_partials(F) for F in self.casimirs]
-        proved = any(_jacobian_rank(parts, point) == ell for point in _seeded_points(n))
-        if (not proved and self.form.is_zero
-                or 2 * ((n - ell) // 2) > self.pi.generic_rank[0]):
+        # B = wedge^k pi vanishes exactly when 2k exceeds pi's generic rank
+        if not self.independent or 2 * ((n - ell) // 2) > self.pi.generic_rank[0]:
             raise ValueError("proportionality needs two nonzero multivectors")
         if (n - ell) % 2:
             raise ValueError("multivectors live in different spaces")
@@ -187,7 +188,7 @@ def kostant_check(gens, pi: MultiVector, ell: int) -> KostantReport:
 
 
 class FundamentalSemiInvariant(Record):
-    def __init__(self, p: Polynomial, cofactor: MultiVector):
+    def __init__(self, p: Polynomial):
         self._set(locals())
 
 
@@ -201,14 +202,8 @@ def fundamental_semiinvariant(pi: MultiVector, ell: int) -> FundamentalSemiInvar
 
 
 def _content(b: MultiVector) -> FundamentalSemiInvariant:
-    """p, the monic gcd of b's coefficients, and the cofactor R = b / p."""
-    g = multivariate_gcd(*b.terms.values())
-    if g.is_constant:
-        return FundamentalSemiInvariant(p=g, cofactor=b)
-    cof = type(b)(b.n, b.degree, {idx: poly_div_exact(c, g) for idx, c in b.terms.items()})
-    if cof.scale(g) != b:
-        raise AssertionError("cofactor reconstruction failed")
-    return FundamentalSemiInvariant(p=g, cofactor=cof)
+    """p, the monic gcd of b's coefficients: b = p * R with content(R) = 1."""
+    return FundamentalSemiInvariant(multivariate_gcd(*b.terms.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def _load_classical(target: str):
 
 def _parse_weights(text: str, n: int) -> ContractionWeights:
     try:
-        values = [int(x) for x in text.split(",")]
+        values = [int(x) for x in text.split(",")] if text or n else []
     except ValueError as exc:
         raise InputError(f"--weights must be a comma list of integers: {exc}") from exc
     if len(values) != n:

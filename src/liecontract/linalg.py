@@ -12,7 +12,7 @@ polynomial minor, Pfaffian or determinant, comes from one engine,
 _Pfaffians: a first-row Pfaffian expansion memoised per row tuple and run in
 int, with a determinant read as the Pfaffian of [[0, M], [-M^T, 0]].  The
 symbolic rank of a Jacobian is read off the wedge of differentials instead
-(analysis._form_of_differentials, behind KostantReport.independent).
+(analysis._form_of_differentials, KostantReport.independent's last resort).
 """
 
 from __future__ import annotations

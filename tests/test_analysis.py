@@ -11,7 +11,7 @@ from liecontract.analysis import (_form_of_differentials, contr_deg_report, feig
                                   z2_suite)
 from liecontract.builders import borel_decomposition
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
-from liecontract.exterior import MultiVector, differential, wedge_power
+from liecontract.exterior import MultiVector, differential
 from liecontract.invariants import char_invariants, semi_invariant_weight, t_degree_reduction
 from liecontract.lie import lie_poisson_bivector
 from liecontract.polyring import Polynomial, parse_polynomial, poly_compose
@@ -157,20 +157,6 @@ class TestFundamentalSemiInvariant:
     def test_reductive_trivial(self):
         fsi = fundamental_semiinvariant(sl2_pi(), 1)
         assert fsi.p == Polynomial.const(3, 1)
-
-    def test_reconstruction_and_content(self):
-        from liecontract.polyring import multivariate_gcd
-        L = builtin_algebra("sp4")
-        res = contract_algebra(L, borel_decomposition(L))
-        fsi = fundamental_semiinvariant(res.pi_tilde, 2)
-        power = wedge_power(res.pi_tilde, 4)
-        assert fsi.cofactor.scale(fsi.p) == power
-        g = None
-        for c in fsi.cofactor.terms.values():
-            g = c if g is None else multivariate_gcd(g, c)
-            if g.is_constant:
-                break
-        assert g.is_constant
 
     def test_p_is_semi_invariant(self):
         L = builtin_algebra("sp4")

@@ -13,10 +13,11 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 hypothesis = pytest.importorskip("hypothesis")
 
-from conftest import cached_builtin, random_polynomial, row_reduce  # noqa: E402
-from liecontract.analysis import _form_of_differentials  # noqa: E402
-from liecontract.builders import BUILTIN_ALGEBRAS, borel_decomposition  # noqa: E402
-from liecontract.contract import contract_algebra  # noqa: E402
+from conftest import case, cached_builtin, random_polynomial, row_reduce  # noqa: E402
+from liecontract.analysis import (_form_of_differentials,  # noqa: E402
+                                  fundamental_semiinvariant)
+from liecontract.builders import BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition  # noqa: E402
+from liecontract.contract import ContractionWeights, contract_algebra  # noqa: E402
 from liecontract.exterior import (MultiVector, _scaled_matrix_at, pfaffian,  # noqa: E402
                                   point_ranks)
 from liecontract.lie import (LieAlgebra, RootData, algebra_from_text,  # noqa: E402
@@ -160,6 +161,62 @@ def test_point_ranks_equal_sympy_rank(key):
     pi = contract_algebra(L, borel_decomposition(L)).pi_tilde if kind else lie_poisson_bivector(L)
     for rank, _, point in point_ranks(MultiVector(pi.n, 2, pi.terms)):
         assert rank == sympy.Matrix(_scaled_matrix_at(pi, point)[0]).rank()
+
+
+def sympy_poly(p):
+    """p as a sympy Poly over QQ in x0..x{n-1}."""
+    dense = {}
+    for m, c in p.as_dict().items():
+        exps = [0] * p.n
+        for v, e in m:
+            exps[v] = e
+        dense[tuple(exps)] = sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly.from_dict(dense, *sympy.symbols(f"x0:{p.n}"), domain="QQ")
+
+
+def sympy_gcd(polys):
+    """sympy's monic gcd of nonzero Polys, taken in order; it stops at 1."""
+    g = None
+    for f in polys:
+        g = f if g is None else g.gcd(f)
+        if g.is_ground:
+            return g.one
+    return g.monic()
+
+
+def seeded_limits(name, count):
+    """The limits of name at the first count valid nonzero weights in
+    {0,1,2}^n drawn from a seeded generator."""
+    L = cached_builtin(name)
+    rng = random.Random(sum(map(ord, name)))
+    limits = []
+    while len(limits) < count:
+        res = contract_algebra(L, ContractionWeights(tuple(rng.randint(0, 2) for _ in range(L.n))))
+        if res.valid and any(res.weights):
+            limits.append(res.pi_tilde)
+    return limits
+
+
+# sl4_sp4's limit is left out: multivariate_gcd takes minutes on its top
+# power (ROADMAP item 1), where sympy takes about a second
+FSI_CASES = ([key for name in BUILTIN_ALGEBRAS for key in (name, f"{name}/borel")]
+             + [f"{pid}/z2" for pid in Z2_PAIRS if pid != "sl4_sp4"]
+             + [f"{name}/seeded" for name in ("sl3", "sp4", "so5")])
+
+
+@pytest.mark.parametrize("key", FSI_CASES)
+def test_fundamental_semiinvariant_is_sympys_gcd(key):
+    """p is sympy's gcd of the coefficients of wedge^k pi, up to a unit; it
+    divides each of them, and the quotients R have gcd 1: content(R) = 1."""
+    name, _, kind = key.partition("/")
+    pis = seeded_limits(name, 3) if kind == "seeded" else [case(key)[0]]
+    for pi in pis:
+        p = fundamental_semiinvariant(pi, pi.n - pi.generic_rank[0]).p
+        coefficients = pi.top_power[1].terms.values()
+        want = sympy_gcd(map(sympy_poly, coefficients))
+        assert sympy_poly(p).monic() == want
+        if not want.is_one:     # else the quotients are the coefficients
+            assert sympy_gcd([sympy_poly(c).exquo(want) for c in coefficients]).is_one
 
 
 def jacobian_rank(gens):

@@ -42,7 +42,6 @@ class Parent:
     @dataclass
     class FundamentalSemiInvariant:
         p: object
-        cofactor: object
 
     @dataclass
     class ContrDegReport:

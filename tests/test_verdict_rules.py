@@ -9,7 +9,9 @@ copies of the code each one replaced:
   and wedge_power_coefficient, against k! * engine([I]) and the loop
   top_power ran before;
 * all partials of F from polyring._partials' one pass, in _int_partials and
-  differential, against n calls to Polynomial.diff.
+  differential, against n calls to Polynomial.diff;
+* A != 0, KostantReport.independent, against the form's zero test, and the
+  certificate on it against the certificate that ran its own point loop.
 
 Then the smallest dimensions: a 0-, 1- or 2-dimensional abelian algebra
 has the zero bivector, so regularity decides it and every verb on it
@@ -25,11 +27,12 @@ from fractions import Fraction
 import pytest
 from conftest import cached_builtin, case, random_polynomial
 
-from liecontract import exterior, invariants, linalg, polyring
-from liecontract.analysis import _coprime_ratio, regularity
+from liecontract import analysis, exterior, invariants, linalg, polyring
+from liecontract.analysis import (ProportionalityCertificate, _coprime_ratio, _jacobian_rank,
+                                  regularity)
 from liecontract.builders import BUILTIN_ALGEBRAS, Z2_PAIRS
 from liecontract.cli import main
-from liecontract.exterior import (Form, MultiVector, differential, point_ranks,
+from liecontract.exterior import (Form, MultiVector, _seeded_points, differential, point_ranks,
                                   wedge_power_coefficient)
 from liecontract.invariants import _int_partials, _pivot_point, _weight, semi_invariant_weight
 from liecontract.lie import LieAlgebra, lie_poisson_bivector
@@ -321,6 +324,101 @@ def test_partials_come_from_one_pass_and_no_diff(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one rule for A != 0
+# ---------------------------------------------------------------------------
+
+def seeded_sets(pi, casimirs, seed):
+    """Generator sets on pi's ring: the Casimirs, none (l = 0), a zero F,
+    two made dependent by a Casimir, and seeded random polynomials, some
+    made dependent by the product of two of them."""
+    n, F = pi.n, casimirs[0]
+    rng = random.Random(seed)
+    sets = [list(casimirs), [], [F, Polynomial.zero(n)], [F, F * F], [F * 3, F], [F]]
+    for _ in range(6):
+        gens = [random_polynomial(rng, n, max_degree=2, max_terms=3)
+                for _ in range(rng.randint(1, min(3, n - 1)))]
+        if rng.randrange(2):
+            gens.append(gens[0] * gens[-1])
+        sets.append(gens)
+    return sets
+
+
+def point_proof(gens, n):
+    """A seeded point where the F's Jacobian, from Polynomial.diff and
+    evaluate, has rank l."""
+    return any(linalg.rational_rank([[g.diff(i).evaluate(x) for i in range(n)] for g in gens])
+               == len(gens) for x in _seeded_points(n))
+
+
+def two_rule_certificate(rep):
+    """The replaced KostantReport.certificate: its own point loop, then the
+    form, where the replaced independent read the form alone."""
+    if rep._minor is not None:
+        return ProportionalityCertificate(True, *_coprime_ratio(*rep._minor))
+    n, ell = rep.pi.n, len(rep.casimirs)
+    parts = [_int_partials(F) for F in rep.casimirs]
+    proved = any(_jacobian_rank(parts, point) == ell for point in _seeded_points(n))
+    if (not proved and rep.form.is_zero
+            or 2 * ((n - ell) // 2) > rep.pi.generic_rank[0]):
+        raise ValueError("proportionality needs two nonzero multivectors")
+    if (n - ell) % 2:
+        raise ValueError("multivectors live in different spaces")
+    return ProportionalityCertificate(False)
+
+
+def outcome(read):
+    try:
+        return read()
+    except ValueError as exc:
+        return str(exc)
+
+
+def spy_forms(monkeypatch):
+    """The generator lists whose form analysis builds, filled as it runs."""
+    built = []
+    real = analysis._form_of_differentials
+    monkeypatch.setattr(analysis, "_form_of_differentials",
+                        lambda polys, n: built.append(polys) or real(polys, n))
+    return built
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_independent_is_the_form_test_on_the_fallback(key, monkeypatch):
+    pi, casimirs = case(key)
+    monkeypatch.setattr(analysis, "_pivot_point", lambda *_: None)
+    verdicts = set()
+    for gens in seeded_sets(pi, casimirs, sum(map(ord, key))):
+        rep = regularity(pi, gens)
+        assert rep.pivots is None
+        assert rep.independent == (not rep.form.is_zero)
+        verdicts.add(rep.independent)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("path", ["pivots", "fallback"])
+@pytest.mark.parametrize("key", ["sl2", "sl3", "sp4/borel", "so4_gl2/z2"])
+def test_independent_and_the_certificate_build_at_most_one_form(key, path, monkeypatch):
+    pi, casimirs = case(key)
+    if path == "fallback":
+        monkeypatch.setattr(analysis, "_pivot_point", lambda *_: None)
+    built, messages = spy_forms(monkeypatch), set()
+    for gens in seeded_sets(pi, casimirs, sum(map(ord, key))):
+        want = outcome(lambda: two_rule_certificate(regularity(pi, gens)))
+        built.clear()
+        rep = regularity(pi, gens)
+        independent = rep.independent
+        got = outcome(lambda: rep.certificate)
+        assert got == want
+        # a seeded point that proves A != 0 builds no form; else one, shared
+        assert len(built) == (0 if point_proof(gens, pi.n) else 1)
+        assert independent == (rep.pivots is not None or not rep.form.is_zero)
+        if isinstance(got, str):
+            messages.add(got)
+    assert messages == {"proportionality needs two nonzero multivectors",
+                        "multivectors live in different spaces"}
+
+
+# ---------------------------------------------------------------------------
 # the smallest dimensions through the command line
 # ---------------------------------------------------------------------------
 
@@ -351,10 +449,12 @@ def test_small_abelian_files_pass_every_verb(labels, tmp_path, capsys):
     assert run(capsys, "bivector", target) == (0, "", "")
     code, out, _ = run(capsys, "--format", "json", "bivector", target)
     assert code == 0 and json.loads(out)["bivector"] == []
-    if n:
-        weights = ",".join(["0"] * n)
-        assert run(capsys, "contract", target, "--weights", weights) == (
-            0, "(abelian limit: all brackets vanish)\n", "")
-        assert run(capsys, "fsi", target, "--weights", weights) == (
-            0, f"fundamental semi-invariant: 1 (index {n})\n", "")
+    # for n = 0 the one weight vector is the empty one, --weights=
+    weights = ",".join(["0"] * n)
+    assert run(capsys, "contract", target, f"--weights={weights}") == (
+        0, "(abelian limit: all brackets vanish)\n", "")
+    code, out, _ = run(capsys, "--format", "json", "contract", target, f"--weights={weights}")
+    assert code == 0 and json.loads(out)["weights"] == [0] * n
+    assert run(capsys, "fsi", target, f"--weights={weights}") == (
+        0, f"fundamental semi-invariant: 1 (index {n})\n", "")
     assert run(capsys, "validate", target)[0] == 0
