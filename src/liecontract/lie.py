@@ -6,7 +6,8 @@ integral and Fractions otherwise, as polynomial coefficients are.  Instances
 are immutable after construction, so every operation here is a pure
 function.  Derived data (the bivector, the Jacobi verdict read off its
 Schouten square, and through the bivector its rank and top wedge power) is
-computed on first use and kept.
+computed on first use and kept; `from_matrices` sets the verdict at
+construction, where it is proved.
 """
 
 from __future__ import annotations
@@ -167,7 +168,13 @@ class LieAlgebra:
 
 def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> LieAlgebra:
     """Extract structure constants from a list of matrices closed under
-    commutator, taking each commutator from the nonzero entries."""
+    commutator, taking each commutator from the nonzero entries.
+
+    The algebra carries its Jacobi verdict, True, from the construction:
+    `column_solver` refuses dependent matrices and accepts a commutator only
+    when its combination of the matrices equals it exactly, so x -> sum x_i M_i
+    is an injective bracket map into gl_m, whose commutator satisfies Jacobi
+    by associativity."""
     if not mats:
         raise ValueError("need at least one matrix")
     m = len(mats[0])
@@ -181,6 +188,8 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
         raise ValueError("matrices are linearly dependent")
     if labels is None:
         labels = [f"x{i}" for i in range(n)]
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} matrices")
     # rows[a][s]: the nonzero (column, entry) pairs of row s of matrix a
     rows = [[[(t, x) for t, x in enumerate(row) if x] for row in M] for M in mats]
     brackets = {}
@@ -200,22 +209,26 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
             row = {k: c for k, c in enumerate(sol) if c}
             if row:
                 brackets[(i, j)] = row
-    return LieAlgebra(labels, brackets, matrices=mats,
-                      root_data=root_data, name=name, family=family)
+    L = LieAlgebra(labels, brackets, matrices=mats,
+                   root_data=root_data, name=name, family=family)
+    L.__dict__["_jacobi"] = (True, None)
+    return L
 
 
 def jacobi_check(L: LieAlgebra):
     """(True, None) when the Jacobi identity holds, else (False, first bad
     triple).  For the linear bivector the Schouten square's coefficient at
     i < j < k is the Jacobiator of x_i, x_j, x_k, so the least triple in its
-    support is the first that fails."""
+    support is the first that fails.  It always squares; `from_matrices`
+    needs no square, its bracket being a commutator of independent matrices."""
     bad = schouten_square(L.bivector).terms
     return (False, min(bad)) if bad else (True, None)
 
 
 def lie_poisson_bivector(L: LieAlgebra) -> MultiVector:
     """L's bivector, behind the Jacobi gate: JacobiError unless L's bracket
-    satisfies the Jacobi identity.  The verdict is computed once per algebra."""
+    satisfies the Jacobi identity.  The verdict is kept per algebra: True from
+    `from_matrices`, where the matrix commutator proves it, else `jacobi_check`'s."""
     ok, triple = L._jacobi
     if not ok:
         raise JacobiError(f"Jacobi identity fails at triple {triple}")
@@ -236,6 +249,8 @@ def subalgebra_from_vectors(L: LieAlgebra, vectors, labels=None) -> LieAlgebra:
     m = len(vecs)
     if labels is None:
         labels = [f"y{i}" for i in range(m)]
+    if len(labels) != m:
+        raise ValueError(f"{len(labels)} labels for {m} vectors")
     solve = column_solver([[v.get(i, 0) for i in range(L.n)] for v in vecs]) if m else None
     if m and solve is None:
         raise ValueError("spanning vectors are linearly dependent")

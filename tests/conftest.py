@@ -6,6 +6,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from liecontract import lie  # noqa: E402
 from liecontract.analysis import ProportionalityCertificate, _coprime_ratio  # noqa: E402
 from liecontract.builders import borel_decomposition  # noqa: E402
 from liecontract.builders import builtin_algebra as _builtin_algebra  # noqa: E402
@@ -38,6 +39,15 @@ def case(key):
     if kind == "z2":
         gens = t_degree_reduction(gens, w)
     return contract_algebra(L, w).pi_tilde, tuple(t_degree(g, w)[1] for g in gens.gens)
+
+
+def schouten_square_spy(monkeypatch):
+    """The list of sizes n of the Schouten squares `lie` computes for the rest
+    of the test, one entry per square."""
+    squares = []
+    real = lie.schouten_square
+    monkeypatch.setattr(lie, "schouten_square", lambda pi: squares.append(pi.n) or real(pi))
+    return squares
 
 
 def subalgebra_on_indices(L, indices):

@@ -19,9 +19,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import (cached_builtin, cached_wedge_power, case, proportionality,
-                      random_polynomial, subalgebra_on_indices, volume_dual)
+                      random_polynomial, schouten_square_spy, subalgebra_on_indices,
+                      volume_dual)
 
-from liecontract import analysis, builders, exterior, invariants, lie, polyring
+from liecontract import analysis, builders, exterior, invariants, polyring
 from liecontract.analysis import (Clause, ContrDegReport, FundamentalSemiInvariant,
                                   SuiteReport, _content, _coprime_ratio, _form_of_differentials,
                                   contr_deg_report, feigin_suite, fundamental_semiinvariant,
@@ -604,14 +605,20 @@ def test_g_prime_bivector_is_the_limit_restricted(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", FEIGIN_TARGETS)
-def test_feigin_suite_runs_one_schouten_square(name, monkeypatch):
-    # the one Jacobi gate is L's: the limit and g' are Poisson as limits of L's bivector
-    squares = []
-    real = lie.schouten_square
-    monkeypatch.setattr(lie, "schouten_square", lambda pi: squares.append(pi.n) or real(pi))
-    L = feigin_target(name)            # fresh: no Jacobi verdict kept yet
+def test_feigin_suite_runs_no_schouten_square(name, monkeypatch):
+    # L is built by from_matrices, so its Jacobi verdict comes from the
+    # construction; the limit and g' are Poisson as limits of L's bivector
+    squares = schouten_square_spy(monkeypatch)
+    L = feigin_target(name)            # fresh: nothing computed on it yet
     assert feigin_suite(L).ok
-    assert squares == [L.n]
+    assert squares == []
+
+
+@pytest.mark.parametrize("pid", Z2_PAIRS)
+def test_z2_suite_runs_no_schouten_square(pid, monkeypatch):
+    squares = schouten_square_spy(monkeypatch)
+    assert z2_suite(pid).ok             # a fresh pair: nothing computed on it yet
+    assert squares == []
 
 
 @pytest.mark.parametrize("name", ["sl3", "sp4", "so5", "so6"])

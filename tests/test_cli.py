@@ -521,6 +521,17 @@ ONE = Polynomial.const(3, 1)
                  id="from-matrices-empty"),
     pytest.param(lambda: from_matrices([[[0, 1], [0, 0]], [[0, 0], [1]]]),
                  "all matrices must be square of equal size", id="from-matrices-ragged"),
+    pytest.param(lambda: from_matrices(build_classical("sl", 2).matrices,
+                                       labels=["e", "h", "f", "g"]),
+                 "4 labels for 3 matrices", id="from-matrices-long-labels"),
+    pytest.param(lambda: from_matrices(build_classical("sl", 2).matrices, labels=["e", "h"]),
+                 "2 labels for 3 matrices", id="from-matrices-short-labels"),
+    pytest.param(lambda: subalgebra_from_vectors(build_classical("sl", 2), [{0: 1}],
+                                                 labels=["a", "b"]),
+                 "2 labels for 1 vectors", id="subalgebra-long-labels"),
+    pytest.param(lambda: subalgebra_from_vectors(build_classical("sl", 2), [{0: 1}, {1: 1}],
+                                                 labels=["a"]),
+                 "1 labels for 2 vectors", id="subalgebra-short-labels"),
     pytest.param(lambda: poly_compose(Polynomial.variable(2, 0), [Polynomial.variable(1, 0)]),
                  "need one argument polynomial per variable", id="compose-count"),
     pytest.param(lambda: poly_compose(Polynomial.const(0, 1), []),

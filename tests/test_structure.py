@@ -1,7 +1,8 @@
 """Source-level guards on the package's design.
 
 No module may write a private attribute onto an object it does not own:
-`obj._name = ...` (or setattr with a constant "_name") where obj is not
+`obj._name = ...` (or setattr with a constant "_name", or a store at the
+constant key "_name" of `obj.__dict__` or `vars(obj)`) where obj is not
 `self` is allowed only when a class of the same module declares `_name`
 (in __slots__, in its body, or as `self._name` in a method).  Caches written
 into another module's objects are how derived data got out of step before.
@@ -52,20 +53,40 @@ def declared_names(tree):
     return {n for n in names if _is_private(n)}
 
 
+def _is_self(node):
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _private_constant(node):
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _is_private(node.value))
+
+
+def _dict_owner(node):
+    """obj when node reads obj.__dict__ or vars(obj), else None."""
+    if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+        return node.value
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars" and len(node.args) == 1):
+        return node.args[0]
+    return None
+
+
 def foreign_writes(tree):
-    """(line, text) of private attribute writes onto objects other than self."""
+    """(line, name, text) of private attribute writes onto objects other than self."""
     out = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-                and _is_private(node.attr)
-                and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                and _is_private(node.attr) and not _is_self(node.value)):
             out.append((node.lineno, node.attr, ast.unparse(node)))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "setattr" and len(node.args) >= 2
-              and isinstance(node.args[1], ast.Constant)
-              and isinstance(node.args[1].value, str) and _is_private(node.args[1].value)
-              and not (isinstance(node.args[0], ast.Name) and node.args[0].id == "self")):
+              and _private_constant(node.args[1]) and not _is_self(node.args[0])):
             out.append((node.lineno, node.args[1].value, ast.unparse(node)))
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+              and _private_constant(node.slice)
+              and (owner := _dict_owner(node.value)) is not None and not _is_self(owner)):
+            out.append((node.lineno, node.slice.value, ast.unparse(node)))
     return out
 
 
@@ -92,8 +113,21 @@ def test_guard_sees_foreign_and_allows_own_writes(tmp_path):
         "    a._s = 1\n"
         "    a._own = 2\n"
         "    b._cache = 3\n"
-        "    setattr(b, '_other', 4)\n")
-    assert violations(path) == ["mod.py:8: b._cache", "mod.py:9: setattr(b, '_other', 4)"]
+        "    setattr(b, '_other', 4)\n"
+        "    b.__dict__['_memo'] = 5\n"
+        "    vars(b)['_verdict'] = 6\n"
+        "    a.__dict__['_own'] = 7\n"
+        "    vars(a)['_s'] = 8\n"
+        "    b.__dict__['public'] = 9\n"
+        "    b.__dict__[name] = 10\n"
+        "    b.cache['_key'] = 11\n"
+        "class B:\n"
+        "    def set(self):\n"
+        "        self.__dict__['_mine'] = 1\n"
+        "        vars(self)['_mine'] = 2\n")
+    assert violations(path) == ["mod.py:8: b._cache", "mod.py:9: setattr(b, '_other', 4)",
+                                "mod.py:10: b.__dict__['_memo']",
+                                "mod.py:11: vars(b)['_verdict']"]
 
 
 def _is_encoding_helper(name):
