@@ -59,13 +59,15 @@ def _form_of_differentials(polys, n: int) -> Form:
     return form
 
 
-def _jacobian_rank(parts, point) -> int:
-    """The rank of the Jacobian of the F at a rational point, from their
-    _int_partials: each F scaled to int, evaluated at the point and scaled
-    again, all in int; each scaling keeps the rank."""
-    n = len(point)
-    values, _ = _scaled_values([Polynomial._raw(n, t) for _, ps in parts for t in ps], point)
-    return rational_rank([values[i * n:i * n + n] for i in range(len(parts))])
+def _jacobian_rank(rows, point) -> int:
+    """The rank at a rational point of a matrix of partials of the F, rows of
+    _int_partials' term maps of any one width: each F scaled to int,
+    evaluated at the point and scaled again, all in int; each scaling keeps
+    the rank."""
+    width = len(rows[0]) if rows else 0
+    values, _ = _scaled_values([Polynomial._raw(len(point), t) for row in rows for t in row],
+                               point)
+    return rational_rank([values[i * width:i * width + width] for i in range(len(rows))])
 
 
 class KostantReport(Record):
@@ -88,18 +90,18 @@ class KostantReport(Record):
         point, prove it; the form is built only when neither does."""
         if self.pivots is not None:
             return True
-        parts = [_int_partials(F) for F in self.casimirs]
-        return (any(_jacobian_rank(parts, x) == len(parts) for x in _seeded_points(self.pi.n))
+        rows = [_int_partials(F)[1] for F in self.casimirs]
+        return (any(_jacobian_rank(rows, x) == len(rows) for x in _seeded_points(self.pi.n))
                 or not self.form.is_zero)
 
     @cached_property
     def _minor(self):
         """(A_I, B_I) with B_I != 0 and A = (A_I / B_I) B, at the pivots or
-        at generic_rank's I; None when A = 0 or A is not proportional to B."""
+        at generic_rank's I; None when A = 0 or A is not proportional to B.
+        At the pivots B_I != 0 needs no test: the proof gives A = c B, B != 0,
+        and B_I = 0 would give A_I = 0 (A_I B_J = A_J B_I), not A_I(x0) != 0."""
         if self.pivots is not None:
-            a_i, b_i = _regularity_minor(self.pi, self.casimirs, self.pivots)
-            if b_i:
-                return a_i, b_i
+            return _regularity_minor(self.pi, self.casimirs, self.pivots)
         n, ell = self.pi.n, len(self.casimirs)
         # the proof needs l == n (I = (), B = 1) or l == index with every F
         # a nonzero Casimir; then B_I != 0, and A_I == 0 exactly when A == 0
@@ -137,17 +139,20 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     k = (n - l)/2, for polynomials F_1..F_l offered as Casimirs of pi.
 
     The index is proved at the first seeded point x0 (_pivot_point) where pi
-    has rank n - l, which gives index <= l.  Each F is a Casimir
-    (semi_invariant_weight(F, pi) == [0] * n), so dF(x) lies in ker pi(x),
-    and their Jacobian has rank l at x0, so the dF are independent at
-    generic x: index >= l, and A != 0.  On the dense open set U where rank
+    has rank n - l, with pivots I, which gives index <= l.  Each F is a
+    Casimir (semi_invariant_weight(F, pi) == [0] * n), so dF(x) lies in
+    ker pi(x), and A_I = +-det(dF_i/dx_j, j outside I) is nonzero at x0, read
+    off those l * l partials alone: the dF are independent at generic x,
+    so index >= l, and A != 0.  On the dense open set U where rank
     pi(x) = n - l and the dF_i(x) are independent, they span ker pi(x).
     There B(x) is a nonzero decomposable 2k-vector spanning im pi(x), and
     A(x) is one spanning ann ker pi(x) = im pi(x).  So A(x) = c(x) B(x),
     and A_I B_J = A_J B_I on U, hence as polynomials, for all index sets
-    I, J.  At the pivots I of pi's matrix at x0, with B_I != 0 required,
+    I, J.  B_I = 0 would give A_I = 0 at a J with B_J != 0, so
     A = (A_I / B_I) B: q1 and q2 come from (A_I, B_I) alone, and A == B
-    exactly when A_I == B_I.  When the proof does not close, the index is
+    exactly when A_I == B_I.  The full Jacobian would close the proof no
+    more often: of rank l at x0, with Casimir F's, it puts x0 in U, so
+    A_I(x0) = c(x0) B_I(x0) != 0 at the pivots.  If the proof does not close, the index is
     n less pi's generic rank (MultiVector.generic_rank), which gives an I
     with B_I != 0 (I = () when l = n).  When l is the index and each F is
     a nonzero Casimir, the proof above holds at that I, where A_I = 0 only
@@ -168,9 +173,10 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     if ell > n:
         raise ValueError(f"more polynomials than variables: {ell} > {n}")
     if pivot := _pivot_point(pi, ell):
-        # the Casimir checks read the Jacobian's partials
+        # the Casimir checks read the partials whose columns J give A_I(x0)
         parts = [_int_partials(F) for F in casimirs]
-        if (_jacobian_rank(parts, pivot[1]) == ell
+        cols = [j for j in range(n) if j not in pivot[0]]
+        if (_jacobian_rank([[ps[j] for j in cols] for _, ps in parts], pivot[1]) == ell
                 and all(_weight(h, pi) == [0] * n for h in parts)):
             return KostantReport(pi, casimirs, ell, pivot[0])
     return KostantReport(pi, casimirs, n - pi.generic_rank[0], None)

@@ -3,7 +3,7 @@
 so_m is realized as matrices skew-symmetric about the anti-diagonal and
 sp_2n via the skew form with anti-diagonal blocks, so that in every case the
 Borel subalgebra consists of upper triangular matrices.  A family builder
-lists only its positive root vectors and a Cartan basis; _assemble derives
+lists only its positive root vectors and a Cartan basis; _chevalley derives
 the rest from those matrices: every root's simple-root coefficients, the f
 matrices, the highest root and its marks.  Root vectors are labeled by the
 expansion of their root in simple roots: e12 sits at the root a1 + a2, e112
@@ -76,9 +76,10 @@ def _transpose_bracket(E):
     return H
 
 
-def _assemble(name, family, emats, cartans):
-    """The algebra spanned by the positive root vectors emats, the Cartan basis
-    cartans and the matching negative root vectors, with its root data.
+def _chevalley(name, emats, cartans):
+    """(matrices, labels, root data) of the basis made of the positive root
+    vectors emats, the Cartan basis cartans and the matching negative root
+    vectors, in Chevalley order.
 
     Each root is read as its values on the h's, at its vector's first nonzero
     entry.  The simple roots are the positive roots that are no sum of two,
@@ -130,8 +131,13 @@ def _assemble(name, family, emats, cartans):
                   cartan=tuple(range(npos, npos + rank)), positive=tuple(range(npos)),
                   negative=tuple(range(npos + rank, 2 * npos + rank)),
                   highest=None if marks is None else npos - 1, marks=marks)
-    return from_matrices([emats[k] for k in order] + list(cartans) + fmats,
-                         labels=labels, root_data=rd, name=name, family=family)
+    return [emats[k] for k in order] + list(cartans) + fmats, labels, rd
+
+
+def _assemble(name, family, emats, cartans):
+    """The algebra of _chevalley's basis, with its root data."""
+    mats, labels, rd = _chevalley(name, emats, cartans)
+    return from_matrices(mats, labels=labels, root_data=rd, name=name, family=family)
 
 
 def _build_sl(nn: int) -> LieAlgebra:
@@ -160,6 +166,11 @@ def _build_so(m: int) -> LieAlgebra:
 
 
 def _build_sp(m: int) -> LieAlgebra:
+    return _assemble(f"sp{m}", ("sp", m), *_sp_roots(m))
+
+
+def _sp_roots(m: int):
+    """The positive root vectors and the Cartan basis of sp_m."""
     nn = m // 2
 
     def F(i, j):
@@ -173,7 +184,7 @@ def _build_sp(m: int) -> LieAlgebra:
              + [_unit(m, i, m - 1 - i) for i in range(nn)])
     cartans = [_add(F(i, i), _neg(F(i + 1, i + 1))) for i in range(nn - 1)]
     cartans.append(F(nn - 1, nn - 1))
-    return _assemble(f"sp{m}", ("sp", m), emats, cartans)
+    return emats, cartans
 
 
 def build_classical(kind: str, size: int) -> LieAlgebra:
@@ -266,8 +277,9 @@ def is_z2_grading(L: LieAlgebra, g0) -> bool:
 
 
 def _adapted_sl4_basis():
-    """Basis of sl4 adapted to the fixed-point subalgebra sp4."""
-    sp = build_classical("sp", 4)
+    """Basis of sl4 adapted to the fixed-point subalgebra sp4: sp4's
+    Chevalley basis, with no sp4 algebra built, then five spanning g1."""
+    sp_mats, sp_labels, _ = _chevalley("sp4", *_sp_roots(4))
     g1_mats = [
         _add(_unit(4, 0, 1), _unit(4, 2, 3)),
         _add(_unit(4, 1, 0), _unit(4, 3, 2)),
@@ -275,8 +287,7 @@ def _adapted_sl4_basis():
         _add(_unit(4, 2, 0), _neg(_unit(4, 3, 1))),
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
     ]
-    return from_matrices(list(sp.matrices) + g1_mats,
-                         labels=list(sp.labels) + [f"v{i + 1}" for i in range(5)],
+    return from_matrices(sp_mats + g1_mats, labels=sp_labels + [f"v{i + 1}" for i in range(5)],
                          name="sl4_adapted", family=("sl", 4))
 
 

@@ -72,18 +72,20 @@ def _weight(h_partials, pi: MultiVector):
     """semi_invariant_weight of a nonzero h of pi's ring, from _int_partials(h)."""
     h, partials = h_partials
     n = pi.n
-    dpi, maps = _integral_terms(pi.terms.values())
+    # pi's int term maps and their denominator, from its one Pfaffian engine
+    engine = pi._engine
+    degree = engine.top + h.degree()
     rows = [{} for _ in range(n)]
-    for (a, b), t in zip(pi.terms, maps):
-        _accumulate(rows[a], t, partials[b], False, n)
-        _accumulate(rows[b], t, partials[a], True, n)
+    for (a, b), t in engine.a.items():
+        _accumulate(rows[a], t, partials[b], False, n, degree)
+        _accumulate(rows[b], t, partials[a], True, n, degree)
     out = []
     for row in rows:
-        br = {m: c for m, c in row.items() if c}      # dpi * {x_j, h}, h scaled to int
+        br = {m: c for m, c in row.items() if c}      # d * {x_j, h}, d = engine.d, h scaled to int
         lam = _ratio(Polynomial._raw(n, br), h) if br else _ZERO
         if lam is None:
             return None
-        out.append(lam / dpi if br else _ZERO)
+        out.append(lam / engine.d if br else _ZERO)
     return out
 
 

@@ -50,6 +50,8 @@ class LieAlgebra:
         if len(set(self.labels)) != self.n:
             repeated = next(a for i, a in enumerate(self.labels) if a in self.labels[:i])
             raise ValueError(f"basis label {repeated!r} is repeated; labels must be distinct")
+        if matrices is not None and len(matrices) != self.n:
+            raise ValueError(f"{len(matrices)} matrices for {self.n} labels")
         clean: dict = {}
         for (i, j), targets in brackets.items():
             if not 0 <= i < j < self.n:

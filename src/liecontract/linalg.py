@@ -183,13 +183,16 @@ class _Pfaffians:
     dimension n of its Polynomials (None when every entry is a number).
     They are scaled once by their common denominator d, so the expansion runs
     in int, and a Pfaffian on 2k rows is divided by d^k at the end.  It is a
-    number when n is None."""
+    number when n is None.  top, the entries' largest total degree, bounds a
+    Pfaffian on 2k rows by degree k * top."""
 
     def __init__(self, entries: dict, n=None):
         self.n = n
         ring = self.ring = n or 0
-        self.d, maps = _integral_terms(e if isinstance(e, Polynomial) else
-                                       Polynomial.const(ring, e) for e in entries.values())
+        polys = [e if isinstance(e, Polynomial) else Polynomial.const(ring, e)
+                 for e in entries.values()]
+        self.d, maps = _integral_terms(polys)
+        self.top = max((p.degree() for p in polys), default=0)
         self.a = dict(zip(entries, maps))
         # the Pfaffian on no rows is 1, and on rows (i, j) the entry itself
         self.memo = {(): Polynomial.const(ring, 1).terms, **self.a}
@@ -227,7 +230,7 @@ class _Pfaffians:
                 rest = rows[1:t] + rows[t + 1:]
                 sub = self.memo.get(rest)
                 _accumulate(acc, entry, self._expand(rest) if sub is None else sub,
-                            not t % 2, self.ring)
+                            not t % 2, self.ring, self.top * (len(rows) // 2))
         out = self.memo[rows] = {k: c for k, c in acc.items() if c}
         return out
 

@@ -170,7 +170,8 @@ def _scaled_values(polys, point) -> tuple:
 
     With x = a / D for the point's common denominator D and c / d for the
     coefficients', a term of degree k scaled by d * D^K, K the largest
-    degree, is the int (d c) a^e D^(K-k).  Each monomial is evaluated once.
+    degree, is the int (d c) a^e D^(K-k).  Each monomial is evaluated once,
+    field by field, from a table of D^(K-k) per degree k.
     """
     polys = list(polys)
     n = len(point)
@@ -180,9 +181,11 @@ def _scaled_values(polys, point) -> tuple:
     d, maps = _integral_terms(polys)
     ratios = [v.as_integer_ratio() for v in point]
     big = math.lcm(*(q for _, q in ratios))
-    a = [u * (big // q) for u, q in ratios]
+    by_field = [u * (big // q) for u, q in ratios[::-1]]      # field f holds x_{n-1-f}
     ds = n << 4
+    mask = (1 << ds) - 1
     top = max((max(t) >> ds for t in maps if t), default=0)
+    powers = [big ** (top - k) for k in range(top + 1)]
     seen: dict = {}
     values = []
     for terms in maps:
@@ -190,11 +193,17 @@ def _scaled_values(polys, point) -> tuple:
         for m, c in terms.items():
             mv = seen.get(m)
             if mv is None:
-                mv = seen[m] = (big ** (top - (m >> ds))
-                                * math.prod(a[v] ** e for v, e in _unpack(m, n)))
+                mv = powers[m >> ds]
+                r = m & mask
+                while r:
+                    low = ((r & -r).bit_length() - 1) & ~15
+                    e = (r >> low) & _EMAX
+                    mv *= by_field[low >> 4] ** e
+                    r ^= e << low
+                seen[m] = mv
             total += c * mv
         values.append(total)
-    return values, d * big ** top
+    return values, d * powers[0]
 
 
 class Polynomial:

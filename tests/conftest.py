@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import random
 import sys
@@ -7,15 +8,17 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from liecontract import lie  # noqa: E402
-from liecontract.analysis import ProportionalityCertificate, _coprime_ratio  # noqa: E402
+from liecontract.analysis import (KostantReport, ProportionalityCertificate,  # noqa: E402
+                                  _coprime_ratio)
 from liecontract.builders import borel_decomposition  # noqa: E402
 from liecontract.builders import builtin_algebra as _builtin_algebra  # noqa: E402
 from liecontract.builders import symmetric_pair as _symmetric_pair  # noqa: E402
 from liecontract.contract import contract_algebra, t_degree  # noqa: E402
 from liecontract.exterior import MultiVector, shuffle_sign, wedge_power  # noqa: E402
-from liecontract.invariants import char_invariants, t_degree_reduction  # noqa: E402
+from liecontract.invariants import (_pivot_point, _regularity_minor,  # noqa: E402
+                                    char_invariants, semi_invariant_weight, t_degree_reduction)
 from liecontract.lie import LieAlgebra, lie_poisson_bivector  # noqa: E402
-from liecontract.linalg import _reduced  # noqa: E402
+from liecontract.linalg import _reduced, rational_rank  # noqa: E402
 from liecontract.polyring import Polynomial  # noqa: E402
 
 # algebras are immutable, so tests may share one instance per builtin
@@ -154,3 +157,58 @@ def proportionality(a, b):
         if a.terms[idx] * q1 != q2 * b.terms[idx]:
             return ProportionalityCertificate(proportional=False)
     return ProportionalityCertificate(proportional=True, q1=q1, q2=q2)
+
+
+def reference_scaled_values(polys, point):
+    """polyring._scaled_values by its formula before it walked packed fields:
+    each public monomial's value is a math.prod of a_v^e, times D^(K - k)."""
+    polys = list(polys)
+    d = math.lcm(1, *(Fraction(c).denominator for p in polys for c in p.terms.values()))
+    ratios = [Fraction(v).as_integer_ratio() for v in point]
+    big = math.lcm(*(q for _, q in ratios))
+    a = [u * (big // q) for u, q in ratios]
+    top = max([0] + [p.degree() for p in polys])
+    values = []
+    for p in polys:
+        total = 0
+        for mono, c in p.as_dict().items():
+            k = sum(e for _, e in mono)
+            total += int(c * d) * big ** (top - k) * math.prod(a[v] ** e for v, e in mono)
+        values.append(total)
+    return values, d * big ** top
+
+
+class GuardedReport(KostantReport):
+    """KostantReport with its minor as it was: the pivots' pair only when
+    B_I != 0, else the pair at generic_rank's I."""
+
+    @functools.cached_property
+    def _minor(self):
+        if self.pivots is not None:
+            a_i, b_i = _regularity_minor(self.pi, self.casimirs, self.pivots)
+            if b_i:
+                return a_i, b_i
+        n, ell = self.pi.n, len(self.casimirs)
+        if ell < n and not (ell == self.index and all(
+                not F.is_zero and semi_invariant_weight(F, self.pi) == [0] * n
+                for F in self.casimirs)):
+            return None
+        a_i, b_i = _regularity_minor(self.pi, self.casimirs,
+                                     self.pi.generic_rank[1] if ell < n else ())
+        return (a_i, b_i) if a_i else None
+
+
+def full_jacobian_regularity(pi, casimirs):
+    """analysis.regularity as it was: its point proof ranks the full l x n
+    Jacobian at x0, evaluated by reference_scaled_values, in place of the
+    one l x l minor A_I(x0), and its report is a GuardedReport."""
+    casimirs = list(casimirs)
+    n, ell = pi.n, len(casimirs)
+    pivot = _pivot_point(pi, ell)
+    if pivot:
+        values, _ = reference_scaled_values([F.diff(j) for F in casimirs for j in range(n)],
+                                            pivot[1])
+        if (rational_rank([values[i * n:i * n + n] for i in range(ell)]) == ell
+                and all(semi_invariant_weight(F, pi) == [0] * n for F in casimirs)):
+            return GuardedReport(pi, casimirs, ell, pivot[0])
+    return GuardedReport(pi, casimirs, n - pi.generic_rank[0], None)

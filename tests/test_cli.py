@@ -526,6 +526,8 @@ ONE = Polynomial.const(3, 1)
                  "4 labels for 3 matrices", id="from-matrices-long-labels"),
     pytest.param(lambda: from_matrices(build_classical("sl", 2).matrices, labels=["e", "h"]),
                  "2 labels for 3 matrices", id="from-matrices-short-labels"),
+    pytest.param(lambda: LieAlgebra(["a", "b"], {}, matrices=[[[0]]]),
+                 "1 matrices for 2 labels", id="algebra-matrix-count"),
     pytest.param(lambda: subalgebra_from_vectors(build_classical("sl", 2), [{0: 1}],
                                                  labels=["a", "b"]),
                  "2 labels for 1 vectors", id="subalgebra-long-labels"),

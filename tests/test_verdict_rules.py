@@ -356,8 +356,8 @@ def two_rule_certificate(rep):
     if rep._minor is not None:
         return ProportionalityCertificate(True, *_coprime_ratio(*rep._minor))
     n, ell = rep.pi.n, len(rep.casimirs)
-    parts = [_int_partials(F) for F in rep.casimirs]
-    proved = any(_jacobian_rank(parts, point) == ell for point in _seeded_points(n))
+    rows = [_int_partials(F)[1] for F in rep.casimirs]
+    proved = any(_jacobian_rank(rows, point) == ell for point in _seeded_points(n))
     if (not proved and rep.form.is_zero
             or 2 * ((n - ell) // 2) > rep.pi.generic_rank[0]):
         raise ValueError("proportionality needs two nonzero multivectors")
