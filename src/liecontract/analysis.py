@@ -15,9 +15,9 @@ from ._record import Record
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .exterior import Form, MultiVector, _seeded_points, differential, wedge
-from .invariants import (GeneratorSet, _graded_tops_minor, _int_partials, _pivot_point,
-                         _regularity_minor, _weight, char_invariants, semi_invariant_weight,
-                         t_degree_reduction)
+from .invariants import (GeneratorSet, _Casimirs, _casimirs_of, _graded_tops_minor,
+                         _int_partials, _pivot_point, _regularity_minor, _weight, char_invariants,
+                         semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector
 from .linalg import rational_rank
 from .polyring import (Polynomial, _ratio, _scaled_values, multivariate_gcd, poly_div_exact,
@@ -103,11 +103,11 @@ class KostantReport(Record):
         if self.pivots is not None:
             return _regularity_minor(self.pi, self.casimirs, self.pivots)
         n, ell = self.pi.n, len(self.casimirs)
-        # the proof needs l == n (I = (), B = 1) or l == index with every F
-        # a nonzero Casimir; then B_I != 0, and A_I == 0 exactly when A == 0
-        if ell < n and not (ell == self.index and all(
+        # the proof needs l == n (I = (), B = 1) or l == index with every F a
+        # nonzero Casimir, proved or checked; then B_I != 0, and A_I == 0 iff A == 0
+        if ell < n and not (ell == self.index and (_casimirs_of(self.casimirs) is self.pi or all(
                 not F.is_zero and semi_invariant_weight(F, self.pi) == [0] * n
-                for F in self.casimirs)):
+                for F in self.casimirs))):
             return None
         a_i, b_i = _regularity_minor(self.pi, self.casimirs,
                                      self.pi.generic_rank[1] if ell < n else ())
@@ -140,7 +140,8 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
 
     The index is proved at the first seeded point x0 (_pivot_point) where pi
     has rank n - l, with pivots I, which gives index <= l.  Each F is a
-    Casimir (semi_invariant_weight(F, pi) == [0] * n), so dF(x) lies in
+    Casimir: proved so for this pi by its construction (invariants._Casimirs),
+    else checked, semi_invariant_weight(F, pi) == [0] * n.  So dF(x) lies in
     ker pi(x), and A_I = +-det(dF_i/dx_j, j outside I) is nonzero at x0, read
     off those l * l partials alone: the dF are independent at generic x,
     so index >= l, and A != 0.  On the dense open set U where rank
@@ -152,7 +153,7 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     A = (A_I / B_I) B: q1 and q2 come from (A_I, B_I) alone, and A == B
     exactly when A_I == B_I.  The full Jacobian would close the proof no
     more often: of rank l at x0, with Casimir F's, it puts x0 in U, so
-    A_I(x0) = c(x0) B_I(x0) != 0 at the pivots.  If the proof does not close, the index is
+    A_I(x0) = c(x0) B_I(x0) != 0 at the pivots.  Else the index is
     n less pi's generic rank (MultiVector.generic_rank), which gives an I
     with B_I != 0 (I = () when l = n).  When l is the index and each F is
     a nonzero Casimir, the proof above holds at that I, where A_I = 0 only
@@ -165,7 +166,7 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
     proportional.  An F of another ring than pi's, or l > n, is rejected
     before any point is evaluated.
     """
-    casimirs = list(casimirs)
+    casimirs = casimirs if (proved := _casimirs_of(casimirs) is pi) else list(casimirs)
     n, ell = pi.n, len(casimirs)
     for F in casimirs:
         if F.n != n:
@@ -177,7 +178,7 @@ def regularity(pi: MultiVector, casimirs) -> KostantReport:
         parts = [_int_partials(F) for F in casimirs]
         cols = [j for j in range(n) if j not in pivot[0]]
         if (_jacobian_rank([[ps[j] for j in cols] for _, ps in parts], pivot[1]) == ell
-                and all(_weight(h, pi) == [0] * n for h in parts)):
+                and (proved or all(_weight(h, pi) == [0] * n for h in parts))):
             return KostantReport(pi, casimirs, ell, pivot[0])
     return KostantReport(pi, casimirs, n - pi.generic_rank[0], None)
 
@@ -232,12 +233,17 @@ class ContrDegReport(Record):
 
 def _contraction(L: LieAlgebra, gens, w: ContractionWeights):
     """(res, pairs, limit): L contracted at w, each generator's (t-degree, top)
-    and regularity on pi~ against the tops; (res, None, None) if invalid."""
+    and regularity on pi~ against the tops; (res, None, None) if invalid.
+    Tops of proved Casimirs of pi (invariants._Casimirs) are ones of pi~:
+    pi_jl at t-power k >= 0 has weighted degree w_j + w_l - k, and dF/dx_l
+    at most D - w_l (D = F's t-degree), so {x_j, F^top} under pi~ is the
+    part of weighted degree w_j + D of sum_l pi_jl dF/dx_l = {x_j, F} = 0."""
     res = contract_algebra(L, w)
     if not res.valid:
         return res, None, None
     pairs = [t_degree(g, w) for g in gens]
-    return res, pairs, regularity(res.pi_tilde, [top for _, top in pairs])
+    tops, proved = [top for _, top in pairs], _casimirs_of(gens) is res.original
+    return res, pairs, regularity(res.pi_tilde, _Casimirs(res.pi_tilde, tops) if proved else tops)
 
 
 def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegReport:

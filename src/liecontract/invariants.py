@@ -43,6 +43,19 @@ class GeneratorSet(Record):
         return len(self.gens)
 
 
+class _Casimirs(list):
+    """Nonzero Casimirs of the bivector pi, so proved by their construction."""
+
+    def __init__(self, pi: MultiVector, polys):
+        super().__init__(polys)
+        self.pi, self.proved = pi, tuple(self)
+
+
+def _casimirs_of(polys):
+    """The pi of polys if a _Casimirs set, unchanged since made, else None."""
+    return polys.pi if isinstance(polys, _Casimirs) and tuple(polys) == polys.proved else None
+
+
 def semi_invariant_weight(h: Polynomial, pi: MultiVector):
     """Per-coordinate eigenvalues when {x_j, h} is a rational multiple of h for
     every j under the bivector pi, or None when h is not a semi-invariant.
@@ -124,7 +137,13 @@ def _trace_dual_generic_matrix(L: LieAlgebra):
 
 
 def char_invariants(L: LieAlgebra) -> GeneratorSet:
-    """Generators of the Poisson centre for a built-in sl/so/sp algebra."""
+    """Generators of the Poisson centre for a built-in sl/so/sp algebra,
+    proved Casimirs of L's bivector (_Casimirs) when from_matrices built L:
+    X spans L, tr(X M_i) = x_i and {x_j, x_i} = tr(X [M_j, M_i]) = tr([X, M_j]
+    M_i), so {x_j, F} = d/ds F((1 - sZ) X (1 + sZ)) at s = 0, Z = M_j.  That
+    keeps det(lambda - X), so each principal-minor sum, rescaled or not.
+    pfaffian checks SX skew, so SZ is; S (1 - sZ) X (1 + sZ) = A SX A^T for
+    A = 1 - sSZS: Pf gains det A = 1 - s tr(S SZ) + O(s^2), S SZ has trace 0."""
     if L.family is None:
         raise ValueError("char_invariants needs a classical family tag")
     kind, size = L.family
@@ -141,7 +160,8 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
         gens.append(pfaffian(X[::-1]))
     gens.sort(key=lambda g: g.degree())
     scale = _normalize_to_regularity(L, gens)
-    return GeneratorSet(algebra=L, gens=gens, normalization=scale)
+    return GeneratorSet(algebra=L, gens=_Casimirs(L.bivector, gens) if L._commutator else gens,
+                        normalization=scale)
 
 
 def _regularity_minor(pi: MultiVector, gens, index_set):
@@ -252,7 +272,8 @@ def t_degree_reduction(gens: GeneratorSet, w: ContractionWeights) -> GeneratorSe
     highest component equals P evaluated on the others' highest components
     with a matching degree and t-degree budget.  Each substitution is
     triangular and invertible, so the new set generates the same centre; the
-    total t-degree strictly drops, so the loop terminates.
+    total t-degree strictly drops, so the loop terminates.  A proved set
+    (_Casimirs) stays one: F_j - P(others) is a polynomial in Casimirs.
     """
     current = list(gens.gens)
     graded = [t_degree(g, w) for g in current]      # (t-degree, top) of each, kept
@@ -275,5 +296,7 @@ def t_degree_reduction(gens: GeneratorSet, w: ContractionWeights) -> GeneratorSe
                 raise AssertionError("reduction did not lower the t-degree")
             current[j] = replacement
             changed = True
+    if (pi := _casimirs_of(gens.gens)) is not None:
+        current = _Casimirs(pi, current)
     return GeneratorSet(algebra=gens.algebra, gens=current,
                         normalization=gens.normalization)

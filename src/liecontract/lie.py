@@ -41,6 +41,7 @@ class RootData(Frozen):
 
 
 class LieAlgebra:
+    _commutator = False         # True from from_matrices: the bracket is the matrix commutator
 
     def __init__(self, labels: Sequence[str], brackets: dict,
                  matrices=None, root_data: RootData | None = None,
@@ -214,6 +215,7 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
     L = LieAlgebra(labels, brackets, matrices=mats,
                    root_data=root_data, name=name, family=family)
     L.__dict__["_jacobi"] = (True, None)
+    L._commutator = True
     return L
 
 
@@ -399,8 +401,6 @@ def algebra_from_text(text: str):
     if matrix_rows:
         if matsize is None:
             raise ValueError("matrix lines need a matsize line")
-        if len(matrix_rows) != len(labels):
-            raise ValueError("need one matrix per basis label")
         matrices = []
         for row in matrix_rows:
             if len(row) != matsize * matsize:

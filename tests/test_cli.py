@@ -179,7 +179,7 @@ class TestQueryVerbs:
         ("labels: a b c\ncolour: red\n", "line 3: unknown key 'colour'"),
         ("labels: a b\nmatrix: 1\nmatrix: 2\n", "matrix lines need a matsize line"),
         ("labels: a b c\nmatsize: 1\nmatrix: 1\nmatrix: 2\n",
-         "need one matrix per basis label"),
+         "2 matrices for 3 labels"),
         ("labels: a b\nmatsize: 2\nmatrix: 1 0 0 0\nmatrix: 0 0 1\n",
          "matrix line has the wrong number of entries"),
         ("labels: a b\nlabels: x y z\n", "line 3: repeated key 'labels'"),
