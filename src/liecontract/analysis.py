@@ -15,9 +15,9 @@ from ._record import Record
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .exterior import Form, MultiVector, _seeded_points, differential, wedge
-from .invariants import (GeneratorSet, _Casimirs, _casimirs_of, _graded_tops_minor,
-                         _int_partials, _pivot_point, _regularity_minor, _weight, char_invariants,
-                         semi_invariant_weight, t_degree_reduction)
+from .invariants import (GeneratorSet, _Casimirs, _casimirs_of, _int_partials, _pivot_point,
+                         _regularity_minor, _weight, char_invariants, semi_invariant_weight,
+                         t_degree_reduction)
 from .lie import LieAlgebra, algebra_index, lie_poisson_bivector
 from .linalg import rational_rank
 from .polyring import (Polynomial, _ratio, _scaled_values, multivariate_gcd, poly_div_exact,
@@ -383,12 +383,12 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     after t-degree reduction, with regularity deciding both indices: the
     limit's from _contraction, ggs and feigin's pipeline, on the reduced set.
 
-    The tops equality expands no minor of the limit (README has the steps):
-    (1) the normalisation proved A_I = B_I at _pivot_point's I; (2)
-    t_degree_reduction's unit triangular steps keep A'_I = A_I; (3) B~_I is
-    the w(I)-part of B_I; (4) A~_I is the (sum d' - w(J))-part of A'_I; (5)
-    if regularity's proof closes on the limit, A~ = (A~_I / B~_I) B~ where
-    B~_I != 0, so A~ == B~ iff sum d' is the weight total; else limit.equal."""
+    The tops equality expands no minor (README has the steps): (1) with the
+    parent's proof closed, the normalisation gives A = B; (2) the unit
+    triangular reduction keeps A' = A; with the limit's closed at pivots I~:
+    (3) B~_I~ is the w(I~)-part of B_I~, (4) A~_I~ the (sum d' - w(J~))-part
+    of A'_I~ = B_I~, both nonzero at the limit's point; (5) A~ = (A~_I~ /
+    B~_I~) B~, so A~ == B~ iff sum d' is the weight total.  Else limit.equal."""
     if isinstance(pair, str):
         pair = symmetric_pair(pair)
     L = pair.parent
@@ -398,7 +398,7 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
                           {"dim_g0": len(pair.g0), "dim_g1": len(pair.g1)}))
 
     gens = char_invariants(L)
-    ell = regularity(lie_poisson_bivector(L), gens.gens).index
+    ell = (parent := regularity(lie_poisson_bivector(L), gens.gens)).index
     l_alg = pair.centralizer_alg
     rk_l = algebra_index(l_alg)
     dim_b = (L.n + ell) // 2
@@ -420,8 +420,8 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
                           sum(tds) == len(pair.g1) == pair.weights.total,
                           {"t_degrees": tds, "dim_g1": len(pair.g1)}))
     clauses.append(Clause("tops_independent", limit.independent, {}))
-    a_t, b_t = _graded_tops_minor(L.bivector, len(gens), pair.weights, tds)
-    equal = a_t == b_t if limit.pivots is not None and b_t else limit.equal
+    equal = (sum(tds) == pair.weights.total if parent.pivots is not None
+             and limit.pivots is not None else limit.equal)
     clauses.append(Clause("kostant_equality_for_tops", equal, {}))
     clauses.append(Clause("codim2_note", True,
                           {"note": "centre generation certified through the recorded "

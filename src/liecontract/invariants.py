@@ -6,14 +6,17 @@ trace-dual basis, so that each coefficient is an honest central element of
 the Lie-Poisson structure.  The principal minors and the Pfaffian come from
 linalg's memoised int engine, which clears X's denominators itself.  The
 first generator is rescaled once so the set satisfies the regularity
-equality  dF_1 ^ ... ^ dF_l / omega = wedge^{(n-l)/2} pi  on the nose.  One
-principal Pfaffian minor of pi fixes that scale, so no wedge power
-is built here; analysis.regularity decides the full equality.  Later
-triangular modifications leave it untouched.
+equality  dF_1 ^ ... ^ dF_l / omega = wedge^{(n-l)/2} pi  on the nose,
+by a scale read at a nilpotent point or off one principal minor pair; no
+wedge power is built here, and analysis.regularity decides the full
+equality.  Later triangular modifications leave it untouched.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import random
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -22,9 +25,10 @@ from .contract import ContractionWeights, t_degree
 from .exterior import (MultiVector, pfaffian, point_ranks, shuffle_sign,
                        wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
-from .linalg import _principal_minor_sums, poly_det_cofactor, rational_inverse, solve_exact
-from .polyring import (Polynomial, _accumulate, _graded, _integral_terms, _partials, _ratio,
-                       poly_compose)
+from .linalg import (_echelon, _int_pfaffian, _principal_minor_sums, poly_det_cofactor,
+                     rational_inverse, solve_exact)
+from .polyring import (Polynomial, _accumulate, _integral_terms, _partials, _ratio,
+                       _scaled_values, poly_compose)
 
 _ZERO = Fraction(0)
 
@@ -143,7 +147,8 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
     M_i), so {x_j, F} = d/ds F((1 - sZ) X (1 + sZ)) at s = 0, Z = M_j.  That
     keeps det(lambda - X), so each principal-minor sum, rescaled or not.
     pfaffian checks SX skew, so SZ is; S (1 - sZ) X (1 + sZ) = A SX A^T for
-    A = 1 - sSZS: Pf gains det A = 1 - s tr(S SZ) + O(s^2), S SZ has trace 0."""
+    A = 1 - sSZS: Pf gains det A = 1 - s tr(S SZ) + O(s^2), S SZ has trace 0.
+    The normalisation reads the proved list, marked again once F_1 is scaled."""
     if L.family is None:
         raise ValueError("char_invariants needs a classical family tag")
     kind, size = L.family
@@ -159,6 +164,7 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
         # S @ X, S the anti-diagonal identity, is skew on the so realization
         gens.append(pfaffian(X[::-1]))
     gens.sort(key=lambda g: g.degree())
+    gens = _Casimirs(L.bivector, gens) if L._commutator else gens
     scale = _normalize_to_regularity(L, gens)
     return GeneratorSet(algebra=L, gens=_Casimirs(L.bivector, gens) if L._commutator else gens,
                         normalization=scale)
@@ -182,32 +188,86 @@ def _regularity_minor(pi: MultiVector, gens, index_set):
 def _pivot_point(pi: MultiVector, ell: int):
     """(I, x0): the pivots I of pi's matrix at the first seeded point x0
     (point_ranks) of rank n - l, or None; regularity's proof and the
-    normalisation both stand on it, and a second read is a memo hit."""
+    normalisation's expanded pair stand on it; a second read is a memo hit."""
     return next(((pivots, point) for rank, pivots, point in point_ranks(pi)
                  if rank == pi.n - ell), None)
 
 
-def _graded_tops_minor(pi: MultiVector, ell: int, w: ContractionWeights, t_degrees):
-    """(A~_I, B~_I) at _pivot_point's I: the parts of weighted degree
-    sum(t_degrees) - w(J) and w(I) of B_I = A_I (analysis.z2_suite's proof)."""
-    index_set, _ = _pivot_point(pi, ell)
-    parts = _graded(pi.n, [wedge_power_coefficient(pi, index_set)], w)[0][0]
-    w_i, zero = sum(w[i] for i in index_set), Polynomial.zero(pi.n)
-    return parts.get(sum(t_degrees) - w.total + w_i, zero), parts.get(w_i, zero)
+def _nilpotent_point(L: LieAlgebra):
+    """xi_j = tr(Y M_j) for _upper's Y: a nilpotent point for classical L."""
+    return tuple(sum(c * M[s][r] for (r, s), c in _upper(len(M))) for M in L.matrices)
+
+
+@functools.lru_cache(maxsize=None)
+def _upper(m: int) -> tuple:
+    """((r, s), Y_rs), r < s, of a seeded int Y, its entries distinct and > 0."""
+    pairs = [(r, s) for r in range(m) for s in range(r + 1, m)]
+    return tuple(zip(pairs, random.Random(20240917).sample(range(1, m * m), len(pairs))))
+
+
+def _perfect(L: LieAlgebra) -> bool:
+    """Whether each basis vector is a multiple of one bracket, so [L, L] = L."""
+    return len({next(iter(row)) for row in L.brackets.values() if len(row) == 1}) == L.n
+
+
+def _point_scale(L: LieAlgebra, gens):
+    """B_I(xi) / A_I(xi) when _normalize_to_regularity's certificate holds, else None."""
+    n, ell, k = L.n, len(gens), (L.n - len(gens)) // 2
+    if sum(F.degree() - 1 for F in gens) != k:                          # (a)
+        return None
+    # [pi(xi) | xi], pi(xi)_ij = sum_t c_ij^t xi_t off the bracket table
+    xi = _nilpotent_point(L)
+    aug = [[0] * n + [x] for x in xi]
+    for (i, j), row in L.brackets.items():
+        aug[i][j] = v = sum(c * xi[t] for t, c in row.items())
+        aug[j][i] = -v
+    _, pivots = _echelon(aug)
+    if len(pivots) != n - ell or pivots and pivots[-1] == n:            # (b)
+        return None
+    cols = [j for j in range(n) if j not in pivots]
+    partials = [_partials(F.terms, n, cols) for F in gens]
+    values, s = _scaled_values([Polynomial._raw(n, ps.get(j, {})) for ps in partials
+                                for j in cols], xi)
+    # det V, V = s (dF_i/dx_j)(xi) for j in J, is +-Pf([[0, V], [-V^T, 0]])
+    block = [[0] * ell + values[i * ell:i * ell + ell] for i in range(ell)]
+    block += [[-values[i * ell + j] for i in range(ell)] + [0] * ell for j in range(ell)]
+    det = _int_pfaffian(block) * (-1 if ell // 2 % 2 else 1)
+    if not det or not _perfect(L):                                      # (c), (d)
+        return None
+    # A_I(xi) = sgn(J, I) det / s^l and B_I(xi) = k! Pf(d pi_I(xi)) / d^k
+    block = [[aug[i][j] for j in pivots] for i in pivots]
+    d = math.lcm(*(x.denominator for row in block for x in row))
+    pf = _int_pfaffian([[int(d * x) for x in row] for row in block])
+    return Fraction(shuffle_sign(tuple(cols), tuple(pivots)) * math.factorial(k) * pf * s ** ell,
+                    det * d ** k)
 
 
 def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power.
 
-    Both sides are compared at _pivot_point's I.  That they agree
-    everywhere is Kostant's theorem, which analysis.regularity decides.
+    A = c B is Kostant's theorem, which analysis.regularity decides; c is
+    read here.  For Casimirs proved for pi (_Casimirs), as A_I(xi) / B_I(xi)
+    at xi = _nilpotent_point(L), k = (n - l)/2, once (a) sum(deg F_i - 1) = k;
+    (b) rank pi(xi) = n - l, with pivots I, and xi is in im pi(xi); (c)
+    A_I(xi) != 0; (d) [L, L] = L.  Else (A_I, B_I) at _pivot_point's I is
+    expanded and compared whole.  Proof: (b), (c) close regularity's proof
+    at xi, A = (A_I / B_I) B with B_I(xi) != 0.  (1) For c = q2 / q1 in
+    lowest terms, q1 | B_J for all J, so q1 | p = content(wedge^k pi) (Ooms
+    and Van den Bergh, J. Algebra 323 (2010)).  (2) Hamiltonian fields keep
+    pi, so X_j(p) = lambda_j p for a character lambda, 0 by (d): p is a
+    Casimir.  (3) A Casimir q homogeneous of degree e has grad q(xi) in
+    ker pi(xi), orthogonal to im pi(xi), which holds xi by (b): e q(xi) =
+    grad q(xi) . xi = 0.  (4) p(xi) != 0 as B_I(xi) != 0, so p = 1, q1 is a
+    unit, and deg A <= sum(deg F_i - 1) = deg B makes q2 a number.
     """
     pi = lie_poisson_bivector(L)
-    pivot = _pivot_point(pi, len(gens))
-    if pivot is None:
-        raise ValueError("degenerate generator set")
-    A, B = _regularity_minor(pi, gens, pivot[0])
-    scale = _ratio(B, A)
+    scale = _point_scale(L, gens) if _casimirs_of(gens) is pi else None
+    if scale is None:
+        pivot = _pivot_point(pi, len(gens))
+        if pivot is None:
+            raise ValueError("degenerate generator set")
+        A, B = _regularity_minor(pi, gens, pivot[0])
+        scale = _ratio(B, A)
     if scale is None:
         raise ValueError("generator differentials are not proportional to the wedge power")
     gens[0] = gens[0] * scale

@@ -53,6 +53,7 @@ class LieAlgebra:
             raise ValueError(f"basis label {repeated!r} is repeated; labels must be distinct")
         if matrices is not None and len(matrices) != self.n:
             raise ValueError(f"{len(matrices)} matrices for {self.n} labels")
+        _square_size(matrices or [])
         clean: dict = {}
         for (i, j), targets in brackets.items():
             if not 0 <= i < j < self.n:
@@ -169,6 +170,14 @@ class LieAlgebra:
         return M
 
 
+def _square_size(mats) -> int:
+    """m for a list of m x m matrices, else ValueError: both constructors' rule."""
+    m = len(mats[0]) if mats else 0
+    if any(len(M) != m or any(len(row) != m for row in M) for M in mats):
+        raise ValueError("all matrices must be square of equal size")
+    return m
+
+
 def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> LieAlgebra:
     """Extract structure constants from a list of matrices closed under
     commutator, taking each commutator from the nonzero entries.
@@ -180,10 +189,7 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
     by associativity."""
     if not mats:
         raise ValueError("need at least one matrix")
-    m = len(mats[0])
-    for M in mats:
-        if len(M) != m or any(len(row) != m for row in M):
-            raise ValueError("all matrices must be square of equal size")
+    m = _square_size(mats)
     mats = [[[_coeff(x) for x in row] for row in M] for M in mats]
     n = len(mats)
     solve = column_solver([flatten(M) for M in mats])

@@ -10,8 +10,9 @@ entries they return, and column_solver reads its inverse off the int rows
 and solves sparsely in int.  Every
 polynomial minor, Pfaffian or determinant, comes from one engine,
 _Pfaffians: a first-row Pfaffian expansion memoised per row tuple and run in
-int, with a determinant read as the Pfaffian of [[0, M], [-M^T, 0]].  The
-symbolic rank of a Jacobian is read off the wedge of differentials instead
+int, with a determinant read as the Pfaffian of [[0, M], [-M^T, 0]]; an
+int matrix's own is _int_pfaffian's.  The symbolic rank of a Jacobian is
+read off the wedge of differentials instead
 (analysis._form_of_differentials, KostantReport.independent's last resort).
 """
 
@@ -70,7 +71,7 @@ def _echelon(matrix):
     """(int rows, pivot columns) of a fraction-free forward elimination: row
     r starts at pivots[r] with zeros below it, and the rows below the rank are
     zero.  Gauss-Jordan picks the same pivots, as its upward steps never touch
-    the rows the next pivot is picked from."""
+    the rows the next pivot is picked from.  The given matrix is not changed."""
     width = len(matrix[0]) if matrix else 0
     rows = []
     for r in matrix:
@@ -233,6 +234,27 @@ class _Pfaffians:
                             not t % 2, self.ring, self.top * (len(rows) // 2))
         out = self.memo[rows] = {k: c for k, c in acc.items() if c}
         return out
+
+
+def _int_pfaffian(a) -> int:
+    """Pf of a skew int matrix, fraction-free: after the step on rows 2s, 2s + 1
+    each entry (i, j) below is Pf on rows 0..2s + 1, i, j, so the division by
+    the last pivot is exact.  A pivot swap negates it; a zero row gives 0."""
+    m, a, sign, prev = len(a), [list(row) for row in a], 1, 1
+    for s in range(0, m, 2):
+        j = next((j for j in range(s + 1, m) if a[s][j]), None)
+        if j is None:
+            return 0
+        if j != s + 1:          # swap rows and columns j and s + 1
+            perm = [*range(s + 1), j, *range(s + 2, j), s + 1, *range(j + 1, m)]
+            sign, a = -sign, [[a[r][c] for c in perm] for r in perm]
+        p, u, v = a[s][s + 1], a[s], a[s + 1]
+        for i in range(s + 2, m):
+            for t in range(i + 1, m):
+                a[i][t] = (p * a[i][t] - u[i] * v[t] + u[t] * v[i]) // prev
+                a[t][i] = -a[i][t]
+        prev = p
+    return sign * prev
 
 
 def _principal_minor_sums(matrix):

@@ -117,13 +117,14 @@ def _accumulate(acc: dict, ta: dict, tb: dict, negate: bool, n: int, degree=None
             acc[m] = get(m, 0) + ca * cb
 
 
-def _partials(terms: dict, n: int) -> dict:
-    """{l: the term map of d/dx_l} for one term map of Q[x_0, ..., x_{n-1}],
-    the nonzero partials only, from one pass over its terms; no images merge."""
+def _partials(terms: dict, n: int, cols=None) -> dict:
+    """{l: the term map of d/dx_l} for one term map of Q[x_0, ..., x_{n-1}] and
+    each l, or each l in cols: the nonzero ones, from one pass; no images merge."""
     out: dict = {}
     one = 1 << (n << 4)
+    fields = one - 1 if cols is None else sum(_EMAX << ((n - 1 - l) << 4) for l in cols)
     for m, c in terms.items():
-        r = m & (one - 1)
+        r = m & fields
         while r:
             low = ((r & -r).bit_length() - 1) & ~15
             e = (r >> low) & _EMAX

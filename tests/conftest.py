@@ -14,12 +14,13 @@ from liecontract.builders import borel_decomposition  # noqa: E402
 from liecontract.builders import builtin_algebra as _builtin_algebra  # noqa: E402
 from liecontract.builders import symmetric_pair as _symmetric_pair  # noqa: E402
 from liecontract.contract import contract_algebra, t_degree  # noqa: E402
-from liecontract.exterior import MultiVector, shuffle_sign, wedge_power  # noqa: E402
+from liecontract.exterior import (MultiVector, shuffle_sign, wedge_power,  # noqa: E402
+                                  wedge_power_coefficient)
 from liecontract.invariants import (_pivot_point, _regularity_minor,  # noqa: E402
                                     char_invariants, semi_invariant_weight, t_degree_reduction)
 from liecontract.lie import LieAlgebra, lie_poisson_bivector  # noqa: E402
 from liecontract.linalg import _reduced, rational_rank  # noqa: E402
-from liecontract.polyring import Polynomial  # noqa: E402
+from liecontract.polyring import Polynomial, _graded  # noqa: E402
 
 # algebras are immutable, so tests may share one instance per builtin
 cached_builtin = functools.lru_cache(maxsize=None)(_builtin_algebra)
@@ -212,3 +213,13 @@ def full_jacobian_regularity(pi, casimirs):
                 and all(semi_invariant_weight(F, pi) == [0] * n for F in casimirs)):
             return GuardedReport(pi, casimirs, ell, pivot[0])
     return GuardedReport(pi, casimirs, n - pi.generic_rank[0], None)
+
+
+def graded_tops_minor(pi, ell, w, t_degrees):
+    """(A~_I, B~_I) at _pivot_point's I: the parts of weighted degree
+    sum(t_degrees) - w(J) and w(I) of the parent's B_I = A_I.  The z2 tops
+    equality read these two parts before it came to read sum d' alone."""
+    index_set, _ = _pivot_point(pi, ell)
+    parts = _graded(pi.n, [wedge_power_coefficient(pi, index_set)], w)[0][0]
+    w_i, zero = sum(w[i] for i in index_set), Polynomial.zero(pi.n)
+    return parts.get(sum(t_degrees) - w.total + w_i, zero), parts.get(w_i, zero)

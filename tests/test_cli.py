@@ -528,6 +528,10 @@ ONE = Polynomial.const(3, 1)
                  "2 labels for 3 matrices", id="from-matrices-short-labels"),
     pytest.param(lambda: LieAlgebra(["a", "b"], {}, matrices=[[[0]]]),
                  "1 matrices for 2 labels", id="algebra-matrix-count"),
+    pytest.param(lambda: LieAlgebra(["a", "b"], {}, matrices=[[[1, 0], [0, -1]], [[0]]]),
+                 "all matrices must be square of equal size", id="algebra-matrix-sizes"),
+    pytest.param(lambda: LieAlgebra(["a", "b"], {}, matrices=[[[1, 2]], [[0, 1]]]),
+                 "all matrices must be square of equal size", id="algebra-matrix-not-square"),
     pytest.param(lambda: subalgebra_from_vectors(build_classical("sl", 2), [{0: 1}],
                                                  labels=["a", "b"]),
                  "2 labels for 1 vectors", id="subalgebra-long-labels"),

@@ -1,18 +1,20 @@
 """The z2 catalog as one table: the table-driven symmetric_pair against the
 four-branch construction it replaced, the catalog errors on bad rows, and
-further classical pairs that are one row each.  The z2 tops equality, read
-as two weighted-degree parts of the parent's minor pair, against the
-limit's own minor pair that it replaced."""
+further classical pairs that are one row each.  The z2 tops equality: the
+two weighted-degree parts of the parent's minor pair (conftest's reference
+read) against the limit's own pair, and the degree-sum verdict that
+replaced both."""
 
 import pytest
+from conftest import graded_tops_minor
 
 from liecontract import analysis, builders, invariants
 from liecontract.analysis import regularity, z2_suite
 from liecontract.builders import (Z2_PAIRS, _diagonal, _neg, _unit, borel_decomposition,
                                   build_classical, builtin_algebra, symmetric_pair)
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
-from liecontract.invariants import (_graded_tops_minor, _pivot_point, _regularity_minor,
-                                    char_invariants, t_degree_reduction)
+from liecontract.invariants import (_pivot_point, _regularity_minor, char_invariants,
+                                    t_degree_reduction)
 from liecontract.lie import (algebra_to_text, centralizer_in_span, from_matrices,
                              lie_poisson_bivector, subalgebra_from_vectors)
 from liecontract.linalg import mat_mul, zero_matrix
@@ -227,7 +229,7 @@ def test_graded_pair_is_the_limit_minor_pair(pair_id, monkeypatch):
     for gs in (t_degree_reduction(gens, w).gens, gens.gens):
         graded = [t_degree(g, w) for g in gs]
         tops = [top for _, top in graded]
-        a_t, b_t = _graded_tops_minor(pi, len(gens), w, [d for d, _ in graded])
+        a_t, b_t = graded_tops_minor(pi, len(gens), w, [d for d, _ in graded])
         index_set, _ = _pivot_point(pi, len(gens))
         assert (a_t, b_t) == _regularity_minor(res.pi_tilde, tops, index_set)
         assert not b_t.is_zero
@@ -240,8 +242,8 @@ def test_graded_pair_is_the_limit_minor_pair(pair_id, monkeypatch):
 
 @pytest.mark.parametrize("pair_id", Z2_PAIRS)
 def test_each_z2_suite_expands_one_minor_pair(pair_id, monkeypatch):
-    """The parent's normalisation expands the one (A_I, B_I) pair of the
-    suite; the limit's verdict is read off it."""
+    """No (A_I, B_I) pair is expanded: the parent's normalisation reads its
+    scale at a point, and the limit's verdict reads sum d'."""
     calls = []
 
     def spy(pi, gens, index_set):
@@ -252,19 +254,20 @@ def test_each_z2_suite_expands_one_minor_pair(pair_id, monkeypatch):
     monkeypatch.setattr(analysis, "_regularity_minor", spy)
     pair = symmetric_pair(pair_id)
     assert z2_suite(pair).ok
-    assert calls == [lie_poisson_bivector(pair.parent)]
-    assert calls[0] is lie_poisson_bivector(pair.parent)
+    assert calls == []
 
 
 def test_the_sl4_borel_limit_takes_the_fallback(monkeypatch):
     """On the sl4 Borel limit, B_I has no part of degree w(I) at the parent's
-    I, so the clause is the limit's own verdict, from its own minor pair."""
+    I, where the graded read fell back to the limit's own minor pair; the
+    clause reads sum d' at the limit's pivots, expands none, and is the
+    limit's own verdict."""
     L = builtin_algebra("sl4")
     w = borel_decomposition(L)
     pi = lie_poisson_bivector(L)
     graded = [t_degree(g, w) for g in char_invariants(L).gens]
     tops = [top for _, top in graded]
-    _, b_t = _graded_tops_minor(pi, len(graded), w, [d for d, _ in graded])
+    _, b_t = graded_tops_minor(pi, len(graded), w, [d for d, _ in graded])
     assert b_t.is_zero
     calls = []
 
@@ -281,5 +284,38 @@ def test_the_sl4_borel_limit_takes_the_fallback(monkeypatch):
         centralizer_alg=subalgebra_from_vectors(L, [{h: 1} for h in L.root_data.cartan]))
     rep = z2_suite(borel)
     limit_pi = contract_algebra(L, w).pi_tilde
-    assert calls == [pi, limit_pi]
+    assert calls == []
     assert tops_clause(rep) == regularity(limit_pi, tops).equal is True
+
+
+def sl4_borel_pair():
+    L = builtin_algebra("sl4")
+    w = borel_decomposition(L)
+    return builders.SymmetricPair(
+        pair_id="sl4_borel", parent=L, g0=tuple(i for i in range(L.n) if not w[i]),
+        g1=tuple(i for i in range(L.n) if w[i]), cartan_subspace=[], weights=w,
+        centralizer_alg=subalgebra_from_vectors(L, [{h: 1} for h in L.root_data.cartan]))
+
+
+@pytest.mark.parametrize("pair_id", [*Z2_PAIRS, *MORE_ROWS, "sl4_borel"])
+def test_the_degree_sum_verdict_is_the_limit_verdict(pair_id, monkeypatch):
+    """With pivots on the parent and on the limit, A~ == B~ exactly when
+    sum d' is the weight total.  The reduced tops, which the clause reads,
+    have pivots on every pair; the tops before reduction have them where
+    they are independent, and are not equal where they are not."""
+    add_row(monkeypatch, pair_id)
+    pair = sl4_borel_pair() if pair_id == "sl4_borel" else symmetric_pair(pair_id)
+    L, w = pair.parent, pair.weights
+    gens = char_invariants(L)
+    assert regularity(lie_poisson_bivector(L), gens.gens).pivots is not None
+    pi_tilde = contract_algebra(L, w).pi_tilde
+    limits = []
+    for gs in (t_degree_reduction(gens, w).gens, gens.gens):
+        graded = [t_degree(g, w) for g in gs]
+        limits.append(limit := regularity(pi_tilde, [top for _, top in graded]))
+        if limit.pivots is not None:
+            assert (sum(d for d, _ in graded) == w.total) == limit.equal
+        else:
+            assert not limit.independent and not limit.equal
+    assert limits[0].pivots is not None
+    assert tops_clause(z2_suite(pair)) == limits[0].equal is True
