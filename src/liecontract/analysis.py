@@ -18,7 +18,7 @@ from .exterior import Form, MultiVector, _seeded_points, differential, wedge
 from .invariants import (GeneratorSet, _Casimirs, _casimirs_of, _int_partials, _pivot_point,
                          _regularity_minor, _weight, char_invariants, semi_invariant_weight,
                          t_degree_reduction)
-from .lie import LieAlgebra, algebra_index, lie_poisson_bivector
+from .lie import LieAlgebra, algebra_index
 from .linalg import rational_rank
 from .polyring import (Polynomial, _ratio, _scaled_values, multivariate_gcd, poly_div_exact,
                        poly_rename, poly_to_str)
@@ -246,6 +246,16 @@ def _contraction(L: LieAlgebra, gens, w: ContractionWeights):
     return res, pairs, regularity(res.pi_tilde, _Casimirs(res.pi_tilde, tops) if proved else tops)
 
 
+def _tops_equal(res, pairs, limit: KostantReport) -> bool:
+    """A~ == B~ from _contraction on char_invariants' generators, reduced or
+    not: sum d' == w.total once the limit's proof closes at pivots I~, else
+    limit.equal.  Proof (README has the steps): char_invariants proves A = B,
+    the unit triangular reduction keeps it, and A~ = (A~_I~ / B~_I~) B~ for
+    A~_I~, B~_I~ the (sum d' - w(J~))- and w(I~)-parts of B_I~, both nonzero."""
+    total = sum(d for d, _ in pairs)
+    return total == res.weights.total if limit.pivots is not None else limit.equal
+
+
 def contr_deg_report(gens: GeneratorSet, w: ContractionWeights) -> ContrDegReport:
     """Classify a contraction against the degree law for the invariant set."""
     L = gens.algebra
@@ -311,6 +321,7 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
 
     Clauses: (a) index of the contraction, (b) t-degree drop of each
     generator, (c) exact regularity equality for the highest components,
+    read off the t-degree sum (_tops_equal),
     (d) the fundamental semi-invariant against the simple-root marks,
     (e) 2l independent semicentre generators and the derived-algebra index,
     (f) the semicentre proportionality constant.
@@ -329,7 +340,8 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
     clauses.append(Clause("t_degree_drop", all(x == 1 for x in drops),
                           {"degrees": gens.degrees, "t_degrees": [d for d, _ in pairs]}))
 
-    clauses.append(Clause("kostant_equality_for_tops", limit.equal, {}))
+    equal = _tops_equal(res, pairs, limit)
+    clauses.append(Clause("kostant_equality_for_tops", equal, {}))
     # n - l is even, so wedge^{(n-l)/2} pi~ vanishes exactly when the index exceeds l
     if limit.index > ell:
         clauses.append(Clause("fundamental_semiinvariant", False,
@@ -337,8 +349,7 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
         return SuiteReport(suite="feigin", target=L.name or "anon", clauses=clauses)
 
     # A == B: the l-form's content is that of A = wedge^k pi~, with no wedge power built
-    fsi = (_content(limit.form) if limit.equal
-           else fundamental_semiinvariant(res.pi_tilde, ell))
+    fsi = _content(limit.form) if equal else fundamental_semiinvariant(res.pi_tilde, ell)
     expected = Polynomial.const(L.n, 1)
     for fi, r in zip(rd.simple_f, rd.marks):
         expected = expected * Polynomial.variable(L.n, fi) ** (r - 1)
@@ -380,15 +391,10 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
 def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
     """Symmetric-pair contraction checks: grading, the Borel-dimension
     identity, index preservation, and the good-generating-system verdict
-    after t-degree reduction, with regularity deciding both indices: the
-    limit's from _contraction, ggs and feigin's pipeline, on the reduced set.
-
-    The tops equality expands no minor (README has the steps): (1) with the
-    parent's proof closed, the normalisation gives A = B; (2) the unit
-    triangular reduction keeps A' = A; with the limit's closed at pivots I~:
-    (3) B~_I~ is the w(I~)-part of B_I~, (4) A~_I~ the (sum d' - w(J~))-part
-    of A'_I~ = B_I~, both nonzero at the limit's point; (5) A~ = (A~_I~ /
-    B~_I~) B~, so A~ == B~ iff sum d' is the weight total.  Else limit.equal."""
+    after t-degree reduction.  The parent's index is l = len(gens), proved by
+    char_invariants' certificate; regularity decides the limit's, from
+    _contraction, ggs and feigin's pipeline, on the reduced set.  The tops
+    equality is feigin's rule, _tops_equal."""
     if isinstance(pair, str):
         pair = symmetric_pair(pair)
     L = pair.parent
@@ -398,7 +404,7 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
                           {"dim_g0": len(pair.g0), "dim_g1": len(pair.g1)}))
 
     gens = char_invariants(L)
-    ell = (parent := regularity(lie_poisson_bivector(L), gens.gens)).index
+    ell = len(gens)
     l_alg = pair.centralizer_alg
     rk_l = algebra_index(l_alg)
     dim_b = (L.n + ell) // 2
@@ -420,9 +426,7 @@ def z2_suite(pair: SymmetricPair | str) -> SuiteReport:
                           sum(tds) == len(pair.g1) == pair.weights.total,
                           {"t_degrees": tds, "dim_g1": len(pair.g1)}))
     clauses.append(Clause("tops_independent", limit.independent, {}))
-    equal = (sum(tds) == pair.weights.total if parent.pivots is not None
-             and limit.pivots is not None else limit.equal)
-    clauses.append(Clause("kostant_equality_for_tops", equal, {}))
+    clauses.append(Clause("kostant_equality_for_tops", _tops_equal(res, pairs, limit), {}))
     clauses.append(Clause("codim2_note", True,
                           {"note": "centre generation certified through the recorded "
                                    "codimension-2 property of the contracted algebra"}))

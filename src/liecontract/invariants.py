@@ -7,9 +7,9 @@ the Lie-Poisson structure.  The principal minors and the Pfaffian come from
 linalg's memoised int engine, which clears X's denominators itself.  The
 first generator is rescaled once so the set satisfies the regularity
 equality  dF_1 ^ ... ^ dF_l / omega = wedge^{(n-l)/2} pi  on the nose,
-by a scale read at a nilpotent point or off one principal minor pair; no
-wedge power is built here, and analysis.regularity decides the full
-equality.  Later triangular modifications leave it untouched.
+by a scale read at a nilpotent point whose certificate proves the whole
+equality; no wedge power and no minor is built here.  Later triangular
+modifications leave it untouched.
 """
 
 from __future__ import annotations
@@ -142,13 +142,15 @@ def _trace_dual_generic_matrix(L: LieAlgebra):
 
 def char_invariants(L: LieAlgebra) -> GeneratorSet:
     """Generators of the Poisson centre for a built-in sl/so/sp algebra,
-    proved Casimirs of L's bivector (_Casimirs) when from_matrices built L:
+    proved Casimirs of L's bivector (_Casimirs).  When from_matrices built L,
     X spans L, tr(X M_i) = x_i and {x_j, x_i} = tr(X [M_j, M_i]) = tr([X, M_j]
     M_i), so {x_j, F} = d/ds F((1 - sZ) X (1 + sZ)) at s = 0, Z = M_j.  That
     keeps det(lambda - X), so each principal-minor sum, rescaled or not.
     pfaffian checks SX skew, so SZ is; S (1 - sZ) X (1 + sZ) = A SX A^T for
     A = 1 - sSZS: Pf gains det A = 1 - s tr(S SZ) + O(s^2), S SZ has trace 0.
-    The normalisation reads the proved list, marked again once F_1 is scaled."""
+    On a hand-built L the normalisation checks each F instead.  It proves
+    A = B at a nilpotent point, and the list is marked again (_Casimirs)
+    once F_1 is scaled: every set returned is proved."""
     if L.family is None:
         raise ValueError("char_invariants needs a classical family tag")
     kind, size = L.family
@@ -166,8 +168,7 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
     gens.sort(key=lambda g: g.degree())
     gens = _Casimirs(L.bivector, gens) if L._commutator else gens
     scale = _normalize_to_regularity(L, gens)
-    return GeneratorSet(algebra=L, gens=_Casimirs(L.bivector, gens) if L._commutator else gens,
-                        normalization=scale)
+    return GeneratorSet(algebra=L, gens=_Casimirs(L.bivector, gens), normalization=scale)
 
 
 def _regularity_minor(pi: MultiVector, gens, index_set):
@@ -187,8 +188,8 @@ def _regularity_minor(pi: MultiVector, gens, index_set):
 
 def _pivot_point(pi: MultiVector, ell: int):
     """(I, x0): the pivots I of pi's matrix at the first seeded point x0
-    (point_ranks) of rank n - l, or None; regularity's proof and the
-    normalisation's expanded pair stand on it; a second read is a memo hit."""
+    (point_ranks) of rank n - l, or None; regularity's proof stands on it,
+    and a second read is a memo hit."""
     return next(((pivots, point) for rank, pivots, point in point_ranks(pi)
                  if rank == pi.n - ell), None)
 
@@ -210,11 +211,26 @@ def _perfect(L: LieAlgebra) -> bool:
     return len({next(iter(row)) for row in L.brackets.values() if len(row) == 1}) == L.n
 
 
-def _point_scale(L: LieAlgebra, gens):
-    """B_I(xi) / A_I(xi) when _normalize_to_regularity's certificate holds, else None."""
+def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
+    """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power.
+
+    A = c B is Kostant's theorem; F_1 is scaled by 1/c = B_I(xi) / A_I(xi)
+    at xi = _nilpotent_point(L), k = (n - l)/2, once (b) rank pi(xi) = n - l,
+    with pivots I; each F is a Casimir of pi, proved (_Casimirs) or checked
+    as in analysis.regularity; (a) sum(deg F_i - 1) = k; (c) A_I(xi) != 0;
+    (b') xi is in im pi(xi); (d) [L, L] = L.  A failed step raises, in that
+    order.  Proof: (b), (c) close regularity's proof at xi, so l is the
+    index and A = (A_I / B_I) B with B_I(xi) != 0.  (1) For c = q2 / q1 in
+    lowest terms, q1 | B_J for all J, so q1 | p = content(wedge^k pi) (Ooms
+    and Van den Bergh, J. Algebra 323 (2010)).  (2) Hamiltonian fields keep
+    pi, so X_j(p) = lambda_j p for a character lambda, 0 by (d): p is a
+    Casimir.  (3) A Casimir q homogeneous of degree e has grad q(xi) in
+    ker pi(xi), orthogonal to im pi(xi), which holds xi by (b'): e q(xi) =
+    grad q(xi) . xi = 0.  (4) p(xi) != 0 as B_I(xi) != 0, so p = 1, q1 is a
+    unit, and deg A <= sum(deg F_i - 1) = deg B makes q2 a number.
+    """
+    pi = lie_poisson_bivector(L)
     n, ell, k = L.n, len(gens), (L.n - len(gens)) // 2
-    if sum(F.degree() - 1 for F in gens) != k:                          # (a)
-        return None
     # [pi(xi) | xi], pi(xi)_ij = sum_t c_ij^t xi_t off the bracket table
     xi = _nilpotent_point(L)
     aug = [[0] * n + [x] for x in xi]
@@ -222,8 +238,10 @@ def _point_scale(L: LieAlgebra, gens):
         aug[i][j] = v = sum(c * xi[t] for t, c in row.items())
         aug[j][i] = -v
     _, pivots = _echelon(aug)
-    if len(pivots) != n - ell or pivots and pivots[-1] == n:            # (b)
-        return None
+    outside = pivots[-1:] == [n]                        # xi's own column is a pivot
+    pivots = pivots[:len(pivots) - outside]
+    if len(pivots) != n - ell:                                          # (b)
+        raise ValueError("degenerate generator set")
     cols = [j for j in range(n) if j not in pivots]
     partials = [_partials(F.terms, n, cols) for F in gens]
     values, s = _scaled_values([Polynomial._raw(n, ps.get(j, {})) for ps in partials
@@ -232,44 +250,19 @@ def _point_scale(L: LieAlgebra, gens):
     block = [[0] * ell + values[i * ell:i * ell + ell] for i in range(ell)]
     block += [[-values[i * ell + j] for i in range(ell)] + [0] * ell for j in range(ell)]
     det = _int_pfaffian(block) * (-1 if ell // 2 % 2 else 1)
-    if not det or not _perfect(L):                                      # (c), (d)
-        return None
+    if (not det or sum(F.degree() - 1 for F in gens) != k                 # (c), (a)
+            or _casimirs_of(gens) is not pi
+            and any(_weight(_int_partials(F), pi) != [0] * n for F in gens)):
+        raise ValueError("generator differentials are not proportional to the wedge power")
+    if outside or not _perfect(L):                                      # (b'), (d)
+        raise ValueError("no nilpotent-point certificate: xi outside im pi(xi), "
+                         "or [L, L] = L not shown")
     # A_I(xi) = sgn(J, I) det / s^l and B_I(xi) = k! Pf(d pi_I(xi)) / d^k
     block = [[aug[i][j] for j in pivots] for i in pivots]
     d = math.lcm(*(x.denominator for row in block for x in row))
     pf = _int_pfaffian([[int(d * x) for x in row] for row in block])
-    return Fraction(shuffle_sign(tuple(cols), tuple(pivots)) * math.factorial(k) * pf * s ** ell,
-                    det * d ** k)
-
-
-def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
-    """Rescale the first generator so dF_1^...^dF_l / omega equals the wedge power.
-
-    A = c B is Kostant's theorem, which analysis.regularity decides; c is
-    read here.  For Casimirs proved for pi (_Casimirs), as A_I(xi) / B_I(xi)
-    at xi = _nilpotent_point(L), k = (n - l)/2, once (a) sum(deg F_i - 1) = k;
-    (b) rank pi(xi) = n - l, with pivots I, and xi is in im pi(xi); (c)
-    A_I(xi) != 0; (d) [L, L] = L.  Else (A_I, B_I) at _pivot_point's I is
-    expanded and compared whole.  Proof: (b), (c) close regularity's proof
-    at xi, A = (A_I / B_I) B with B_I(xi) != 0.  (1) For c = q2 / q1 in
-    lowest terms, q1 | B_J for all J, so q1 | p = content(wedge^k pi) (Ooms
-    and Van den Bergh, J. Algebra 323 (2010)).  (2) Hamiltonian fields keep
-    pi, so X_j(p) = lambda_j p for a character lambda, 0 by (d): p is a
-    Casimir.  (3) A Casimir q homogeneous of degree e has grad q(xi) in
-    ker pi(xi), orthogonal to im pi(xi), which holds xi by (b): e q(xi) =
-    grad q(xi) . xi = 0.  (4) p(xi) != 0 as B_I(xi) != 0, so p = 1, q1 is a
-    unit, and deg A <= sum(deg F_i - 1) = deg B makes q2 a number.
-    """
-    pi = lie_poisson_bivector(L)
-    scale = _point_scale(L, gens) if _casimirs_of(gens) is pi else None
-    if scale is None:
-        pivot = _pivot_point(pi, len(gens))
-        if pivot is None:
-            raise ValueError("degenerate generator set")
-        A, B = _regularity_minor(pi, gens, pivot[0])
-        scale = _ratio(B, A)
-    if scale is None:
-        raise ValueError("generator differentials are not proportional to the wedge power")
+    scale = Fraction(shuffle_sign(tuple(cols), tuple(pivots)) * math.factorial(k) * pf * s ** ell,
+                     det * d ** k)
     gens[0] = gens[0] * scale
     return scale
 

@@ -111,7 +111,7 @@ class LieAlgebra:
 
     @cached_property
     def _jacobi(self):
-        return jacobi_check(self)
+        return (True, None) if self._commutator else jacobi_check(self)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
@@ -182,8 +182,8 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
     """Extract structure constants from a list of matrices closed under
     commutator, taking each commutator from the nonzero entries.
 
-    The algebra carries its Jacobi verdict, True, from the construction:
-    `column_solver` refuses dependent matrices and accepts a commutator only
+    The algebra carries one mark, _commutator, off which its Jacobi verdict
+    True and char_invariants' Casimir proof are read: `column_solver` refuses dependent matrices and accepts a commutator only
     when its combination of the matrices equals it exactly, so x -> sum x_i M_i
     is an injective bracket map into gl_m, whose commutator satisfies Jacobi
     by associativity."""
@@ -220,7 +220,6 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
                 brackets[(i, j)] = row
     L = LieAlgebra(labels, brackets, matrices=mats,
                    root_data=root_data, name=name, family=family)
-    L.__dict__["_jacobi"] = (True, None)
     L._commutator = True
     return L
 

@@ -20,7 +20,7 @@ from liecontract.invariants import (_pivot_point, _regularity_minor,  # noqa: E4
                                     char_invariants, semi_invariant_weight, t_degree_reduction)
 from liecontract.lie import LieAlgebra, lie_poisson_bivector  # noqa: E402
 from liecontract.linalg import _reduced, rational_rank  # noqa: E402
-from liecontract.polyring import Polynomial, _graded  # noqa: E402
+from liecontract.polyring import Polynomial, _graded, _ratio  # noqa: E402
 
 # algebras are immutable, so tests may share one instance per builtin
 cached_builtin = functools.lru_cache(maxsize=None)(_builtin_algebra)
@@ -223,3 +223,20 @@ def graded_tops_minor(pi, ell, w, t_degrees):
     parts = _graded(pi.n, [wedge_power_coefficient(pi, index_set)], w)[0][0]
     w_i, zero = sum(w[i] for i in index_set), Polynomial.zero(pi.n)
     return parts.get(sum(t_degrees) - w.total + w_i, zero), parts.get(w_i, zero)
+
+
+def expanded_normalize(L, gens):
+    """invariants._normalize_to_regularity's expanded path as it was: the pair
+    (A_I, B_I) at _pivot_point's I, expanded whole, then c = _ratio(B_I, A_I);
+    gens[0] is scaled by c in place.  Its scales on sp6, so7 and sl5 took
+    seconds each."""
+    pi = lie_poisson_bivector(L)
+    pivot = _pivot_point(pi, len(gens))
+    if pivot is None:
+        raise ValueError("degenerate generator set")
+    A, B = _regularity_minor(pi, gens, pivot[0])
+    scale = _ratio(B, A)
+    if scale is None:
+        raise ValueError("generator differentials are not proportional to the wedge power")
+    gens[0] = gens[0] * scale
+    return scale

@@ -5,8 +5,9 @@ char_invariants seeds a _Casimirs set for the bivector of an algebra that
 from_matrices built, t_degree_reduction keeps it, and analysis._contraction
 passes it to the tops of a valid contraction.  Every proved set is compared
 with the bracket check it replaces, _weight(_int_partials(F), pi) == [0] * n;
-spies count the _weight calls the suites still make; and the sets built by
-hand, or changed after they were made, keep the check.  Standard library only.
+spies count the _weight calls the suites still make; the normalisation
+checks the list of an algebra built by hand once, and the sets changed
+after they were made keep the check.  Standard library only.
 """
 
 import random
@@ -186,27 +187,30 @@ def test_a_hand_built_generator_set_keeps_the_check(monkeypatch):
 
 def test_brackets_that_disagree_with_the_matrices_seed_no_verdict(monkeypatch):
     # built by hand, with sl2's matrices and its bracket doubled or as it is:
-    # no construction proves the bracket is the matrix commutator
+    # no construction proves the bracket is the matrix commutator, so the
+    # normalisation checks each generator once and its set comes back proved
     sl2 = cached_builtin("sl2")
     doubled = {pair: {k: 2 * c for k, c in row.items()} for pair, row in sl2.brackets.items()}
     calls = weight_spy(monkeypatch)
     for brackets in (doubled, sl2.brackets):
         L = LieAlgebra(sl2.labels, brackets, matrices=sl2.matrices, family=sl2.family)
+        calls.clear()
         gens = char_invariants(L)
-        assert _casimirs_of(gens.gens) is None
+        assert calls == [3] and _casimirs_of(gens.gens) is lie_poisson_bivector(L)
         calls.clear()
         assert regularity(lie_poisson_bivector(L), gens.gens).pivots is not None
-        assert calls == [3]
+        assert calls == []
 
 
 def test_a_file_algebra_seeds_no_verdict(monkeypatch):
     L, _ = algebra_from_text(algebra_to_text(cached_builtin("sl3")))
     L.family = ("sl", 3)            # as the command line tags a builtin's file
-    gens = char_invariants(L)
-    assert _casimirs_of(gens.gens) is None
     calls = weight_spy(monkeypatch)
+    gens = char_invariants(L)       # checked by the normalisation, then proved
+    assert calls == [8, 8] and _casimirs_of(gens.gens) is lie_poisson_bivector(L)
+    calls.clear()
     assert contr_deg_report(gens, borel_decomposition(L)).ok
-    assert calls == [8, 8]
+    assert calls == []
 
 
 def test_a_changed_set_loses_the_verdict(monkeypatch):

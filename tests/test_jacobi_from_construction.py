@@ -111,9 +111,10 @@ BUILDS = {
 
 
 @pytest.mark.parametrize("key", sorted(BUILDS))
-def test_seeded_verdict_equals_the_square_and_the_loop(key):
+def test_seeded_verdict_equals_the_square_and_the_loop(key, monkeypatch):
     L = BUILDS[key]()
-    assert vars(L)["_jacobi"] == (True, None)          # set by the construction
+    squares = schouten_square_spy(monkeypatch)
+    assert L._jacobi == (True, None) and squares == []     # read off the construction
     assert L._jacobi == jacobi_check(L) == loop_jacobi_check(L)
     assert schouten_square(L.bivector).is_zero
 

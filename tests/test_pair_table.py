@@ -3,15 +3,16 @@ four-branch construction it replaced, the catalog errors on bad rows, and
 further classical pairs that are one row each.  The z2 tops equality: the
 two weighted-degree parts of the parent's minor pair (conftest's reference
 read) against the limit's own pair, and the degree-sum verdict that
-replaced both."""
+replaced both, which the feigin suite reads as well."""
 
 import pytest
 from conftest import graded_tops_minor
 
 from liecontract import analysis, builders, invariants
-from liecontract.analysis import regularity, z2_suite
-from liecontract.builders import (Z2_PAIRS, _diagonal, _neg, _unit, borel_decomposition,
-                                  build_classical, builtin_algebra, symmetric_pair)
+from liecontract.analysis import feigin_suite, regularity, z2_suite
+from liecontract.builders import (FEIGIN_ALGEBRAS, Z2_PAIRS, _diagonal, _neg, _unit,
+                                  borel_decomposition, build_classical, builtin_algebra,
+                                  symmetric_pair)
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
 from liecontract.invariants import (_pivot_point, _regularity_minor, char_invariants,
                                     t_degree_reduction)
@@ -243,8 +244,10 @@ def test_graded_pair_is_the_limit_minor_pair(pair_id, monkeypatch):
 @pytest.mark.parametrize("pair_id", Z2_PAIRS)
 def test_each_z2_suite_expands_one_minor_pair(pair_id, monkeypatch):
     """No (A_I, B_I) pair is expanded: the parent's normalisation reads its
-    scale at a point, and the limit's verdict reads sum d'."""
-    calls = []
+    scale at a point, and the limit's verdict reads sum d'.  The one
+    regularity call is the limit's: the certificate proves the parent's
+    index."""
+    calls, proofs = [], []
 
     def spy(pi, gens, index_set):
         calls.append(pi)
@@ -252,9 +255,13 @@ def test_each_z2_suite_expands_one_minor_pair(pair_id, monkeypatch):
 
     monkeypatch.setattr(invariants, "_regularity_minor", spy)
     monkeypatch.setattr(analysis, "_regularity_minor", spy)
+    real_regularity = analysis.regularity
+    monkeypatch.setattr(analysis, "regularity",
+                        lambda pi, fs: proofs.append(pi) or real_regularity(pi, fs))
     pair = symmetric_pair(pair_id)
     assert z2_suite(pair).ok
     assert calls == []
+    assert proofs == [contract_algebra(pair.parent, pair.weights).pi_tilde]
 
 
 def test_the_sl4_borel_limit_takes_the_fallback(monkeypatch):
@@ -319,3 +326,47 @@ def test_the_degree_sum_verdict_is_the_limit_verdict(pair_id, monkeypatch):
             assert not limit.independent and not limit.equal
     assert limits[0].pivots is not None
     assert tops_clause(z2_suite(pair)) == limits[0].equal is True
+
+
+PAST_CAP = {"sp6": ("sp", 6), "so7": ("so", 7), "sl5": ("sl", 5)}
+
+
+@pytest.mark.parametrize("source", [*FEIGIN_ALGEBRAS, *PAST_CAP, *Z2_PAIRS, *MORE_ROWS,
+                                    "sl4_borel"])
+def test_the_shared_tops_rule_is_the_limit_verdict(source, monkeypatch):
+    """analysis._tops_equal, the tops clause of feigin and z2, reads sum d'
+    at the limit's pivots; it equals limit.equal, the limit's own expanded
+    pair, on each Borel limit feigin reads and on each pair z2 reduces."""
+    if source in FEIGIN_ALGEBRAS or source in PAST_CAP:
+        kind, size = PAST_CAP.get(source, (None, None))
+        L = getattr(builders, f"_build_{kind}")(size) if kind else builtin_algebra(source)
+        w, gens = borel_decomposition(L), char_invariants(L)
+    else:
+        add_row(monkeypatch, source)
+        pair = sl4_borel_pair() if source == "sl4_borel" else symmetric_pair(source)
+        L, w = pair.parent, pair.weights
+        gens = t_degree_reduction(char_invariants(L), w)
+    res, pairs, limit = analysis._contraction(L, gens.gens, w)
+    assert limit.pivots is not None
+    assert analysis._tops_equal(res, pairs, limit) == limit.equal is True
+
+
+@pytest.mark.parametrize("name", FEIGIN_ALGEBRAS)
+def test_each_feigin_suite_expands_only_the_pair_of_g_prime(name, monkeypatch):
+    """The tops clause reads sum d' at the limit's pivots, so the one pair
+    expanded is g''s, for its semicentre certificate."""
+    expanded, proofs = [], []
+    real_regularity = analysis.regularity
+
+    def spy(pi, gens, index_set):
+        expanded.append(pi.n)
+        return _regularity_minor(pi, gens, index_set)
+
+    monkeypatch.setattr(invariants, "_regularity_minor", spy)
+    monkeypatch.setattr(analysis, "_regularity_minor", spy)
+    monkeypatch.setattr(analysis, "regularity",
+                        lambda pi, fs: proofs.append(pi.n) or real_regularity(pi, fs))
+    L = builtin_algebra(name)
+    assert feigin_suite(L).ok
+    n_prime = L.n - L.root_data.rank
+    assert expanded == [n_prime] and proofs == [L.n, n_prime]

@@ -154,8 +154,9 @@ def test_z2_point_proofs_evaluate_l_squared_partials(pid, monkeypatch):
     rep = z2_suite(pid)
     assert rep.ok
     ell = rep.clauses[2].data["expected"]
-    # the parent's proof and the limit's, each on l * l partials, not l * n
-    assert sizes == [ell * ell, ell * ell]
+    # the limit's proof on l * l partials, not l * n; the parent's index is
+    # read off char_invariants' certificate
+    assert sizes == [ell * ell]
 
 
 def test_the_sl4_sp4_pair_builds_one_algebra_from_matrices(monkeypatch):

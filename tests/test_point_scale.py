@@ -1,20 +1,22 @@
 """The normalisation's scale read at a point of the nilpotent cone.
 
 invariants._normalize_to_regularity reads B_I(xi) / A_I(xi) at the point xi
-of _nilpotent_point once its certificate holds, and expands the pair
-(A_I, B_I) otherwise.  The point path must give the expanded path's scale
-and generators, every failed hypothesis must take the expanded path with
-the same value or the same error, and char_invariants must expand no pair
-on the algebras it proves.  linalg._int_pfaffian, the int kernel behind
-both numbers, is checked against the memoised engine _Pfaffians.
+of _nilpotent_point once its certificate holds, and raises at the first
+step that fails.  The point must give the scale and generators of the
+expanded pair (A_I, B_I) it replaced, conftest.expanded_normalize; every
+failed step must raise its own message; and char_invariants must expand no
+pair on any algebra, built by hand or not.  linalg._int_pfaffian, the int
+kernel behind both numbers, is checked against the memoised engine
+_Pfaffians.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+import conftest
 import pytest
-from conftest import cached_builtin, cached_pair
+from conftest import cached_builtin, cached_pair, expanded_normalize
 
 from liecontract import builders, invariants
 from liecontract.builders import BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition
@@ -26,7 +28,7 @@ from liecontract.linalg import _int_pfaffian, _Pfaffians, poly_det_cofactor
 from liecontract.polyring import Polynomial, _partials
 
 PAST_CAP = {"sp6": ("sp", 6), "so7": ("so", 7), "sl5": ("sl", 5)}
-# the scales of the expanded path, which took seconds at these sizes
+# the scales of the expanded pair, which took seconds at these sizes
 PAST_CAP_SCALES = {"sp6": -185794560, "so7": -2972712960, "sl5": -18144000}
 
 
@@ -65,12 +67,16 @@ def raw_casimirs(L, monkeypatch):
     return gens
 
 
-def expanded(L, gens, monkeypatch):
-    """(scale, generators) of the expanded path on a copy of gens."""
-    with monkeypatch.context() as m:
-        m.setattr(invariants, "_point_scale", lambda L, gens: None)
-        out = list(gens)
-        return _normalize_to_regularity(L, out), out
+def expanded(L, gens):
+    """(scale, generators) of the expanded pair on a copy of gens."""
+    out = list(gens)
+    return expanded_normalize(L, out), out
+
+
+def hand_built(L):
+    """A copy of L built without from_matrices: nothing proves its Casimirs."""
+    return builders.LieAlgebra(L.labels, L.brackets, matrices=L.matrices,
+                               root_data=L.root_data, name=L.name, family=L.family)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +155,7 @@ SOURCES = [*BUILTIN_ALGEBRAS, *Z2_PAIRS, *PAST_CAP]
 def test_point_scale_is_the_expanded_scale(source, past_cap, monkeypatch):
     L = algebra(source, past_cap)
     gens = raw_casimirs(L, monkeypatch)
-    want_scale, want_gens = expanded(L, gens, monkeypatch)
+    want_scale, want_gens = expanded(L, gens)
     calls = spy_minors(monkeypatch)
     got = char_invariants(L)
     assert calls == []
@@ -168,7 +174,7 @@ def test_fractional_structure_constants_take_the_point_path(monkeypatch):
     L = from_matrices(mats, labels=src.labels, family=("sl", 3))
     assert any(type(c) is not int for row in L.brackets.values() for c in row.values())
     gens = raw_casimirs(L, monkeypatch)
-    want_scale, want_gens = expanded(L, gens, monkeypatch)
+    want_scale, want_gens = expanded(L, gens)
     calls = spy_minors(monkeypatch)
     got = char_invariants(L)
     assert calls == [] and got.normalization == want_scale == Fraction(-30, 7)
@@ -188,53 +194,70 @@ def certificate_case(monkeypatch, name="sl3"):
     return L, raw_casimirs(L, monkeypatch), spy_minors(monkeypatch)
 
 
-def assert_fallback_value(L, gens, calls, monkeypatch):
-    """The list goes the expanded way, with the expanded path's value."""
-    want = expanded(L, gens, monkeypatch)
-    calls.clear()
+CERTIFICATE = "no nilpotent-point certificate"
+
+
+def assert_point_value(L, gens, calls, monkeypatch):
+    """The list is checked, one _weight per F, and read at the point, with
+    the expanded pair's value."""
+    want = expanded(L, gens)
+    weights = []
+    real = invariants._weight
+    monkeypatch.setattr(invariants, "_weight", lambda h, pi: weights.append(pi.n) or real(h, pi))
     assert _normalize_to_regularity(L, gens) == want[0]
-    assert list(gens) == want[1] and len(calls) == 1
+    assert list(gens) == want[1] and calls == [] and weights == [L.n] * len(gens)
 
 
 def test_a_plain_list_takes_the_expanded_path(monkeypatch):
+    # a plain list is checked, then read at the point
     L, gens, calls = certificate_case(monkeypatch)
-    assert_fallback_value(L, list(gens), calls, monkeypatch)
+    assert_point_value(L, list(gens), calls, monkeypatch)
 
 
 def test_an_edited_casimir_list_takes_the_expanded_path(monkeypatch):
+    # F_2 * 3 is still a Casimir: checked, then read at the point
     L, gens, calls = certificate_case(monkeypatch)
     gens[1] = gens[1] * 3
     assert invariants._casimirs_of(gens) is None
-    assert_fallback_value(L, gens, calls, monkeypatch)
+    assert_point_value(L, gens, calls, monkeypatch)
 
 
 def test_an_algebra_not_shown_perfect_takes_the_expanded_path(monkeypatch):
+    # step (d) fails, and the certificate's error is raised
     L, gens, calls = certificate_case(monkeypatch)
     monkeypatch.setattr(invariants, "_perfect", lambda L: False)
-    assert_fallback_value(L, gens, calls, monkeypatch)
+    with pytest.raises(ValueError, match=CERTIFICATE):
+        _normalize_to_regularity(L, gens)
+    assert calls == []
 
 
 def test_a_point_outside_its_image_takes_the_expanded_path(monkeypatch):
-    # a seeded point is regular semisimple: rank n - l, outside im pi(x)
+    # a seeded point is regular semisimple, rank n - l but
+    # outside im pi(x), so step (b') fails with the certificate's error
     L, gens, calls = certificate_case(monkeypatch)
     x = tuple(int(c.numerator * 840 // c.denominator) for c in _seeded_points(L.n)[0])
     monkeypatch.setattr(invariants, "_nilpotent_point", lambda L: x)
-    assert_fallback_value(L, gens, calls, monkeypatch)
+    with pytest.raises(ValueError, match=CERTIFICATE):
+        _normalize_to_regularity(L, list(gens))
     # with n - l = 7 odd, [pi(x) | x] has rank n - l, and only x's own pivot
     # tells it from a rank of n - l: F_1^2 meets (a), k = 3
     bad = _Casimirs(lie_poisson_bivector(L), [gens[0] ** 2])
     with pytest.raises(ValueError, match="degenerate generator set"):
         _normalize_to_regularity(L, bad)
+    assert calls == []
 
 
 @pytest.mark.parametrize("point", ["zero", "one root"])
 def test_a_rank_that_falls_short_takes_the_expanded_path(point, monkeypatch):
+    # step (b) fails
     L, gens, calls = certificate_case(monkeypatch)
     x = [0] * L.n
     if point == "one root":
         x[L.label_index("f1")] = 1
     monkeypatch.setattr(invariants, "_nilpotent_point", lambda L: tuple(x))
-    assert_fallback_value(L, gens, calls, monkeypatch)
+    with pytest.raises(ValueError, match="degenerate generator set"):
+        _normalize_to_regularity(L, gens)
+    assert calls == []
 
 
 @pytest.mark.parametrize("mismatch, error, expansions", [
@@ -242,15 +265,21 @@ def test_a_rank_that_falls_short_takes_the_expanded_path(point, monkeypatch):
     ("one generator short", "degenerate generator set", 0)])
 def test_a_degree_mismatch_takes_the_expanded_path_and_its_error(mismatch, error, expansions,
                                                                  monkeypatch):
-    # sl3: sum(deg F_i - 1) is 5 against k = 3, and 1 against no k at all
+    # sl3: sum(deg F_i - 1) is 5 against k = 3, and 1 against no k at all;
+    # the point raises the expanded pair's error, with no pair expanded
+    # where the reference expands `expansions`
     L, gens, calls = certificate_case(monkeypatch)
     polys = [gens[0], gens[0] * gens[1]] if mismatch == "a product of Casimirs" else [gens[0]]
     bad = _Casimirs(lie_poisson_bivector(L), polys)
     with pytest.raises(ValueError, match=error):
         _normalize_to_regularity(L, bad)
-    assert len(calls) == expansions
+    assert calls == []
+    real = conftest._regularity_minor
+    monkeypatch.setattr(conftest, "_regularity_minor",
+                        lambda *args: calls.append(args[2]) or real(*args))
     with pytest.raises(ValueError, match=error):
-        expanded(L, bad, monkeypatch)
+        expanded(L, bad)
+    assert len(calls) == expansions
 
 
 def test_dependent_differentials_take_the_expanded_path_and_its_error(monkeypatch):
@@ -259,15 +288,42 @@ def test_dependent_differentials_take_the_expanded_path_and_its_error(monkeypatc
     bad = _Casimirs(lie_poisson_bivector(L), [gens[0], gens[0] ** 2])
     with pytest.raises(ValueError, match="not proportional to the wedge power"):
         _normalize_to_regularity(L, bad)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_char_invariants_of_a_hand_built_copy_expands_the_pair(monkeypatch):
-    # no construction proves a hand-built algebra's Casimirs: the pair is expanded
+    # nothing proves a hand-built algebra's Casimirs, so the
+    # normalisation checks them, reads the point, and returns a proved list
     src = cached_builtin("sl3")
-    L = builders.LieAlgebra(src.labels, src.brackets, matrices=src.matrices,
-                            root_data=src.root_data, name=src.name, family=src.family)
+    L = hand_built(src)
     calls = spy_minors(monkeypatch)
     got = char_invariants(L)
-    assert len(calls) == 1
+    assert calls == []
     assert got.normalization == char_invariants(src).normalization
+    assert invariants._casimirs_of(got.gens) is lie_poisson_bivector(L)
+
+
+@pytest.mark.parametrize("source", [*BUILTIN_ALGEBRAS, *Z2_PAIRS])
+def test_a_hand_built_copy_gives_the_builtin_generators(source, past_cap, monkeypatch):
+    src = algebra(source, past_cap)
+    L = hand_built(src)
+    calls = spy_minors(monkeypatch)
+    got, want = char_invariants(L), char_invariants(src)
+    assert calls == []
+    assert got.normalization == want.normalization and got.gens == want.gens
+    assert invariants._casimirs_of(got.gens) is lie_poisson_bivector(L)
+
+
+def test_swapped_matrices_give_no_casimirs(monkeypatch):
+    # sl3 with the matrices of e1 and e2 swapped and its bracket table kept:
+    # the minors of X are Casimirs of the swapped bracket, not of this one
+    src = cached_builtin("sl3")
+    i, j = src.label_index("e1"), src.label_index("e2")
+    mats = list(src.matrices)
+    mats[i], mats[j] = mats[j], mats[i]
+    L = builders.LieAlgebra(src.labels, src.brackets, matrices=mats,
+                            root_data=src.root_data, name=src.name, family=src.family)
+    calls = spy_minors(monkeypatch)
+    with pytest.raises(ValueError, match="not proportional to the wedge power"):
+        char_invariants(L)
+    assert calls == []
