@@ -560,7 +560,7 @@ def _graded(n: int, polys, weights) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd: primitive-part Euclidean algorithm
+# multivariate gcd: subresultant polynomial remainder sequence
 # ---------------------------------------------------------------------------
 
 def _main_variable(a: Polynomial, b: Polynomial):
@@ -595,9 +595,11 @@ def _uni_leading(p: Polynomial, v: int, d: int) -> Polynomial:
 
 
 def _pseudo_rem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
+    """lc(g)^(delta + 1) * f mod g in x_v, delta = deg f - deg g >= 0: one
+    lc(g) per reduction step, and one more per step a larger drop skipped."""
     dg = _uni_degree(g, v)
     lg = _uni_leading(g, v, dg)
-    r = f
+    r, steps = f, _uni_degree(f, v) - dg + 1
     while not r.is_zero:
         dr = _uni_degree(r, v)
         if dr < dg:
@@ -605,7 +607,8 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
         lr = _uni_leading(r, v, dr)
         shift = Polynomial._raw(r.n, {_pack(r.n, ((v, dr - dg),)): 1})
         r = r * lg - g * lr * shift
-    return r
+        steps -= 1
+    return r * lg ** steps if steps and not r.is_zero else r
 
 
 def _content_primitive(p: Polynomial, v: int):
@@ -614,30 +617,45 @@ def _content_primitive(p: Polynomial, v: int):
 
 
 def _monomial_gcd(keys, n: int) -> int:
-    """Greatest packed monomial dividing every key."""
+    """Greatest packed monomial dividing every key, packed from each field's
+    least exponent: read off valid keys, each fits its field."""
     shifts = [(n - 1 - v) << 4 for v in range(n)]
     common = None
     for m in keys:
         exps = [(m >> s) & _EMAX for s in shifts]
         common = exps if common is None else list(map(min, common, exps))
-    return _pack(n, enumerate(common))
+    return sum(e << s for e, s in zip(common, shifts)) | sum(common) << (n << 4)
 
 
 def _gcd_rec(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The gcd of nonzero a, b up to a unit: their contents' gcd in the main
+    variable x_v times the primitive part of the last nonzero remainder of
+    the subresultant PRS of their primitive parts (Collins 1967; Brown and
+    Traub 1971; Knuth, TAOCP vol. 2, 4.6.1, Algorithm C).  Each
+    pseudo-remainder is divided exactly by lead * h^delta, lead the last
+    leading coefficient in x_v and h its subresultant scale, so the
+    remainders' coefficients stay small with no content taken in the loop.
+    A remainder free of x_v leaves the primitive parts coprime."""
     if len(a.terms) == 1 or len(b.terms) == 1:
         return Polynomial._raw(a.n, {_monomial_gcd([*a.terms, *b.terms], a.n): 1})
     v = _main_variable(a, b)
     ca, pa = _content_primitive(a, v)
     cb, pb = _content_primitive(b, v)
     cg = _gcd_rec(ca, cb)
+    # scaled to int, a unit, so that every product and exact division runs in int
+    pa, pb = (Polynomial._raw(p.n, _integral_terms([p])[1][0]) for p in (pa, pb))
     f, g = (pa, pb) if _uni_degree(pa, v) >= _uni_degree(pb, v) else (pb, pa)
-    while not g.is_zero:
+    lead = h = Polynomial.const(a.n, 1)
+    while _uni_degree(g, v):
+        delta = _uni_degree(f, v) - _uni_degree(g, v)
         r = _pseudo_rem(f, g, v)
-        if not r.is_zero:
-            _, r = _content_primitive(r, v)
-        f, g = g, r
-    _, f = _content_primitive(f, v)
-    return cg * f
+        if r.is_zero:
+            return cg * _content_primitive(g, v)[1]
+        f, g = g, poly_div_exact(r, lead * h ** delta)
+        lead = _uni_leading(f, v, _uni_degree(f, v))
+        if delta:
+            h = poly_div_exact(lead ** delta, h ** (delta - 1))
+    return cg
 
 
 def multivariate_gcd(*polys: Polynomial) -> Polynomial:

@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import random
+import signal
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from liecontract.invariants import (_pivot_point, _regularity_minor,  # noqa: E4
                                     char_invariants, semi_invariant_weight, t_degree_reduction)
 from liecontract.lie import LieAlgebra, lie_poisson_bivector  # noqa: E402
 from liecontract.linalg import _reduced, rational_rank  # noqa: E402
-from liecontract.polyring import Polynomial, _graded, _ratio  # noqa: E402
+from liecontract.polyring import (Polynomial, _as_univariate, _graded,  # noqa: E402
+                                  _main_variable, _monomial_gcd, _pack, _ratio, _uni_degree,
+                                  _uni_leading, poly_div_exact, poly_monic)
 
 # algebras are immutable, so tests may share one instance per builtin
 cached_builtin = functools.lru_cache(maxsize=None)(_builtin_algebra)
@@ -240,3 +243,83 @@ def expanded_normalize(L, gens):
         raise ValueError("generator differentials are not proportional to the wedge power")
     gens[0] = gens[0] * scale
     return scale
+
+
+class OutOfTime(Exception):
+    """primitive_prs_gcd ran past its time limit."""
+
+
+def primitive_prs_gcd(a, b, seconds=2.0):
+    """The monic gcd of nonzero a, b by the primitive PRS that polyring's gcd
+    ran before its subresultant PRS: after every pseudo-remainder (one lc(g)
+    factor per reduction step) the remainder's content in the main variable
+    is divided out, itself a gcd of the same kind.  Raises OutOfTime after
+    the given seconds (a real-time interval timer), so a case that it cannot
+    finish in useful time is left out, not waited for."""
+
+    def pseudo_rem(f, g, v):
+        dg = _uni_degree(g, v)
+        lg = _uni_leading(g, v, dg)
+        r = f
+        while not r.is_zero:
+            dr = _uni_degree(r, v)
+            if dr < dg:
+                break
+            lr = _uni_leading(r, v, dr)
+            shift = Polynomial._raw(r.n, {_pack(r.n, ((v, dr - dg),)): 1})
+            r = r * lg - g * lr * shift
+        return r
+
+    def content_primitive(p, v):
+        content = gcd_many(_as_univariate(p, v).values())
+        return content, (p if content.is_constant else poly_div_exact(p, content))
+
+    def rec(a, b):
+        if len(a.terms) == 1 or len(b.terms) == 1:
+            return Polynomial._raw(a.n, {_monomial_gcd([*a.terms, *b.terms], a.n): 1})
+        v = _main_variable(a, b)
+        ca, pa = content_primitive(a, v)
+        cb, pb = content_primitive(b, v)
+        cg = rec(ca, cb)
+        f, g = (pa, pb) if _uni_degree(pa, v) >= _uni_degree(pb, v) else (pb, pa)
+        while not g.is_zero:
+            r = pseudo_rem(f, g, v)
+            if not r.is_zero:
+                _, r = content_primitive(r, v)
+            f, g = g, r
+        _, f = content_primitive(f, v)
+        return cg * f
+
+    def gcd_many(polys):
+        g = None
+        for c in sorted(polys, key=lambda p: len(p.terms)):
+            g = c if g is None else rec(g, c)
+            if g.is_constant:
+                return Polynomial.const(c.n, 1)
+        return poly_monic(g)
+
+    def expire(*_):
+        raise OutOfTime
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return gcd_many([a, b])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def planted_gcd_cases(seed=5, count=40):
+    """count pairs (a g, b g) of seeded random polynomials a, b, g of degree
+    at most 3 in 4 to 15 variables, with a, b, g nonzero: a planted common
+    factor g, and the gcd's cofactors a, b."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(4, 15)
+        a, b, g = (random_polynomial(rng, n, max_degree=3, max_terms=4, allow_zero=False)
+                   for _ in range(3))
+        if a and b and g:
+            cases.append((a * g, b * g))
+    return cases

@@ -663,7 +663,9 @@ def test_the_content_of_the_form_is_that_of_its_volume_dual(name):
 
 
 def test_a_wrong_fundamental_semiinvariant_fails_the_semicentre_clause(monkeypatch):
-    # sp4 has p = f1; with p forced to 1, p' * A = c * B has no constant c
+    # sp4 has p = f1; with p forced to 1, p' * A = c * B has no constant c.
+    # The suite reads p off the tops, the chain path off the top power
+    monkeypatch.setattr(analysis, "_tops_content", lambda limit: Polynomial.const(limit.pi.n, 1))
     monkeypatch.setattr(analysis, "_content",
                         lambda b: FundamentalSemiInvariant(Polynomial.const(b.n, 1)))
     rep = feigin_suite(builtin_algebra("sp4"))

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_point, random_polynomial
+from conftest import (OutOfTime, planted_gcd_cases, primitive_prs_gcd, random_point,
+                      random_polynomial)
 from liecontract.contract import ContractionWeights, contract
 from liecontract.exterior import MultiVector
-from liecontract.polyring import (Polynomial, _gcd_rec, _graded, multivariate_gcd,
+from liecontract.polyring import (Polynomial, _gcd_rec, _graded, _monomial_gcd, _pack,
+                                  _pseudo_rem, _uni_degree, _uni_leading, multivariate_gcd,
                                   parse_polynomial, poly_compose, poly_div_exact, poly_monic,
                                   poly_rename, poly_to_str)
 
@@ -206,6 +208,83 @@ class TestGcd:
             if all(polys):
                 assert multivariate_gcd(*polys) == of_many(polys)
                 lists += 1
+
+
+    def test_monomial_gcd_packs_the_fieldwise_minimum(self):
+        # against _pack of each variable's least exponent, on seeded keys in
+        # 1 to 6 variables; every third list has a key of exponent 0 in
+        # every field, and exponents reach the field's top
+        rng = random.Random(3939)
+        for t in range(200):
+            n = rng.randint(1, 6)
+            monos = [[(v, rng.choice((0, 1, 2, 3, 65535))) for v in range(n)]
+                     for _ in range(rng.randint(1, 5))]
+            if t % 3 == 0:
+                monos.append([(v, 0) for v in range(n)])
+            keys = [_pack(n, m) for m in monos]
+            least = [min(dict(m)[v] for m in monos) for v in range(n)]
+            assert _monomial_gcd(keys, n) == _pack(n, enumerate(least))
+
+    def test_pseudo_rem_is_the_true_pseudo_remainder(self):
+        # lc(g)^(delta + 1) f - r is a multiple of g and deg r < deg g in x_v.
+        # x^3 by y x^2 + 1 takes one step to -x, so one more lc factor is due
+        x, y = var(2, 0), var(2, 1)
+        assert _pseudo_rem(x ** 3, y * x * x + Polynomial.const(2, 1), 0) == -x * y
+        rng = random.Random(4040)
+        done = 0
+        while done < 80:
+            f, g = (random_polynomial(rng, 3, max_degree=4, max_terms=4) for _ in range(2))
+            v = rng.randrange(3)
+            df, dg = _uni_degree(f, v), _uni_degree(g, v)
+            if f.is_zero or g.is_zero or df < dg or dg == 0:
+                continue
+            r = _pseudo_rem(f, g, v)
+            lead = _uni_leading(g, v, dg) ** (df - dg + 1)
+            assert r.is_zero or _uni_degree(r, v) < dg
+            assert poly_div_exact(lead * f - r, g) * g == lead * f - r
+            done += 1
+
+    def test_gcd_where_the_remainder_degrees_skip(self):
+        # a = x^5 c + lower, b = x^3 c' + lower in the main variable x: the
+        # PRS drops the degree by two, so the scale h of the subresultant
+        # divisions is a power of a leading coefficient; each division is
+        # exact or poly_div_exact raises, and g divides the gcd
+        rng = random.Random(4141)
+        n = 3
+        x = var(n, n - 1)
+        for _ in range(300):
+            g = random_polynomial(rng, n, max_degree=2, max_terms=3)
+            a = (x ** 5 * random_polynomial(rng, n, max_degree=1, max_terms=2)
+                 + random_polynomial(rng, n, max_degree=2, max_terms=3))
+            b = (x ** 3 * random_polynomial(rng, n, max_degree=1, max_terms=2)
+                 + random_polynomial(rng, n, max_degree=1, max_terms=2))
+            if a and b and g:
+                got = multivariate_gcd(a * g, b * g)
+                poly_div_exact(got, poly_monic(g))
+                assert multivariate_gcd(poly_div_exact(a * g, got),
+                                        poly_div_exact(b * g, got)) == Polynomial.const(n, 1)
+
+    def test_gcd_matches_the_primitive_prs_where_it_finishes(self):
+        """multivariate_gcd against the primitive PRS it replaced (conftest's
+        copy), on the planted-factor cases in 4 to 15 variables and on
+        seeded pairs in 3, wherever the copy finishes within 2 s."""
+        rng = random.Random(5151)
+        cases = list(planted_gcd_cases())
+        while len(cases) < 80:
+            common = random_polynomial(rng, 3, max_degree=2, max_terms=3)
+            a, b = (random_polynomial(rng, 3, max_degree=3, max_terms=4) * common
+                    for _ in range(2))
+            if a and b:
+                cases.append((a, b))
+        compared = 0
+        for a, b in cases:
+            try:
+                want = primitive_prs_gcd(a, b, seconds=2.0)
+            except OutOfTime:
+                continue
+            assert multivariate_gcd(a, b) == want
+            compared += 1
+        assert compared
 
 
 class TestExactDivision:
