@@ -20,8 +20,8 @@ from .invariants import (GeneratorSet, _Casimirs, _casimirs_of, _int_partials, _
                          t_degree_reduction)
 from .lie import LieAlgebra, algebra_index
 from .linalg import rational_rank
-from .polyring import (Polynomial, _monomial_gcd, _ratio, _scaled_values, multivariate_gcd,
-                       poly_div_exact, poly_rename, poly_to_str)
+from .polyring import (Polynomial, _ratio, _scaled_values, multivariate_gcd, poly_div_exact,
+                       poly_rename, poly_to_str)
 
 
 class ProportionalityCertificate(Record):
@@ -83,8 +83,8 @@ class KostantReport(Record):
     @cached_property
     def form(self) -> Form:
         """dF_1 ^ ... ^ dF_l, built on first read: by independent when no
-        point proves A != 0, and by _tops_content when no monomial minor is
-        found or a point test fails."""
+        point proves A != 0, and by _tops_content when its minor and points
+        do not prove p = 1."""
         return _form_of_differentials(self.casimirs, self.pi.n)
 
     @cached_property
@@ -217,19 +217,17 @@ def _content(b: MultiVector) -> FundamentalSemiInvariant:
 
 
 def _tops_content(limit: KostantReport) -> Polynomial:
-    """p = content(dF_1 ^ ... ^ dF_l) for the report's F, with the l-form
-    built only when p != 1 and no PRS gcd taken once (1) closes.
+    """p = content(dF_1 ^ ... ^ dF_l) for the report's F, with no l-form
+    built when (1) and (2) prove p = 1; else p is _content(form).p.
     (1) Rows of the F's int partials, sparsest support first: row b takes
     the lowest column j_b outside the supports of rows 1..b-1 whose partial
     is one term.  Row a is zero at every later j_b, so the l x l block on
     J = {j_b} is triangular and A_J = +-c x^m, its diagonal's product: p
-    divides x^m.  A row with no such column leaves _content(form).p.
+    divides x^m.  A row with no such column leaves the form's gcd.
     (2) For each x_v in m, y is the first seeded point with its zeros set
     to 1 and y_v = 0; the Jacobian of rank l at y gives some A_J'(y) != 0,
-    and p divides A_J', so x_v does not divide p.  If every x_v passes, p = 1.
-    (3) Else p, a divisor of x^m, is the monomial x^a with a the fieldwise
-    least exponent over every term of every coefficient of the form.  A
-    failed point test leads only to (3), never to a wrong p.
+    and p divides A_J', so x_v does not divide p.  If every x_v passes,
+    p = 1; a failed point test leaves the form's gcd, never a wrong p.
     """
     n = limit.pi.n
     rows = sorted((_int_partials(F)[1] for F in limit.casimirs),
@@ -238,15 +236,15 @@ def _tops_content(limit: KostantReport) -> Polynomial:
     for ps in rows:
         j = next((j for j in range(n) if j not in used and len(ps[j]) == 1), None)
         if j is None:
-            return _content(limit.form).p
+            break
         diagonal.append(Polynomial._raw(n, ps[j]))
         used.update(j for j in range(n) if ps[j])
-    y = [x or 1 for x in _seeded_points(n)[0]]
-    if all(_jacobian_rank(rows, y[:v] + [0] + y[v + 1:]) == len(rows)
-           for v in sorted(set().union(*(d.variables() for d in diagonal)))):
-        return Polynomial.const(n, 1)
-    keys = [m for c in limit.form.terms.values() for m in c.terms]
-    return Polynomial._raw(n, {_monomial_gcd(keys, n): 1})
+    else:
+        y = [x or 1 for x in _seeded_points(n)[0]]
+        if all(_jacobian_rank(rows, y[:v] + [0] + y[v + 1:]) == len(rows)
+               for v in sorted(set().union(*(d.variables() for d in diagonal)))):
+            return Polynomial.const(n, 1)
+    return _content(limit.form).p
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +358,8 @@ def feigin_suite(L: LieAlgebra) -> SuiteReport:
     read off the t-degree sum (_tops_equal),
     (d) the fundamental semi-invariant against the simple-root marks: when
     (c) holds, p = content(A) is read off the tops (_tops_content), with no
-    l-form built while p = 1; else off the limit's top power,
+    l-form built once a minor and its points prove p = 1; else off the
+    limit's top power,
     (e) 2l independent semicentre generators and the derived-algebra index,
     (f) the semicentre proportionality constant.
     """

@@ -15,7 +15,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
-from .linalg import _echelon, _int_pfaffian, _Pfaffians
+from .linalg import _echelon, _Pfaffians
 from .polyring import Polynomial, _accumulate, _div, _integral_terms, _partials, _scaled_values
 
 
@@ -90,16 +90,13 @@ class MultiVector:
         S = C + B^T pi_II^-1 B, and Pf(pi_{I+{j,m}}) = +-Pf(pi_I) S_jm for j,
         m outside I.  So rank pi = |I| exactly when all C(n - |I|, 2) of
         those Pfaffians vanish; otherwise one is nonzero and I grows by its
-        pair.  Every symbolic Pfaffian comes from pi's one memoised engine.
-        From _POINT_ROWS rows up, Pf(pi_I) is first read as one int Pfaffian
-        at the first seeded point, where a nonzero value proves it nonzero,
-        and only a zero value expands it.  The memo is set by one assignment,
-        so threads sharing pi can at worst compute it twice.
+        pair.  Every Pfaffian comes from pi's one memoised engine.  The memo
+        is set by one assignment, so threads sharing pi can at worst compute
+        it twice.
         """
         pf = self._engine
         r, pivots, _ = next(point_ranks(self))
-        if len(pivots) != r or not ((r >= _POINT_ROWS and _first_point_pfaffian(self, pivots))
-                                    or pf.terms(pivots)):
+        if len(pivots) != r or not pf.terms(pivots):
             raise AssertionError("wedge-power rank disagrees with point evaluation")
         rows = set(pivots)
         while pair := next((jm for jm in itertools.combinations(
@@ -316,20 +313,6 @@ def _scaled_matrix_at(pi: MultiVector, point):
             mat[i][j] = v
             mat[j][i] = -v
     return mat, scale
-
-
-# the fewest rows for which generic_rank reads Pf(pi_I) at a point first: on
-# smaller blocks of the builtins and their limits the expansion costs less
-_POINT_ROWS = 12
-
-
-def _first_point_pfaffian(pi: MultiVector, rows) -> int:
-    """Pf(pi_rows) at the first seeded point times a positive int scale, one
-    int Pfaffian of the entries at the pairs of the sorted rows alone."""
-    pairs = [ij for ij in itertools.combinations(rows, 2) if ij in pi.terms]
-    values, _ = _scaled_values([pi.terms[ij] for ij in pairs], _seeded_points(pi.n)[0])
-    at = dict(zip(pairs, values))
-    return _int_pfaffian([[at.get((i, j), 0) - at.get((j, i), 0) for j in rows] for i in rows])
 
 
 def schouten_square(pi: MultiVector) -> MultiVector:

@@ -204,54 +204,3 @@ def test_a_pivot_set_that_disagrees_with_its_rank_raises(monkeypatch):
             vanishing += 1
             assert_raises_from(monkeypatch, pi, 2 * k, zero)
     assert vanishing
-
-
-def fifteen_dimensional():
-    for name in ("sl4", "so6"):
-        L = cached_builtin(name)
-        yield lie_poisson_bivector(L)
-        yield contract_algebra(L, borel_decomposition(L)).pi_tilde
-
-
-def test_the_point_pfaffian_agrees_with_the_engines():
-    # on seeded index sets of 12 rows of the 15-dimensional bivectors and
-    # their Borel limits: zero exactly when Pf(pi_I) is zero at the first
-    # seeded point, where it is a positive multiple of that value
-    rng = random.Random(1212)
-    seen = set()
-    for pi in fifteen_dimensional():
-        point = exterior._seeded_points(pi.n)[0]
-        for _ in range(40):
-            rows = tuple(sorted(rng.sample(range(pi.n), 12)))
-            pf = Polynomial._raw(pi.n, fresh(pi)._engine.terms(rows)).evaluate(point)
-            got = exterior._first_point_pfaffian(pi, rows)
-            assert (got > 0) - (got < 0) == (pf > 0) - (pf < 0)
-            seen.add(got == 0)
-    assert seen == {True, False}
-
-
-def test_twelve_pivots_are_proved_at_the_point(monkeypatch):
-    # generic_rank asks the engine for no Pfaffian at 12 pivots; below 12
-    # rows, as on sp4, it expands Pf(pi_I)
-    asked = []
-    real = exterior._Pfaffians.terms
-    monkeypatch.setattr(exterior._Pfaffians, "terms",
-                        lambda self, rows: asked.append(rows) or real(self, rows))
-    for pi in [*fifteen_dimensional(), lie_poisson_bivector(cached_builtin("sp4"))]:
-        asked.clear()
-        pi = fresh(pi)
-        pivots = next(exterior.point_ranks(pi))[1]
-        assert pi.generic_rank[0] == len(pivots)
-        assert (pivots in asked) == (len(pivots) < 12)
-
-
-def test_a_vanishing_pfaffian_of_twelve_rows_raises(monkeypatch):
-    # a 12-set whose Pfaffian vanishes on the sl4 and so6 Borel limits: the
-    # point value is 0, so the engine decides, and the rank check raises
-    for name in ("sl4", "so6"):
-        L = cached_builtin(name)
-        pi = contract_algebra(L, borel_decomposition(L)).pi_tilde
-        rows = next(I for I in itertools.combinations(range(pi.n), 12)
-                    if not fresh(pi)._engine.terms(I))
-        assert exterior._first_point_pfaffian(pi, rows) == 0
-        assert_raises_from(monkeypatch, pi, 12, rows)

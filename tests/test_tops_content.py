@@ -2,8 +2,9 @@
 
 p = content(dF_1 ^ ... ^ dF_l) comes from a triangular monomial minor A_J,
 which p divides, and one seeded point per variable of that minor; the l-form
-is built only when a point test fails, and then p is its monomial gcd.  Each
-value is checked against _content(form).p, the gcd of the whole form.
+is built only when no such minor is found or a point test fails, and then p
+is its gcd.  Each value is checked against _content(form).p, the gcd of the
+whole form.
 """
 
 import functools
@@ -21,8 +22,8 @@ from liecontract.invariants import char_invariants
 from liecontract.polyring import Polynomial
 
 PAST_CAP = {"sp6": ("_build_sp", 6), "so7": ("_build_so", 7), "sl5": ("_build_sl", 5)}
-# the Borel limits whose points prove p = 1 with no form built (step 2), and
-# the ones where p is a nonconstant monomial, read off the form (step 3)
+# the Borel limits whose points prove p = 1 with no form built, and the ones
+# where p is a nonconstant monomial, a point test fails and p is the form's gcd
 POINT_PROVED = ("sl2", "sl3", "sl4", "so6", "sl5")
 MONOMIAL = ("sp4", "so5", "sp6", "so7")
 
@@ -67,17 +68,19 @@ def test_the_tops_content_is_the_forms_gcd(key):
 
 
 def steps_of(monkeypatch):
-    """[steps] filled as _tops_content runs: 1 when no triangular monomial
-    minor is found (the form's gcd), 2 when the points prove p = 1, 3 when
-    p is the form's monomial gcd."""
-    steps, fallback = [], []
-    real = analysis._content
-    monkeypatch.setattr(analysis, "_content", lambda b: fallback.append(1) or real(b))
+    """[steps] filled as _tops_content runs: "no minor" when no triangular
+    monomial minor is found, "points" when the points prove p = 1, and
+    "point failed" when a point test fails; both failures read the form's gcd."""
+    steps, tested = [], []
+    real = analysis._jacobian_rank
+    monkeypatch.setattr(analysis, "_jacobian_rank",
+                        lambda rows, point: tested.append(1) or real(rows, point))
 
     def run(rep):
-        fallback.clear()
+        tested.clear()
         p = _tops_content(rep)
-        steps.append(1 if fallback else 3 if "form" in rep.__dict__ else 2)
+        built = "form" in rep.__dict__
+        steps.append("point failed" if built and tested else "no minor" if built else "points")
         return p
     return steps, run
 
@@ -88,7 +91,7 @@ def test_a_minor_that_is_not_monomial_reads_the_forms_gcd(monkeypatch):
     x, y, z = (Polynomial.variable(3, i) for i in range(3))
     steps, run = steps_of(monkeypatch)
     assert run(on([x, (x + y) ** 2 * z], 3)) == x + y
-    assert steps == [1]
+    assert steps == ["no minor"]
 
 
 def test_each_step_on_hand_picked_sets(monkeypatch):
@@ -98,11 +101,11 @@ def test_each_step_on_hand_picked_sets(monkeypatch):
     assert run(on([x * x, y + z * z], 3)) == x
     # minor 1 * y; at y = 0 the Jacobian keeps rank 2 through z + 2y = z != 0
     assert run(on([x, y * z + y * y], 3)) == Polynomial.const(3, 1)
-    # minor 1 * 2xy; A = 2xy dx^dz + x^2 dy^dz, whose monomial gcd is x
+    # minor 1 * 2xy; A = 2xy dx^dz + x^2 dy^dz, whose gcd is x
     assert run(on([x * x * y, z], 3)) == x
     # the empty list: the unit 0-form, p = 1 with no variable to test
     assert run(on([], 3)) == Polynomial.const(3, 1)
-    assert steps == [3, 2, 3, 2]
+    assert steps == ["point failed", "points", "point failed", "points"]
 
 
 def seeded_sets(seed, count):
@@ -127,11 +130,11 @@ def test_seeded_sets_reach_each_step_and_agree_with_the_gcd(monkeypatch):
     steps, run = steps_of(monkeypatch)
     for polys in seeded_sets(39, 60):
         assert run(on(polys, 4)) == _content(on(polys, 4).form).p, polys
-    assert set(steps) == {1, 2, 3}
+    assert set(steps) == {"no minor", "points", "point failed"}
 
 
 def test_a_failed_point_test_gives_the_same_p(monkeypatch):
-    # every point test fails, so each limit takes step 3, the form's monomial gcd
+    # every point test fails, so each limit reads the form's gcd
     monkeypatch.setattr(analysis, "_jacobian_rank", lambda rows, point: -1)
     for name in FEIGIN_ALGEBRAS:
         pi, tops = borel_tops(name)
@@ -161,27 +164,8 @@ def test_feigin_builds_no_form_and_takes_no_gcd_when_points_prove_p_is_one(name,
 
 
 @pytest.mark.parametrize("name", MONOMIAL)
-def test_feigin_reads_a_monomial_p_off_the_form_with_no_prs(name, monkeypatch):
-    # the semicentre certificate's gcd of two monomials calls _gcd_rec, which
-    # returns at once; the FSI step calls none, and nothing runs a PRS step
+def test_feigin_reads_a_monomial_p_off_the_form(name, monkeypatch):
     forms = spy(monkeypatch, analysis, "_form_of_differentials")
-    prs = spy(monkeypatch, polyring, "_pseudo_rem")
-    inside, calls = [], []
-    real_gcd, real_content = polyring._gcd_rec, analysis._tops_content
-
-    def gcd(a, b):
-        calls.append(bool(inside))
-        return real_gcd(a, b)
-
-    def content(limit):
-        inside.append(1)
-        try:
-            return real_content(limit)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(polyring, "_gcd_rec", gcd)
-    monkeypatch.setattr(analysis, "_tops_content", content)
     rep = feigin_suite(algebra(name))
     assert rep.ok
-    assert len(forms) == 1 and True not in calls and prs == []
+    assert len(forms) == 1
