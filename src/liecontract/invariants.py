@@ -3,8 +3,9 @@
 Generators for the classical algebras come from the characteristic
 polynomial of the generic matrix X = sum_j x_j M_j^dual written against the
 trace-dual basis, so that each coefficient is an honest central element of
-the Lie-Poisson structure.  The principal minors and the Pfaffian come from
-linalg's memoised int engine, which clears X's denominators itself.  The
+the Lie-Poisson structure.  X is built as the int Y = D X (linalg._int_inverse),
+so linalg's memoised int engine has no denominator of X to clear: a minor
+sum or Pfaffian of degree k in Y is divided by D^k once per coefficient.  The
 first generator is rescaled once so the set satisfies the regularity
 equality  dF_1 ^ ... ^ dF_l / omega = wedge^{(n-l)/2} pi  on the nose,
 by a scale read at a nilpotent point whose certificate proves the whole
@@ -25,8 +26,8 @@ from .contract import ContractionWeights, t_degree
 from .exterior import (MultiVector, pfaffian, point_ranks, shuffle_sign,
                        wedge_power_coefficient)
 from .lie import LieAlgebra, lie_poisson_bivector
-from .linalg import (_echelon, _int_pfaffian, _principal_minor_sums, poly_det_cofactor,
-                     rational_inverse, solve_exact)
+from .linalg import (_echelon, _int_inverse, _int_pfaffian, _principal_minor_sums,
+                     poly_det_cofactor, solve_exact)
 from .polyring import (Polynomial, _accumulate, _integral_terms, _partials, _ratio,
                        _scaled_values, poly_compose)
 
@@ -107,7 +108,8 @@ def _weight(h_partials, pi: MultiVector):
 
 
 def _trace_dual_generic_matrix(L: LieAlgebra):
-    """X = sum_j x_j M_j^dual, for the dual basis with tr(M_i^dual M_j) = delta_ij."""
+    """(D, Y = D X) for X = sum_j x_j M_j^dual, tr(M_i^dual M_j) = delta_ij, and
+    an int D > 0 making Y int; the Gram matrix T is read as d T^-1 (_int_inverse)."""
     if L.matrices is None:
         raise ValueError("algebra has no matrix realization")
     n = L.n
@@ -124,9 +126,11 @@ def _trace_dual_generic_matrix(L: LieAlgebra):
         for j, y in at.get((s, r), ()):
             for i, x in here:
                 T[i][j] += x * y
-    Tinv = rational_inverse(T)
-    # the dual of M_j is sum_i Tinv[i][j] M_i, so X[r][s] has coefficient
-    # sum_i Tinv[i][j] M_i[r][s] at x_j
+    pivots, d, Tinv = _int_inverse(T)
+    if pivots[-1] >= n:
+        raise ValueError("matrix is singular")
+    # the dual of M_j is sum_i Tinv[i][j] M_i / d, so d X[r][s] has
+    # coefficient sum_i Tinv[i][j] M_i[r][s] at x_j
     coeffs = {}
     for rs, here in at.items():
         row = coeffs[rs] = {}
@@ -134,10 +138,11 @@ def _trace_dual_generic_matrix(L: LieAlgebra):
             for j, c in enumerate(Tinv[i]):
                 if c:
                     row[j] = row.get(j, 0) + c * x
-    X = [[Polynomial.zero(n)] * m for _ in range(m)]
+    e = math.lcm(*(c.denominator for row in coeffs.values() for c in row.values()))
+    Y = [[Polynomial.zero(n)] * m for _ in range(m)]
     for (r, s), row in coeffs.items():
-        X[r][s] = Polynomial.linear(n, row)
-    return X
+        Y[r][s] = Polynomial.linear(n, {j: int(c * e) for j, c in row.items()} if e > 1 else row)
+    return d * e, Y
 
 
 def char_invariants(L: LieAlgebra) -> GeneratorSet:
@@ -148,6 +153,8 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
     keeps det(lambda - X), so each principal-minor sum, rescaled or not.
     pfaffian checks SX skew, so SZ is; S (1 - sZ) X (1 + sZ) = A SX A^T for
     A = 1 - sSZS: Pf gains det A = 1 - s tr(S SZ) + O(s^2), S SZ has trace 0.
+    The engine reads the int Y = D X: e_k(Y) = D^k e_k(X) and Pf(SY) =
+    D^l Pf(SX) are divided once; SY is skew exactly when SX is, as D > 0.
     On a hand-built L the normalisation checks each F instead.  It proves
     A = B at a nilpotent point, and the list is marked again (_Casimirs)
     once F_1 is scaled: every set returned is proved."""
@@ -156,15 +163,16 @@ def char_invariants(L: LieAlgebra) -> GeneratorSet:
     kind, size = L.family
     if kind not in ("sl", "sp", "so"):
         raise ValueError(f"unsupported family {kind!r}")
-    X = _trace_dual_generic_matrix(L)
+    D, Y = _trace_dual_generic_matrix(L)
     # sl: minors of every degree >= 2; sp, so: the even ones, except that
     # so(2l) has the Pfaffian in place of the degree-2l minor
     pf = kind == "so" and size % 2 == 0
-    minor_sum = _principal_minor_sums(X)
+    minor_sum = _principal_minor_sums(Y)
     gens = [minor_sum(d) for d in range(2, size - 1 if pf else size + 1, 1 if kind == "sl" else 2)]
     if pf:
-        # S @ X, S the anti-diagonal identity, is skew on the so realization
-        gens.append(pfaffian(X[::-1]))
+        # S @ Y, S the anti-diagonal identity, is skew on the so realization
+        gens.append(pfaffian(Y[::-1]))
+    gens = [Polynomial._collect(L.n, g.terms, D ** g.degree()) for g in gens]
     gens.sort(key=lambda g: g.degree())
     gens = _Casimirs(L.bivector, gens) if L._commutator else gens
     scale = _normalize_to_regularity(L, gens)
@@ -228,6 +236,7 @@ def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     ker pi(xi), orthogonal to im pi(xi), which holds xi by (b'): e q(xi) =
     grad q(xi) . xi = 0.  (4) p(xi) != 0 as B_I(xi) != 0, so p = 1, q1 is a
     unit, and deg A <= sum(deg F_i - 1) = deg B makes q2 a number.
+    V's partials are of the F_i scaled to int by d (_integral_terms): s holds d.
     """
     pi = lie_poisson_bivector(L)
     n, ell, k = L.n, len(gens), (L.n - len(gens)) // 2
@@ -243,9 +252,10 @@ def _normalize_to_regularity(L: LieAlgebra, gens) -> Fraction:
     if len(pivots) != n - ell:                                          # (b)
         raise ValueError("degenerate generator set")
     cols = [j for j in range(n) if j not in pivots]
-    partials = [_partials(F.terms, n, cols) for F in gens]
-    values, s = _scaled_values([Polynomial._raw(n, ps.get(j, {})) for ps in partials
-                                for j in cols], xi)
+    dg, maps = _integral_terms(gens)
+    values, s = _scaled_values([Polynomial._raw(n, ps.get(j, {})) for ps in
+                                (_partials(t, n, cols) for t in maps) for j in cols], xi)
+    s *= dg                                     # values = s (dF_i/dx_j)(xi), int
     # det V, V = s (dF_i/dx_j)(xi) for j in J, is +-Pf([[0, V], [-V^T, 0]])
     block = [[0] * ell + values[i * ell:i * ell + ell] for i in range(ell)]
     block += [[-values[i * ell + j] for i in range(ell)] + [0] * ell for j in range(ell)]

@@ -179,8 +179,8 @@ def _square_size(mats) -> int:
 
 
 def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> LieAlgebra:
-    """Extract structure constants from a list of matrices closed under
-    commutator, taking each commutator from the nonzero entries.
+    """Extract structure constants from matrices closed under commutator, each
+    commutator summed from nonzero entries into a sparse target {r * m + t: x}.
 
     The algebra carries one mark, _commutator, off which its Jacobi verdict
     True and char_invariants' Casimir proof are read: `column_solver` refuses dependent matrices and accepts a commutator only
@@ -204,20 +204,20 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            comm = [0] * (m * m)
+            comm: dict = {}
             for a, b, sign in ((i, j, 1), (j, i, -1)):
                 for r, row in enumerate(rows[a]):
+                    rm = r * m
                     for s, x in row:
                         x *= sign
                         for t, y in rows[b][s]:
-                            comm[r * m + t] += x * y
+                            comm[rm + t] = comm.get(rm + t, 0) + x * y
             sol = solve(comm)
             if sol is None:
                 raise ValueError(
                     f"span is not closed under commutator at pair ({labels[i]},{labels[j]})")
-            row = {k: c for k, c in enumerate(sol) if c}
-            if row:
-                brackets[(i, j)] = row
+            if sol:
+                brackets[(i, j)] = sol
     L = LieAlgebra(labels, brackets, matrices=mats,
                    root_data=root_data, name=name, family=family)
     L._commutator = True
@@ -266,13 +266,11 @@ def subalgebra_from_vectors(L: LieAlgebra, vectors, labels=None) -> LieAlgebra:
     brackets = {}
     for a in range(m):
         for b in range(a + 1, m):
-            w = L.bracket_vectors(vecs[a], vecs[b])
-            sol = solve([w.get(i, 0) for i in range(L.n)])
+            sol = solve(L.bracket_vectors(vecs[a], vecs[b]))
             if sol is None:
                 raise ValueError("span is not closed under the bracket")
-            row = {k: c for k, c in enumerate(sol) if c}
-            if row:
-                brackets[(a, b)] = row
+            if sol:
+                brackets[(a, b)] = sol
     mats = [L.matrix_of(v) for v in vecs] if L.matrices is not None and m else None
     return LieAlgebra(labels, brackets, matrices=mats)
 

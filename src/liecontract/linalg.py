@@ -5,9 +5,9 @@ otherwise.  One forward elimination, _echelon, is behind the solves, ranks
 and inverses: it scales each row to int once and clears the rows below each
 pivot fraction-free, and a rank reads its pivots straight off it.  An upward
 pass with the same row step reduces it (_reduced) for the rest:
-solve_exact, rational_inverse and lie.centralizer_in_span divide only the
-entries they return, and column_solver reads its inverse off the int rows
-and solves sparsely in int.  Every
+solve_exact and lie.centralizer_in_span divide only the entries they
+return, and _int_inverse reads d A^-1 off the int rows of [A | I], for
+column_solver's sparse int solves and the trace dual's Gram inverse.  Every
 polynomial minor, Pfaffian or determinant, comes from one engine,
 _Pfaffians: a first-row Pfaffian expansion memoised per row tuple and run in
 int, with a determinant read as the Pfaffian of [[0, M], [-M^T, 0]]; an
@@ -24,8 +24,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .polyring import Polynomial, _accumulate, _div, _integral_terms
-
-_ZERO = Fraction(0)
 
 
 def mat_mul(a, b):
@@ -122,59 +120,52 @@ def solve_exact(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction
     return sol
 
 
+def _int_inverse(matrix):
+    """(pivots P, d, d E as int rows) for the rows A: [A | I] reduces to v_r
+    [R | E] in row r, R with unit columns at P, so E = (A_P)^-1 and d > 0 is
+    its least denominator.  The rows are dependent when P[-1] >= A's width."""
+    k, width = len(matrix), len(matrix[0])
+    rows, pivots = _reduced([list(row) + [int(j == i) for j in range(k)]
+                             for i, row in enumerate(matrix)])
+    d = math.lcm(*(row[p] // math.gcd(row[p], *row[width:]) for row, p in zip(rows, pivots)))
+    return pivots, d, [[x * d // row[p] for x in row[width:]] for row, p in zip(rows, pivots)]
+
+
 def column_solver(columns: Sequence[Sequence]):
     """Reduce linearly independent columns once, for many right-hand sides.
 
-    Returns solve(target), which gives the x with sum_k x_k columns[k] equal
-    to target in every entry, or None when there is no such x; each x_k is
-    an int when integral.  Returns None itself when the columns are linearly
-    dependent.
+    Returns solve(target) for a sparse target {position: entry}: the sparse
+    x = {k: x_k}, k ascending, no x_k zero and each an int when integral,
+    with sum_k x_k columns[k] equal to target; None when there is no such x.
+    Returns None itself when the columns are linearly dependent.  x = E^T b_P
+    for _int_inverse's E, checked at every position that the target or a used
+    column touches: everywhere else both sides are zero.
     """
-    n = len(columns)
-    size = len(columns[0])
-    # [C^T | I] reduces to v_r [R | E] in row r, where R has unit columns at
-    # n pivot entries P; then E = (C_P^T)^-1 and x = E^T b_P is the only candidate
-    rows, pivots = _reduced([list(col) + [int(j == k) for j in range(n)]
-                             for k, col in enumerate(columns)])
-    if pivots[-1] >= size:
+    pivots, d, inverse = _int_inverse(columns)
+    if pivots[-1] >= len(columns[0]):
         return None
-    # D * E is integral for D the lcm of each v_r over its gcd with E's row r
-    d = math.lcm(*(row[p] // math.gcd(row[p], *row[size:]) for row, p in zip(rows, pivots)))
-    inverse = [(p, [(k, x * d // row[p]) for k, x in enumerate(row[size:]) if x])
-               for row, p in zip(rows, pivots)]
+    inverse = {p: [(k, x) for k, x in enumerate(row) if x] for p, row in zip(pivots, inverse)}
     nonzero = [[(i, v) for i, v in enumerate(col) if v] for col in columns]
 
     def solve(target):
-        dsol = [0] * n
-        for p, erow in inverse:
-            if b := target[p]:
+        dsol: dict = {}
+        for p, b in target.items():
+            if b and (erow := inverse.get(p)):
                 for k, e in erow:
-                    dsol[k] += b * e
-        combo = [0] * size
-        for c, col in zip(dsol, nonzero):
-            if c:
-                for i, v in col:
-                    combo[i] += c * v
-        if combo != [d * t for t in target]:
+                    dsol[k] = dsol.get(k, 0) + b * e
+        combo = {i: -d * t for i, t in target.items()}
+        for k, c in dsol.items():
+            for i, v in nonzero[k]:
+                combo[i] = combo.get(i, 0) + c * v
+        if any(combo.values()):
             return None
-        return [_div(c, d) if c else 0 for c in dsol]
+        return {k: _div(c, d) for k, c in sorted(dsol.items()) if c}
 
     return solve
 
 
 def rational_rank(matrix) -> int:
     return len(_echelon(matrix)[1])
-
-
-def rational_inverse(matrix):
-    m = len(matrix)
-    if any(len(row) != m for row in matrix):
-        raise ValueError("matrix must be square")
-    rows, pivots = _reduced([list(matrix[i]) + [int(j == i) for j in range(m)]
-                             for i in range(m)])
-    if pivots != list(range(m)):
-        raise ValueError("matrix is singular")
-    return [[Fraction(x, row[r]) if x else _ZERO for x in row[m:]] for r, row in enumerate(rows)]
 
 
 class _Pfaffians:

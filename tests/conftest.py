@@ -21,7 +21,7 @@ from liecontract.invariants import (_pivot_point, _regularity_minor,  # noqa: E4
                                     char_invariants, semi_invariant_weight, t_degree_reduction)
 from liecontract.lie import LieAlgebra, lie_poisson_bivector  # noqa: E402
 from liecontract.linalg import _reduced, rational_rank  # noqa: E402
-from liecontract.polyring import (Polynomial, _as_univariate, _graded,  # noqa: E402
+from liecontract.polyring import (Polynomial, _as_univariate, _coeff, _div, _graded,  # noqa: E402
                                   _main_variable, _monomial_gcd, _pack, _ratio, _uni_degree,
                                   _uni_leading, poly_div_exact, poly_monic)
 
@@ -117,6 +117,113 @@ def row_reduce(matrix):
     rows, pivots = _reduced(matrix)
     out = [[Fraction(x, row[col]) for x in row] for row, col in zip(rows, pivots)]
     return out + [[Fraction(0)] * len(row) for row in rows[len(pivots):]], pivots
+
+
+def rational_inverse(matrix):
+    """A^-1 as Fraction rows, off one [A | I] reduction: the package's inverse
+    before the trace dual came to read d A^-1 in int (linalg._int_inverse)."""
+    m = len(matrix)
+    if any(len(row) != m for row in matrix):
+        raise ValueError("matrix must be square")
+    rows, pivots = _reduced([list(matrix[i]) + [int(j == i) for j in range(m)]
+                             for i in range(m)])
+    if pivots != list(range(m)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, row[r]) if x else Fraction(0) for x in row[m:]]
+            for r, row in enumerate(rows)]
+
+
+def dense_column_solver(columns):
+    """The column solver before its solves became sparse: solve(target) takes
+    and returns dense lists, and checks the combination in every entry."""
+    n = len(columns)
+    size = len(columns[0])
+    rows, pivots = _reduced([list(col) + [int(j == k) for j in range(n)]
+                             for k, col in enumerate(columns)])
+    if pivots[-1] >= size:
+        return None
+    d = math.lcm(*(row[p] // math.gcd(row[p], *row[size:]) for row, p in zip(rows, pivots)))
+    inverse = [(p, [(k, x * d // row[p]) for k, x in enumerate(row[size:]) if x])
+               for row, p in zip(rows, pivots)]
+    nonzero = [[(i, v) for i, v in enumerate(col) if v] for col in columns]
+
+    def solve(target):
+        dsol = [0] * n
+        for p, erow in inverse:
+            if b := target[p]:
+                for k, e in erow:
+                    dsol[k] += b * e
+        combo = [0] * size
+        for c, col in zip(dsol, nonzero):
+            if c:
+                for i, v in col:
+                    combo[i] += c * v
+        if combo != [d * t for t in target]:
+            return None
+        return [_div(c, d) if c else 0 for c in dsol]
+
+    return solve
+
+
+def dense_brackets(mats, labels=None):
+    """from_matrices' bracket table before its solves became sparse: each
+    commutator a dense m^2-vector for dense_column_solver, with the same errors."""
+    m, n = len(mats[0]), len(mats)
+    mats = [[[_coeff(x) for x in row] for row in M] for M in mats]
+    solve = dense_column_solver([[x for row in M for x in row] for M in mats])
+    if solve is None:
+        raise ValueError("matrices are linearly dependent")
+    labels = labels or [f"x{i}" for i in range(n)]
+    rows = [[[(t, x) for t, x in enumerate(row) if x] for row in M] for M in mats]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            comm = [0] * (m * m)
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                for r, row in enumerate(rows[a]):
+                    for s, x in row:
+                        for t, y in rows[b][s]:
+                            comm[r * m + t] += sign * x * y
+            sol = solve(comm)
+            if sol is None:
+                raise ValueError(
+                    f"span is not closed under commutator at pair ({labels[i]},{labels[j]})")
+            row = {k: c for k, c in enumerate(sol) if c}
+            if row:
+                brackets[(i, j)] = row
+    return brackets
+
+
+def fraction_trace_dual(L):
+    """X = sum_j x_j M_j^dual with tr(M_i^dual M_j) = delta_ij, in Fraction:
+    the trace dual before it came to be read as (D, Y = D X) in int."""
+    if L.matrices is None:
+        raise ValueError("algebra has no matrix realization")
+    n = L.n
+    m = len(L.matrices[0])
+    at: dict = {}
+    for i, M in enumerate(L.matrices):
+        for r, row in enumerate(M):
+            for s, x in enumerate(row):
+                if x:
+                    at.setdefault((r, s), []).append((i, x))
+    T = [[0] * n for _ in range(n)]
+    for (r, s), here in at.items():
+        for j, y in at.get((s, r), ()):
+            for i, x in here:
+                T[i][j] += x * y
+    Tinv = rational_inverse(T)
+    coeffs = {}
+    for rs, here in at.items():
+        row = coeffs[rs] = {}
+        for i, x in here:
+            for j, c in enumerate(Tinv[i]):
+                if c:
+                    row[j] = row.get(j, 0) + c * x
+    X = [[Polynomial.zero(n)] * m for _ in range(m)]
+    for (r, s), row in coeffs.items():
+        X[r][s] = Polynomial.linear(n, row)
+    return X
 
 
 def volume_dual(f):

@@ -3,13 +3,14 @@ the paths they replaced.
 
 linalg._echelon clears only the rows below each pivot.  An upward pass with
 the same fraction-free row step reduces those rows (_reduced, read as
-Fraction rows by conftest.row_reduce) for solve_exact and rational_inverse,
-and for column_solver, which reads its inverse off the int rows and solves
-in int, touching only nonzero entries.
+Fraction rows by conftest.row_reduce) for solve_exact and _int_inverse,
+which returns d A^-1 as int rows; column_solver reads its inverse there and
+solves sparse targets in int, touching only nonzero entries.
 The in-test copy below is the replaced elimination: a Gauss-Jordan pass that
 also clears the entries above each pivot.  Pivots, reduced rows, solutions
-and inverses must be identical to it (and to sympy's rref when sympy is
-installed), column_solver's solutions identical to solve_exact's, and every
+and inverses (d A^-1 over d) must be identical to it (and to sympy's rref
+when sympy is installed), column_solver's sparse solutions identical to
+solve_exact's nonzero entries, and every
 algebra built through the solver must print the bytes recorded before the
 change.
 """
@@ -25,7 +26,7 @@ from conftest import cached_builtin, row_reduce
 from liecontract import builders
 from liecontract.builders import BUILTIN_ALGEBRAS, _PAIRS, symmetric_pair
 from liecontract.lie import algebra_to_text
-from liecontract.linalg import _echelon, column_solver, rational_inverse, rational_rank, solve_exact
+from liecontract.linalg import _echelon, _int_inverse, column_solver, rational_rank, solve_exact
 from test_contraction_pass import deficient_matrices
 
 # ---------------------------------------------------------------------------
@@ -159,13 +160,14 @@ def test_solve_exact_and_the_inverse_match_gauss_jordan(matrix):
     if len(matrix[0]) >= m:
         rows, pivots = reference_row_reduce([row + [int(i == j) for j in range(m)]
                                              for i, row in enumerate(square)])
+        got_pivots, d, got = _int_inverse(square)
         if pivots[:m] == list(range(m)):
-            got = rational_inverse(square)
-            assert got == [row[m:] for row in rows]
-            assert all(type(x) is Fraction for row in got for x in row)
+            assert got_pivots == pivots[:m]
+            assert [[Fraction(x, d) for x in row] for row in got] == [row[m:] for row in rows]
+            assert all(type(x) is int for row in got for x in row)
         else:
-            with pytest.raises(ValueError, match="matrix is singular"):
-                rational_inverse(square)
+            # singular: a pivot falls in the identity block
+            assert got_pivots[-1] >= m
 
 
 def test_row_reduce_matches_sympy_rref():
@@ -208,6 +210,11 @@ def independent_columns(rng):
             return cols
 
 
+def sparse(vector):
+    """{position: entry} of a vector's nonzero entries, positions ascending."""
+    return {k: x for k, x in enumerate(vector) if x}
+
+
 def combine(cols, x):
     return [sum((c[i] * xk for c, xk in zip(cols, x)), Fraction(0)) for i in range(len(cols[0]))]
 
@@ -221,16 +228,17 @@ def test_column_solver_matches_solve_exact():
         assert solve is not None
         x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in cols]
         target = combine(cols, x)
-        assert solve(target) == x == solve_exact(cols, target)
-        assert all(type(v) is int or v.denominator > 1 for v in solve(target))
+        assert solve(sparse(target)) == sparse(x) == sparse(solve_exact(cols, target))
+        assert list(solve(sparse(target))) == sorted(sparse(x))
+        assert all(type(v) is int or v.denominator > 1 for v in solve(sparse(target)).values())
         # a target outside the span: the last entry moved off every combination
         if len(cols) < len(cols[0]):
             moved = target[:-1] + [target[-1] + 1]
             if solve_exact(cols, moved) is None:
                 outside += 1
-                assert solve(moved) is None
-        assert solve([0] * len(cols[0])) == [0] * len(cols)
-        assert solve([Fraction(0)] * len(cols[0])) == [0] * len(cols)
+                assert solve(sparse(moved)) is None
+        assert solve({}) == {}
+        assert solve(dict.fromkeys(range(len(cols[0])), Fraction(0))) == {}
     assert outside
 
 
@@ -244,10 +252,10 @@ def test_column_solver_matches_sympy():
         A = sympy.Matrix([[sympy.Rational(Fraction(c[i]).numerator, Fraction(c[i]).denominator)
                            for c in cols] for i in range(len(target))])
         b = sympy.Matrix([sympy.Rational(t.numerator, t.denominator) for t in target])
-        got = solve(target)
+        got = solve(sparse(target))
         if A.rank() == A.row_join(b).rank():
             want = A.gauss_jordan_solve(b)[0]
-            assert got == [Fraction(int(v.p), int(v.q)) for v in want]
+            assert got == sparse(Fraction(int(v.p), int(v.q)) for v in want)
         else:
             assert got is None
 

@@ -3,11 +3,11 @@
 from_matrices normalises the realisation to int where integral, takes each
 commutator from nonzero entries and solves with the inverse's denominator
 cleared; char_invariants builds the trace-dual generic matrix X from nonzero
-entries.  The in-test copies below are the
+entries, as (D, Y = D X) with int coefficients.  The in-test copies below are the
 replaced code: dense Fraction commutators with one Fraction solve per pair,
 and X assembled by one polynomial addition per matrix entry.  Outputs must be
-equal, and every number the layer keeps must be an int or a non-integral
-Fraction.
+equal (Y / D equal to X), and every number the layer keeps must be an int or
+a non-integral Fraction; Y keeps only ints.
 """
 
 import random
@@ -15,14 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import row_reduce
+from conftest import fraction_trace_dual, rational_inverse, row_reduce
 from liecontract import invariants
 from liecontract.builders import (BUILTIN_ALGEBRAS, Z2_PAIRS, _adapted_sl4_basis,
                                   builtin_algebra, symmetric_pair)
 from liecontract.cli import main
 from liecontract.invariants import _trace_dual_generic_matrix, char_invariants
 from liecontract.lie import algebra_from_text, from_matrices
-from liecontract.linalg import rational_inverse
 from liecontract.polyring import Polynomial
 
 _ZERO = Fraction(0)
@@ -171,13 +170,18 @@ def test_brackets_equal_the_dense_path(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_generators_equal_the_dense_path(name, monkeypatch):
     L = algebra(name)
-    X = _trace_dual_generic_matrix(L)
-    assert X == reference_trace_dual(L)
+    D, Y = _trace_dual_generic_matrix(L)
+    assert [[p * Fraction(1, D) for p in row] for row in Y] == reference_trace_dual(L)
     got = char_invariants(L)
-    monkeypatch.setattr(invariants, "_trace_dual_generic_matrix", reference_trace_dual)
+    monkeypatch.setattr(invariants, "_trace_dual_generic_matrix",
+                        lambda L: (1, fraction_trace_dual(L)))
     want = char_invariants(algebra(name))
     assert got.gens == want.gens
     assert got.normalization == want.normalization
+    # term order and coefficient types too, so no rendering can move
+    assert [list(g.terms.items()) for g in got.gens] == [list(g.terms.items()) for g in want.gens]
+    assert all(type(a) is type(b) for g, h in zip(got.gens, want.gens)
+               for a, b in zip(g.terms.values(), h.terms.values()))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -215,9 +219,10 @@ def test_trace_dual_basis_against_sympy():
     sympy = pytest.importorskip("sympy")
     for name in NAMES:
         L = algebra(name)
-        X = _trace_dual_generic_matrix(L)
-        m = len(X)
-        coeffs = [[X[r][s].linear_coefficients() for s in range(m)] for r in range(m)]
+        D, Y = _trace_dual_generic_matrix(L)
+        m = len(Y)
+        coeffs = [[{j: Fraction(c, D) for j, c in Y[r][s].linear_coefficients().items()}
+                   for s in range(m)] for r in range(m)]
         # row i: M_i^dual flattened; column j: M_j transposed, flattened
         dual = sympy.Matrix(L.n, m * m, lambda i, rs: sympy.Rational(
             str(coeffs[rs // m][rs % m].get(i, 0))))
@@ -240,9 +245,11 @@ def test_matrix_layer_keeps_ints_where_integral(name, build):
     assert all(is_int_or_proper_fraction(x) for M in L.matrices for row in M for x in row)
     assert all(is_int_or_proper_fraction(c) for row in L.brackets.values()
                for c in row.values())
-    X = _trace_dual_generic_matrix(L)
-    assert all(is_int_or_proper_fraction(c) for row in X for p in row
+    D, Y = _trace_dual_generic_matrix(L)
+    assert all(is_int_or_proper_fraction(c) for row in Y for p in row
                for c in p.as_dict().values())
+    assert type(D) is int and all(type(c) is int for row in Y for p in row
+                                  for c in p.as_dict().values())
 
 
 @pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)

@@ -6,8 +6,9 @@ it on the matrix, and linalg.poly_det_cofactor on the block
 copies below are the replaced code: two unmemoised first-row expansions in
 the entries' own arithmetic.  On seeded random, singular and zero-row
 matrices with int, Fraction and Polynomial entries, and on the principal
-minors of the trace-dual generic matrix of every builtin, the results must
-be equal.  Standard library only, so these run without sympy.
+minors of the trace-dual generic matrix of every builtin (its int form
+Y = D X), the results must be equal.  Standard library only, so these run
+without sympy.
 """
 
 import itertools
@@ -233,7 +234,7 @@ def test_det_rejects_a_non_square_matrix(bad):
 
 @pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
 def test_principal_minor_sums_equal_per_subset_dets(name):
-    X = _trace_dual_generic_matrix(cached_builtin(name))
+    _, X = _trace_dual_generic_matrix(cached_builtin(name))
     m = len(X)
     e = _principal_minor_sums(X)
     for d in range(1, m + 1):

@@ -28,7 +28,7 @@ from liecontract.contract import contract_algebra, t_degree
 from liecontract.exterior import MultiVector, _scaled_matrix_at, point_ranks
 from liecontract.invariants import char_invariants, semi_invariant_weight, t_degree_reduction
 from liecontract.lie import lie_poisson_bivector
-from liecontract.linalg import rational_inverse, rational_rank, solve_exact
+from liecontract.linalg import _int_inverse, rational_rank, solve_exact
 from liecontract.polyring import Polynomial, _scaled_values
 
 _ZERO = Fraction(0)
@@ -182,7 +182,11 @@ def test_the_derived_solvers_match_the_fraction_path():
             [row + [int(i == j) for j in range(m)] for i, row in enumerate(A)])
         assert rational_rank(A) == sum(p < m for p in ref_pivots)
         if ref_pivots[:m] == list(range(m)):
-            assert same_typed(rational_inverse(A), [row[m:] for row in ref_rows])
+            pivots, d, inverse = _int_inverse(A)
+            assert pivots == ref_pivots[:m]
+            assert all(type(x) is int for row in inverse for x in row)
+            assert same_typed([[Fraction(x, d) for x in row] for row in inverse],
+                              [row[m:] for row in ref_rows])
         b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
         columns = [[A[i][j] for i in range(m)] for j in range(m)]
         x = solve_exact(columns, b)
@@ -199,12 +203,22 @@ def test_ragged_rows_are_rejected(matrix):
         row_reduce(matrix)
     with pytest.raises(ValueError, match="matrix rows must have equal length"):
         rational_rank(matrix)
+    with pytest.raises(ValueError, match="matrix rows must have equal length"):
+        _int_inverse(matrix)
 
 
 @pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [[1, 0], [0, 1, 0]]])
 def test_non_square_inverse_is_rejected(matrix):
-    with pytest.raises(ValueError, match="matrix must be square"):
-        rational_inverse(matrix)
+    """_int_inverse inverts A at its pivot columns only: no non-square A
+    passes for inverted, as a ragged one raises, a tall one's rows show as
+    dependent (a pivot past A's width) and a wide one's pivots miss a column."""
+    if len({len(row) for row in matrix}) > 1:
+        with pytest.raises(ValueError, match="matrix rows must have equal length"):
+            _int_inverse(matrix)
+        return
+    pivots, _, _ = _int_inverse(matrix)
+    width = len(matrix[0])
+    assert pivots[-1] >= width or pivots != list(range(width))
 
 
 # ---------------------------------------------------------------------------
