@@ -15,9 +15,9 @@ from ._record import Record
 from .builders import SymmetricPair, borel_decomposition, is_z2_grading, symmetric_pair
 from .contract import ContractionWeights, contract_algebra, t_degree
 from .exterior import Form, MultiVector, _seeded_points, differential, wedge
-from .invariants import (GeneratorSet, _Casimirs, _casimirs_of, _int_partials, _pivot_point,
-                         _regularity_minor, _weight, char_invariants, semi_invariant_weight,
-                         t_degree_reduction)
+from .invariants import (GeneratorSet, _Casimirs, _casimirs_of, _graded_of, _int_partials,
+                         _pivot_point, _regularity_minor, _weight, char_invariants,
+                         semi_invariant_weight, t_degree_reduction)
 from .lie import LieAlgebra, algebra_index
 from .linalg import rational_rank
 from .polyring import (Polynomial, _ratio, _scaled_values, multivariate_gcd, poly_div_exact,
@@ -268,6 +268,7 @@ class ContrDegReport(Record):
 def _contraction(L: LieAlgebra, gens, w: ContractionWeights):
     """(res, pairs, limit): L contracted at w, each generator's (t-degree, top)
     and regularity on pi~ against the tops; (res, None, None) if invalid.
+    A t_degree_reduction list graded at w gives its pairs (invariants._graded_of).
     Tops of proved Casimirs of pi (invariants._Casimirs) are ones of pi~:
     pi_jl at t-power k >= 0 has weighted degree w_j + w_l - k, and dF/dx_l
     at most D - w_l (D = F's t-degree), so {x_j, F^top} under pi~ is the
@@ -275,7 +276,7 @@ def _contraction(L: LieAlgebra, gens, w: ContractionWeights):
     res = contract_algebra(L, w)
     if not res.valid:
         return res, None, None
-    pairs = [t_degree(g, w) for g in gens]
+    pairs = _graded_of(gens, w) or [t_degree(g, w) for g in gens]
     tops, proved = [top for _, top in pairs], _casimirs_of(gens) is res.original
     return res, pairs, regularity(res.pi_tilde, _Casimirs(res.pi_tilde, tops) if proved else tops)
 

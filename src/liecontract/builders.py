@@ -17,13 +17,13 @@ construction.
 
 from __future__ import annotations
 
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 
 from ._record import Record
 from .contract import ContractionWeights
 from .lie import LieAlgebra, RootData, centralizer_in_span, from_matrices, subalgebra_from_vectors
-from .linalg import identity_matrix, mat_mul, poly_det_cofactor, zero_matrix
-from .polyring import Polynomial, multivariate_gcd, poly_div_exact
+from .linalg import identity_matrix, mat_mul, rational_rank, zero_matrix
 
 BUILTIN_ALGEBRAS = ("sl2", "sl3", "sl4", "sp4", "so4", "so5", "so6")
 FEIGIN_ALGEBRAS = ("sl2", "sl3", "sl4", "sp4", "so5", "so6")
@@ -221,10 +221,7 @@ def borel_decomposition(L: LieAlgebra) -> ContractionWeights:
     rd = L.root_data
     if rd is None:
         raise ValueError("algebra has no root data")
-    w = [0] * L.n
-    for i in rd.negative:
-        w[i] = 1
-    return ContractionWeights(tuple(w))
+    return ContractionWeights(tuple(int(i in rd.negative) for i in range(L.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,31 +238,20 @@ class SymmetricPair(Record):
         self._set(locals())
 
 
-def _char_poly_1var(M):
-    """det(t*I - M) as a Polynomial in one variable."""
-    t = Polynomial.variable(1, 0)
-    return poly_det_cofactor([[t - Polynomial.const(1, x) if i == j else -x
-                               for j, x in enumerate(row)] for i, row in enumerate(M)])
-
-
 def _is_semisimple_matrix(M) -> bool:
-    """Squarefree part of the characteristic polynomial must annihilate M."""
+    """Whether M, rational, is diagonalisable over C (ranks over Q are over C):
+    (1) I, M, ..., M^(m-1), flattened, have rank sum k_i, the degree of the
+    minimal polynomial prod_i (t - lambda_i)^(k_i) over the s distinct
+    eigenvalues; (2) the Hankel matrix tr(M^(i+j)), i, j < m, is V^T diag(a) V
+    for V_li = lambda_l^i, of rank s (Vandermonde, s <= m), and multiplicities
+    a_l > 0, so it has rank s.  They agree iff each k_i = 1: M is diagonalisable."""
     m = len(M)
-    p = _char_poly_1var(M)
-    dp = p.diff(0)
-    g = multivariate_gcd(p, dp)
-    q = p if g.is_constant else poly_div_exact(p, g)
-    coeffs = {(mono[0][1] if mono else 0): c for mono, c in q.as_dict().items()}
-    deg = max(coeffs)
-    acc = zero_matrix(m)
-    power = identity_matrix(m)
-    for e in range(deg + 1):
-        c = coeffs.get(e, 0)
-        if c:
-            acc = _add(acc, _scale(power, c))
-        if e < deg:
-            power = mat_mul(power, M)
-    return all(all(x == 0 for x in row) for row in acc)
+    powers = list(accumulate([M] * (m - 1), mat_mul, initial=identity_matrix(m)))
+    # tr(M^k) = tr(M^a M^b), a + b = k, a, b < m: rows of M^a by columns of M^b
+    traces = [sum(sum(map(mul, row, col)) for row, col in zip(
+        powers[min(k, m - 1)], zip(*powers[max(k - m + 1, 0)]))) for k in range(2 * m - 1)]
+    hankel = [traces[i:i + m] for i in range(m)]
+    return rational_rank([sum(P, []) for P in powers]) == rational_rank(hankel)
 
 
 def is_z2_grading(L: LieAlgebra, g0) -> bool:
@@ -299,9 +285,10 @@ def _diagonal(*d):
 
 
 def _sp4_form(M):
-    """The involution M -> J M^T J, J the skew form of sp4: it fixes sp4 in sl4."""
-    J = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
-    return mat_mul(mat_mul(J, [list(col) for col in zip(*M)]), J)
+    """The involution M -> J M^T J, J the skew form of sp4: it fixes sp4 in sl4.
+    J is g_r at (r, 3 - r), g = (1, 1, -1, -1): entry (r, s) is g_r g_(3-s) M[3-s][3-r]."""
+    g = (1, 1, -1, -1)
+    return [[g[r] * g[3 - s] * M[3 - s][3 - r] for s in range(4)] for r in range(4)]
 
 
 # pair id -> (parent builder, involution on the parent's matrices, Cartan
@@ -355,8 +342,6 @@ def symmetric_pair(pair_id: str) -> SymmetricPair:
     cent0 = centralizer_in_span(L, c, g0)
     l_alg = subalgebra_from_vectors(L, cent0,
                                     labels=[f"l{i}" for i in range(len(cent0))])
-    w = [0] * L.n
-    for i in g1:
-        w[i] = 1
     return SymmetricPair(pair_id=pair_id, parent=L, g0=g0, g1=g1, cartan_subspace=c,
-                         centralizer_alg=l_alg, weights=ContractionWeights(tuple(w)))
+                         centralizer_alg=l_alg,
+                         weights=ContractionWeights(tuple(int(i in g1) for i in range(L.n))))

@@ -29,7 +29,7 @@ from .lie import LieAlgebra, lie_poisson_bivector
 from .linalg import (_echelon, _int_inverse, _int_pfaffian, _principal_minor_sums,
                      poly_det_cofactor, solve_exact)
 from .polyring import (Polynomial, _accumulate, _integral_terms, _partials, _ratio,
-                       _scaled_values, poly_compose)
+                       _scaled_values, poly_compose, poly_rename)
 
 _ZERO = Fraction(0)
 
@@ -49,16 +49,23 @@ class GeneratorSet(Record):
 
 
 class _Casimirs(list):
-    """Nonzero Casimirs of the bivector pi, so proved by their construction."""
+    """Nonzero Casimirs of pi (None: of none), so proved by their construction;
+    graded is (weights, each one's (t-degree, top) at them) or None."""
 
-    def __init__(self, pi: MultiVector, polys):
+    def __init__(self, pi: MultiVector | None, polys, graded: tuple | None = None):
         super().__init__(polys)
-        self.pi, self.proved = pi, tuple(self)
+        self.pi, self.proved, self.graded = pi, tuple(self), graded
 
 
 def _casimirs_of(polys):
     """The pi of polys if a _Casimirs set, unchanged since made, else None."""
     return polys.pi if isinstance(polys, _Casimirs) and tuple(polys) == polys.proved else None
+
+
+def _graded_of(polys, w: ContractionWeights):
+    """The pairs of polys if a _Casimirs set graded at w, unchanged since made, else None."""
+    graded = polys.graded if isinstance(polys, _Casimirs) and tuple(polys) == polys.proved else None
+    return list(graded[1]) if graded and graded[0] == w.weights else None
 
 
 def semi_invariant_weight(h: Polynomial, pi: MultiVector):
@@ -337,10 +344,12 @@ def t_degree_reduction(gens: GeneratorSet, w: ContractionWeights) -> GeneratorSe
     triangular and invertible, so the new set generates the same centre; the
     total t-degree strictly drops, so the loop terminates.  A proved set
     (_Casimirs) stays one: F_j - P(others) is a polynomial in Casimirs.
+    It is one int composition (poly_compose) of y_j - P(y_others) at F.  The
+    list returned carries each one's (t-degree, top) at w (_Casimirs.graded).
     """
     current = list(gens.gens)
     graded = [t_degree(g, w) for g in current]      # (t-degree, top) of each, kept
-    order = sorted(range(len(current)), key=lambda i: current[i].degree())
+    order = sorted(range(k := len(current)), key=lambda i: current[i].degree())
     changed = True
     while changed:
         changed = False
@@ -351,7 +360,8 @@ def t_degree_reduction(gens: GeneratorSet, w: ContractionWeights) -> GeneratorSe
                                   profile=([graded[i][0] for i in others], dj))
             if P is None or P.is_zero:
                 continue
-            replacement = current[j] - poly_compose(P, [current[i] for i in others])
+            Q = Polynomial.variable(k, j) - poly_rename(P, dict(enumerate(others)), k)
+            replacement = poly_compose(Q, current)
             if replacement.is_zero:
                 raise ValueError("reduction annihilated a generator; set is dependent")
             graded[j] = t_degree(replacement, w)
@@ -359,7 +369,6 @@ def t_degree_reduction(gens: GeneratorSet, w: ContractionWeights) -> GeneratorSe
                 raise AssertionError("reduction did not lower the t-degree")
             current[j] = replacement
             changed = True
-    if (pi := _casimirs_of(gens.gens)) is not None:
-        current = _Casimirs(pi, current)
+    current = _Casimirs(_casimirs_of(gens.gens), current, (w.weights, tuple(graded)))
     return GeneratorSet(algebra=gens.algebra, gens=current,
                         normalization=gens.normalization)

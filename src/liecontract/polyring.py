@@ -21,6 +21,7 @@ Values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Iterable, Sequence
@@ -485,7 +486,11 @@ def poly_div_exact(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_compose(p: Polynomial, args: Sequence[Polynomial]) -> Polynomial:
-    """Substitute a polynomial for each variable of p."""
+    """Substitute a polynomial for each variable of p, in int: with A_v =
+    d args[v], d the args' common denominator, and c / e for p's, a term c x^m
+    of degree k is (e c) d^(K-k) prod A_v^(m_v), K = deg p, e d^K times the
+    term, so one division ends the sum.  Its products, powers and sums are
+    those on the unscaled args, in order, so the terms come in that order."""
     if len(args) != p.n:
         raise ValueError("need one argument polynomial per variable")
     if not args:
@@ -494,13 +499,16 @@ def poly_compose(p: Polynomial, args: Sequence[Polynomial]) -> Polynomial:
     for q in args:
         if q.n != n_out:
             raise ValueError("argument polynomials live in different rings")
+    (d, maps), (e, (pt,)) = _integral_terms(args), _integral_terms([p])
+    K, ds = max(p.degree(), 0), p.n << 4
+    args = [Polynomial._raw(n_out, t) for t in maps] if d > 1 else args
     total = Polynomial.zero(n_out)
-    for m, c in p.terms.items():
-        term = Polynomial.const(n_out, c)
-        for v, e in _unpack(m, p.n):
-            term = term * args[v] ** e
+    for m, c in pt.items():
+        term = Polynomial.const(n_out, c * d ** (K - (m >> ds)))
+        for v, x in _unpack(m, p.n):
+            term = term * args[v] ** x
         total = total + term
-    return total
+    return Polynomial._collect(n_out, total.terms, e * d ** K)
 
 
 def poly_rename(p: Polynomial, index_map: dict, new_n: int) -> Polynomial:
@@ -519,6 +527,14 @@ def poly_rename(p: Polynomial, index_map: dict, new_n: int) -> Polynomial:
 # grading by weighted degree
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _weight_word(ws: tuple) -> tuple:
+    """(W = sum_i w_i 2^(16 i), the largest k with k max(w) <= 65535) for _graded."""
+    if any(w < 0 for w in ws):
+        raise ValueError("weights must be nonnegative")
+    return sum(w << (i << 4) for i, w in enumerate(ws)), _EMAX // max((1, *ws))
+
+
 def _graded(n: int, polys, weights) -> tuple:
     """(parts, top) for polynomials of one ring Q[x_0, ..., x_{n-1}]: for
     each one in order, {weighted degree d: its part of weighted degree d},
@@ -526,25 +542,29 @@ def _graded(n: int, polys, weights) -> tuple:
     them (-1 when all are zero).  Under x_i -> t^{w_i} x_i for nonnegative
     integer weights, the part of weighted degree d carries t^d.
 
-    The weights are checked once and each distinct monomial is graded once,
-    so a linear bivector grades at most n monomials.
+    A weighted degree is one multiply: field n - 1 of m * W, W = sum_i w_i
+    2^(16 i), sums e_i w_i, as field f of m holds x_{n-1-f}'s exponent.  Any
+    field k < n of the product sums e_f w_g over f + g = k, at most
+    deg(m) max(w): while that is <= 65535 nothing carries between fields (the
+    degree bits land above field n - 1), so it is exact.  Past that, or when
+    n = 0, a monomial is graded field by field.  Each distinct one is graded once.
     """
     ws = tuple(weights)
-    if any(w < 0 for w in ws):
-        raise ValueError("weights must be nonnegative")
+    word, lim = _weight_word(ws)
     if len(ws) != n:
         raise ValueError(f"weight vector length {len(ws)} != ring dimension {n}")
-    by_field = ws[::-1]      # field f holds x_{n-1-f}
-    mask = (1 << (n << 4)) - 1
-    seen: dict = {}
-    parts = []
+    by_field, ds = ws[::-1], n << 4      # field f holds x_{n-1-f}
+    # m < cap exactly when deg(m) <= lim, as the degree bits are m's highest
+    mask, s, cap = (1 << ds) - 1, ds - 16, (lim + 1) << ds if n else 0
+    seen, parts = {}, []
     for p in polys:
         buckets: dict = {}
         for m, c in p.terms.items():
             d = seen.get(m)
-            if d is None:
-                d = 0
-                r = m & mask
+            if d is None and m < cap:
+                d = seen[m] = (m * word >> s) & _EMAX
+            elif d is None:
+                d, r = 0, m & mask
                 while r:
                     low = ((r & -r).bit_length() - 1) & ~15
                     e = (r >> low) & _EMAX
@@ -556,7 +576,7 @@ def _graded(n: int, polys, weights) -> tuple:
                 b = buckets[d] = {}
             b[m] = c
         parts.append({d: Polynomial._raw(n, b) for d, b in buckets.items()})
-    return parts, max(seen) >> (n << 4) if seen else -1
+    return parts, max(seen) >> ds if seen else -1
 
 
 # ---------------------------------------------------------------------------

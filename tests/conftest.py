@@ -20,10 +20,11 @@ from liecontract.exterior import (MultiVector, shuffle_sign, wedge_power,  # noq
 from liecontract.invariants import (_pivot_point, _regularity_minor,  # noqa: E402
                                     char_invariants, semi_invariant_weight, t_degree_reduction)
 from liecontract.lie import LieAlgebra, lie_poisson_bivector  # noqa: E402
-from liecontract.linalg import _reduced, rational_rank  # noqa: E402
+from liecontract.linalg import (_reduced, identity_matrix, mat_mul, poly_det_cofactor,  # noqa: E402
+                               rational_rank, zero_matrix)
 from liecontract.polyring import (Polynomial, _as_univariate, _coeff, _div, _graded,  # noqa: E402
                                   _main_variable, _monomial_gcd, _pack, _ratio, _uni_degree,
-                                  _uni_leading, poly_div_exact, poly_monic)
+                                  _uni_leading, multivariate_gcd, poly_div_exact, poly_monic)
 
 # algebras are immutable, so tests may share one instance per builtin
 cached_builtin = functools.lru_cache(maxsize=None)(_builtin_algebra)
@@ -430,3 +431,23 @@ def planted_gcd_cases(seed=5, count=40):
         if a and b and g:
             cases.append((a * g, b * g))
     return cases
+
+
+def reference_is_semisimple(M) -> bool:
+    """The semisimplicity test builders._is_semisimple_matrix replaced: the
+    squarefree part of det(t I - M), by a univariate gcd and an exact
+    division, must annihilate M."""
+    m = len(M)
+    t = Polynomial.variable(1, 0)
+    p = poly_det_cofactor([[t - Polynomial.const(1, x) if i == j else -x
+                            for j, x in enumerate(row)] for i, row in enumerate(M)])
+    g = multivariate_gcd(p, p.diff(0))
+    q = p if g.is_constant else poly_div_exact(p, g)
+    coeffs = {(mono[0][1] if mono else 0): c for mono, c in q.as_dict().items()}
+    acc, power = zero_matrix(m), identity_matrix(m)
+    for e in range(max(coeffs) + 1):
+        c = coeffs.get(e, 0)
+        if c:
+            acc = [[a + c * x for a, x in zip(ra, rx)] for ra, rx in zip(acc, power)]
+        power = mat_mul(power, M)
+    return all(x == 0 for row in acc for x in row)

@@ -7,7 +7,8 @@ pivots off linalg's forward int elimination, on the int matrix scale * pi(x),
 and conftest.row_reduce reads linalg._reduced, that elimination with an
 upward pass, with each pivot row divided by its pivot.
 t_degree_reduction keeps each generator's (t-degree, top) and grades again
-only the generator it replaced.
+only the generator it replaced.  The grader reads a weighted degree off one
+multiply while deg(m) max(w) <= 65535, and field by field past that bound.
 
 The in-test copies below are the replaced code: a t_expand per polynomial,
 a contract that grades each coefficient through it, and the reduction loop
@@ -24,7 +25,7 @@ import pytest
 
 from conftest import cached_builtin, cached_pair, random_polynomial, row_reduce
 from liecontract import invariants
-from liecontract.builders import BUILTIN_ALGEBRAS, borel_decomposition
+from liecontract.builders import BUILTIN_ALGEBRAS, Z2_PAIRS, borel_decomposition
 from liecontract.contract import ContractionResult, ContractionWeights, contract, t_degree
 from liecontract.exterior import MultiVector
 from liecontract.invariants import char_invariants, membership_linear, t_degree_reduction
@@ -161,6 +162,71 @@ def test_batch_grader_checks_the_weights_once_for_every_polynomial():
     assert _graded(3, [], [0, 0, 0]) == ([], -1)
     assert _graded(3, [Polynomial.zero(3)], [1, 2, 3]) == ([{}], -1)
     assert _graded(3, [Polynomial.const(3, 5)], [1, 2, 3])[1] == 0
+
+
+def test_one_multiply_grades_exactly_up_to_the_bound():
+    """n = 1 shows the bound is sharp: x^e at weight w has weighted degree
+    e w, which the multiply reads in one 16-bit field; at e w = 65536 it
+    carries out of it, so the grader reads that field by field."""
+    x = Polynomial.variable(1, 0)
+    for e, w in ((4369, 15), (4096, 16), (65535, 1), (1, 65535), (2, 32768),
+                 (65535, 2), (1, 65536), (0, 65536)):
+        p = x ** e + Polynomial.const(1, 3)
+        parts, top = _graded(1, [p], [w])
+        assert same_parts(parts[0], reference_t_expand(p, [w]))
+        assert max(parts[0]) == e * w and top == e
+    assert max((x ** 4096).terms) * 16 & _EMAX == 0
+
+
+def test_one_multiply_on_several_variables_at_the_bound():
+    """deg(m) max(w) at 65535 and at 65536, with exponents near the field's
+    limit, each polynomial alone and all in one batch."""
+    ws = (3, 5, 1)
+    polys = [Polynomial(3, {((0, 5000), (1, 5000), (2, 3107)): 1, ((1, 2),): Fraction(1, 2)}),
+             Polynomial(3, {((0, 5000), (1, 5000), (2, 3108)): -1, ((2, 1),): 2}),
+             Polynomial(3, {((2, _EMAX),): 1, ((1, 1), (2, _EMAX - 1)): 4})]
+    assert [p.degree() * max(ws) for p in polys] == [65535, 65540, 327675]
+    for p in polys:
+        assert same_parts(_graded(3, [p], ws)[0][0], reference_t_expand(p, ws))
+    parts, top = _graded(3, polys, ws)
+    assert all(same_parts(got, reference_t_expand(p, ws)) for got, p in zip(parts, polys))
+    assert top == _EMAX
+    p = polys[2]
+    for ws in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+        assert same_parts(_graded(3, [p], ws)[0][0], reference_t_expand(p, ws))
+
+
+def test_grading_with_no_variables_one_variable_and_zero_weights():
+    c = Polynomial.const(0, 3)
+    parts, top = _graded(0, [c, Polynomial.zero(0)], ())
+    assert parts == [{0: c}, {}] and top == 0
+    p = Polynomial.variable(1, 0) ** 7 - Polynomial.const(1, 1)
+    assert _graded(1, [p], [0]) == ([{0: p}], 7)
+    rng = random.Random(2207)
+    for n in range(1, 7):
+        p = random_polynomial(rng, n, max_degree=5, max_terms=8, allow_zero=False)
+        assert _graded(n, [p], [0] * n) == ([{0: p} if p else {}], p.degree())
+
+
+def test_one_multiply_matches_the_field_loop_on_large_weights():
+    """Seeded weights around the bound, so one batch mixes both reads."""
+    rng = random.Random(2208)
+    choices = (0, 1, 7, 255, 4096, 16383, 21845, 32767, 65535, 65536, 100000)
+    slow = fast = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        polys = [random_polynomial(rng, n, max_degree=4, max_terms=6) for _ in range(3)]
+        ws = [rng.choice(choices) for _ in range(n)]
+        parts, top = _graded(n, polys, ws)
+        for p, got in zip(polys, parts):
+            assert same_parts(got, reference_t_expand(p, ws))
+            if p:
+                if p.degree() * max(ws) <= _EMAX:
+                    fast += 1
+                else:
+                    slow += 1
+        assert top == max((p.degree() for p in polys), default=-1)
+    assert fast >= 100 and slow >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +448,21 @@ def test_reduction_matches_the_regrading_loop(name):
     for ws in seeded_weights(L, math.prod(map(ord, name)) % 1000)[:4]:
         w = ContractionWeights(ws)
         assert t_degree_reduction(gens, w).gens == reference_reduction(gens, w)
+
+
+@pytest.mark.parametrize("source", [*BUILTIN_ALGEBRAS, *Z2_PAIRS])
+def test_reduction_in_int_matches_the_loop_and_carries_its_pairs(source):
+    """The reduced generators equal the regrading loop's, each coefficient of
+    the same type, at Borel weights or the pair's own; the list carries each
+    one's (t-degree, top) at those weights, as t_degree grades it."""
+    if source in Z2_PAIRS:
+        pair = cached_pair(source)
+        L, w = pair.parent, pair.weights
+    else:
+        L = cached_builtin(source)
+        w = borel_decomposition(L)
+    got = t_degree_reduction(char_invariants(L), w).gens
+    want = reference_reduction(char_invariants(L), w)
+    assert [sorted((m, type(c), c) for m, c in g.terms.items()) for g in got] == [
+        sorted((m, type(c), c) for m, c in g.terms.items()) for g in want]
+    assert got.graded == (w.weights, tuple(t_degree(g, w) for g in got))

@@ -8,7 +8,9 @@ each generator once and runs regularity on pi~ once against the tops.
   small builtin at the Borel weights and at seeded weight vectors, valid and
   invalid, with full, reduced and short generator sets;
 * the two branches no paper target reaches: a generator count that is not
-  the index, and a hand-built symmetric pair whose weights do not contract.
+  the index, and a hand-built symmetric pair whose weights do not contract;
+* a reduced set is graded once: the pairs t_degree_reduction carries are
+  read by the pipeline, and an edited list or other weights grade again.
 """
 
 import random
@@ -19,7 +21,7 @@ from conftest import cached_builtin, cached_pair
 from liecontract import analysis
 from liecontract.analysis import (ContrDegReport, contr_deg_report, feigin_suite, regularity,
                                   z2_suite)
-from liecontract.builders import SymmetricPair, borel_decomposition
+from liecontract.builders import Z2_PAIRS, SymmetricPair, borel_decomposition
 from liecontract.contract import ContractionWeights, contract_algebra, t_degree
 from liecontract.invariants import GeneratorSet, char_invariants, t_degree_reduction
 from liecontract.lie import algebra_index
@@ -166,3 +168,47 @@ def test_a_symmetric_pair_that_does_not_contract_fails_at_contraction_valid():
         ("z2_grading", True), ("borel_dimension_identity", True),
         ("contraction_valid", False)]
     assert rep.clauses[-1].data == {} and not rep.ok
+
+
+def spy_grading(monkeypatch):
+    graded = []
+    monkeypatch.setattr(analysis, "t_degree", lambda g, w: graded.append(g) or t_degree(g, w))
+    return graded
+
+
+@pytest.mark.parametrize("pair_id", Z2_PAIRS)
+def test_z2_reads_the_pairs_the_reduction_carries(pair_id, monkeypatch):
+    graded = spy_grading(monkeypatch)
+    pair = cached_pair(pair_id)
+    assert z2_suite(pair).ok
+    assert graded == []
+    reduced = t_degree_reduction(char_invariants(pair.parent), pair.weights)
+    _, pairs, _ = analysis._contraction(pair.parent, reduced.gens, pair.weights)
+    assert graded == []
+    assert pairs == [t_degree(g, pair.weights) for g in reduced.gens]
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_contr_deg_report_grades_a_reduced_set_once(name, monkeypatch):
+    L = cached_builtin(name)
+    gens = char_invariants(L)
+    w = borel_decomposition(L)
+    reduced = t_degree_reduction(gens, w)
+    graded = spy_grading(monkeypatch)
+    want = parent_contr_deg_report(reduced, w).as_dict()
+    graded.clear()
+    # the weights it was graded at, also as an equal copy
+    for same in (w, ContractionWeights(tuple(w))):
+        assert contr_deg_report(reduced, same).as_dict() == want
+    assert graded == []
+    # other weights grade again
+    other = ContractionWeights((0,) * L.n)
+    assert contr_deg_report(reduced, other).as_dict() == parent_contr_deg_report(
+        reduced, other).as_dict()
+    assert len(graded) == len(reduced.gens)
+    # so does a list edited after it was made
+    graded.clear()
+    edited = t_degree_reduction(gens, w)
+    edited.gens[0] = edited.gens[0] * 2
+    assert contr_deg_report(edited, w).as_dict() == parent_contr_deg_report(edited, w).as_dict()
+    assert len(graded) == len(reduced.gens)

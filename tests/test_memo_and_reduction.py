@@ -6,10 +6,14 @@ reduction's two kernels in plain Python, each against the code it replaced:
 * membership_linear's candidate exponent tuples, from a recursion bounded by
   the degree still left, against the recursive enumeration, in the same
   order, with no tuple built outside the kept ones;
-* poly_compose with plain powers against the per-call power memo.
+* poly_compose with plain powers against the per-call power memo, and its
+  int scaling against that memo copy and against sympy on Fraction input;
+* the reduction's one composition of y_j - P(y_others) against the
+  difference F_j - P(F_others) it replaced.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import cached_builtin, case, random_polynomial
@@ -19,7 +23,7 @@ from liecontract.builders import BUILTIN_ALGEBRAS
 from liecontract.exterior import MultiVector, point_ranks, wedge_power_coefficient
 from liecontract.invariants import membership_linear
 from liecontract.lie import lie_poisson_bivector
-from liecontract.polyring import Polynomial, _unpack, poly_compose
+from liecontract.polyring import Polynomial, _unpack, poly_compose, poly_rename
 
 # ---------------------------------------------------------------------------
 # one memo idiom
@@ -232,3 +236,55 @@ def test_reduction_composes_the_same_replacement(monkeypatch):
         gens = invariants.char_invariants(cached_builtin(name))
         invariants.t_degree_reduction(gens, invariants.ContractionWeights(w))
     assert seen == [True] * 3
+
+
+def test_compose_in_int_keeps_the_memo_copy_order_on_fraction_input():
+    """poly_compose scales p and the args to int and divides once; on
+    Fraction coefficients, zero args and constants its terms come in the
+    memo copy's order, each with the memo copy's type."""
+    rng = random.Random(3232)
+    fractional = 0
+    for _ in range(600):
+        k, n = rng.randint(1, 4), rng.randint(1, 5)
+        p = random_polynomial(rng, k, max_degree=4, max_terms=6)
+        args = [random_polynomial(rng, n, max_degree=2, max_terms=4) for _ in range(k)]
+        got, want = poly_compose(p, args), memo_compose(p, args)
+        assert typed_terms(got) == typed_terms(want)
+        fractional += any(type(c) is Fraction for c in got.terms.values())
+    assert fractional >= 200
+
+
+def test_compose_matches_sympy_on_a_sample():
+    sympy = pytest.importorskip("sympy")
+
+    def expr(p, names):
+        return sum((sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                    * sympy.Mul(*(names[v] ** e for v, e in mono))
+                    for mono, c in p.as_dict().items()), sympy.Integer(0))
+
+    rng = random.Random(3333)
+    xs, ys = sympy.symbols("x0:5"), sympy.symbols("y0:4")
+    for _ in range(25):
+        k, n = rng.randint(1, 4), rng.randint(1, 5)
+        p = random_polynomial(rng, k, max_degree=3, max_terms=5)
+        args = [random_polynomial(rng, n, max_degree=2, max_terms=3) for _ in range(k)]
+        want = expr(p, ys).subs({ys[v]: expr(a, xs) for v, a in enumerate(args)},
+                                simultaneous=True)
+        assert sympy.expand(expr(poly_compose(p, args), xs) - want) == 0
+
+
+def test_one_composition_is_the_replacement_it_replaced():
+    """F_j - P(F_others), a difference of two polynomials, against the one
+    composition of y_j - P(y_others), P renamed into all the generators'
+    variables: equal terms, each of one type."""
+    rng = random.Random(3434)
+    for _ in range(200):
+        k, n = rng.randint(2, 4), rng.randint(1, 5)
+        gens = [random_polynomial(rng, n, max_degree=3, max_terms=4) for _ in range(k)]
+        j = rng.randrange(k)
+        others = [i for i in range(k) if i != j]
+        P = random_polynomial(rng, k - 1, max_degree=2, max_terms=3)
+        want = gens[j] - poly_compose(P, [gens[i] for i in others])
+        Q = Polynomial.variable(k, j) - poly_rename(P, dict(enumerate(others)), k)
+        got = poly_compose(Q, gens)
+        assert sorted(typed_terms(got)) == sorted(typed_terms(want))

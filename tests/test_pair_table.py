@@ -5,8 +5,11 @@ two weighted-degree parts of the parent's minor pair (conftest's reference
 read) against the limit's own pair, and the degree-sum verdict that
 replaced both, which the feigin suite reads as well."""
 
+import random
+from fractions import Fraction
+
 import pytest
-from conftest import graded_tops_minor
+from conftest import graded_tops_minor, rational_inverse, reference_is_semisimple
 
 from liecontract import analysis, builders, invariants
 from liecontract.analysis import feigin_suite, regularity, z2_suite
@@ -18,7 +21,7 @@ from liecontract.invariants import (_pivot_point, _regularity_minor, char_invari
                                     t_degree_reduction)
 from liecontract.lie import (algebra_to_text, centralizer_in_span, from_matrices,
                              lie_poisson_bivector, subalgebra_from_vectors)
-from liecontract.linalg import mat_mul, zero_matrix
+from liecontract.linalg import mat_mul, rational_rank, zero_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +373,76 @@ def test_each_feigin_suite_expands_only_the_pair_of_g_prime(name, monkeypatch):
     assert feigin_suite(L).ok
     n_prime = L.n - L.root_data.rank
     assert expanded == [n_prime] and proofs == [L.n, n_prime]
+
+
+# ---------------------------------------------------------------------------
+# the row validation's kernels against the code they replaced
+# ---------------------------------------------------------------------------
+
+def seeded_square_matrices(seed=4141, count=3000):
+    """count seeded m x m matrices, m <= 4: small int entries, and Jordan
+    forms conjugated by an int matrix P (P J P^-1, Fraction entries where
+    P^-1 has them) with diagonal forms, so semisimple ones with repeated
+    eigenvalues, in every second one."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        m = rng.randint(1, 4)
+        if t % 3 == 0:
+            out.append([[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])
+            continue
+        J, i = zero_matrix(m), 0
+        while i < m:
+            size = 1 if t % 2 else rng.randint(1, m - i)
+            lam = Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+            for k in range(size):
+                J[i + k][i + k] = lam
+                if k:
+                    J[i + k - 1][i + k] = 1
+            i += size
+        P = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+        while rational_rank(P) < m:
+            P = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+        M = mat_mul(mat_mul(P, J), rational_inverse(P))
+        out.append([[x.numerator if x.denominator == 1 else x for x in row] for row in M])
+    return out
+
+
+def test_semisimplicity_by_two_ranks_matches_the_squarefree_test():
+    verdicts = [(builders._is_semisimple_matrix(M), reference_is_semisimple(M))
+                for M in seeded_square_matrices()]
+    assert all(got == want for got, want in verdicts)
+    semisimple = sum(want for _, want in verdicts)
+    assert 1000 <= semisimple <= len(verdicts) - 500
+
+
+def test_semisimplicity_matches_sympy_on_a_sample():
+    sympy = pytest.importorskip("sympy")
+    sample = seeded_square_matrices(seed=4242, count=18)
+    for M in sample:
+        assert builders._is_semisimple_matrix(M) == sympy.Matrix(M).is_diagonalizable(), M
+
+
+def test_semisimplicity_on_named_matrices():
+    jordan = [[2, 1, 0], [0, 2, 0], [0, 0, 2]]
+    assert not builders._is_semisimple_matrix(jordan)
+    assert builders._is_semisimple_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
+    assert builders._is_semisimple_matrix([[5]])
+    assert not builders._is_semisimple_matrix([[0, 1], [0, 0]])
+    assert builders._is_semisimple_matrix([[0, -1], [1, 0]])      # eigenvalues +-i
+    assert builders._is_semisimple_matrix([[Fraction(1, 2), 0], [1, Fraction(-1, 3)]])
+
+
+def j_transpose_j(M):
+    """The sp4 involution as it was built: two products and a transpose."""
+    J = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    return mat_mul(mat_mul(J, [list(col) for col in zip(*M)]), J)
+
+
+def test_sp4_form_entrywise_is_j_transpose_j():
+    rng = random.Random(4343)
+    mats = list(builders._adapted_sl4_basis().matrices)
+    mats += [[[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)] for _ in range(200)]
+    assert len(mats) == 215
+    for M in mats:
+        assert builders._sp4_form(M) == j_transpose_j(M)
