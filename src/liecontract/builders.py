@@ -134,16 +134,16 @@ def _chevalley(name, emats, cartans):
     return [emats[k] for k in order] + list(cartans) + fmats, labels, rd
 
 
-def _assemble(name, family, emats, cartans):
+def _assemble(name, emats, cartans):
     """The algebra of _chevalley's basis, with its root data."""
     mats, labels, rd = _chevalley(name, emats, cartans)
-    return from_matrices(mats, labels=labels, root_data=rd, name=name, family=family)
+    return from_matrices(mats, labels=labels, root_data=rd, name=name)
 
 
 def _build_sl(nn: int) -> LieAlgebra:
     emats = [_unit(nn, i, j) for i in range(nn) for j in range(i + 1, nn)]
     cartans = [_add(_unit(nn, i, i), _neg(_unit(nn, i + 1, i + 1))) for i in range(nn - 1)]
-    return _assemble(f"sl{nn}", ("sl", nn), emats, cartans)
+    return _assemble(f"sl{nn}", emats, cartans)
 
 
 def _build_so(m: int) -> LieAlgebra:
@@ -162,11 +162,11 @@ def _build_so(m: int) -> LieAlgebra:
         cartans.append(_scale(F(rank - 1, rank - 1), 2))
     else:
         cartans.append(_add(F(rank - 2, rank - 2), F(rank - 1, rank - 1)))
-    return _assemble(f"so{m}", ("so", m), emats, cartans)
+    return _assemble(f"so{m}", emats, cartans)
 
 
 def _build_sp(m: int) -> LieAlgebra:
-    return _assemble(f"sp{m}", ("sp", m), *_sp_roots(m))
+    return _assemble(f"sp{m}", *_sp_roots(m))
 
 
 def _sp_roots(m: int):
@@ -274,7 +274,7 @@ def _adapted_sl4_basis():
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
     ]
     return from_matrices(sp_mats + g1_mats, labels=sp_labels + [f"v{i + 1}" for i in range(5)],
-                         name="sl4_adapted", family=("sl", 4))
+                         name="sl4_adapted")
 
 
 def _diagonal(*d):

@@ -45,21 +45,6 @@ def _load_target(target: str):
                      f"builtins: {', '.join(BUILTIN_ALGEBRAS)}")
 
 
-def _load_classical(target: str):
-    """_load_target for the verbs that need the classical family tag.
-
-    The file format has no family line, so a file that holds exactly a
-    builtin algebra under its builtin name gets that builtin back, tag and
-    all.  The builtin is built only for such a file.
-    """
-    L, path = _load_target(target)
-    if L.family is None and L.name in BUILTIN_ALGEBRAS:
-        builtin = builtin_algebra(L.name)
-        if builtin == L:
-            return builtin, path
-    return L, path
-
-
 def _parse_weights(text: str, n: int) -> ContractionWeights:
     try:
         values = [int(x) for x in text.split(",")] if text or n else []
@@ -168,7 +153,7 @@ def cmd_contract(args, fmt):
 
 def cmd_tdeg(args, fmt):
     # without --poly the verb reads the invariant generators
-    L, _ = (_load_target if args.poly is not None else _load_classical)(args.target)
+    L, _ = _load_target(args.target)
     w = _parse_weights(args.weights, L.n)
     if args.poly is not None:
         targets = [("input", parse_polynomial(args.poly, L.labels))]
@@ -188,7 +173,7 @@ def cmd_tdeg(args, fmt):
 
 
 def cmd_invariants(args, fmt):
-    L, _ = _load_classical(args.target)
+    L, _ = _load_target(args.target)
     gs = char_invariants(L)
     payload = {"target": args.target, "degrees": gs.degrees,
                "normalization": str(gs.normalization),
@@ -201,7 +186,7 @@ def cmd_invariants(args, fmt):
 
 
 def cmd_kostant(args, fmt):
-    L, _ = _load_classical(args.target)
+    L, _ = _load_target(args.target)
     gs = char_invariants(L)
     rep = kostant_check(gs, lie_poisson_bivector(L), len(gs))
     cert = rep.certificate
@@ -217,7 +202,7 @@ def cmd_kostant(args, fmt):
 
 
 def cmd_ggs(args, fmt):
-    L, _ = _load_classical(args.target)
+    L, _ = _load_target(args.target)
     w = _parse_weights(args.weights, L.n)
     gs = char_invariants(L)
     reduced = t_degree_reduction(gs, w)

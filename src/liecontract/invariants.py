@@ -153,24 +153,28 @@ def _trace_dual_generic_matrix(L: LieAlgebra):
 
 
 def char_invariants(L: LieAlgebra) -> GeneratorSet:
-    """Generators of the Poisson centre for a built-in sl/so/sp algebra,
-    proved Casimirs of L's bivector (_Casimirs).  When from_matrices built L,
-    X spans L, tr(X M_i) = x_i and {x_j, x_i} = tr(X [M_j, M_i]) = tr([X, M_j]
-    M_i), so {x_j, F} = d/ds F((1 - sZ) X (1 + sZ)) at s = 0, Z = M_j.  That
-    keeps det(lambda - X), so each principal-minor sum, rescaled or not.
+    """Generators of the Poisson centre for L realised as sl, so or sp by
+    m x m matrices, proved Casimirs of L's bivector (_Casimirs).  The kind
+    is read off n: m^2 - 1, m(m - 1)/2 and m(m + 1)/2 differ but at m = 2,
+    where sl2 = sp2 is read as sl2.  When from_matrices built L, X spans L,
+    tr(X M_i) = x_i and {x_j, x_i} = tr(X [M_j, M_i]) = tr([X, M_j] M_i), so
+    {x_j, F} = d/ds F((1 - sZ) X (1 + sZ)) at s = 0, Z = M_j.  That keeps
+    det(lambda - X), so each principal-minor sum, rescaled or not.
     pfaffian checks SX skew, so SZ is; S (1 - sZ) X (1 + sZ) = A SX A^T for
     A = 1 - sSZS: Pf gains det A = 1 - s tr(S SZ) + O(s^2), S SZ has trace 0.
     The engine reads the int Y = D X: e_k(Y) = D^k e_k(X) and Pf(SY) =
     D^l Pf(SX) are divided once; SY is skew exactly when SX is, as D > 0.
     On a hand-built L the normalisation checks each F instead.  It proves
     A = B at a nilpotent point, and the list is marked again (_Casimirs)
-    once F_1 is scaled: every set returned is proved."""
-    if L.family is None:
-        raise ValueError("char_invariants needs a classical family tag")
-    kind, size = L.family
-    if kind not in ("sl", "sp", "so"):
-        raise ValueError(f"unsupported family {kind!r}")
+    once F_1 is scaled: every set returned is proved, so an algebra of a
+    classical dimension that is not of that kind can only raise."""
     D, Y = _trace_dual_generic_matrix(L)
+    size = len(Y)
+    # sl last, so that it wins the m = 2 tie with sp
+    kind = {size * (size + 1) // 2: "sp", size * (size - 1) // 2: "so",
+            size * size - 1: "sl"}.get(L.n)
+    if kind is None:
+        raise ValueError(f"no sl, so or sp of {size} x {size} matrices has dimension {L.n}")
     # sl: minors of every degree >= 2; sp, so: the even ones, except that
     # so(2l) has the Pfaffian in place of the degree-2l minor
     pf = kind == "so" and size % 2 == 0

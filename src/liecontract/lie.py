@@ -45,7 +45,7 @@ class LieAlgebra:
 
     def __init__(self, labels: Sequence[str], brackets: dict,
                  matrices=None, root_data: RootData | None = None,
-                 name: str | None = None, family=None):
+                 name: str | None = None):
         self.n = len(labels)
         self.labels = list(labels)
         if len(set(self.labels)) != self.n:
@@ -87,7 +87,6 @@ class LieAlgebra:
         self.matrices = matrices
         self.root_data = root_data
         self.name = name
-        self.family = family
 
     @classmethod
     def _with_bivector(cls, labels, brackets: dict, pi: MultiVector) -> LieAlgebra:
@@ -178,7 +177,7 @@ def _square_size(mats) -> int:
     return m
 
 
-def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> LieAlgebra:
+def from_matrices(mats, labels=None, root_data=None, name=None) -> LieAlgebra:
     """Extract structure constants from matrices closed under commutator, each
     commutator summed from nonzero entries into a sparse target {r * m + t: x}.
 
@@ -218,8 +217,7 @@ def from_matrices(mats, labels=None, root_data=None, name=None, family=None) -> 
                     f"span is not closed under commutator at pair ({labels[i]},{labels[j]})")
             if sol:
                 brackets[(i, j)] = sol
-    L = LieAlgebra(labels, brackets, matrices=mats,
-                   root_data=root_data, name=name, family=family)
+    L = LieAlgebra(labels, brackets, matrices=mats, root_data=root_data, name=name)
     L._commutator = True
     return L
 

@@ -547,15 +547,15 @@ def _graded(n: int, polys, weights) -> tuple:
     field k < n of the product sums e_f w_g over f + g = k, at most
     deg(m) max(w): while that is <= 65535 nothing carries between fields (the
     degree bits land above field n - 1), so it is exact.  Past that, or when
-    n = 0, a monomial is graded field by field.  Each distinct one is graded once.
+    n = 0, a monomial is graded from its exponents.  Each distinct one is graded once.
     """
     ws = tuple(weights)
     word, lim = _weight_word(ws)
     if len(ws) != n:
         raise ValueError(f"weight vector length {len(ws)} != ring dimension {n}")
-    by_field, ds = ws[::-1], n << 4      # field f holds x_{n-1-f}
+    ds = n << 4
     # m < cap exactly when deg(m) <= lim, as the degree bits are m's highest
-    mask, s, cap = (1 << ds) - 1, ds - 16, (lim + 1) << ds if n else 0
+    s, cap = ds - 16, (lim + 1) << ds if n else 0
     seen, parts = {}, []
     for p in polys:
         buckets: dict = {}
@@ -564,13 +564,7 @@ def _graded(n: int, polys, weights) -> tuple:
             if d is None and m < cap:
                 d = seen[m] = (m * word >> s) & _EMAX
             elif d is None:
-                d, r = 0, m & mask
-                while r:
-                    low = ((r & -r).bit_length() - 1) & ~15
-                    e = (r >> low) & _EMAX
-                    d += by_field[low >> 4] * e
-                    r ^= e << low
-                seen[m] = d
+                d = seen[m] = sum(ws[v] * e for v, e in _unpack(m, n))
             b = buckets.get(d)
             if b is None:
                 b = buckets[d] = {}

@@ -193,7 +193,7 @@ def test_brackets_that_disagree_with_the_matrices_seed_no_verdict(monkeypatch):
     doubled = {pair: {k: 2 * c for k, c in row.items()} for pair, row in sl2.brackets.items()}
     calls = weight_spy(monkeypatch)
     for brackets in (doubled, sl2.brackets):
-        L = LieAlgebra(sl2.labels, brackets, matrices=sl2.matrices, family=sl2.family)
+        L = LieAlgebra(sl2.labels, brackets, matrices=sl2.matrices)
         calls.clear()
         gens = char_invariants(L)
         assert calls == [3] and _casimirs_of(gens.gens) is lie_poisson_bivector(L)
@@ -204,7 +204,6 @@ def test_brackets_that_disagree_with_the_matrices_seed_no_verdict(monkeypatch):
 
 def test_a_file_algebra_seeds_no_verdict(monkeypatch):
     L, _ = algebra_from_text(algebra_to_text(cached_builtin("sl3")))
-    L.family = ("sl", 3)            # as the command line tags a builtin's file
     calls = weight_spy(monkeypatch)
     gens = char_invariants(L)       # checked by the normalisation, then proved
     assert calls == [8, 8] and _casimirs_of(gens.gens) is lie_poisson_bivector(L)

@@ -3,15 +3,16 @@ import json
 import pytest
 
 from conftest import cached_builtin
+from liecontract import builders
 from liecontract.analysis import kostant_check
-from liecontract.builders import (BUILTIN_ALGEBRAS, borel_decomposition, build_classical,
-                                  builtin_algebra)
+from liecontract.builders import (BUILTIN_ALGEBRAS, _PAIRS, borel_decomposition,
+                                  build_classical, builtin_algebra)
 from liecontract.cli import main
 from liecontract.contract import ContractionWeights, t_degree
 from liecontract.exterior import MultiVector, pfaffian, wedge
 from liecontract.invariants import char_invariants, membership_linear
-from liecontract.lie import (LieAlgebra, algebra_from_text, centralizer_in_span, from_matrices,
-                             lie_poisson_bivector, subalgebra_from_vectors)
+from liecontract.lie import (LieAlgebra, algebra_from_text, algebra_to_text, centralizer_in_span,
+                             from_matrices, lie_poisson_bivector, subalgebra_from_vectors)
 from liecontract.polyring import (Polynomial, parse_polynomial, poly_compose, poly_div_exact,
                                   poly_to_str)
 
@@ -452,8 +453,8 @@ class TestEmitAndLoad:
         assert code == 0 and "= 1" in out
 
     def test_family_verbs_on_an_emitted_file(self, capsys, tmp_path):
-        # the file format has no family line: a file holding exactly a
-        # builtin under its name answers like the builtin itself
+        # the file format has no family line: the kind is read off the
+        # matrices, so a builtin's file answers like the builtin itself
         path = tmp_path / "sp4.alg"
         run(capsys, "emit-builtin", "sp4", "--output", str(path))
         borel = ["--weights", "0,0,0,0,0,0,1,1,1,1"]
@@ -472,9 +473,35 @@ class TestEmitAndLoad:
         *head, c = lines[i].split()
         lines[i] = " ".join(head + [str(int(c) + 1)])
         path.write_text("\n".join(lines) + "\n")
+        # the file's algebra is the one computed on, and its bracket breaks Jacobi
         for argv in (["invariants"], ["kostant"], ["ggs", "--weights", "0,0,0,0,0,0,1,1,1,1"]):
-            code, _, err = run(capsys, argv[0], str(path), *argv[1:])
-            assert code == 2 and "family tag" in err
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, out, err) == (1, "", "error: Jacobi identity fails at triple (0, 1, 6)\n")
+
+    @pytest.mark.parametrize("name, build", [
+        ("c3", lambda: builders._build_sp(6)), ("b3", lambda: builders._build_so(7)),
+        ("a4", lambda: builders._build_sl(5)), ("sl4_sp4", _PAIRS["sl4_sp4"][0])])
+    def test_classical_file_under_any_name(self, capsys, tmp_path, name, build):
+        # no builtin has these names or sizes: the kind is read off the matrices
+        src = build()
+        src.name = name
+        path = tmp_path / f"{name}.alg"
+        path.write_text(algebra_to_text(src))
+        code, out, err = run(capsys, "invariants", str(path))
+        gs = char_invariants(src)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"normalization scalar: {gs.normalization}"] + [
+            f"F{i + 1} (deg {g.degree()}): {poly_to_str(g, src.labels)}"
+            for i, g in enumerate(gs.gens)]
+        code, out, _ = run(capsys, "kostant", str(path))
+        assert code == 0 and out.startswith(f"kostant {path}: PASS (")
+        assert out.endswith(", q1=1, q2=1)\n")
+
+    def test_labels_only_file_has_no_invariants(self, capsys, tmp_path):
+        path = tmp_path / "sl2.alg"
+        path.write_text(algebra_to_text(LieAlgebra(["e", "h", "f"], cached_builtin("sl2").brackets)))
+        code, out, err = run(capsys, "invariants", str(path))
+        assert (code, out, err) == (2, "", "error: algebra has no matrix realization\n")
 
     def test_unknown_builtin(self, capsys):
         code, _, _ = run(capsys, "emit-builtin", "e7")
@@ -609,8 +636,12 @@ def dependent_kostant_offer():
                  id="membership-zero"),
     pytest.param(lambda: membership_linear(X0, [Polynomial.const(3, 2)]),
                  ValueError("generators must be nonconstant"), id="membership-constant"),
-    pytest.param(lambda: char_invariants(LieAlgebra(["a", "b"], {}, family=("g", 2))),
-                 ValueError("unsupported family 'g'"), id="invariants-family"),
+    # gl2: its trace form is nondegenerate, but 4 is no classical dimension at m = 2
+    pytest.param(lambda: char_invariants(from_matrices(
+                     [[[int((r, s) == (a, b)) for s in range(2)] for r in range(2)]
+                      for a in range(2) for b in range(2)])),
+                 ValueError("no sl, so or sp of 2 x 2 matrices has dimension 4"),
+                 id="invariants-family"),
 ])
 def test_library_boundary_cases_no_verb_reaches(call, outcome):
     if not isinstance(outcome, Exception):

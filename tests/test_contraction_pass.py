@@ -380,8 +380,8 @@ def test_the_limit_algebra_equals_the_cleaned_one(name):
                  for ij, row in limit.brackets.items()]
                 == [(ij, [(k, type(c), c) for k, c in row.items()])
                     for ij, row in cleaned.brackets.items()])
-        assert (limit.n, limit.name, limit.family, limit.matrices, limit.root_data) == (
-            cleaned.n, cleaned.name, cleaned.family, cleaned.matrices, cleaned.root_data)
+        assert (limit.n, limit.name, limit.matrices, limit.root_data) == (
+            cleaned.n, cleaned.name, cleaned.matrices, cleaned.root_data)
         assert limit.bivector == cleaned.bivector
 
 

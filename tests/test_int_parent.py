@@ -28,11 +28,10 @@ from liecontract.polyring import Polynomial
 
 
 def halved_sl3():
-    """sl3's realisation with every entry halved: Fraction matrices, the
-    family tag kept."""
+    """sl3's realisation with every entry halved: Fraction matrices."""
     L = cached_builtin("sl3")
     mats = [[[Fraction(x, 2) for x in row] for row in M] for M in L.matrices]
-    return from_matrices(mats, labels=L.labels, name="sl3_halved", family=L.family)
+    return from_matrices(mats, labels=L.labels, name="sl3_halved")
 
 
 def conjugated_sl3():
@@ -41,7 +40,7 @@ def conjugated_sl3():
     L = cached_builtin("sl3")
     P, Q = ([[1, c, 0], [0, 1, 0], [0, 0, 1]] for c in (Fraction(1, 2), Fraction(-1, 2)))
     mats = [mat_mul(mat_mul(P, M), Q) for M in L.matrices]
-    return from_matrices(mats, labels=L.labels, name="sl3_conjugated", family=L.family)
+    return from_matrices(mats, labels=L.labels, name="sl3_conjugated")
 
 
 PARENTS = {**{name: lambda name=name: cached_builtin(name) for name in BUILTIN_ALGEBRAS},
@@ -100,7 +99,7 @@ def test_generators_equal_the_fraction_trace_dual(key, monkeypatch):
 
 def test_a_degenerate_trace_form_is_refused():
     # the upper-triangular 2 x 2 matrices: tr(E_01 M) = 0 for every M here
-    L = from_matrices([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]], family=("sl", 2))
+    L = from_matrices([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]])
     with pytest.raises(ValueError, match="^matrix is singular$"):
         _trace_dual_generic_matrix(L)
 
@@ -207,7 +206,7 @@ def test_from_matrices_hands_solve_dict_targets_only(monkeypatch):
         return lambda target: targets.append(target) or solve(target)
 
     monkeypatch.setattr(lie, "column_solver", spy)
-    L = from_matrices(cached_builtin("sl4").matrices, family=("sl", 4))
+    L = from_matrices(cached_builtin("sl4").matrices)
     assert len(targets) == L.n * (L.n - 1) // 2
     assert all(type(t) is dict for t in targets)
     assert L.brackets == cached_builtin("sl4").brackets

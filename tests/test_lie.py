@@ -373,10 +373,10 @@ class TestBuilders:
         # sl3's positive root vectors against one h: e1 and e12 are sums
         emats = [unit(3, 0, 1), unit(3, 1, 2), unit(3, 0, 2)]
         with pytest.raises(ValueError, match="not a positive system"):
-            builders._assemble("x", None, emats, [[[1, 0, 0], [0, -1, 0], [0, 0, 0]]])
+            builders._assemble("x", emats, [[[1, 0, 0], [0, -1, 0], [0, 0, 0]]])
         # e = 2 E_12 needs f = E_21 / 4
         with pytest.raises(ValueError, match="non-integral scale"):
-            builders._assemble("x", None, [[[0, 2], [0, 0]]], [[[1, 0], [0, -1]]])
+            builders._assemble("x", [[[0, 2], [0, 0]]], [[[1, 0], [0, -1]]])
 
     def test_z2_grading(self):
         L = builtin_algebra("sl2")

@@ -270,7 +270,8 @@ small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 def algebra_files(draw):
     """A bracket table with in-range targets (not necessarily Jacobi), with
     the optional name, matrices, root data and weights of the file format.
-    The format has no family line; the CLI restores the tag for builtins."""
+    The format has no family line: char_invariants reads the kind off the
+    matrices."""
     n = draw(st.integers(1, 5))
     labels = draw(st.lists(words, min_size=n, max_size=n, unique=True))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -54,7 +54,7 @@ def _reference_sl4_basis():
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
     ])
     labels.extend(f"v{i + 1}" for i in range(5))
-    return from_matrices(mats, labels=labels, name="sl4_adapted", family=("sl", 4))
+    return from_matrices(mats, labels=labels, name="sl4_adapted")
 
 
 def _sp_form_matrix(m):
